@@ -9,31 +9,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import (
-    BivectorForm,
-    EvolutionSystem,
-    bivector_residual,
-    build_cotangent,
-    operator_to_bivector,
-)
+from .covering import BivectorForm, bivector_residual, build_cotangent, operator_to_bivector
 from .geometry import (
-    Connection,
-    Metric,
     SecondOrderData,
     ThirdOrderData,
+    char_square_check,
+    expanded_first_order_conditions,
     first_order_operator,
     haantjes_zero_check,
     linear_degeneracy_check,
-    char_square_check,
     nonlocal_first_order_check,
+    potentialize,
     second_order_compat,
+    second_order_potential_bivector,
     third_order_compat,
     third_order_hamiltonian_check,
     third_order_operator,
     tsarev_check,
-    expanded_first_order_conditions,
 )
 from .grammar import parse, parse_scalar
+from .problem import Problem, load_operator
 from .solver import find_bivectors, make_operator_ansatz
 
 
@@ -70,20 +65,20 @@ _KDV_PROBLEM = {
 
 def _kdv_goldens():
     out = []
-    system = EvolutionSystem.general([parse("u1_x3 + u1*u1_x")])
-    ctx = build_cotangent(system)
+    problem = Problem(_KDV_PROBLEM)
+    ctx = build_cotangent(problem.system)
     expected = parse("p1_x3 + u1*p1_x")
     out.append(GoldenResult("adjoint-rule", ctx.pt_rules[0] == expected,
                             "p1_t reduces to p1_x3 + u1*p1_x"))
-    for name, text in [("A1", "p1_x"), ("A2", "p1_x3 + 2/3*u1*p1_x + 1/3*u1_x*p1")]:
-        res = bivector_residual(ctx, BivectorForm((parse(text),)))
+    operators = {name: load_operator(problem, name)[1] for name in ("A1", "A2")}
+    for name, comps in operators.items():
+        res = bivector_residual(ctx, BivectorForm(comps))
         out.append(GoldenResult(f"{name}-residual-zero", _all_zero(res)))
     bad = bivector_residual(ctx, BivectorForm((parse("u1*p1_x"),)))
     out.append(GoldenResult("u-px-not-bivector", not _all_zero(bad)))
-    family = find_bivectors(system, make_operator_ansatz(1, 3, 1))
+    family = find_bivectors(problem.system, make_operator_ansatz(1, 3, 1))
     basis_ok = family.dimension == 2 and {
-        str(b[0]) for b in family.basis} == {
-        str(parse("p1_x")), str(parse("p1_x3 + 2/3*u1*p1_x + 1/3*u1_x*p1"))}
+        str(b[0]) for b in family.basis} == {str(c[0]) for c in operators.values()}
     out.append(GoldenResult("search-dimension-2", basis_ok,
                             f"dimension {family.dimension}"))
     return out
@@ -99,10 +94,10 @@ _TRANSPORT_PROBLEM = {
 
 
 def _transport_goldens():
-    system = EvolutionSystem.general([parse("u1_x")])
-    ctx = build_cotangent(system)
+    problem = Problem(_TRANSPORT_PROBLEM)
+    ctx = build_cotangent(problem.system)
     out = [GoldenResult("adjoint-rule", ctx.pt_rules[0] == parse("p1_x"))]
-    family = find_bivectors(system, make_operator_ansatz(1, 1, 0))
+    family = find_bivectors(problem.system, make_operator_ansatz(1, 1, 0))
     found = any(str(b[0]) == str(parse("p1_x")) for b in family.basis)
     out.append(GoldenResult("search-contains-px", found))
     return out
@@ -129,16 +124,14 @@ _HYDRO2_FAIL = {
 }
 
 
-def _hydro2(problem, expect_pass):
-    V = [[parse_scalar(x) for x in row] for row in problem["system"]["V"]]
-    metric = Metric([[1, 0], [0, 1]], variance="upper")
-    zeros = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    conn = Connection(metric, zeros)
+def _hydro2(data, expect_pass):
+    problem = Problem(data)
+    _, metric, conn, _ = load_operator(problem, "A")
+    V = problem.system.velocity
     out = []
     trep = tsarev_check(metric, conn, V)
     erep = expanded_first_order_conditions(metric, conn, V)
-    system = EvolutionSystem.hydrodynamic(V)
-    ctx = build_cotangent(system)
+    ctx = build_cotangent(problem.system)
     A = operator_to_bivector(first_order_operator(metric, conn))
     res = bivector_residual(ctx, A)
     cov_pass = _all_zero(res)
@@ -166,24 +159,21 @@ _NONLOCAL_PROBLEM = {
 
 
 def _nonlocal_goldens():
-    V = [[parse_scalar(x) for x in row] for row in [["u1", "u2"], ["u2", "u1"]]]
-    W = [[parse_scalar(x) for x in row] for row in [["1", "1"], ["1", "1"]]]
-    metric = Metric([[1, 0], [0, 1]], variance="upper")
-    conn = Connection(metric, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    problem = Problem(_NONLOCAL_PROBLEM)
+    _, metric, conn, W = load_operator(problem, "B")
+    V = problem.system.velocity
     rep = nonlocal_first_order_check(metric, conn, W, V)
     out = [GoldenResult("closed-form", rep.passed, str(rep))]
-    system = EvolutionSystem.hydrodynamic(V)
-    ctx = build_cotangent(system)
-    phi = (parse("u1_x + u2_x"), parse("u1_x + u2_x"))
-    alpha = ctx.register_symmetry(phi)
+    ctx = build_cotangent(problem.system)
+    alpha = ctx.register_symmetry(problem.symmetries[0])
     A = operator_to_bivector(first_order_operator(metric, conn), ctx,
                              tail=[(Fraction(1), alpha)])
     res = bivector_residual(ctx, A)
     out.append(GoldenResult("covering-residual-zero", _all_zero(res)))
     # a tail not matched to the curvature fails both routes identically
-    Wbad = [[parse_scalar(x) for x in row] for row in [["0", "1"], ["1", "0"]]]
+    Wbad = [["0", "1"], ["1", "0"]]
     bad_rep = nonlocal_first_order_check(metric, conn, Wbad, V)
-    ctx2 = build_cotangent(EvolutionSystem.hydrodynamic(V))
+    ctx2 = build_cotangent(problem.system)
     alpha2 = ctx2.register_symmetry((parse("u2_x"), parse("u1_x")))
     Abad = operator_to_bivector(first_order_operator(metric, conn), ctx2,
                                 tail=[(Fraction(1), alpha2)])
@@ -214,16 +204,17 @@ _N4_PROBLEM = {
 
 
 def n4_second_order_data() -> SecondOrderData:
-    return SecondOrderData.from_generators(4, {(1, 2, 3): 1}, {(3, 4): 1})
+    return load_operator(Problem(_N4_PROBLEM), "C")[1]
 
 
 def _n4_goldens():
-    d = n4_second_order_data()
-    vflux = [parse_scalar(s) for s in N4_FLUXES]
+    problem = Problem(_N4_PROBLEM)
+    d = load_operator(problem, "C")[1]
+    vflux = problem.vflux()
     out = []
     rep = second_order_compat(d, vflux)
     out.append(GoldenResult("flux-family-compatible", rep.passed, str(rep)))
-    jac = [[vflux[i].diff(j + 1) for j in range(4)] for i in range(4)]
+    jac = problem.system.jacobian()
     out.append(GoldenResult("linearly-degenerate",
                             linear_degeneracy_check(jac).passed))
     out.append(GoldenResult("haantjes-zero", haantjes_zero_check(jac).passed))
@@ -231,9 +222,8 @@ def _n4_goldens():
     out.append(GoldenResult("char-poly-square", cs.passed,
                             "; ".join(cs.notes)))
     # independent route: the order-0 operator image on the potential covering
-    from .geometry import second_order_potential_bivector
     C = second_order_potential_bivector(d)
-    ctx = build_cotangent(EvolutionSystem.potential(vflux))
+    ctx = build_cotangent(potentialize(problem.system))
     res = bivector_residual(ctx, C)
     out.append(GoldenResult("potential-covering-residual-zero", _all_zero(res)))
     return out
@@ -258,8 +248,7 @@ _SIX_PROBLEM = {
 
 
 def _six_goldens():
-    vflux = [parse_scalar(s) for s in SIX_FLUXES]
-    jac = [[vflux[i].diff(j + 1) for j in range(6)] for i in range(6)]
+    jac = Problem(_SIX_PROBLEM).system.jacobian()
     out = [
         GoldenResult("linearly-degenerate", linear_degeneracy_check(jac).passed),
         GoldenResult("haantjes-nonzero", not haantjes_zero_check(jac).passed,
@@ -281,15 +270,14 @@ _THIRD_FLAT_PROBLEM = {
 
 
 def _third_flat_goldens():
-    d = ThirdOrderData.from_lower_metric([["1", "0"], ["0", "-1"]])
-    vflux = [parse_scalar("u1 + 2*u2"), parse_scalar("-2*u1 - 5*u2")]
+    problem = Problem(_THIRD_FLAT_PROBLEM)
+    d = load_operator(problem, "D")[1]
     out = []
     out.append(GoldenResult("operator-conditions",
                             third_order_hamiltonian_check(d).passed))
-    rep = third_order_compat(d, vflux)
+    rep = third_order_compat(d, problem.vflux())
     out.append(GoldenResult("compat", rep.passed, str(rep)))
-    system = EvolutionSystem.conservative(vflux)
-    ctx = build_cotangent(system)
+    ctx = build_cotangent(problem.system)
     A = operator_to_bivector(third_order_operator(d))
     res = bivector_residual(ctx, A)
     out.append(GoldenResult("covering-residual-zero", _all_zero(res)))
@@ -310,7 +298,7 @@ _THIRD_MONGE_PROBLEM = {
 
 
 def monge_third_order_data() -> ThirdOrderData:
-    return ThirdOrderData.from_lower_metric([["-2*u2", "u1"], ["u1", "0"]])
+    return load_operator(Problem(_THIRD_MONGE_PROBLEM), "D")[1]
 
 
 def _third_monge_goldens():

@@ -9,16 +9,13 @@ failed mathematically, 2 malformed input (including degenerate metrics).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .catalog import examples_catalog, get_entry
 from .covering import (
     BivectorForm,
-    EvolutionSystem,
     bivector_residual,
     build_cotangent,
     extract_conditions,
@@ -26,10 +23,6 @@ from .covering import (
 )
 from .errors import DegenerateMetricError, ExpressionError, HhoError, InputError
 from .geometry import (
-    Connection,
-    Metric,
-    SecondOrderData,
-    ThirdOrderData,
     char_square_check,
     first_order_hamiltonian_check,
     first_order_operator,
@@ -44,7 +37,8 @@ from .geometry import (
     third_order_operator,
     tsarev_check,
 )
-from .grammar import format_diffpoly, format_ratfunc, parse, parse_scalar
+from .grammar import format_diffpoly, format_ratfunc, parse_scalar
+from .problem import Problem, load_operator
 from .rational import Poly
 from .solver import (
     find_bivectors,
@@ -55,148 +49,6 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
-
-
-# -- problem loading -------------------------------------------------------------
-
-
-class Problem:
-    def __init__(self, data: dict, source_bytes: bytes | None = None):
-        self.raw = data
-        self.input_hash = (hashlib.sha256(source_bytes).hexdigest()
-                           if source_bytes is not None else None)
-        try:
-            self.n = int(data["n"])
-        except (KeyError, TypeError, ValueError):
-            raise InputError("problem needs an integer field 'n'")
-        names = data.get("variables")
-        if names is not None and len(names) != self.n:
-            raise InputError("the 'variables' naming list must have n entries")
-        self.variable_names = names
-        self.task = data.get("task", {})
-        if not isinstance(self.task, dict):
-            raise InputError("'task' must be an object of default settings")
-        self.system = self._load_system(data.get("system"))
-        self.symmetries = [tuple(parse(x) for x in phi)
-                           for phi in data.get("symmetries", [])]
-        for phi in self.symmetries:
-            if len(phi) != self.n:
-                raise InputError("each symmetry needs n components")
-        self.operators = data.get("operators", {})
-
-    def _load_system(self, spec):
-        if spec is None:
-            return None
-        kind = spec.get("type")
-        if kind == "fluxes":
-            fluxes = [parse(x) for x in _require(spec, "f", kind)]
-            if len(fluxes) != self.n:
-                raise InputError(f"expected {self.n} fluxes")
-            return EvolutionSystem.general(fluxes)
-        if kind == "hydrodynamic":
-            V = _require(spec, "V", kind)
-            mat = [[parse_scalar(x) for x in row] for row in V]
-            if len(mat) != self.n or any(len(r) != self.n for r in mat):
-                raise InputError("velocity matrix must be n x n")
-            return EvolutionSystem.hydrodynamic(mat)
-        if kind in ("conservative", "potential"):
-            V = [parse_scalar(x) for x in _require(spec, "V", kind)]
-            if len(V) != self.n:
-                raise InputError(f"expected {self.n} flux potentials")
-            maker = (EvolutionSystem.conservative if kind == "conservative"
-                     else EvolutionSystem.potential)
-            return maker(V)
-        raise InputError(f"unknown system type {kind!r}")
-
-    def operator_spec(self, name: str) -> dict:
-        try:
-            return self.operators[name]
-        except KeyError:
-            raise InputError(f"no operator named {name!r} in the problem")
-
-    def vflux(self):
-        if self.system is None or self.system.flux_potentials is None:
-            raise InputError("this task needs a conservative (or potential) system")
-        return self.system.flux_potentials
-
-
-def _require(spec, key, where):
-    if key not in spec:
-        raise InputError(f"missing field {key!r} in {where} block")
-    return spec[key]
-
-
-def _scalar_matrix(rows, n, what):
-    mat = [[parse_scalar(x) for x in row] for row in rows]
-    if len(mat) != n or any(len(r) != n for r in mat):
-        raise InputError(f"{what} must be {n} x {n}")
-    return mat
-
-
-def _scalar_cube(planes, n, what):
-    cube = [[[parse_scalar(x) for x in row] for row in plane] for plane in planes]
-    if len(cube) != n or any(len(p) != n or any(len(r) != n for r in p) for p in cube):
-        raise InputError(f"{what} must be {n} x {n} x {n}")
-    return cube
-
-
-def _sparse_or_full_skew(data, n, rank):
-    """T/g0 fields accept either full arrays or sparse skew generators."""
-    if isinstance(data, dict):
-        gens = {}
-        for key, val in data.items():
-            idx = tuple(int(p) for p in key.split(","))
-            if len(idx) != rank:
-                raise InputError(f"generator key {key!r} needs {rank} indices")
-            gens[idx] = Fraction(val)
-        return gens
-    return None
-
-
-def load_operator(problem: Problem, name: str):
-    spec = problem.operator_spec(name)
-    n = problem.n
-    if "bivector" in spec:
-        exprs = spec["bivector"]
-        if len(exprs) != n:
-            raise InputError("bivector needs n components")
-        return ("bivector", tuple(parse(x) for x in exprs))
-    order = spec.get("order")
-    if order == 1:
-        g = Metric(_scalar_matrix(_require(spec, "g", "operator"), n, "g"),
-                   variance=spec.get("variance", "upper"))
-        gamma = _scalar_cube(_require(spec, "Gamma", "operator"), n, "Gamma")
-        conn = Connection(g, gamma)
-        W = None
-        if "W" in spec:
-            W = _scalar_matrix(spec["W"], n, "W")
-        return ("first", g, conn, W)
-    if order == 2:
-        t_raw = _require(spec, "T", "operator")
-        g0_raw = _require(spec, "g0", "operator")
-        t_gens = _sparse_or_full_skew(t_raw, n, 3)
-        g0_gens = _sparse_or_full_skew(g0_raw, n, 2)
-        if t_gens is not None or g0_gens is not None:
-            if t_gens is None or g0_gens is None:
-                raise InputError("T and g0 must both be sparse or both full arrays")
-            return ("second", SecondOrderData.from_generators(n, t_gens, g0_gens))
-        T = [[[Fraction(x) for x in row] for row in plane] for plane in t_raw]
-        g0 = [[Fraction(x) for x in row] for row in g0_raw]
-        return ("second", SecondOrderData(T, g0))
-    if order == 3:
-        g = Metric(_scalar_matrix(_require(spec, "g", "operator"), n, "g"),
-                   variance=spec.get("variance", "lower"))
-        c_raw = spec.get("c", "from-metric")
-        if c_raw == "from-metric":
-            data = ThirdOrderData.from_lower_metric(g.lower())
-        else:
-            data = ThirdOrderData(g, _scalar_cube(c_raw, n, "c"))
-        w_list = [_scalar_matrix(w, n, "w") for w in spec.get("w", [])]
-        weights = [Fraction(x) for x in spec.get("weights", ["1"] * len(w_list))]
-        if len(weights) != len(w_list):
-            raise InputError("weights must match the number of tails")
-        return ("third", data, w_list, weights)
-    raise InputError(f"operator {name!r} needs 'order' in 1..3 or a 'bivector' field")
 
 
 # -- report assembly ----------------------------------------------------------------
@@ -320,7 +172,7 @@ def _load_problem_arg(args) -> Problem:
             blob = fh.read()
         try:
             data = json.loads(blob)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InputError(f"not valid JSON: {exc}")
         return Problem(data, blob)
     raise InputError("provide --file PROBLEM.json or --example NAME")
@@ -594,13 +446,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ExpressionError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, DegenerateMetricError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ExpressionError, InputError, DegenerateMetricError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except HhoError as exc:

@@ -21,11 +21,6 @@ from .jets import KIND_P, DiffMonomial, DiffPoly, total_x
 from .rational import RatFunc
 
 
-def _as_diffpoly_matrix(rows):
-    return tuple(tuple(x if isinstance(x, DiffPoly) else DiffPoly.from_scalar(x)
-                       for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class EvolutionSystem:
     """u^i_t = f^i with optional structural tags.
@@ -289,11 +284,6 @@ class CoveringContext:
     def total_x(self, a: DiffPoly) -> DiffPoly:
         return total_x(a, rx_rules=self._rx_rules)
 
-    def total_x_pow(self, a: DiffPoly, order: int) -> DiffPoly:
-        for _ in range(order):
-            a = self.total_x(a)
-        return a
-
     def _dx_chain(self, kind: str, idx: int, order: int) -> DiffPoly:
         """Cached D_x^order of flux idx ('f') or adjoint rule idx ('p')."""
         key = (kind, idx, order)
@@ -336,7 +326,8 @@ class CoveringContext:
     # -- operations --------------------------------------------------------------
 
     def linearize(self, phi) -> tuple:
-        """l_F(phi) reduced to x-jet normal form (phi odd-free)."""
+        """l_F(phi) reduced on the covering; phi is a symmetry characteristic
+        (odd-free) or the image A(p) of an operator (odd-linear)."""
         phi = tuple(phi)
         if len(phi) != self.system.n:
             raise InputError("characteristic has the wrong number of components")
@@ -410,25 +401,9 @@ def linearize(system: EvolutionSystem, phi) -> tuple:
 
 def bivector_residual(ctx: CoveringContext, A: BivectorForm) -> tuple:
     """l_F(A(p)) reduced on the covering; zero iff A is a variational bivector."""
-    comps = tuple(A.components)
-    if len(comps) != ctx.system.n:
+    if len(A.components) != ctx.system.n:
         raise InputError("bivector has the wrong number of components")
-    dx_A: dict = {}
-
-    def dxa(j, sigma):
-        if (j, sigma) not in dx_A:
-            dx_A[(j, sigma)] = comps[j] if sigma == 0 else ctx.total_x(dxa(j, sigma - 1))
-        return dx_A[(j, sigma)]
-
-    out = []
-    for i in range(ctx.system.n):
-        acc = ctx.total_t(comps[i])
-        for (ii, j, sigma), a in ctx.table.items():
-            if ii != i:
-                continue
-            acc = acc - a * dxa(j, sigma)
-        out.append(acc)
-    return tuple(out)
+    return ctx.linearize(A.components)
 
 
 def extract_conditions(residual) -> list:

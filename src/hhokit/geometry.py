@@ -48,17 +48,8 @@ def mat_mul(A, B) -> tuple:
                        for j in range(n)) for i in range(n))
 
 
-def mat_sub(A, B) -> tuple:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def transpose(A) -> tuple:
-    return tuple(tuple(row) for row in zip(*A))
-
-
-def determinant(A) -> RatFunc:
-    """Division-free determinant by minor expansion (memoized)."""
-    n = len(A)
+def _minors(A):
+    """minor(rows, cols): the division-free memoized expansion of det A[rows, cols]."""
     memo = {}
 
     def minor(rows, cols):
@@ -74,14 +65,18 @@ def determinant(A) -> RatFunc:
             a = A[r][c]
             if a.is_zero:
                 continue
-            sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
-            term = a * sub
+            term = a * minor(rows[1:], cols[:pos] + cols[pos + 1:])
             total = total + term if pos % 2 == 0 else total - term
         memo[key] = total
         return total
 
-    idx = tuple(range(n))
-    return minor(idx, idx)
+    return minor
+
+
+def determinant(A) -> RatFunc:
+    """Division-free determinant by minor expansion (memoized)."""
+    idx = tuple(range(len(A)))
+    return _minors(A)(idx, idx)
 
 
 def inverse(A) -> tuple:
@@ -120,26 +115,7 @@ def char_poly_coeffs(V) -> list:
     f_k = (-1)^k * (sum of principal k x k minors); division-free.
     """
     n = len(V)
-    memo = {}
-
-    def minor(rows, cols):
-        if not rows:
-            return RatFunc.one()
-        key = (rows, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r = rows[0]
-        total = RatFunc.zero()
-        for pos, c in enumerate(cols):
-            a = V[r][c]
-            if a.is_zero:
-                continue
-            term = a * minor(rows[1:], cols[:pos] + cols[pos + 1:])
-            total = total + term if pos % 2 == 0 else total - term
-        memo[key] = total
-        return total
-
+    minor = _minors(V)
     coeffs = []
     for k in range(1, n + 1):
         ek = RatFunc.zero()
@@ -199,9 +175,10 @@ class Metric:
 
     def _inv(self):
         if self._inverse is None:
-            if determinant(self.entries).is_zero:
-                raise DegenerateMetricError("det g = 0")
-            self._inverse = inverse(self.entries)
+            try:
+                self._inverse = inverse(self.entries)
+            except DegenerateMetricError:
+                raise DegenerateMetricError("det g = 0") from None
         return self._inverse
 
     def upper(self) -> tuple:
@@ -211,13 +188,7 @@ class Metric:
         return self.entries if self.variance == "lower" else self._inv()
 
     def check_nondegenerate(self):
-        if determinant(self.entries).is_zero:
-            raise DegenerateMetricError("det g = 0")
-
-    def is_symmetric(self) -> bool:
-        g = self.entries
-        return all((g[i][j] - g[j][i]).is_zero
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        self._inv()
 
 
 class Connection:

@@ -202,10 +202,6 @@ def parse_scalar(text: str, line: int = 1) -> RatFunc:
 # -- printing ------------------------------------------------------------------
 
 
-def format_poly(p: Poly) -> str:
-    return str(p)
-
-
 def _poly_body(p: Poly) -> str:
     """Polynomial rendered so it can be glued with '*': parenthesize sums."""
     if len(p.terms) > 1:

@@ -78,11 +78,6 @@ def mono_weight(m: DiffMonomial) -> int:
     return w
 
 
-def mono_udeg(m: DiffMonomial) -> int:
-    """Number of u-jet factors, with multiplicity."""
-    return sum(e for _, e in m.even)
-
-
 def dm_key(m: DiffMonomial):
     """Ascending sort lists terms leading-first (graded, then factor lex)."""
     seq = []
@@ -206,9 +201,6 @@ class DiffPoly:
                 best = max(best, m.odd.xorder)
         return best
 
-    def jet_free(self) -> bool:
-        return all(m == EMPTY_MONO for m in self.terms)
-
     def sorted_terms(self):
         return [(m, self.terms[m]) for m in sorted(self.terms, key=dm_key)]
 
@@ -318,15 +310,21 @@ class DiffPoly:
     __repr__ = __str__
 
 
+def _raise_order(jv: JetVar, cap: int) -> JetVar:
+    """jv with its x-order raised by one, within the jet cap."""
+    if jv.xorder + 1 > cap:
+        raise JetCapError(f"jet order {jv.xorder + 1} exceeds cap {cap} "
+                          "(set HHOKIT_JET_CAP to raise it)")
+    return JetVar(jv.kind, jv.index, jv.xorder + 1)
+
+
 def _bump_even(m: DiffMonomial, pos: int, cap: int) -> DiffMonomial:
     jv, e = m.even[pos]
-    if jv.xorder + 1 > cap:
-        raise JetCapError(f"jet order {jv.xorder + 1} exceeds cap {cap}")
+    raised = _raise_order(jv, cap)
     if e > 1:
         lowered = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
     else:
         lowered = m.even[:pos] + m.even[pos + 1:]
-    raised = JetVar(KIND_U, jv.index, jv.xorder + 1)
     return DiffMonomial(_even_mul(lowered, ((raised, 1),)), m.odd)
 
 
@@ -352,9 +350,7 @@ def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
         if m.odd is not None:
             jv = m.odd
             if jv.kind == KIND_P:
-                if jv.xorder + 1 > cap:
-                    raise JetCapError(f"jet order {jv.xorder + 1} exceeds cap {cap}")
-                nm = DiffMonomial(m.even, JetVar(KIND_P, jv.index, jv.xorder + 1))
+                nm = DiffMonomial(m.even, _raise_order(jv, cap))
                 res = res + DiffPoly._new({nm: c})
             else:
                 if rx_rules is None or jv.index not in rx_rules:
@@ -363,12 +359,6 @@ def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
                 rest = DiffPoly._new({DiffMonomial(m.even, None): c})
                 res = res + rest * rx_rules[jv.index]
     return res
-
-
-def total_x_pow(a: DiffPoly, order: int, rx_rules=None, cap=None) -> DiffPoly:
-    for _ in range(order):
-        a = total_x(a, rx_rules=rx_rules, cap=cap)
-    return a
 
 
 def collect(a: DiffPoly) -> dict:

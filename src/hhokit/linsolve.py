@@ -145,10 +145,12 @@ def substitute_solution(rf: RatFunc, sol: LinearSystemSolution) -> RatFunc:
     return RatFunc(num, rf.den)
 
 
-def assign_free(rf: RatFunc, sol: LinearSystemSolution, assignment: dict) -> RatFunc:
-    """Substitute the solution, then give every free parameter a rational value."""
+def assign_free(rf: RatFunc, sol: LinearSystemSolution, assignment: dict,
+                free) -> RatFunc:
+    """Substitute the solution, then give each parameter in ``free`` its value
+    in ``assignment`` (0 when absent)."""
     out = substitute_solution(rf, sol)
-    values = {pid: Fraction(assignment.get(pid, 0)) for pid in sol.free}
+    values = {pid: Fraction(assignment.get(pid, 0)) for pid in free}
     if not values:
         return out
     return out.subs_params(values)

@@ -1,0 +1,190 @@
+"""Problem documents: JSON-shaped descriptions of a system and its operators.
+
+The CLI loads problem files and the catalog loads its built-in examples
+through the same two entry points, ``Problem`` and ``load_operator``.  Input
+from outside the program is checked here: wrong types, wrong shapes and
+out-of-range indices raise InputError, which the CLI reports with exit 2.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from fractions import Fraction
+
+from .covering import EvolutionSystem
+from .errors import InputError
+from .geometry import Connection, Metric, SecondOrderData, ThirdOrderData
+from .grammar import parse, parse_scalar
+
+
+class Problem:
+    def __init__(self, data: dict, source_bytes: bytes | None = None):
+        self.raw = data
+        self.input_hash = (hashlib.sha256(source_bytes).hexdigest()
+                           if source_bytes is not None else None)
+        try:
+            self.n = int(data["n"])
+        except (KeyError, TypeError, ValueError):
+            raise InputError("problem needs an integer field 'n'")
+        names = data.get("variables")
+        if names is not None and (not isinstance(names, list) or len(names) != self.n):
+            raise InputError("the 'variables' naming list must have n entries")
+        self.variable_names = names
+        self.task = data.get("task", {})
+        if not isinstance(self.task, dict):
+            raise InputError("'task' must be an object of default settings")
+        self._check_task()
+        self.system = self._load_system(data.get("system"))
+        self.symmetries = [
+            tuple(_array(phi, (self.n,), _expr, "each symmetry needs n components"))
+            for phi in _array(data.get("symmetries", []), (None,), None,
+                              "'symmetries' must be a list")]
+        self.operators = data.get("operators", {})
+        if not isinstance(self.operators, dict) or not all(
+                isinstance(spec, dict) for spec in self.operators.values()):
+            raise InputError("'operators' must be an object mapping names to objects")
+
+    def _check_task(self):
+        for key in ("operator", "denominator"):
+            if not isinstance(self.task.get(key, ""), str):
+                raise InputError(f"task field {key!r} must be a string")
+        for key in ("order", "degree"):
+            try:
+                int(self.task.get(key, 0))
+            except (TypeError, ValueError):
+                raise InputError(f"task field {key!r} must be an integer")
+
+    def _load_system(self, spec):
+        if spec is None:
+            return None
+        if not isinstance(spec, dict):
+            raise InputError("'system' must be an object")
+        kind = spec.get("type")
+        n = self.n
+        if kind == "fluxes":
+            return EvolutionSystem.general(
+                _array(_require(spec, "f", kind), (n,), _expr, f"expected {n} fluxes"))
+        if kind == "hydrodynamic":
+            return EvolutionSystem.hydrodynamic(
+                _array(_require(spec, "V", kind), (n, n), _scalar,
+                       "velocity matrix must be n x n"))
+        if kind in ("conservative", "potential"):
+            V = _array(_require(spec, "V", kind), (n,), _scalar,
+                       f"expected {n} flux potentials")
+            maker = (EvolutionSystem.conservative if kind == "conservative"
+                     else EvolutionSystem.potential)
+            return maker(V)
+        raise InputError(f"unknown system type {kind!r}")
+
+    def operator_spec(self, name: str) -> dict:
+        try:
+            return self.operators[name]
+        except KeyError:
+            raise InputError(f"no operator named {name!r} in the problem")
+
+    def vflux(self):
+        if self.system is None or self.system.flux_potentials is None:
+            raise InputError("this task needs a conservative (or potential) system")
+        return self.system.flux_potentials
+
+
+def _require(spec, key, where):
+    if key not in spec:
+        raise InputError(f"missing field {key!r} in {where} block")
+    return spec[key]
+
+
+def _expr(x):
+    if not isinstance(x, str):
+        raise InputError(f"expected an expression string, got {x!r}")
+    return parse(x)
+
+
+def _scalar(x):
+    if not isinstance(x, str):
+        raise InputError(f"expected an expression string, got {x!r}")
+    return parse_scalar(x)
+
+
+def _number(x):
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError(f"expected a rational number, got {x!r}")
+
+
+def _array(value, shape, leaf, message):
+    """Nested JSON lists of the given shape (None: any length), each entry
+    converted by ``leaf`` (None: kept as is); ``message`` names a wrong shape."""
+    if not shape:
+        return value if leaf is None else leaf(value)
+    if not isinstance(value, list) or shape[0] not in (None, len(value)):
+        raise InputError(message)
+    return [_array(v, shape[1:], leaf, message) for v in value]
+
+
+def _sparse_or_full_skew(data, n, rank):
+    """T/g0 fields accept either full arrays or sparse skew generators."""
+    if isinstance(data, dict):
+        gens = {}
+        for key, val in data.items():
+            try:
+                idx = tuple(int(p) for p in key.split(","))
+            except ValueError:
+                raise InputError(f"generator key {key!r} needs {rank} integer indices")
+            if len(idx) != rank:
+                raise InputError(f"generator key {key!r} needs {rank} indices")
+            if not all(1 <= i <= n for i in idx):
+                raise InputError(f"generator key {key!r} has an index outside 1..{n}")
+            gens[idx] = _number(val)
+        return gens
+    return None
+
+
+def load_operator(problem: Problem, name: str):
+    spec = problem.operator_spec(name)
+    n = problem.n
+    if "bivector" in spec:
+        return ("bivector", tuple(_array(spec["bivector"], (n,), _expr,
+                                         "bivector needs n components")))
+    order = spec.get("order")
+    if order == 1:
+        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar,
+                          f"g must be {n} x {n}"),
+                   variance=spec.get("variance", "upper"))
+        gamma = _array(_require(spec, "Gamma", "operator"), (n, n, n), _scalar,
+                       f"Gamma must be {n} x {n} x {n}")
+        conn = Connection(g, gamma)
+        W = None
+        if "W" in spec:
+            W = _array(spec["W"], (n, n), _scalar, f"W must be {n} x {n}")
+        return ("first", g, conn, W)
+    if order == 2:
+        t_raw = _require(spec, "T", "operator")
+        g0_raw = _require(spec, "g0", "operator")
+        t_gens = _sparse_or_full_skew(t_raw, n, 3)
+        g0_gens = _sparse_or_full_skew(g0_raw, n, 2)
+        if t_gens is not None or g0_gens is not None:
+            if t_gens is None or g0_gens is None:
+                raise InputError("T and g0 must both be sparse or both full arrays")
+            return ("second", SecondOrderData.from_generators(n, t_gens, g0_gens))
+        T = _array(t_raw, (n, n, n), _number, "T must be n x n x n")
+        g0 = _array(g0_raw, (n, n), _number, "g0 must be n x n")
+        return ("second", SecondOrderData(T, g0))
+    if order == 3:
+        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar,
+                          f"g must be {n} x {n}"),
+                   variance=spec.get("variance", "lower"))
+        c_raw = spec.get("c", "from-metric")
+        if c_raw == "from-metric":
+            data = ThirdOrderData.from_lower_metric(g.lower())
+        else:
+            data = ThirdOrderData(g, _array(c_raw, (n, n, n), _scalar,
+                                            f"c must be {n} x {n} x {n}"))
+        w_list = [_array(w, (n, n), _scalar, f"w must be {n} x {n}")
+                  for w in _array(spec.get("w", []), (None,), None,
+                                  "'w' must be a list of tails")]
+        weights = _array(spec.get("weights", ["1"] * len(w_list)), (len(w_list),),
+                         _number, "weights must match the number of tails")
+        return ("third", data, w_list, weights)
+    raise InputError(f"operator {name!r} needs 'order' in 1..3 or a 'bivector' field")

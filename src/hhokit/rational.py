@@ -481,10 +481,6 @@ def _uv_deg(coeffs: dict) -> int:
     return max(coeffs)
 
 
-def _uv_mul_poly(coeffs: dict, q: Poly) -> dict:
-    return {d: p * q for d, p in coeffs.items()}
-
-
 def _uv_pseudo_rem(a: dict, b: dict) -> dict:
     """Pseudo-remainder prem(a, b): lc(b)^(deg a - deg b + 1) * a mod b."""
     da, db = _uv_deg(a), _uv_deg(b)

@@ -23,7 +23,7 @@ from .geometry import (
     third_order_compat,
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
-from .linsolve import LinearSystemSolution, linear_solve, substitute_solution
+from .linsolve import LinearSystemSolution, assign_free, linear_solve, substitute_solution
 from .rational import Poly, RatFunc
 
 
@@ -177,10 +177,7 @@ def _subst_component(comp: DiffPoly, sol: LinearSystemSolution, assignment,
                      free_all) -> DiffPoly:
     out = DiffPoly.zero()
     for m, c in comp.terms.items():
-        c2 = substitute_solution(c, sol)
-        values = {pid: Fraction(assignment.get(pid, 0)) for pid in free_all}
-        if values:
-            c2 = c2.subs_params(values)
+        c2 = assign_free(c, sol, assignment, free_all)
         if not c2.is_zero:
             out = out + DiffPoly.monomial(m, c2)
     return out
@@ -207,18 +204,13 @@ def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
 def _flux_member(ansatz: FluxAnsatz, sol: LinearSystemSolution, assignment=None,
                  free_all=()):
     """Substitute the solution; assignment None keeps free parameters symbolic."""
-    out = []
-    for comp in ansatz.components:
-        c2 = substitute_solution(comp, sol)
-        if assignment is not None:
-            values = {pid: Fraction(assignment.get(pid, 0)) for pid in free_all}
-            if values:
-                c2 = c2.subs_params(values)
-        out.append(c2)
-    return tuple(out)
+    if assignment is None:
+        return tuple(substitute_solution(comp, sol) for comp in ansatz.components)
+    return tuple(assign_free(comp, sol, assignment, free_all)
+                 for comp in ansatz.components)
 
 
-def _classify_family(ansatz: FluxAnsatz, sol: LinearSystemSolution, with_square=False):
+def _classify_family(ansatz: FluxAnsatz, sol: LinearSystemSolution, with_square):
     """Classification of the generic member (free parameters kept symbolic)."""
     generic = _flux_member(ansatz, sol)
     n = ansatz.n
@@ -232,6 +224,19 @@ def _classify_family(ansatz: FluxAnsatz, sol: LinearSystemSolution, with_square=
     return out
 
 
+def _flux_family(ansatz: FluxAnsatz, rep, classify: bool,
+                 with_square: bool) -> SolutionFamily:
+    """Solve the residuals of ``rep`` for the ansatz parameters and span the family."""
+    sol = linear_solve([rf for _, _, rf in rep.residuals])
+    free_all = _free_params(sol, ansatz.params)
+    basis = _basis_from_solution(
+        sol, lambda a, free: _flux_member(ansatz, sol, a, free), free_all)
+    classification = _classify_family(ansatz, sol, with_square) if classify else None
+    return SolutionFamily(substitution=sol, basis=basis,
+                          dimension=0 if sol.inconsistent else len(free_all),
+                          classification=classification)
+
+
 def find_fluxes_second_order(d: SecondOrderData, ansatz: FluxAnsatz,
                              classify: bool = True) -> SolutionFamily:
     """Fluxes compatible with the canonical second-order operator."""
@@ -239,26 +244,12 @@ def find_fluxes_second_order(d: SecondOrderData, ansatz: FluxAnsatz,
     if not canonical.passed:
         raise InputError("second-order data is not in canonical form: "
                          + ", ".join(canonical.families_failing()))
-    rep = second_order_compat(d, ansatz.components)
-    sol = linear_solve([rf for _, _, rf in rep.residuals])
-    free_all = _free_params(sol, ansatz.params)
-    basis = _basis_from_solution(
-        sol, lambda a, free: _flux_member(ansatz, sol, a, free), free_all)
-    classification = _classify_family(ansatz, sol, with_square=True) if classify else None
-    return SolutionFamily(substitution=sol, basis=basis,
-                          dimension=0 if sol.inconsistent else len(free_all),
-                          classification=classification)
+    return _flux_family(ansatz, second_order_compat(d, ansatz.components), classify,
+                        with_square=True)
 
 
 def find_fluxes_third_order(d: ThirdOrderData, ansatz: FluxAnsatz,
                             classify: bool = True) -> SolutionFamily:
     """Fluxes compatible with the canonical third-order operator."""
-    rep = third_order_compat(d, ansatz.components)
-    sol = linear_solve([rf for _, _, rf in rep.residuals])
-    free_all = _free_params(sol, ansatz.params)
-    basis = _basis_from_solution(
-        sol, lambda a, free: _flux_member(ansatz, sol, a, free), free_all)
-    classification = _classify_family(ansatz, sol) if classify else None
-    return SolutionFamily(substitution=sol, basis=basis,
-                          dimension=0 if sol.inconsistent else len(free_all),
-                          classification=classification)
+    return _flux_family(ansatz, third_order_compat(d, ansatz.components), classify,
+                        with_square=False)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hhokit.cli import main
 
 
@@ -166,3 +168,45 @@ def test_symmetries_and_r_in_problem_files(tmp_path, capsys):
     code, out, _ = run(["check-compat", "--file", str(path), "--operator", "B"], capsys)
     assert code == 0
     assert "[pass]" in out
+
+
+_KDV_SYSTEM = {"type": "fluxes", "f": ["u1_x3 + u1*u1_x"]}
+_N2_SYSTEM = {"type": "conservative", "V": ["u1", "u2"]}
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("classify", {"n": 1, "system": [1]}),
+    ("check-op", {"n": 1, "system": _KDV_SYSTEM, "operators": [1]}),
+    ("check-op", {"n": 2, "system": _N2_SYSTEM,
+                  "operators": {"C": {"order": 2, "T": {"1,2,3": "1"}, "g0": {"1,2": "1"}}}}),
+    ("check-op", {"n": 2, "system": _N2_SYSTEM,
+                  "operators": {"C": {"order": 2, "T": {}, "g0": {"1,x": "1"}}}}),
+    ("check-op", {"n": 1, "system": _KDV_SYSTEM, "operators": {"A": 1}}),
+    ("classify", {"n": 1, "system": {"type": "fluxes", "f": [1]}}),
+    ("classify", {"n": 2, "system": {"type": "hydrodynamic", "V": 5}}),
+    ("classify", {"n": 1, "system": _KDV_SYSTEM, "symmetries": None}),
+    ("check-op", {"n": 2, "operators": {"D": {"order": 3, "g": [["1", "0"], ["0", "1"]],
+                                              "w": [[["1", "0"], ["0", "1"]]],
+                                              "weights": [[1]]}}}),
+    ("find-bivectors", {"n": 1, "system": _KDV_SYSTEM, "task": {"order": "x"}}),
+])
+def test_malformed_problem_is_input_error(tmp_path, capsys, command, problem):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(problem))
+    code, _, err = run([command, "--file", str(path)], capsys)
+    assert code == 2
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("operator", [
+    {"order": 1, "g": [["1", "1"], ["1", "1"]],
+     "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+    {"order": 3, "g": [["u1", "u2"], ["u1", "u2"]]},
+])
+def test_degenerate_metric_message(tmp_path, capsys, operator):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"n": 2, "operators": {"A": operator}}))
+    code, _, err = run(["check-op", "--file", str(path)], capsys)
+    assert code == 2
+    assert err == "input error: det g = 0\n"
