@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .catalog import examples_catalog, get_entry
@@ -31,6 +32,7 @@ from .geometry import (
     nonlocal_first_order_check,
     second_order_canonical_check,
     second_order_compat,
+    tail_characteristic,
     third_order_compat,
     third_order_hamiltonian_check,
     third_order_nonlocal_checks,
@@ -272,8 +274,16 @@ def cmd_reduce(args):
         if op[0] == "bivector":
             A = BivectorForm(op[1])
         elif op[0] == "first":
-            A = operator_to_bivector(first_order_operator(op[1], op[2]))
+            _, g, conn, W = op
+            tail = ()
+            if W is not None:
+                # the tail W u_x d^{-1} W u_x, as the catalog's nonlocal golden builds it
+                tail = [(Fraction(1), ctx.register_symmetry(tail_characteristic(W)))]
+            A = operator_to_bivector(first_order_operator(g, conn), ctx, tail=tail)
         elif op[0] == "third":
+            if op[2]:
+                raise InputError("reduce does not cover the nonlocal tails 'w' of a "
+                                 "third-order operator; check-compat checks them")
             A = operator_to_bivector(third_order_operator(op[1]))
         else:
             raise InputError("reduce supports bivector, first- or third-order operators")

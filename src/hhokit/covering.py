@@ -17,7 +17,7 @@ from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
-from .jets import KIND_P, DiffMonomial, DiffPoly, total_x
+from .jets import KIND_P, DiffMonomial, DiffPoly, add_into, total_x
 from .rational import RatFunc
 
 
@@ -301,27 +301,28 @@ class CoveringContext:
 
     def total_t(self, a: DiffPoly) -> DiffPoly:
         """D_t with all t-derivatives eliminated through the covering rules."""
-        res = DiffPoly.zero()
+        res: dict = {}
         for m, c in a.terms.items():
             for vid in c.field_vars():
                 dc = c.diff(vid)
                 if not dc.is_zero:
-                    res = res + DiffPoly.monomial(m, dc) * self.system.fluxes[vid - 1]
+                    add_into(res, (DiffPoly.monomial(m, dc) * self.system.fluxes[vid - 1]).terms)
             for pos, (jv, e) in enumerate(m.even):
                 if e > 1:
                     lowered = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
                 else:
                     lowered = m.even[:pos] + m.even[pos + 1:]
                 rest = DiffPoly.monomial(DiffMonomial(lowered, m.odd), c * Fraction(e))
-                res = res + rest * self._dx_chain("f", jv.index - 1, jv.xorder)
+                add_into(res, (rest * self._dx_chain("f", jv.index - 1, jv.xorder)).terms)
             if m.odd is not None:
                 jv = m.odd
                 rest = DiffPoly.monomial(DiffMonomial(m.even, None), c)
                 if jv.kind == KIND_P:
-                    res = res + rest * self._dx_chain("p", jv.index - 1, jv.xorder)
+                    rule = self._dx_chain("p", jv.index - 1, jv.xorder)
                 else:
-                    res = res + rest * self.slot(jv.index).rt_rule
-        return res
+                    rule = self.slot(jv.index).rt_rule
+                add_into(res, (rest * rule).terms)
+        return DiffPoly._new(res)
 
     # -- operations --------------------------------------------------------------
 

@@ -407,6 +407,15 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
     return rep
 
 
+def tail_characteristic(W) -> tuple:
+    """The characteristic W u_x (component i is sum_j W[i][j] u^j_x) of the
+    symmetry that generates a nonlocal tail."""
+    W = as_matrix(W)
+    n = len(W)
+    return tuple(sum((DiffPoly.jet(j + 1, 1).scalar_mul(W[i][j]) for j in range(n)),
+                     DiffPoly.zero()) for i in range(n))
+
+
 def nonlocal_first_order_check(metric: Metric, conn: Connection, W, V) -> ConditionReport:
     """Compatibility of a tail generated by the symmetry W u_x.
 
@@ -754,13 +763,7 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
     # the algebraic tail conditions say exactly that w(b_x) b_xx is a symmetry
     pot = EvolutionSystem.potential(vflux)
     for a, w in enumerate(w_list):
-        phi = []
-        for i in range(n):
-            comp = DiffPoly.zero()
-            for j in range(n):
-                comp = comp + DiffPoly.jet(j + 1, 1).scalar_mul(w[i][j])
-            phi.append(comp)
-        res = linearize(pot, phi)
+        res = linearize(pot, tail_characteristic(w))
         for i, comp in enumerate(res):
             for mkey, coeff in comp.sorted_terms():
                 rep.add("tail-symmetry-residual", (a, i), coeff)

@@ -101,6 +101,22 @@ def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
     return DiffMonomial(_even_mul(m1.even, m2.even), m1.odd or m2.odd)
 
 
+def add_into(acc: dict, terms: dict) -> None:
+    """Add the terms of a DiffPoly into the accumulator dict ``acc`` in place,
+    dropping coefficients that cancel.  Sums built term by term go through
+    this, so they cost linear, not quadratic, time in the number of terms."""
+    for m, c in terms.items():
+        s = acc.get(m)
+        if s is None:
+            acc[m] = c
+        else:
+            s = s + c
+            if s.is_zero:
+                del acc[m]
+            else:
+                acc[m] = s
+
+
 class DiffPoly:
     """Canonical map DiffMonomial -> RatFunc with no zero coefficients."""
 
@@ -210,16 +226,7 @@ class DiffPoly:
         if isinstance(other, (int, Fraction, RatFunc)):
             other = DiffPoly.from_scalar(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
-            else:
-                s = s + c
-                if s.is_zero:
-                    del res[m]
-                else:
-                    res[m] = s
+        add_into(res, other.terms)
         return DiffPoly._new(res)
 
     __radd__ = __add__
@@ -284,13 +291,13 @@ class DiffPoly:
 
     def partial_jet(self, index: int, xorder: int) -> "DiffPoly":
         """Formal partial derivative wrt u{index} (xorder 0) or its jet."""
-        res = DiffPoly.zero()
+        res: dict = {}
         if xorder == 0:
             for m, c in self.terms.items():
                 dc = c.diff(index)
                 if not dc.is_zero:
-                    res = res + DiffPoly._new({m: dc})
-            return res
+                    add_into(res, {m: dc})
+            return DiffPoly._new(res)
         target = ujet(index, xorder)
         for m, c in self.terms.items():
             for pos, (jv, e) in enumerate(m.even):
@@ -299,9 +306,9 @@ class DiffPoly:
                         even = m.even[:pos] + m.even[pos + 1:]
                     else:
                         even = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
-                    res = res + DiffPoly._new({DiffMonomial(even, m.odd): c * e})
+                    add_into(res, {DiffMonomial(even, m.odd): c * e})
                     break
-        return res
+        return DiffPoly._new(res)
 
     def __str__(self):
         from .grammar import format_diffpoly
@@ -338,27 +345,27 @@ def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
     """
     if cap is None:
         cap = jet_cap()
-    res = DiffPoly.zero()
+    res: dict = {}
     for m, c in a.terms.items():
         for vid in c.field_vars():
             dc = c.diff(vid)
             if not dc.is_zero:
                 nm = dm_mul(m, mono([(ujet(vid, 1), 1)]))
-                res = res + DiffPoly._new({nm: dc})
+                add_into(res, {nm: dc})
         for pos, (jv, e) in enumerate(m.even):
-            res = res + DiffPoly._new({_bump_even(m, pos, cap): c * e})
+            add_into(res, {_bump_even(m, pos, cap): c * e})
         if m.odd is not None:
             jv = m.odd
             if jv.kind == KIND_P:
                 nm = DiffMonomial(m.even, _raise_order(jv, cap))
-                res = res + DiffPoly._new({nm: c})
+                add_into(res, {nm: c})
             else:
                 if rx_rules is None or jv.index not in rx_rules:
                     raise UnregisteredNonlocalError(
                         f"no covering rule for the nonlocal variable r{jv.index}")
                 rest = DiffPoly._new({DiffMonomial(m.even, None): c})
-                res = res + rest * rx_rules[jv.index]
-    return res
+                add_into(res, (rest * rx_rules[jv.index]).terms)
+    return DiffPoly._new(res)
 
 
 def collect(a: DiffPoly) -> dict:

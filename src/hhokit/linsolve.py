@@ -4,6 +4,15 @@ Each input equation is a RatFunc that is affine in the formal parameters.
 Denominators are cleared, each equation is expanded over u-monomials into
 scalar linear equations over Q, and the whole system is brought to reduced
 row echelon form with exact Fraction arithmetic.
+
+The scalar rows are eliminated sparsest-first (fewest parameters first, a
+stable sort), which keeps the fill-in of the pivot rows small.  The order
+cannot change the answer: each pivot is its row's lowest-``_pkey``
+parameter and every pivot row is kept fully reduced against the others, so
+the pivot rows are the reduced row echelon form of the row space for that
+column order, which is unique.  ``pivots``, ``free`` and ``inconsistent``
+are therefore those of any other elimination order, and ``pivots`` is
+returned in ``_pkey`` order.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ def linear_solve(eqs) -> LinearSystemSolution:
         if eq.is_zero:
             continue
         pending.extend(_scalar_rows(eq, params))
+    pending.sort(key=lambda row: len(row[0]))
 
     pivot_rows: dict = {}  # pid -> (coeffs, const) with coeffs[pid] == 1
     inconsistent = False
@@ -121,8 +131,9 @@ def linear_solve(eqs) -> LinearSystemSolution:
 
     free = sorted((p for p in params if p not in pivot_rows), key=_pkey)
     pivots = {}
-    for pid, (row, const) in pivot_rows.items():
-        coeffs = {q: -a for q, a in row.items() if q != pid}
+    for pid in sorted(pivot_rows, key=_pkey):
+        row, const = pivot_rows[pid]
+        coeffs = {q: -row[q] for q in sorted(row, key=_pkey) if q != pid}
         pivots[pid] = (coeffs, -const)
     return LinearSystemSolution(pivots=pivots, free=free, inconsistent=False)
 

@@ -15,6 +15,7 @@ from .covering import EvolutionSystem
 from .errors import InputError
 from .geometry import Connection, Metric, SecondOrderData, ThirdOrderData
 from .grammar import parse, parse_scalar
+from .jets import KIND_R
 
 
 class Problem:
@@ -36,7 +37,7 @@ class Problem:
         self._check_task()
         self.system = self._load_system(data.get("system"))
         self.symmetries = [
-            tuple(_array(phi, (self.n,), _expr, "each symmetry needs n components"))
+            tuple(_array(phi, (self.n,), _expr(self.n), "each symmetry needs n components"))
             for phi in _array(data.get("symmetries", []), (None,), None,
                               "'symmetries' must be a list")]
         self.operators = data.get("operators", {})
@@ -63,13 +64,13 @@ class Problem:
         n = self.n
         if kind == "fluxes":
             return EvolutionSystem.general(
-                _array(_require(spec, "f", kind), (n,), _expr, f"expected {n} fluxes"))
+                _array(_require(spec, "f", kind), (n,), _expr(n), f"expected {n} fluxes"))
         if kind == "hydrodynamic":
             return EvolutionSystem.hydrodynamic(
-                _array(_require(spec, "V", kind), (n, n), _scalar,
+                _array(_require(spec, "V", kind), (n, n), _scalar(n),
                        "velocity matrix must be n x n"))
         if kind in ("conservative", "potential"):
-            V = _array(_require(spec, "V", kind), (n,), _scalar,
+            V = _array(_require(spec, "V", kind), (n,), _scalar(n),
                        f"expected {n} flux potentials")
             maker = (EvolutionSystem.conservative if kind == "conservative"
                      else EvolutionSystem.potential)
@@ -94,16 +95,37 @@ def _require(spec, key, where):
     return spec[key]
 
 
-def _expr(x):
-    if not isinstance(x, str):
-        raise InputError(f"expected an expression string, got {x!r}")
-    return parse(x)
+def _in_range(text: str, indices, n: int):
+    if any(not 1 <= i <= n for i in indices):
+        raise InputError(f"expression {text!r} uses a variable index outside 1..{n}")
 
 
-def _scalar(x):
-    if not isinstance(x, str):
-        raise InputError(f"expected an expression string, got {x!r}")
-    return parse_scalar(x)
+def _expr(n):
+    """Leaf converter for expressions in u1..un and p1..pn (and r's)."""
+    def leaf(x):
+        if not isinstance(x, str):
+            raise InputError(f"expected an expression string, got {x!r}")
+        value = parse(x)
+        indices = set()
+        for m, c in value.terms.items():
+            indices.update(c.field_vars())
+            indices.update(jv.index for jv, _ in m.even)
+            if m.odd is not None and m.odd.kind != KIND_R:
+                indices.add(m.odd.index)
+        _in_range(x, indices, n)
+        return value
+    return leaf
+
+
+def _scalar(n):
+    """Leaf converter for jet-free expressions in u1..un."""
+    def leaf(x):
+        if not isinstance(x, str):
+            raise InputError(f"expected an expression string, got {x!r}")
+        value = parse_scalar(x)
+        _in_range(x, value.field_vars(), n)
+        return value
+    return leaf
 
 
 def _number(x):
@@ -145,19 +167,19 @@ def load_operator(problem: Problem, name: str):
     spec = problem.operator_spec(name)
     n = problem.n
     if "bivector" in spec:
-        return ("bivector", tuple(_array(spec["bivector"], (n,), _expr,
+        return ("bivector", tuple(_array(spec["bivector"], (n,), _expr(n),
                                          "bivector needs n components")))
     order = spec.get("order")
     if order == 1:
-        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar,
+        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
                           f"g must be {n} x {n}"),
                    variance=spec.get("variance", "upper"))
-        gamma = _array(_require(spec, "Gamma", "operator"), (n, n, n), _scalar,
+        gamma = _array(_require(spec, "Gamma", "operator"), (n, n, n), _scalar(n),
                        f"Gamma must be {n} x {n} x {n}")
         conn = Connection(g, gamma)
         W = None
         if "W" in spec:
-            W = _array(spec["W"], (n, n), _scalar, f"W must be {n} x {n}")
+            W = _array(spec["W"], (n, n), _scalar(n), f"W must be {n} x {n}")
         return ("first", g, conn, W)
     if order == 2:
         t_raw = _require(spec, "T", "operator")
@@ -172,16 +194,16 @@ def load_operator(problem: Problem, name: str):
         g0 = _array(g0_raw, (n, n), _number, "g0 must be n x n")
         return ("second", SecondOrderData(T, g0))
     if order == 3:
-        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar,
+        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
                           f"g must be {n} x {n}"),
                    variance=spec.get("variance", "lower"))
         c_raw = spec.get("c", "from-metric")
         if c_raw == "from-metric":
             data = ThirdOrderData.from_lower_metric(g.lower())
         else:
-            data = ThirdOrderData(g, _array(c_raw, (n, n, n), _scalar,
+            data = ThirdOrderData(g, _array(c_raw, (n, n, n), _scalar(n),
                                             f"c must be {n} x {n} x {n}"))
-        w_list = [_array(w, (n, n), _scalar, f"w must be {n} x {n}")
+        w_list = [_array(w, (n, n), _scalar(n), f"w must be {n} x {n}")
                   for w in _array(spec.get("w", []), (None,), None,
                                   "'w' must be a list of tails")]
         weights = _array(spec.get("weights", ["1"] * len(w_list)), (len(w_list),),

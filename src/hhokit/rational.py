@@ -340,20 +340,21 @@ class Poly:
         Raises NonlinearAnsatzError when a parameter occurs with degree >= 2
         or two parameters share a monomial.
         """
-        linear: dict[int, Poly] = {}
-        absolute = Poly.zero()
+        # distinct monomials give distinct (parameter, rest) pairs, so every
+        # term lands in its own slot and no coefficients need adding
+        linear: dict[int, dict] = {}
+        absolute = {}
         for m, c in self.terms.items():
             pvars = [(v, e) for v, e in m if v < 0]
             if not pvars:
-                absolute = absolute + Poly._new({m: c})
+                absolute[m] = c
                 continue
             if len(pvars) > 1 or pvars[0][1] > 1:
                 raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
-            pid = pvars[0][0]
             rest = tuple((v, e) for v, e in m if v > 0)
-            tgt = linear.setdefault(pid, Poly.zero())
-            linear[pid] = tgt + Poly._new({rest: c})
-        return linear, absolute
+            linear.setdefault(pvars[0][0], {})[rest] = c
+        return ({pid: Poly._new(terms) for pid, terms in linear.items()},
+                Poly._new(absolute))
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer and content-free (0 for 0)."""
@@ -659,6 +660,9 @@ class RatFunc:
             return other
         if other.num.is_zero:
             return self
+        # a canonical constant denominator is 1, so nothing is left to reduce
+        if self.den.is_const and other.den.is_const:
+            return RatFunc._new(self.num + other.num, self.den)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
@@ -692,6 +696,8 @@ class RatFunc:
             return RatFunc(self.num * other, self.den)
         if self.num.is_zero or other.num.is_zero:
             return RatFunc.zero()
+        if self.den.is_const and other.den.is_const:
+            return RatFunc._new(self.num * other.num, self.den)
         # cross-cancel before multiplying to keep intermediates small
         n1, d2 = _reduce(self.num, other.den)
         n2, d1 = _reduce(other.num, self.den)

@@ -210,3 +210,48 @@ def test_degenerate_metric_message(tmp_path, capsys, operator):
     code, _, err = run(["check-op", "--file", str(path)], capsys)
     assert code == 2
     assert err == "input error: det g = 0\n"
+
+
+_HYDRO2_TAIL = {
+    "n": 2,
+    "system": {"type": "hydrodynamic", "V": [["u1", "u2"], ["u2", "u1"]]},
+    "operators": {"B": {"order": 1, "g": [["1", "0"], ["0", "1"]],
+                        "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}},
+}
+
+
+@pytest.mark.parametrize("W, symmetry, expected", [
+    ([["1", "1"], ["1", "1"]], ["u1_x + u2_x", "u1_x + u2_x"], 0),
+    ([["0", "1"], ["1", "0"]], ["u2_x", "u1_x"], 1),
+])
+def test_reduce_includes_first_order_tail(tmp_path, capsys, W, symmetry, expected):
+    problem = json.loads(json.dumps(_HYDRO2_TAIL))
+    problem["operators"]["B"]["W"] = W
+    problem["symmetries"] = [symmetry]
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(problem))
+    code, out, _ = run(["reduce", "--file", str(path)], capsys)
+    assert code == expected
+    assert ("[FAIL] residual-zero[B]" in out) == (expected == 1)
+    compat, _, _ = run(["check-compat", "--file", str(path)], capsys)
+    assert compat == expected
+
+
+def test_reduce_rejects_third_order_tails(tmp_path, capsys):
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({
+        "n": 1, "system": {"type": "conservative", "V": ["u1^2"]},
+        "operators": {"D": {"order": 3, "g": [["1"]], "w": [[["1"]]]}}}))
+    code, _, err = run(["reduce", "--file", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("input error: reduce does not cover the nonlocal tails")
+
+
+def test_expression_index_outside_n_is_input_error(tmp_path, capsys):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({
+        "n": 2, "system": {"type": "hydrodynamic", "V": [["u1", "u2"], ["u2", "u1"]]},
+        "symmetries": [["u1_x + u2_x", "u4_x"]]}))
+    code, _, err = run(["reduce", "--file", str(path)], capsys)
+    assert code == 2
+    assert err == "input error: expression 'u4_x' uses a variable index outside 1..2\n"
