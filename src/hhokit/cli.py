@@ -22,7 +22,13 @@ from .covering import (
     extract_conditions,
     operator_to_bivector,
 )
-from .errors import DegenerateMetricError, ExpressionError, HhoError, InputError
+from .errors import (
+    DegenerateMetricError,
+    ExpressionError,
+    HhoError,
+    InputError,
+    NotASymmetryError,
+)
 from .geometry import (
     char_square_check,
     first_order_hamiltonian_check,
@@ -278,7 +284,15 @@ def cmd_reduce(args):
             tail = ()
             if W is not None:
                 # the tail W u_x d^{-1} W u_x, as the catalog's nonlocal golden builds it
-                tail = [(Fraction(1), ctx.register_symmetry(tail_characteristic(W)))]
+                try:
+                    tail = [(Fraction(1), ctx.register_symmetry(tail_characteristic(W)))]
+                except NotASymmetryError as exc:
+                    # no potential exists for the tail: a failed check, as in check-compat
+                    report.add_residual_dump(f"tail-symmetry[{name}]", exc.residual,
+                                             full=args.full)
+                    report.add_verdict(f"tail-symmetry[{name}]", False,
+                                       notes=["W u_x is not a symmetry of the system"])
+                    continue
             A = operator_to_bivector(first_order_operator(g, conn), ctx, tail=tail)
         elif op[0] == "third":
             if op[2]:

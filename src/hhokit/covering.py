@@ -251,6 +251,7 @@ class CoveringContext:
         self.slots: list[NonlocalSlot] = []
         self._rx_rules: dict[int, DiffPoly] = {}
         self._dx_cache: dict = {}
+        self._cap = jet_cap()  # read once: jet_cap() consults os.environ
         self.pt_rules = self._adjoint_rules()
 
     # -- construction ----------------------------------------------------------
@@ -266,7 +267,7 @@ class CoveringContext:
                     continue
                 term = a * DiffPoly.odd_p(i + 1, 0)
                 for _ in range(sigma):
-                    term = total_x(term)
+                    term = self.total_x(term)
                 if sigma % 2 == 0:
                     acc = acc - term
                 else:
@@ -282,7 +283,7 @@ class CoveringContext:
     # -- derivatives -----------------------------------------------------------
 
     def total_x(self, a: DiffPoly) -> DiffPoly:
-        return total_x(a, rx_rules=self._rx_rules)
+        return total_x(a, rx_rules=self._rx_rules, cap=self._cap)
 
     def _dx_chain(self, kind: str, idx: int, order: int) -> DiffPoly:
         """Cached D_x^order of flux idx ('f') or adjoint rule idx ('p')."""

@@ -3,7 +3,9 @@
 All conditions are evaluated literally in exact arithmetic over the field
 variables (and any formal parameters riding in coefficients): a check passes
 iff every residual entry is the zero rational function.  Matrices are tuples
-of tuples of RatFunc; indices in reports are 1-based.
+of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
+(adjugate over determinant, one division per entry) and characteristic
+coefficients all come from one memoized minor expansion, ``_minors``.
 """
 
 from __future__ import annotations
@@ -80,33 +82,19 @@ def determinant(A) -> RatFunc:
 
 
 def inverse(A) -> tuple:
-    """Exact inverse by Gauss-Jordan; DegenerateMetricError when singular."""
-    n = len(A)
-    work = [list(row) for row in A]
-    inv = [list(row) for row in identity(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not work[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise DegenerateMetricError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = work[col][col]
-        for c in range(n):
-            work[col][c] = work[col][c] / p
-            inv[col][c] = inv[col][c] / p
-        for r in range(n):
-            if r == col or work[r][col].is_zero:
-                continue
-            f = work[r][col]
-            for c in range(n):
-                work[r][c] = work[r][c] - f * work[col][c]
-                inv[r][c] = inv[r][c] - f * inv[col][c]
-    return tuple(tuple(row) for row in inv)
+    """Exact inverse as adjugate over determinant: one shared minor expansion
+    gives det A and every cofactor.  DegenerateMetricError when singular."""
+    minor = _minors(A)
+    idx = tuple(range(len(A)))
+    det = minor(idx, idx)
+    if det.is_zero:
+        raise DegenerateMetricError("matrix is singular")
+
+    def entry(i, j):  # (A^-1)_ij = (-1)^(i+j) det A[without row j, column i] / det A
+        m = minor(idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:]) / det
+        return -m if (i + j) % 2 else m
+
+    return tuple(tuple(entry(i, j) for j in idx) for i in idx)
 
 
 def char_poly_coeffs(V) -> list:
@@ -328,14 +316,14 @@ def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
             for k in range(n):
                 acc = acc + g[i][k] * V[j][k] - g[j][k] * V[i][k]
             rep.add("velocity-g-symmetry", (i, j), acc)
+    nab = [[[_covariant_velocity_derivative(conn, V, k, j, h) for h in range(n)]
+            for j in range(n)] for k in range(n)]
     for i in range(n):
         for j in range(n):
             for h in range(n):
                 acc = RatFunc.zero()
                 for k in range(n):
-                    acc = acc + g[i][k] * (
-                        _covariant_velocity_derivative(conn, V, k, j, h)
-                        - _covariant_velocity_derivative(conn, V, h, j, k))
+                    acc = acc + g[i][k] * (nab[k][j][h] - nab[h][j][k])
                 rep.add("covariant-curl", (i, j, h), acc)
     return rep
 
@@ -585,33 +573,24 @@ class ThirdOrderData:
             for k in range(n):
                 for m in range(n):
                     c_low[nn][k][m] = (g[m][nn].diff(k + 1) - g[k][nn].diff(m + 1)) * third
-        c_up = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
-        for p in range(n):
-            for q in range(n):
-                for k in range(n):
-                    acc = RatFunc.zero()
-                    for i in range(n):
-                        for j in range(n):
-                            acc = acc + g_up[q][i] * g_up[p][j] * c_low[i][j][k]
-                    c_up[p][q][k] = acc
-        data = cls(metric, c_up)
-        return data
+        # c^{pq}_k = g^{qi} g^{pj} c_{ijk}, raising j then i
+        t = [[[sum((g_up[p][j] * c_low[i][j][k] for j in range(n)), RatFunc.zero())
+               for k in range(n)] for p in range(n)] for i in range(n)]
+        c_up = [[[sum((g_up[q][i] * t[i][p][k] for i in range(n)), RatFunc.zero())
+                  for k in range(n)] for q in range(n)] for p in range(n)]
+        return cls(metric, c_up)
 
     def c_low(self) -> tuple:
         """c_{ijk} = g_{iq} g_{jp} c^{pq}_k."""
         if self._c_low is None:
             n = self.n
             g = self.metric.lower()
-            out = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = RatFunc.zero()
-                        for p in range(n):
-                            for q in range(n):
-                                acc = acc + g[i][q] * g[j][p] * self.c_up[p][q][k]
-                        out[i][j][k] = acc
-            self._c_low = tuple(tuple(tuple(r) for r in p) for p in out)
+            # lower p then q through t_{jqk} = g_{jp} c^{pq}_k
+            t = [[[sum((g[j][p] * self.c_up[p][q][k] for p in range(n)), RatFunc.zero())
+                   for k in range(n)] for q in range(n)] for j in range(n)]
+            self._c_low = tuple(tuple(tuple(
+                sum((g[i][q] * t[j][q][k] for q in range(n)), RatFunc.zero())
+                for k in range(n)) for j in range(n)) for i in range(n))
         return self._c_low
 
     def c_mixed(self) -> tuple:
@@ -688,14 +667,15 @@ def third_order_compat(d: ThirdOrderData, vflux) -> ConditionReport:
                     acc = acc + cl[m][i][k] * V[m][l]
                     acc = acc + cl[m][l][i] * V[m][k]
                 rep.add("c-v-cyclic", (i, k, l), acc)
+    # cv[s][j][i] = c_{smj} V^m_i, so flux-hessian needs one more n^4 pass only
+    cv = [[[sum((cl[s][m][j] * V[m][i] for m in range(n)), RatFunc.zero())
+            for i in range(n)] for j in range(n)] for s in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
                 acc = vflux[k].diff(i + 1).diff(j + 1)
                 for s in range(n):
-                    for m in range(n):
-                        acc = acc - g_up[k][s] * (cl[s][m][j] * V[m][i]
-                                                  + cl[s][m][i] * V[m][j])
+                    acc = acc - g_up[k][s] * (cv[s][j][i] + cv[s][i][j])
                 rep.add("flux-hessian", (k, i, j), acc)
     return rep
 

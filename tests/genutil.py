@@ -124,10 +124,9 @@ def constant_third_order_instance(rng, n):
                 v = Fraction(rng.randint(-3, 3))
                 entries[i][j] = v
                 entries[j][i] = v
-        data = ThirdOrderData.from_lower_metric(
-            [[RatFunc.const(x) for x in row] for row in entries])
-        if not determinant(data.metric.lower()).is_zero:
-            return data
+        g_low = as_matrix(entries)
+        if not determinant(g_low).is_zero:
+            return ThirdOrderData.from_lower_metric(g_low)
 
 
 def symmetric_affine_fluxes(rng, n, data):

@@ -255,3 +255,17 @@ def test_expression_index_outside_n_is_input_error(tmp_path, capsys):
     code, _, err = run(["reduce", "--file", str(path)], capsys)
     assert code == 2
     assert err == "input error: expression 'u4_x' uses a variable index outside 1..2\n"
+
+
+def test_reduce_tail_that_is_not_a_symmetry_fails(tmp_path, capsys):
+    problem = json.loads(json.dumps(_HYDRO2_TAIL))
+    problem["operators"]["B"]["W"] = [["1", "0"], ["0", "0"]]
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run(["reduce", "--file", str(path)], capsys)
+    assert (code, err) == (1, "")
+    assert "[FAIL] tail-symmetry[B]" in out
+    assert "residual tail-symmetry[B]" in out
+    compat, out, _ = run(["check-compat", "--file", str(path)], capsys)
+    assert compat == 1
+    assert "[FAIL] nonlocal-first-order" in out

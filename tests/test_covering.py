@@ -341,3 +341,22 @@ def test_bivector_form_rejects_even_terms():
     from hhokit.errors import InputError
     with pytest.raises(InputError):
         BivectorForm((parse("u1_x"),))
+
+
+def test_covering_reads_the_jet_cap_when_built(monkeypatch):
+    from hhokit.config import set_jet_cap
+    from hhokit.errors import JetCapError
+    system = EvolutionSystem.general([parse("u1*u1_x")])
+    monkeypatch.setenv("HHOKIT_JET_CAP", "3")
+    capped = build_cotangent(system)
+    monkeypatch.delenv("HHOKIT_JET_CAP")
+    default = build_cotangent(system)
+    with pytest.raises(JetCapError, match="HHOKIT_JET_CAP"):
+        capped.total_x(parse("u1_x3"))
+    set_jet_cap(3)
+    try:
+        assert default.total_x(parse("u1_x3")) == parse("u1_x4")
+        with pytest.raises(JetCapError):
+            build_cotangent(system).total_x(parse("u1_x3"))
+    finally:
+        set_jet_cap(None)
