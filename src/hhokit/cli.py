@@ -46,6 +46,7 @@ from .geometry import (
     tsarev_check,
 )
 from .grammar import format_diffpoly, format_ratfunc, parse_scalar
+from .jets import DiffPoly
 from .problem import Problem, load_operator
 from .rational import Poly
 from .solver import (
@@ -57,6 +58,7 @@ from .solver import (
 )
 
 SCHEMA_VERSION = 1
+RESIDUAL_LIMIT = 20  # residuals (and residual terms) a report lists without --full
 
 
 # -- report assembly ----------------------------------------------------------------
@@ -75,19 +77,19 @@ class Report:
         }
         self.failed = False
 
-    def add_condition(self, rep, full=False, limit=20):
+    def add_condition(self, rep, full=False):
         entry = {
             "name": rep.name,
             "pass": rep.passed,
             "notes": list(rep.notes),
             "residuals": [],
         }
-        shown = rep.residuals if full else rep.residuals[:limit]
+        shown = rep.residuals if full else rep.residuals[:RESIDUAL_LIMIT]
         for fam, idx, rf in shown:
             entry["residuals"].append(
                 {"family": fam, "at": list(idx), "expr": format_ratfunc(rf)})
-        if not full and len(rep.residuals) > limit:
-            entry["residuals_truncated"] = len(rep.residuals) - limit
+        if not full and len(rep.residuals) > RESIDUAL_LIMIT:
+            entry["residuals_truncated"] = len(rep.residuals) - RESIDUAL_LIMIT
         self.payload["verdicts"].append(entry)
         if not rep.passed:
             self.failed = True
@@ -98,15 +100,14 @@ class Report:
         if not passed:
             self.failed = True
 
-    def add_residual_dump(self, label: str, components, full=False, limit=20):
+    def add_residual_dump(self, label: str, components, full=False):
         dump = []
         for i, comp in enumerate(components, start=1):
             terms = comp.sorted_terms()
-            shown = terms if full else terms[:limit]
-            from .jets import DiffPoly
+            shown = terms if full else terms[:RESIDUAL_LIMIT]
             text = format_diffpoly(DiffPoly(dict(shown)))
             item = {"component": i, "terms": len(terms), "normal_form": text}
-            if not full and len(terms) > limit:
+            if not full and len(terms) > RESIDUAL_LIMIT:
                 item["truncated"] = True
             dump.append(item)
         self.payload["residual_dumps"].append({"label": label, "components": dump})
@@ -125,40 +126,36 @@ class Report:
                 for key, rep in sorted(family.classification.items())}
         self.payload["families"].append(entry)
 
-    def finish(self, json_path=None, stream=None):
-        if stream is None:
-            stream = sys.stdout
+    def finish(self, json_path=None):
         self.payload["status"] = "fail" if self.failed else "pass"
         for v in self.payload["verdicts"]:
             mark = "pass" if v["pass"] else "FAIL"
-            print(f"[{mark}] {v['name']}", file=stream)
+            print(f"[{mark}] {v['name']}")
             for note in v["notes"]:
-                print(f"       note: {note}", file=stream)
+                print(f"       note: {note}")
             for r in v["residuals"][:5]:
-                print(f"       residual {r['family']} at {r['at']}: {r['expr']}",
-                      file=stream)
+                print(f"       residual {r['family']} at {r['at']}: {r['expr']}")
             if len(v["residuals"]) > 5:
                 print(f"       ... {len(v['residuals']) - 5} more residuals "
-                      f"(see --json output)", file=stream)
+                      f"(see --json output)")
         for fam in self.payload["families"]:
-            print(f"solution family: dimension {fam['dimension']}", file=stream)
+            print(f"solution family: dimension {fam['dimension']}")
             for k, member in enumerate(fam["basis"], start=1):
-                print(f"  basis {k}:", file=stream)
+                print(f"  basis {k}:")
                 for i, expr in enumerate(member, start=1):
-                    print(f"    [{i}] {expr}", file=stream)
+                    print(f"    [{i}] {expr}")
             if "classification" in fam:
                 for key, val in fam["classification"].items():
                     mark = "pass" if val["pass"] else "FAIL"
-                    print(f"  classification {key}: {mark}", file=stream)
+                    print(f"  classification {key}: {mark}")
                     for note in val["notes"]:
-                        print(f"       note: {note}", file=stream)
+                        print(f"       note: {note}")
         for dump in self.payload["residual_dumps"]:
-            print(f"residual {dump['label']}:", file=stream)
+            print(f"residual {dump['label']}:")
             for item in dump["components"]:
                 suffix = " (truncated)" if item.get("truncated") else ""
-                print(f"  component {item['component']} ({item['terms']} terms{suffix}):",
-                      file=stream)
-                print(f"    {item['normal_form']}", file=stream)
+                print(f"  component {item['component']} ({item['terms']} terms{suffix}):")
+                print(f"    {item['normal_form']}")
         if json_path:
             with open(json_path, "w") as fh:
                 json.dump(self.payload, fh, indent=2, sort_keys=True)

@@ -5,6 +5,7 @@ import os
 from .errors import InputError
 
 DEFAULT_JET_CAP = 12
+SIZE_CAP = 10_000  # most ansatz parameters, and most dense T entries from sparse generators
 _ENV_VAR = "HHOKIT_JET_CAP"
 
 _jet_cap_override = None

@@ -91,9 +91,14 @@ class EvolutionSystem:
         if self.velocity is not None:
             return self.velocity
         if self.flux_potentials is not None:
-            return tuple(tuple(V.diff(j + 1) for j in range(self.n))
-                         for V in self.flux_potentials)
+            return flux_jacobian(self.flux_potentials)
         raise InputError(f"a {self.kind} system carries no velocity matrix")
+
+
+def flux_jacobian(flux_potentials) -> tuple:
+    """The velocity matrix V^i_{,j} of flux potentials V^1(u), ..., V^n(u)."""
+    n = len(flux_potentials)
+    return tuple(tuple(V.diff(j + 1) for j in range(n)) for V in flux_potentials)
 
 
 def linearization_table(system: EvolutionSystem) -> dict:
@@ -389,11 +394,6 @@ class CoveringContext:
 def build_cotangent(system: EvolutionSystem) -> CoveringContext:
     """Construct the cotangent covering of an evolutionary system."""
     return CoveringContext(system)
-
-
-def total_t(a: DiffPoly, ctx: CoveringContext) -> DiffPoly:
-    """D_t of a covering expression in x-jet normal form."""
-    return ctx.total_t(a)
 
 
 def linearize(system: EvolutionSystem, phi) -> tuple:

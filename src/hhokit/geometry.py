@@ -5,16 +5,19 @@ variables (and any formal parameters riding in coefficients): a check passes
 iff every residual entry is the zero rational function.  Matrices are tuples
 of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
 (adjugate over determinant, one division per entry) and characteristic
-coefficients all come from one memoized minor expansion, ``_minors``.
+coefficients all come from one memoized minor expansion, ``_minors``; every
+index raise or lower of a three-index tensor goes through ``_contract``.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .covering import BivectorForm, EvolutionSystem, LocalOperator
+from .config import SIZE_CAP
+from .covering import BivectorForm, EvolutionSystem, LocalOperator, flux_jacobian, linearize
 from .errors import DegenerateMetricError, InputError
 from .jets import DiffPoly
 from .rational import Poly, RatFunc
@@ -48,6 +51,27 @@ def mat_mul(A, B) -> tuple:
     n = len(A)
     return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)), RatFunc.zero())
                        for j in range(n)) for i in range(n))
+
+
+def _contract(M, T, slot) -> tuple:
+    """M contracted into index ``slot`` of the n x n x n tensor T, the other
+    positions kept: out[..x..] = sum_s M[x][s] T[..s..] (raises or lowers one index)."""
+    r = range(len(T))
+
+    def entry(idx):
+        total = RatFunc.zero()
+        for s, m in enumerate(M[idx[slot]]):
+            if not m.is_zero:
+                a = idx[:slot] + (s,) + idx[slot + 1:]
+                total = total + m * T[a[0]][a[1]][a[2]]
+        return total
+
+    return tuple(tuple(tuple(entry((i, j, k)) for k in r) for j in r) for i in r)
+
+
+def _swap(T) -> tuple:
+    """T with its first two indices exchanged (for a matrix, its transpose)."""
+    return tuple(zip(*T))
 
 
 def _minors(A):
@@ -128,10 +152,6 @@ class ConditionReport:
         if not value.is_zero:
             self.residuals.append((family, tuple(i + 1 for i in indices), value))
 
-    def merge(self, other: "ConditionReport"):
-        self.residuals.extend(other.residuals)
-        self.notes = self.notes + tuple(nt for nt in other.notes if nt not in self.notes)
-
     @property
     def passed(self) -> bool:
         return not self.residuals
@@ -197,41 +217,21 @@ class Connection:
     def christoffel(self) -> tuple:
         """Gamma^i_{jk} = -g_{js} Gamma^{si}_k."""
         if self._christoffel is None:
-            g_low = self.metric.lower()
-            n = self.n
-            self._christoffel = tuple(tuple(tuple(
-                -sum((g_low[j][s] * self.gamma[s][i][k] for s in range(n)),
-                     RatFunc.zero())
-                for k in range(n)) for j in range(n)) for i in range(n))
+            minus_g = tuple(tuple(-x for x in row) for row in self.metric.lower())
+            self._christoffel = _swap(_contract(minus_g, self.gamma, 0))
         return self._christoffel
 
     @classmethod
     def levi_civita(cls, metric: Metric) -> "Connection":
-        """Upper symbols of the Levi-Civita connection of the metric."""
-        n = metric.n
-        g_low = metric.lower()
+        """Upper symbols of the Levi-Civita connection of the metric:
+        Gamma^{ab}_k = -g^{aj} g^{bs} (g_{sj,k} + g_{sk,j} - g_{jk,s}) / 2."""
+        g = metric.lower()
         g_up = metric.upper()
-        chr_low = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = RatFunc.zero()
-                    for s in range(n):
-                        acc = acc + g_up[i][s] * (
-                            g_low[s][j].diff(k + 1)
-                            + g_low[s][k].diff(j + 1)
-                            - g_low[j][k].diff(s + 1))
-                    chr_low[i][j][k] = acc / 2
-        gamma = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for k in range(n):
-                    acc = RatFunc.zero()
-                    for j in range(n):
-                        acc = acc - g_up[a][j] * chr_low[b][j][k]
-                    gamma[a][b][k] = acc
-        conn = cls(metric, tuple(tuple(tuple(r) for r in p) for p in gamma))
-        return conn
+        r = range(metric.n)
+        half = tuple(tuple(tuple(
+            (g[j][k].diff(s + 1) - g[s][j].diff(k + 1) - g[s][k].diff(j + 1)) / 2
+            for k in r) for j in r) for s in r)
+        return cls(metric, _swap(_contract(g_up, _contract(g_up, half, 0), 1)))
 
 
 # -- first-order checkers --------------------------------------------------------
@@ -277,13 +277,11 @@ def first_order_hamiltonian_check(metric: Metric, conn: Connection) -> Condition
             for k in range(n):
                 rep.add("metric-compat", (i, j, k),
                         g[i][j].diff(k + 1) - gamma[i][j][k] - gamma[j][i][k])
+    gg = _contract(g, gamma, 2)  # gg[j][l][i] = g^{ik} Gamma^{jl}_k
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(n):
-                acc = RatFunc.zero()
-                for k in range(n):
-                    acc = acc + g[i][k] * gamma[j][l][k] - g[j][k] * gamma[i][l][k]
-                rep.add("symbol-g-symmetry", (i, j, l), acc)
+                rep.add("symbol-g-symmetry", (i, j, l), gg[j][l][i] - gg[i][l][j])
     R = curvature(metric, conn)
     for i in range(n):
         for j in range(n):
@@ -310,21 +308,17 @@ def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
     g = metric.upper()
     V = as_matrix(V)
     rep = ConditionReport("tsarev-compat")
+    gv = mat_mul(g, _swap(V))
     for i in range(n):
         for j in range(i + 1, n):
-            acc = RatFunc.zero()
-            for k in range(n):
-                acc = acc + g[i][k] * V[j][k] - g[j][k] * V[i][k]
-            rep.add("velocity-g-symmetry", (i, j), acc)
-    nab = [[[_covariant_velocity_derivative(conn, V, k, j, h) for h in range(n)]
-            for j in range(n)] for k in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for h in range(n):
-                acc = RatFunc.zero()
-                for k in range(n):
-                    acc = acc + g[i][k] * (nab[k][j][h] - nab[h][j][k])
-                rep.add("covariant-curl", (i, j, h), acc)
+            rep.add("velocity-g-symmetry", (i, j), gv[i][j] - gv[j][i])
+    r = range(n)
+    nab = [[[_covariant_velocity_derivative(conn, V, k, j, h) for h in r]
+            for j in r] for k in r]
+    curl = _contract(g, tuple(tuple(tuple(nab[k][j][h] - nab[h][j][k] for h in r)
+                                    for j in r) for k in r), 0)
+    for i, j, h in itertools.product(r, repeat=3):
+        rep.add("covariant-curl", (i, j, h), curl[i][j][h])
     return rep
 
 
@@ -418,12 +412,10 @@ def nonlocal_first_order_check(metric: Metric, conn: Connection, W, V) -> Condit
     rep.name = "nonlocal-first-order"
     rep.notes = ("necessary conditions for the symmetry-tail construction only; "
                  "not a complete Hamiltonianity certificate",)
+    wv, vw = mat_mul(W, V), mat_mul(V, W)
     for i in range(n):
         for j in range(n):
-            acc = RatFunc.zero()
-            for k in range(n):
-                acc = acc + W[i][k] * V[k][j] - V[i][k] * W[k][j]
-            rep.add("tail-commutation", (i, j), acc)
+            rep.add("tail-commutation", (i, j), wv[i][j] - vw[i][j])
     R = curvature(metric, conn)
     for i in range(n):
         for j in range(n):
@@ -460,6 +452,9 @@ class SecondOrderData:
     @classmethod
     def from_generators(cls, n, t_entries, g0_entries):
         """Skew-extend sparse generators {(i,j,k): value} and {(i,j): value}."""
+        if n ** 3 > SIZE_CAP:
+            raise InputError(f"sparse generators at n = {n} need a dense T of "
+                             f"{n ** 3} entries (cap {SIZE_CAP})")
         T = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for (i, j, k), val in t_entries.items():
             if len({i, j, k}) != 3:
@@ -523,14 +518,12 @@ def second_order_compat(d: SecondOrderData, vflux) -> ConditionReport:
         raise DegenerateMetricError(
             "det g = 0 identically; the degenerate case is out of scope")
     vflux = tuple(vflux)
-    V = tuple(tuple(vflux[i].diff(j + 1) for j in range(n)) for i in range(n))
+    V = flux_jacobian(vflux)
     rep = ConditionReport("second-order-compat")
+    gv = mat_mul(g, V)
     for q in range(n):
         for p in range(q, n):
-            acc = RatFunc.zero()
-            for j in range(n):
-                acc = acc + g[q][j] * V[j][p] + g[p][j] * V[j][q]
-            rep.add("gv-skew", (q, p), acc)
+            rep.add("gv-skew", (q, p), gv[q][p] + gv[p][q])
     for q in range(n):
         for p in range(n):
             for l in range(n):
@@ -564,49 +557,42 @@ class ThirdOrderData:
     def from_lower_metric(cls, g_low_entries) -> "ThirdOrderData":
         """Derive the c symbols from the lowered metric via the gradient rule."""
         metric = Metric(g_low_entries, variance="lower")
-        n = metric.n
-        g = metric.lower()
         g_up = metric.upper()
-        c_low = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
-        third = Fraction(1, 3)
-        for nn in range(n):
-            for k in range(n):
-                for m in range(n):
-                    c_low[nn][k][m] = (g[m][nn].diff(k + 1) - g[k][nn].diff(m + 1)) * third
-        # c^{pq}_k = g^{qi} g^{pj} c_{ijk}, raising j then i
-        t = [[[sum((g_up[p][j] * c_low[i][j][k] for j in range(n)), RatFunc.zero())
-               for k in range(n)] for p in range(n)] for i in range(n)]
-        c_up = [[[sum((g_up[q][i] * t[i][p][k] for i in range(n)), RatFunc.zero())
-                  for k in range(n)] for q in range(n)] for p in range(n)]
+        # c^{pq}_k = g^{qi} g^{pj} c_{ijk}: raise i, then j, then swap to (p, q)
+        c_up = _swap(_contract(g_up, _contract(g_up, _c_from_metric(metric.lower()), 0), 1))
         return cls(metric, c_up)
 
     def c_low(self) -> tuple:
-        """c_{ijk} = g_{iq} g_{jp} c^{pq}_k."""
+        """c_{ijk} = g_{iq} g_{jp} c^{pq}_k: lower p, then q, then swap to (i, j)."""
         if self._c_low is None:
-            n = self.n
             g = self.metric.lower()
-            # lower p then q through t_{jqk} = g_{jp} c^{pq}_k
-            t = [[[sum((g[j][p] * self.c_up[p][q][k] for p in range(n)), RatFunc.zero())
-                   for k in range(n)] for q in range(n)] for j in range(n)]
-            self._c_low = tuple(tuple(tuple(
-                sum((g[i][q] * t[j][q][k] for q in range(n)), RatFunc.zero())
-                for k in range(n)) for j in range(n)) for i in range(n))
+            self._c_low = _swap(_contract(g, _contract(g, self.c_up, 0), 1))
         return self._c_low
 
     def c_mixed(self) -> tuple:
         """c^s_{ml} = g^{sq} c_{qml}."""
-        n = self.n
-        g_up = self.metric.upper()
-        cl = self.c_low()
-        out = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
+        return _contract(self.metric.upper(), self.c_low(), 0)
+
+
+def _c_from_metric(g) -> tuple:
+    """c_{nkm} = (g_{mn,k} - g_{kn,m}) / 3, the c symbols of the lowered metric g."""
+    r = range(len(g))
+    third = Fraction(1, 3)
+    return tuple(tuple(tuple((g[m][nn].diff(k + 1) - g[k][nn].diff(m + 1)) * third
+                             for m in r) for k in r) for nn in r)
+
+
+def _add_closure(rep, family, cl, cm, tails):
+    """c_{nml,k} + c^s_{ml} c_{snk}, plus weight * w_{ml} w_{nk} for each
+    lowered tail (w, weight): one residual per (n, m, l, k)."""
+    n = len(cl)
+    for nn, m, l, k in itertools.product(range(n), repeat=4):
+        acc = cl[nn][m][l].diff(k + 1)
         for s in range(n):
-            for m in range(n):
-                for l in range(n):
-                    acc = RatFunc.zero()
-                    for q in range(n):
-                        acc = acc + g_up[s][q] * cl[q][m][l]
-                    out[s][m][l] = acc
-        return tuple(tuple(tuple(r) for r in p) for p in out)
+            acc = acc + cm[s][m][l] * cl[s][nn][k]
+        for wl, weight in tails:
+            acc = acc + wl[m][l] * wl[nn][k] * weight
+        rep.add(family, (nn, m, l, k), acc)
 
 
 def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
@@ -617,28 +603,18 @@ def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
     cl = d.c_low()
     cm = d.c_mixed()
     rep = ConditionReport("third-order-hamiltonian")
-    third = Fraction(1, 3)
     for i in range(n):
         for j in range(i + 1, n):
             rep.add("metric-symmetry", (i, j), g[i][j] - g[j][i])
-    for nn in range(n):
-        for k in range(n):
-            for m in range(n):
-                rep.add("c-from-metric", (nn, k, m),
-                        cl[nn][k][m] - (g[m][nn].diff(k + 1) - g[k][nn].diff(m + 1)) * third)
+    cg = _c_from_metric(g)
+    for nn, k, m in itertools.product(range(n), repeat=3):
+        rep.add("c-from-metric", (nn, k, m), cl[nn][k][m] - cg[nn][k][m])
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 rep.add("metric-cyclic", (i, j, k),
                         g[i][j].diff(k + 1) + g[j][k].diff(i + 1) + g[k][i].diff(j + 1))
-    for nn in range(n):
-        for m in range(n):
-            for l in range(n):
-                for k in range(n):
-                    acc = cl[nn][m][l].diff(k + 1)
-                    for s in range(n):
-                        acc = acc + cm[s][m][l] * cl[s][nn][k]
-                    rep.add("c-closure", (nn, m, l, k), acc)
+    _add_closure(rep, "c-closure", cl, cm, ())
     return rep
 
 
@@ -650,40 +626,27 @@ def third_order_compat(d: ThirdOrderData, vflux) -> ConditionReport:
     g_up = d.metric.upper()
     cl = d.c_low()
     vflux = tuple(vflux)
-    V = tuple(tuple(vflux[i].diff(j + 1) for j in range(n)) for i in range(n))
+    V = flux_jacobian(vflux)
+    Vt = _swap(V)
     rep = ConditionReport("third-order-compat")
+    gv = mat_mul(g, V)
     for i in range(n):
         for j in range(i + 1, n):
-            acc = RatFunc.zero()
-            for m in range(n):
-                acc = acc + g[i][m] * V[m][j] - g[j][m] * V[m][i]
-            rep.add("gv-symmetry", (i, j), acc)
-    for i in range(n):
-        for k in range(n):
-            for l in range(n):
-                acc = RatFunc.zero()
-                for m in range(n):
-                    acc = acc + cl[m][k][l] * V[m][i]
-                    acc = acc + cl[m][i][k] * V[m][l]
-                    acc = acc + cl[m][l][i] * V[m][k]
-                rep.add("c-v-cyclic", (i, k, l), acc)
-    # cv[s][j][i] = c_{smj} V^m_i, so flux-hessian needs one more n^4 pass only
-    cv = [[[sum((cl[s][m][j] * V[m][i] for m in range(n)), RatFunc.zero())
-            for i in range(n)] for j in range(n)] for s in range(n)]
+            rep.add("gv-symmetry", (i, j), gv[i][j] - gv[j][i])
+    cv = _contract(Vt, cl, 0)  # cv[i][k][l] = V^m_i c_{mkl}
+    for i, k, l in itertools.product(range(n), repeat=3):
+        rep.add("c-v-cyclic", (i, k, l), cv[i][k][l] + cv[l][i][k] + cv[k][l][i])
+    gcv = _contract(g_up, _contract(Vt, cl, 1), 0)  # gcv[k][i][j] = g^{ks} c_{smj} V^m_i
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                acc = vflux[k].diff(i + 1).diff(j + 1)
-                for s in range(n):
-                    acc = acc - g_up[k][s] * (cv[s][j][i] + cv[s][i][j])
-                rep.add("flux-hessian", (k, i, j), acc)
+                rep.add("flux-hessian", (k, i, j),
+                        vflux[k].diff(i + 1).diff(j + 1) - gcv[k][i][j] - gcv[k][j][i])
     return rep
 
 
 def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> ConditionReport:
     """Weakly nonlocal third-order tails: algebraic conditions + symmetry gate."""
-    from .covering import linearize  # local import keeps module load cheap
-
     d.metric.check_nondegenerate()
     n = d.n
     g = d.metric.lower()
@@ -692,43 +655,23 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
     w_list = [as_matrix(w) for w in w_list]
     weights = [Fraction(x) if not isinstance(x, RatFunc) else x for x in weights]
     vflux = tuple(vflux)
-    V = tuple(tuple(vflux[i].diff(j + 1) for j in range(n)) for i in range(n))
+    V = flux_jacobian(vflux)
     rep = ConditionReport("third-order-nonlocal")
 
-    w_low = []
-    for w in w_list:
-        low = tuple(tuple(sum((g[i][s] * w[s][j] for s in range(n)), RatFunc.zero())
-                          for j in range(n)) for i in range(n))
-        w_low.append(low)
-
+    w_low = [mat_mul(g, w) for w in w_list]
     for a, wl in enumerate(w_low):
         for i in range(n):
             for j in range(i, n):
                 rep.add("tail-skew", (a, i, j), wl[i][j] + wl[j][i])
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    acc = wl[i][j].diff(l + 1)
-                    for s in range(n):
-                        acc = acc - cm[s][i][j] * wl[s][l]
-                    rep.add("tail-gradient", (a, i, j, l), acc)
-    for nn in range(n):
-        for m in range(n):
-            for l in range(n):
-                for k in range(n):
-                    acc = cl[nn][m][l].diff(k + 1)
-                    for s in range(n):
-                        acc = acc + cm[s][m][l] * cl[s][nn][k]
-                    for a, wl in enumerate(w_low):
-                        acc = acc + wl[m][l] * wl[nn][k] * weights[a]
-                    rep.add("closure-with-tails", (nn, m, l, k), acc)
+        cw = _contract(_swap(wl), cm, 0)  # cw[l][i][j] = c^s_{ij} w_{sl}
+        for i, j, l in itertools.product(range(n), repeat=3):
+            rep.add("tail-gradient", (a, i, j, l), wl[i][j].diff(l + 1) - cw[l][i][j])
+    _add_closure(rep, "closure-with-tails", cl, cm, tuple(zip(w_low, weights)))
     for a, w in enumerate(w_list):
+        vw, wv = mat_mul(V, w), mat_mul(w, V)
         for i in range(n):
             for h in range(n):
-                acc = RatFunc.zero()
-                for k in range(n):
-                    acc = acc - w[i][k] * V[k][h] + V[i][k] * w[k][h]
-                rep.add("tail-commutation", (a, i, h), acc)
+                rep.add("tail-commutation", (a, i, h), vw[i][h] - wv[i][h])
         for i in range(n):
             for h in range(n):
                 for m in range(h, n):
@@ -890,14 +833,16 @@ def haantjes_zero_check(V) -> ConditionReport:
     return rep
 
 
-def char_square_check(V, samples=5, seed=7) -> ConditionReport:
+_ROOT_SAMPLES = 5  # rational points at which char_square_check samples q's discriminant
+_ROOT_SEED = 7
+
+
+def char_square_check(V) -> ConditionReport:
     """Is the characteristic polynomial a perfect square q(lam)^2?
 
     The square structure is exact; the reality of q's roots is certified at
     sampled rational points only, and the report says so.
     """
-    import random
-
     V = as_matrix(V)
     n = len(V)
     rep = ConditionReport("char-poly-square")
@@ -923,13 +868,13 @@ def char_square_check(V, samples=5, seed=7) -> ConditionReport:
         # sampled evidence that q has real roots (discriminant >= 0); reality
         # can depend on the region of field/parameter space, so this never
         # flips the verdict and is reported as sample-only certification
-        rng = random.Random(seed)
+        rng = random.Random(_ROOT_SEED)
         disc = q[1] * q[1] - q[2] * 4
         vars_needed = disc.vars_used()
         nonneg = 0
         checked = 0
         tries = 0
-        while checked < samples and tries < 200:
+        while checked < _ROOT_SAMPLES and tries < 200:
             tries += 1
             point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in vars_needed}
             try:

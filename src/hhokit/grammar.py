@@ -40,7 +40,8 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str, line: int = 1):
+def _tokenize(text: str):
+    line = 1  # expressions are single-line; errors still name the line
     tokens = []
     pos = 0
     n = len(text)
@@ -181,9 +182,9 @@ class _Parser:
                               tok.line, tok.col)
 
 
-def parse(text: str, line: int = 1) -> DiffPoly:
+def parse(text: str) -> DiffPoly:
     """Parse an expression into a DiffPoly."""
-    parser = _Parser(_tokenize(text, line))
+    parser = _Parser(_tokenize(text))
     value = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
@@ -191,11 +192,11 @@ def parse(text: str, line: int = 1) -> DiffPoly:
     return value
 
 
-def parse_scalar(text: str, line: int = 1) -> RatFunc:
+def parse_scalar(text: str) -> RatFunc:
     """Parse an expression that must be jet- and odd-free."""
-    value = parse(text, line)
+    value = parse(text)
     if not value.is_scalar:
-        raise ExpressionError("expected a scalar (no jets or odd variables)", line, 1)
+        raise ExpressionError("expected a scalar (no jets or odd variables)", 1, 1)
     return value.scalar_value()
 
 

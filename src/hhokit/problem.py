@@ -20,7 +20,6 @@ from .jets import KIND_R
 
 class Problem:
     def __init__(self, data: dict, source_bytes: bytes | None = None):
-        self.raw = data
         self.input_hash = (hashlib.sha256(source_bytes).hexdigest()
                            if source_bytes is not None else None)
         try:

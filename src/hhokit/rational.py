@@ -20,7 +20,6 @@ before parameters.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .errors import NonlinearAnsatzError, ParameterInDenominatorError
 
@@ -355,17 +354,6 @@ class Poly:
             linear.setdefault(pvars[0][0], {})[rest] = c
         return ({pid: Poly._new(terms) for pid, terms in linear.items()},
                 Poly._new(absolute))
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer and content-free (0 for 0)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
 
     def __str__(self):
         if not self.terms:

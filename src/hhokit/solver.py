@@ -9,8 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .covering import BivectorForm, bivector_residual, build_cotangent, extract_conditions
+from .config import SIZE_CAP
+from .covering import (
+    BivectorForm,
+    bivector_residual,
+    build_cotangent,
+    extract_conditions,
+    flux_jacobian,
+)
 from .errors import InputError
 from .geometry import (
     SecondOrderData,
@@ -86,6 +94,35 @@ def _jet_patterns(n: int, order: int):
     return sorted(set(patterns), key=lambda m: (str(m),))
 
 
+def _jet_pattern_count(n: int, order: int) -> int:
+    """len(_jet_patterns(n, order)) without building the patterns.
+
+    A pattern is p_j with x-order pw times a product of jets u^i_k (k >= 1) of
+    total order m = w - pw.  The number P(m) of such products has generating
+    function prod_k (1 - x^k)^(-n), so m P(m) = n sum_{j=1..m} sigma(j) P(m - j)
+    with sigma the divisor sum.
+    """
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for multiple in range(d, order + 1, d):
+            sigma[multiple] += d
+    P = [1]
+    for m in range(1, order + 1):
+        P.append(n * sum(sigma[j] * P[m - j] for j in range(1, m + 1)) // m)
+    below = 0  # P(0) + ... + P(w): the products that fit under weight w
+    total = 0
+    for w in range(order + 1):
+        below += P[w]
+        if w >= 1:
+            total += below
+    return n * total
+
+
+def _check_size(count: int, size_cap: int):
+    if count > size_cap:
+        raise InputError(f"ansatz would need {count} parameters (cap {size_cap})")
+
+
 def _u_monomials(n: int, degree: int):
     """All monomials in u1..un of total degree <= degree, as Poly factors."""
     monos = [Poly.one()]
@@ -106,7 +143,7 @@ def _u_monomials(n: int, degree: int):
 
 
 def make_operator_ansatz(n: int, order: int, degree_bound: int,
-                         start_param: int = 1, size_cap: int = 10_000) -> OperatorAnsatz:
+                         size_cap: int = SIZE_CAP) -> OperatorAnsatz:
     """Template spanning all odd-linear monomials of weight up to ``order``
     with polynomial coefficient functions of u-degree up to ``degree_bound``,
     one fresh parameter per (component, monomial, coefficient) choice."""
@@ -114,12 +151,10 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
         raise InputError("operator order must be >= 1")
     if degree_bound < 0:
         raise InputError("degree bound must be >= 0")
+    _check_size(n * _jet_pattern_count(n, order) * comb(n + degree_bound, n), size_cap)
     patterns = _jet_patterns(n, order)
     coeff_monos = _u_monomials(n, degree_bound)
-    count = n * len(patterns) * len(coeff_monos)
-    if count > size_cap:
-        raise InputError(f"ansatz would need {count} parameters (cap {size_cap})")
-    pid = -start_param
+    pid = -1
     params = []
     comps = []
     for _ in range(n):
@@ -137,15 +172,13 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
 
 
 def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
-                     start_param: int = 1, size_cap: int = 10_000) -> FluxAnsatz:
+                     size_cap: int = SIZE_CAP) -> FluxAnsatz:
     """Flux template: numerators of total degree <= degree over a declared
     denominator (rational template), parameters linear in the numerators."""
+    _check_size(n * comb(n + max(degree, 0), n), size_cap)
     coeff_monos = _u_monomials(n, degree)
-    count = n * len(coeff_monos)
-    if count > size_cap:
-        raise InputError(f"ansatz would need {count} parameters (cap {size_cap})")
     den = denominator if denominator is not None else Poly.one()
-    pid = -start_param
+    pid = -1
     params = []
     comps = []
     for _ in range(n):
@@ -167,9 +200,7 @@ def _free_params(sol: LinearSystemSolution, ansatz_params):
     return sorted(set(sol.free) | set(extra), key=lambda pid: -pid)
 
 
-def _basis_from_solution(sol: LinearSystemSolution, substitute, free_all):
-    if sol.inconsistent:
-        return ()
+def _basis_from_solution(substitute, free_all):
     return tuple(substitute({f: Fraction(1)}, free_all) for f in free_all)
 
 
@@ -196,25 +227,13 @@ def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
         return tuple(_subst_component(c, sol, assignment, free)
                      for c in ansatz.components)
 
-    basis = _basis_from_solution(sol, member, free_all)
-    return SolutionFamily(substitution=sol, basis=basis,
-                          dimension=0 if sol.inconsistent else len(free_all))
-
-
-def _flux_member(ansatz: FluxAnsatz, sol: LinearSystemSolution, assignment=None,
-                 free_all=()):
-    """Substitute the solution; assignment None keeps free parameters symbolic."""
-    if assignment is None:
-        return tuple(substitute_solution(comp, sol) for comp in ansatz.components)
-    return tuple(assign_free(comp, sol, assignment, free_all)
-                 for comp in ansatz.components)
+    return SolutionFamily(substitution=sol, basis=_basis_from_solution(member, free_all),
+                          dimension=len(free_all))
 
 
 def _classify_family(ansatz: FluxAnsatz, sol: LinearSystemSolution, with_square):
     """Classification of the generic member (free parameters kept symbolic)."""
-    generic = _flux_member(ansatz, sol)
-    n = ansatz.n
-    V = tuple(tuple(generic[i].diff(j + 1) for j in range(n)) for i in range(n))
+    V = flux_jacobian(tuple(substitute_solution(comp, sol) for comp in ansatz.components))
     out = {
         "linear-degeneracy": linear_degeneracy_check(V),
         "haantjes-zero": haantjes_zero_check(V),
@@ -230,10 +249,10 @@ def _flux_family(ansatz: FluxAnsatz, rep, classify: bool,
     sol = linear_solve([rf for _, _, rf in rep.residuals])
     free_all = _free_params(sol, ansatz.params)
     basis = _basis_from_solution(
-        sol, lambda a, free: _flux_member(ansatz, sol, a, free), free_all)
+        lambda a, free: tuple(assign_free(comp, sol, a, free) for comp in ansatz.components),
+        free_all)
     classification = _classify_family(ansatz, sol, with_square) if classify else None
-    return SolutionFamily(substitution=sol, basis=basis,
-                          dimension=0 if sol.inconsistent else len(free_all),
+    return SolutionFamily(substitution=sol, basis=basis, dimension=len(free_all),
                           classification=classification)
 
 

@@ -269,3 +269,15 @@ def test_reduce_tail_that_is_not_a_symmetry_fails(tmp_path, capsys):
     compat, out, _ = run(["check-compat", "--file", str(path)], capsys)
     assert compat == 1
     assert "[FAIL] nonlocal-first-order" in out
+
+
+def test_sparse_generators_are_bounded_by_the_dense_size(tmp_path, capsys):
+    for n, expected in [(21, 0), (120, 2)]:
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({
+            "n": n, "operators": {"C": {"order": 2, "T": {"1,2,3": "1"}, "g0": {}}}}))
+        code, out, err = run(["check-op", "--file", str(path), "--operator", "C"], capsys)
+        assert code == expected
+    assert out == ""
+    assert err == ("input error: sparse generators at n = 120 need a dense T of "
+                   "1728000 entries (cap 10000)\n")

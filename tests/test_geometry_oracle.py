@@ -6,7 +6,10 @@ products for the two-index raise and lower).  The engine now inverts by
 adjugate over determinant, tabulates nabla_k V^j_h once for Tsarev's
 condition and raises or lowers one index at a time.  RatFunc values are
 canonical, so both routes must give equal entries and equal residual lists;
-every inverse is also certified by exact A * A^-1 = I.
+every inverse is also certified by exact A * A^-1 = I.  The second half keeps
+the hand-written index loops that one contraction helper, ``mat_mul`` and
+``flux_jacobian`` replaced, and compares whole reports on passing and failing
+instances.
 """
 
 import random
@@ -14,18 +17,29 @@ from fractions import Fraction
 
 import pytest
 
+from hhokit.covering import EvolutionSystem, flux_jacobian, linearize
 from hhokit.errors import DegenerateMetricError
 from hhokit.geometry import (
     ConditionReport,
+    Connection,
     Metric,
+    SecondOrderData,
     ThirdOrderData,
     _covariant_velocity_derivative,
     as_matrix,
+    curvature,
+    determinant,
+    first_order_hamiltonian_check,
     identity,
     inverse,
     mat_mul,
-    tsarev_check,
+    nonlocal_first_order_check,
+    second_order_compat,
+    tail_characteristic,
     third_order_compat,
+    third_order_hamiltonian_check,
+    third_order_nonlocal_checks,
+    tsarev_check,
 )
 from hhokit.rational import Poly, RatFunc
 
@@ -33,6 +47,7 @@ from genutil import (
     constant_third_order_instance,
     flat_first_order_instance,
     hessian_velocity,
+    rand_fraction,
     rand_poly,
     random_fluxes,
     random_velocity,
@@ -292,3 +307,393 @@ def test_flux_hessian_matches_double_sum_nonconstant_metric():
         quad = _quadratic_fluxes(rng, d.n)
         got = _flux_hessian(d, quad)
         assert got and got == reference_flux_hessian(d, quad)
+
+
+# -- the loops replaced by one contraction helper, mat_mul and flux_jacobian ---------------
+
+
+def reference_jacobian(vflux):
+    n = len(vflux)
+    return tuple(tuple(vflux[i].diff(j + 1) for j in range(n)) for i in range(n))
+
+
+def reference_christoffel(conn):
+    """Gamma^i_{jk} = -g_{js} Gamma^{si}_k."""
+    g_low = conn.metric.lower()
+    n = conn.n
+    return tuple(tuple(tuple(
+        -sum((g_low[j][s] * conn.gamma[s][i][k] for s in range(n)), RatFunc.zero())
+        for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def reference_levi_civita(metric):
+    """Upper Levi-Civita symbols through the lowered Christoffel symbols."""
+    n = metric.n
+    g_low = metric.lower()
+    g_up = metric.upper()
+    chr_low = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = RatFunc.zero()
+                for s in range(n):
+                    acc = acc + g_up[i][s] * (
+                        g_low[s][j].diff(k + 1)
+                        + g_low[s][k].diff(j + 1)
+                        - g_low[j][k].diff(s + 1))
+                chr_low[i][j][k] = acc / 2
+    gamma = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for k in range(n):
+                acc = RatFunc.zero()
+                for j in range(n):
+                    acc = acc - g_up[a][j] * chr_low[b][j][k]
+                gamma[a][b][k] = acc
+    return tuple(tuple(tuple(r) for r in p) for p in gamma)
+
+
+def reference_c_mixed(d):
+    """c^s_{ml} = g^{sq} c_{qml}."""
+    n = d.n
+    g_up = d.metric.upper()
+    cl = reference_c_low(d)
+    out = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
+    for s in range(n):
+        for m in range(n):
+            for l in range(n):
+                acc = RatFunc.zero()
+                for q in range(n):
+                    acc = acc + g_up[s][q] * cl[q][m][l]
+                out[s][m][l] = acc
+    return tuple(tuple(tuple(r) for r in p) for p in out)
+
+
+def reference_first_order_hamiltonian_check(metric, conn):
+    metric.check_nondegenerate()
+    n = metric.n
+    g = metric.upper()
+    gamma = conn.gamma
+    rep = ConditionReport("first-order-hamiltonian")
+    for i in range(n):
+        for j in range(i + 1, n):
+            rep.add("metric-symmetry", (i, j), g[i][j] - g[j][i])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                rep.add("metric-compat", (i, j, k),
+                        g[i][j].diff(k + 1) - gamma[i][j][k] - gamma[j][i][k])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(n):
+                acc = RatFunc.zero()
+                for k in range(n):
+                    acc = acc + g[i][k] * gamma[j][l][k] - g[j][k] * gamma[i][l][k]
+                rep.add("symbol-g-symmetry", (i, j, l), acc)
+    R = curvature(metric, conn)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    rep.add("flatness", (i, j, k, l), R[i][j][k][l])
+    return rep
+
+
+def reference_nonlocal_first_order_check(metric, conn, W, V):
+    n = metric.n
+    W = as_matrix(W)
+    V = as_matrix(V)
+    rep = reference_tsarev_check(metric, conn, V)
+    for i in range(n):
+        for j in range(n):
+            acc = RatFunc.zero()
+            for k in range(n):
+                acc = acc + W[i][k] * V[k][j] - V[i][k] * W[k][j]
+            rep.add("tail-commutation", (i, j), acc)
+    R = curvature(metric, conn)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for m in range(l, n):
+                    acc = RatFunc.zero()
+                    for k in range(n):
+                        acc = acc + R[i][j][k][l] * V[k][m] + R[i][j][k][m] * V[k][l]
+                        acc = acc + W[i][l] * V[j][k] * W[k][m]
+                        acc = acc + W[i][m] * V[j][k] * W[k][l]
+                        acc = acc - V[i][k] * W[k][l] * W[j][m]
+                        acc = acc - V[i][k] * W[k][m] * W[j][l]
+                    rep.add("curvature-tail-balance", (i, j, l, m), acc)
+    return rep
+
+
+def reference_second_order_compat(d, vflux):
+    n = d.n
+    g = d.g_low()
+    V = reference_jacobian(vflux)
+    rep = ConditionReport("second-order-compat")
+    for q in range(n):
+        for p in range(q, n):
+            acc = RatFunc.zero()
+            for j in range(n):
+                acc = acc + g[q][j] * V[j][p] + g[p][j] * V[j][q]
+            rep.add("gv-skew", (q, p), acc)
+    for q in range(n):
+        for p in range(n):
+            for l in range(n):
+                acc = RatFunc.zero()
+                for k in range(n):
+                    acc = acc + g[q][k] * vflux[k].diff(p + 1).diff(l + 1)
+                    acc = acc + g[p][q].diff(k + 1) * V[k][l]
+                    acc = acc + g[q][k].diff(l + 1) * V[k][p]
+                rep.add("flux-gradient-compat", (q, p, l), acc)
+    return rep
+
+
+def _reference_closure(rep, family, cl, cm, w_low=(), weights=()):
+    n = len(cl)
+    for nn in range(n):
+        for m in range(n):
+            for l in range(n):
+                for k in range(n):
+                    acc = cl[nn][m][l].diff(k + 1)
+                    for s in range(n):
+                        acc = acc + cm[s][m][l] * cl[s][nn][k]
+                    for a, wl in enumerate(w_low):
+                        acc = acc + wl[m][l] * wl[nn][k] * weights[a]
+                    rep.add(family, (nn, m, l, k), acc)
+
+
+def reference_third_order_hamiltonian_check(d):
+    d.metric.check_nondegenerate()
+    n = d.n
+    g = d.metric.lower()
+    cl = reference_c_low(d)
+    rep = ConditionReport("third-order-hamiltonian")
+    third = Fraction(1, 3)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rep.add("metric-symmetry", (i, j), g[i][j] - g[j][i])
+    for nn in range(n):
+        for k in range(n):
+            for m in range(n):
+                rep.add("c-from-metric", (nn, k, m),
+                        cl[nn][k][m] - (g[m][nn].diff(k + 1) - g[k][nn].diff(m + 1)) * third)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                rep.add("metric-cyclic", (i, j, k),
+                        g[i][j].diff(k + 1) + g[j][k].diff(i + 1) + g[k][i].diff(j + 1))
+    _reference_closure(rep, "c-closure", cl, reference_c_mixed(d))
+    return rep
+
+
+def reference_third_order_compat(d, vflux):
+    n = d.n
+    g = d.metric.lower()
+    cl = reference_c_low(d)
+    V = reference_jacobian(vflux)
+    rep = ConditionReport("third-order-compat")
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = RatFunc.zero()
+            for m in range(n):
+                acc = acc + g[i][m] * V[m][j] - g[j][m] * V[m][i]
+            rep.add("gv-symmetry", (i, j), acc)
+    for i in range(n):
+        for k in range(n):
+            for l in range(n):
+                acc = RatFunc.zero()
+                for m in range(n):
+                    acc = acc + cl[m][k][l] * V[m][i]
+                    acc = acc + cl[m][i][k] * V[m][l]
+                    acc = acc + cl[m][l][i] * V[m][k]
+                rep.add("c-v-cyclic", (i, k, l), acc)
+    return rep.residuals + reference_flux_hessian(d, vflux)
+
+
+def reference_third_order_nonlocal_checks(d, w_list, weights, vflux):
+    n = d.n
+    g = d.metric.lower()
+    cl = reference_c_low(d)
+    cm = reference_c_mixed(d)
+    w_list = [as_matrix(w) for w in w_list]
+    V = reference_jacobian(vflux)
+    rep = ConditionReport("third-order-nonlocal")
+    w_low = []
+    for w in w_list:
+        w_low.append(tuple(tuple(sum((g[i][s] * w[s][j] for s in range(n)), RatFunc.zero())
+                                 for j in range(n)) for i in range(n)))
+    for a, wl in enumerate(w_low):
+        for i in range(n):
+            for j in range(i, n):
+                rep.add("tail-skew", (a, i, j), wl[i][j] + wl[j][i])
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    acc = wl[i][j].diff(l + 1)
+                    for s in range(n):
+                        acc = acc - cm[s][i][j] * wl[s][l]
+                    rep.add("tail-gradient", (a, i, j, l), acc)
+    _reference_closure(rep, "closure-with-tails", cl, cm, w_low, weights)
+    for a, w in enumerate(w_list):
+        for i in range(n):
+            for h in range(n):
+                acc = RatFunc.zero()
+                for k in range(n):
+                    acc = acc - w[i][k] * V[k][h] + V[i][k] * w[k][h]
+                rep.add("tail-commutation", (a, i, h), acc)
+        for i in range(n):
+            for h in range(n):
+                for m in range(h, n):
+                    acc = RatFunc.zero()
+                    for k in range(n):
+                        acc = acc - w[i][h].diff(k + 1) * V[k][m]
+                        acc = acc - w[i][m].diff(k + 1) * V[k][h]
+                        acc = acc - w[i][k] * vflux[k].diff(m + 1).diff(h + 1) * 2
+                        acc = acc + V[i][k] * (w[k][m].diff(h + 1) + w[k][h].diff(m + 1))
+                    rep.add("tail-derivative-exchange", (a, i, h, m), acc)
+    pot = EvolutionSystem.potential(tuple(vflux))
+    for a, w in enumerate(w_list):
+        for i, comp in enumerate(linearize(pot, tail_characteristic(w))):
+            for _, coeff in comp.sorted_terms():
+                rep.add("tail-symmetry-residual", (a, i), coeff)
+    return rep
+
+
+def _random_matrix_poly(rng, n, degree=1):
+    return [[RatFunc.from_poly(rand_poly(rng, n, degree, terms=2)) for _ in range(n)]
+            for _ in range(n)]
+
+
+def _random_first_order(rng, n):
+    """A nondegenerate lowered metric with its Levi-Civita symbols (not flat in
+    general) and with random symbols.  Constant entries plus one linear pair in
+    u1 at n > 2: a generic linear n=3 metric takes minutes to invert and derive."""
+    while True:
+        g = _random_matrix_poly(rng, n, degree=1 if n == 2 else 0)
+        if n > 2:
+            g[0][n - 1] = g[0][n - 1] + RatFunc.var(1)
+        for i in range(n):
+            g[i][i] = g[i][i] + 2
+            for j in range(i):
+                g[i][j] = g[j][i]
+        metric = Metric(g, variance="lower")
+        try:
+            metric.check_nondegenerate()
+        except DegenerateMetricError:
+            continue
+        gamma = [_random_matrix_poly(rng, n) for _ in range(n)]
+        return metric, Connection.levi_civita(metric), Connection(metric, gamma)
+
+
+def test_jacobian_matches_loop():
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        vflux = random_fluxes(rng, n)
+        vflux[0] = vflux[0] / (RatFunc.var(n) + 2)
+        assert flux_jacobian(vflux) == reference_jacobian(vflux)
+        assert EvolutionSystem.conservative(vflux).jacobian() == reference_jacobian(vflux)
+
+
+def test_christoffel_and_levi_civita_match_loops():
+    rng = random.Random(42)
+    for n in (2, 3):
+        metric, conn, J, Jinv, ubar = flat_first_order_instance(rng, n)
+        assert conn.gamma == reference_levi_civita(metric)
+        assert conn.christoffel() == reference_christoffel(conn)
+        metric, lc, other = _random_first_order(rng, n)
+        assert lc.gamma == reference_levi_civita(metric)
+        assert lc.christoffel() == reference_christoffel(lc)
+        assert other.christoffel() == reference_christoffel(other)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 43), (3, 44)])
+def test_first_order_reports_match_loops(n, seed):
+    rng = random.Random(seed)
+    metric, conn, J, Jinv, ubar = flat_first_order_instance(rng, n)
+    cases = [(metric, conn, hessian_velocity(rng, n, J, Jinv, ubar, degree=2))]
+    rmetric, lc, other = _random_first_order(rng, n)
+    cases += [(rmetric, lc, random_velocity(rng, n, degree=1)),
+              (rmetric, other, random_velocity(rng, n, degree=1))]
+    verdicts = set()
+    for metric, conn, V in cases:
+        got = first_order_hamiltonian_check(metric, conn)
+        assert got.residuals == reference_first_order_hamiltonian_check(metric, conn).residuals
+        verdicts.add(got.passed)
+        for W in (identity(n), _random_matrix_poly(rng, n, degree=0)):
+            got = nonlocal_first_order_check(metric, conn, W, V)
+            assert got.residuals == reference_nonlocal_first_order_check(
+                metric, conn, W, V).residuals
+            verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", [45, 46])
+def test_second_order_compat_matches_loops(seed):
+    rng = random.Random(seed)
+    n = 4  # T needs three distinct indices and an odd-sized skew g is singular
+    tested = 0
+    while tested < 3:
+        d = SecondOrderData.from_generators(
+            n, {(1, 2, 3): rand_fraction(rng), (2, 3, 4): rand_fraction(rng)},
+            {(i, j): rand_fraction(rng) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        if determinant(d.g_low()).is_zero:
+            continue
+        verdicts = []
+        for fluxes in (random_fluxes(rng, n), [RatFunc.zero()] * n):
+            got = second_order_compat(d, fluxes)
+            assert got.residuals == reference_second_order_compat(d, fluxes).residuals
+            verdicts.append(got.passed)
+        assert verdicts == [False, True]
+        tested += 1
+
+
+def _third_order_cases(rng):
+    """Passing and failing (d, vflux) pairs: constant metrics with affine and
+    quadratic fluxes, non-constant metrics, and random c that is not the metric's."""
+    cases = []
+    for n in (2, 3):
+        d = constant_third_order_instance(rng, n)
+        cases += [(d, symmetric_affine_fluxes(rng, n, d)), (d, _quadratic_fluxes(rng, n))]
+    for d in _nonconstant_instances(47):
+        cases.append((d, random_fluxes(rng, d.n)))
+    metric = Metric([["u1 + 2", "1"], ["1", "u2 - 1"]], variance="lower")
+    c_up = [_random_matrix_poly(rng, 2, degree=0) for _ in range(2)]
+    cases.append((ThirdOrderData(metric, c_up), random_fluxes(rng, 2)))
+    return cases
+
+
+def test_c_mixed_matches_loop():
+    rng = random.Random(48)
+    for d, _ in _third_order_cases(rng):
+        assert d.c_mixed() == reference_c_mixed(d)
+
+
+def test_third_order_reports_match_loops():
+    rng = random.Random(49)
+    verdicts = set()
+    for d, vflux in _third_order_cases(rng):
+        got = third_order_hamiltonian_check(d)
+        assert got.residuals == reference_third_order_hamiltonian_check(d).residuals
+        verdicts.add(got.passed)
+        got = third_order_compat(d, vflux)
+        assert got.residuals == reference_third_order_compat(d, vflux)
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+def test_third_order_tails_match_loops():
+    rng = random.Random(50)
+    verdicts = set()
+    for d, vflux in _third_order_cases(rng)[:5]:
+        n = d.n
+        zero = [[RatFunc.zero()] * n for _ in range(n)]
+        for w_list, weights in [([zero], [Fraction(1)]),
+                                ([_random_matrix_poly(rng, n, degree=0),
+                                  _random_matrix_poly(rng, n, degree=1)],
+                                 [rand_fraction(rng), Fraction(-1)])]:
+            got = third_order_nonlocal_checks(d, w_list, weights, vflux)
+            assert got.residuals == reference_third_order_nonlocal_checks(
+                d, w_list, weights, vflux).residuals
+            verdicts.add(got.passed)
+    assert verdicts == {True, False}

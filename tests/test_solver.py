@@ -1,6 +1,7 @@
 """Ansatz generation and undetermined-coefficients searches."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,37 @@ def test_empty_family_is_reported_not_raised():
     from hhokit.solver import SolutionFamily
     sol = linear_solve([RatFunc.var(-1) * RatFunc.var(1) - 1])
     assert sol.inconsistent and sol.dimension == 0
+
+
+def test_ansatz_size_is_counted_before_building():
+    from hhokit.solver import _jet_pattern_count, _jet_patterns
+    for n, order, degree in [(1, 1, 0), (1, 4, 2), (2, 3, 1), (3, 2, 2)]:
+        assert _jet_pattern_count(n, order) == len(_jet_patterns(n, order))
+        size = len(make_operator_ansatz(n, order, degree).params)
+        with pytest.raises(InputError,
+                           match=rf"^ansatz would need {size} parameters \(cap {size - 1}\)$"):
+            make_operator_ansatz(n, order, degree, size_cap=size - 1)
+    for n, degree in [(1, 0), (2, 3), (4, 2)]:
+        size = len(make_flux_ansatz(n, degree).params)
+        with pytest.raises(InputError,
+                           match=rf"^ansatz would need {size} parameters \(cap {size - 1}\)$"):
+            make_flux_ansatz(n, degree, size_cap=size - 1)
+
+
+def test_oversized_ansatz_fails_before_enumerating():
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=r"^ansatz would need 2357254 parameters \(cap 10000\)$"):
+        make_operator_ansatz(1, 40, 1)
+    with pytest.raises(InputError, match=r"^ansatz would need 543004 parameters \(cap 10000\)$"):
+        make_flux_ansatz(4, 40)
+    assert time.perf_counter() - start < 2  # enumerating them took about a minute
+
+
+def test_inconsistent_flux_family_is_empty():
+    from hhokit.geometry import ConditionReport
+    from hhokit.solver import _flux_family
+    rep = ConditionReport("inconsistent")
+    rep.add("c1*u1 = 1", (0,), RatFunc.var(-1) * RatFunc.var(1) - 1)
+    fam = _flux_family(make_flux_ansatz(1, 1), rep, classify=False, with_square=False)
+    assert fam.substitution.inconsistent
+    assert (fam.dimension, fam.basis) == (0, ())
