@@ -6,7 +6,10 @@ iff every residual entry is the zero rational function.  Matrices are tuples
 of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
 (adjugate over determinant, one division per entry) and characteristic
 coefficients all come from one memoized minor expansion, ``_minors``; every
-index raise or lower of a three-index tensor goes through ``_contract``.
+index raise or lower of a three-index tensor goes through ``_contract``, and
+so does the Haantjes tensor (four contractions, n^4 products where the
+literal sum has n^5).  Linear degeneracy is summed by Horner's rule, without
+matrix powers.
 """
 
 from __future__ import annotations
@@ -67,6 +70,14 @@ def _contract(M, T, slot) -> tuple:
         return total
 
     return tuple(tuple(tuple(entry((i, j, k)) for k in r) for j in r) for i in r)
+
+
+def _sum3(x, y, z) -> RatFunc:
+    """x + y + z, adding first two terms over one denominator if there are any:
+    their sum needs no gcd, and terms that cancel do so before they meet a third."""
+    if y.den == z.den:
+        return x + (y + z)
+    return (x + z) + y if x.den == z.den else (x + y) + z
 
 
 def _swap(T) -> tuple:
@@ -756,68 +767,58 @@ def second_order_potential_bivector(d: SecondOrderData) -> BivectorForm:
 
 
 def nijenhuis(V) -> tuple:
+    """N^i_jk = V^s_j V^i_k,s - V^s_k V^i_j,s - V^i_s (V^s_k,j - V^s_j,k), from
+    the n^3 derivatives d[s][i][k] = V^i_k,s tabulated once."""
     V = as_matrix(V)
-    n = len(V)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = RatFunc.zero()
-                for s in range(n):
-                    acc = acc + V[s][j] * V[i][k].diff(s + 1)
-                    acc = acc - V[s][k] * V[i][j].diff(s + 1)
-                    acc = acc - V[i][s] * (V[s][k].diff(j + 1) - V[s][j].diff(k + 1))
-                row.append(acc)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    r = range(len(V))
+    d = [[[V[i][k].diff(s + 1) for k in r] for i in r] for s in r]
+
+    def entry(i, j, k):
+        acc = RatFunc.zero()
+        for s in r:
+            acc = (acc + V[s][j] * d[s][i][k] - V[s][k] * d[s][i][j]
+                   - V[i][s] * (d[j][s][k] - d[k][s][j]))
+        return acc
+
+    return tuple(tuple(tuple(entry(i, j, k) for k in r) for j in r) for i in r)
 
 
 def haantjes(V) -> tuple:
+    """H^i_jk = N^i_pq V^p_j V^q_k - N^p_jq V^i_p V^q_k - N^p_qk V^i_p V^q_j
+    + N^p_jk V^i_q V^q_p = A^i_jq V^q_k + V^i_p D^p_jk in four contractions, with
+    A^i_jk = N^i_pk V^p_j and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj)."""
     V = as_matrix(V)
-    n = len(V)
+    r = range(len(V))
     N = nijenhuis(V)
-    H = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                acc = RatFunc.zero()
-                for p in range(n):
-                    for q in range(n):
-                        acc = acc + N[i][p][q] * V[p][j] * V[q][k]
-                        acc = acc - N[p][j][q] * V[i][p] * V[q][k]
-                        acc = acc - N[p][q][k] * V[i][p] * V[q][j]
-                        acc = acc + N[p][j][k] * V[i][q] * V[q][p]
-                H[i][j][k] = acc
-                H[i][k][j] = -acc
-    return tuple(tuple(tuple(r) for r in p) for p in H)
+    Vt = _swap(V)
+    A = _contract(Vt, N, 1)
+    VN = _contract(V, N, 0)
+    del N  # each tensor is dropped once used: holding all seven tripled the peak memory
+    D = tuple(tuple(tuple(_sum3(VN[p][j][k], -A[p][j][k], A[p][k][j]) for k in r) for j in r)
+              for p in r)
+    del VN
+    AV = _contract(Vt, A, 2)
+    del A
+    VD = _contract(V, D, 0)
+    del D
+    return tuple(tuple(tuple(AV[i][j][k] + VD[i][j][k] for k in r) for j in r) for i in r)
 
 
 def linear_degeneracy_check(V) -> ConditionReport:
     """Characteristic-coefficient contraction certifying linear degeneracy.
 
     With det(lam I - V) = lam^n + f_1 lam^{n-1} + ... + f_n the condition is
-    sum_k (grad f_k) V^{n-k} = 0 (row covector times matrix powers).
+    sum_k (grad f_k) V^{n-k} = 0, summed by Horner's rule as
+    ((grad f_1) V + grad f_2) V + ... + grad f_n: n - 1 row covector times
+    matrix products.
     """
     V = as_matrix(V)
-    n = len(V)
-    coeffs = char_poly_coeffs(V)
+    r = range(len(V))
     rep = ConditionReport("linear-degeneracy")
-    powers = [identity(n)]
-    for _ in range(n - 1):
-        powers.append(mat_mul(powers[-1], V))
-    total = [RatFunc.zero()] * n
-    for k in range(1, n + 1):
-        grad = [coeffs[k - 1].diff(v + 1) for v in range(n)]
-        P = powers[n - k]
-        for col in range(n):
-            acc = RatFunc.zero()
-            for row in range(n):
-                acc = acc + grad[row] * P[row][col]
-            total[col] = total[col] + acc
-    for col in range(n):
+    total = [RatFunc.zero() for _ in r]
+    for f in char_poly_coeffs(V):
+        total = [sum((total[row] * V[row][col] for row in r), f.diff(col + 1)) for col in r]
+    for col in r:
         rep.add("characteristic-contraction", (col,), total[col])
     return rep
 

@@ -19,6 +19,7 @@ before parameters.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import NonlinearAnsatzError, ParameterInDenominatorError
@@ -383,14 +384,17 @@ class Poly:
 
 
 def exact_div(a: Poly, b: Poly):
-    """a / b when the division is exact, else None."""
+    """a / b when the division is exact, else None.  A one-term divisor (a
+    constant included) maps each term of a by ``mono_div``, in one pass; any
+    other divisor takes the leading-term loop."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return Poly.zero()
-    if b.is_const:
-        inv = 1 / b.const_value()
-        return Poly._new({m: c * inv for m, c in a.terms.items()})
+    if b.is_monomial:
+        ((bm, bc),) = b.terms.items()
+        quot = {mono_div(m, bm): c / bc for m, c in a.terms.items()}
+        return None if None in quot else Poly._new(quot)
     bm, bc = b.leading()
     rem = dict(a.terms)
     quot = {}
@@ -413,9 +417,9 @@ def exact_div(a: Poly, b: Poly):
     return Poly._new(quot)
 
 
-def _mono_common(p: Poly) -> Mono:
-    """Largest monomial dividing every term of p (p nonzero)."""
-    it = iter(p.terms)
+def _mono_common(monos) -> Mono:
+    """Largest monomial dividing every monomial of a nonempty iterable."""
+    it = iter(monos)
     acc = next(it)
     for m in it:
         if not acc:
@@ -502,30 +506,25 @@ def _uv_pseudo_rem(a: dict, b: dict) -> dict:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD up to a unit, normalized to leading coefficient 1.
-
-    Subresultant PRS with content/primitive-part recursion; monomial and
-    trial-division fast paths cover the common shapes (pure powers in
-    denominators, nested dets).
-    """
+    """GCD up to a unit, normalized to leading coefficient 1.  The monomial
+    shared by every term of a and b comes off first, in one pass; it is the gcd
+    when either operand is one term (a constant included).  Otherwise trial
+    division both ways, then a subresultant PRS with recursive contents."""
     if a.is_zero:
         return _normalize_unit(b)
     if b.is_zero:
         return _normalize_unit(a)
-    if a.is_const or b.is_const:
-        return Poly.one()
-
-    shared = mono_gcd(_mono_common(a), _mono_common(b))
+    shared = _mono_common(itertools.chain(a.terms, b.terms))
+    shared_poly = Poly._new({shared: Fraction(1)})
+    if a.is_monomial or b.is_monomial:
+        return shared_poly
     if shared:
-        a = exact_div(a, Poly._new({shared: Fraction(1)}))
-        b = exact_div(b, Poly._new({shared: Fraction(1)}))
-    shared_poly = Poly._new({shared: Fraction(1)}) if shared else None
+        a = exact_div(a, shared_poly)
+        b = exact_div(b, shared_poly)
 
     def _with_shared(g: Poly) -> Poly:
-        return _normalize_unit(g * shared_poly) if shared_poly else _normalize_unit(g)
+        return _normalize_unit(g * shared_poly if shared else g)
 
-    if a.is_const or b.is_const or a.is_monomial or b.is_monomial:
-        return _with_shared(Poly.one())
     if a == b:
         return _with_shared(a)
     # trial division both ways
@@ -654,15 +653,10 @@ class RatFunc:
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
-        if g.is_const:
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-        else:
-            da = exact_div(self.den, g)
-            db = exact_div(other.den, g)
-            num = self.num * db + other.num * da
-            den = self.den * db
-        return RatFunc(num, den)
+        da, db = exact_div(self.den, g), exact_div(other.den, g)
+        # Henrici: the new numerator is prime to da and db, so only g can share a factor with it
+        num, g = _reduce(self.num * db + other.num * da, g)
+        return RatFunc._new(num, g * da * db) if num else RatFunc.zero()
 
     __radd__ = __add__
 

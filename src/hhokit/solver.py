@@ -151,6 +151,10 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
         raise InputError("operator order must be >= 1")
     if degree_bound < 0:
         raise InputError("degree bound must be >= 0")
+    # below the exact size (weight w >= 1 adds over n*w patterns per p_j); cheap to count
+    bound = n ** 3 * order ** 2 * comb(n + degree_bound, n) // 2
+    if bound > size_cap:
+        raise InputError(f"ansatz would need more than {bound} parameters (cap {size_cap})")
     _check_size(n * _jet_pattern_count(n, order) * comb(n + degree_bound, n), size_cap)
     patterns = _jet_patterns(n, order)
     coeff_monos = _u_monomials(n, degree_bound)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, problem files, reports, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -281,3 +282,13 @@ def test_sparse_generators_are_bounded_by_the_dense_size(tmp_path, capsys):
     assert out == ""
     assert err == ("input error: sparse generators at n = 120 need a dense T of "
                    "1728000 entries (cap 10000)\n")
+
+
+def test_huge_order_is_rejected_before_counting(capsys):
+    # the exact count takes O(order^2) big-integer steps (1.2 s at this order);
+    # a lower bound on it rejects the search first
+    start = time.perf_counter()
+    code, out, err = run(["find-bivectors", "--example", "kdv", "--order", "3000"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "input error: ansatz would need more than 9000000 parameters (cap 10000)\n"

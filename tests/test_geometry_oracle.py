@@ -9,7 +9,9 @@ canonical, so both routes must give equal entries and equal residual lists;
 every inverse is also certified by exact A * A^-1 = I.  The second half keeps
 the hand-written index loops that one contraction helper, ``mat_mul`` and
 ``flux_jacobian`` replaced, and compares whole reports on passing and failing
-instances.
+instances.  The last part keeps the Nijenhuis sum, the n^5 Haantjes loop and
+the matrix-power linear-degeneracy check that a derivative table, four
+contractions and Horner's rule replaced.
 """
 
 import random
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from hhokit.catalog import get_entry
 from hhokit.covering import EvolutionSystem, flux_jacobian, linearize
 from hhokit.errors import DegenerateMetricError
 from hhokit.geometry import (
@@ -27,12 +30,16 @@ from hhokit.geometry import (
     ThirdOrderData,
     _covariant_velocity_derivative,
     as_matrix,
+    char_poly_coeffs,
     curvature,
     determinant,
     first_order_hamiltonian_check,
+    haantjes,
     identity,
     inverse,
+    linear_degeneracy_check,
     mat_mul,
+    nijenhuis,
     nonlocal_first_order_check,
     second_order_compat,
     tail_characteristic,
@@ -41,6 +48,7 @@ from hhokit.geometry import (
     third_order_nonlocal_checks,
     tsarev_check,
 )
+from hhokit.problem import Problem
 from hhokit.rational import Poly, RatFunc
 
 from genutil import (
@@ -697,3 +705,114 @@ def test_third_order_tails_match_loops():
                 d, w_list, weights, vflux).residuals
             verdicts.add(got.passed)
     assert verdicts == {True, False}
+
+
+# -- classification: Nijenhuis, Haantjes and linear degeneracy -----------------------------
+
+
+def reference_nijenhuis(V):
+    """The Nijenhuis sum with every derivative taken inside the loop."""
+    V = as_matrix(V)
+    n = len(V)
+    out = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            row = []
+            for k in range(n):
+                acc = RatFunc.zero()
+                for s in range(n):
+                    acc = acc + V[s][j] * V[i][k].diff(s + 1)
+                    acc = acc - V[s][k] * V[i][j].diff(s + 1)
+                    acc = acc - V[i][s] * (V[s][k].diff(j + 1) - V[s][j].diff(k + 1))
+                row.append(acc)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def reference_haantjes(V):
+    """The literal n^5 triple-product sum over the lower triangle j < k."""
+    V = as_matrix(V)
+    n = len(V)
+    N = reference_nijenhuis(V)
+    H = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                acc = RatFunc.zero()
+                for p in range(n):
+                    for q in range(n):
+                        acc = acc + N[i][p][q] * V[p][j] * V[q][k]
+                        acc = acc - N[p][j][q] * V[i][p] * V[q][k]
+                        acc = acc - N[p][q][k] * V[i][p] * V[q][j]
+                        acc = acc + N[p][j][k] * V[i][q] * V[q][p]
+                H[i][j][k] = acc
+                H[i][k][j] = -acc
+    return tuple(tuple(tuple(r) for r in p) for p in H)
+
+
+def reference_linear_degeneracy_check(V):
+    """sum_k (grad f_k) V^{n-k} with the matrix powers of V built first."""
+    V = as_matrix(V)
+    n = len(V)
+    coeffs = char_poly_coeffs(V)
+    rep = ConditionReport("linear-degeneracy")
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(mat_mul(powers[-1], V))
+    total = [RatFunc.zero()] * n
+    for k in range(1, n + 1):
+        grad = [coeffs[k - 1].diff(v + 1) for v in range(n)]
+        P = powers[n - k]
+        for col in range(n):
+            acc = RatFunc.zero()
+            for row in range(n):
+                acc = acc + grad[row] * P[row][col]
+            total[col] = total[col] + acc
+    for col in range(n):
+        rep.add("characteristic-contraction", (col,), total[col])
+    return rep
+
+
+def _classify_entry(rng, n, kind):
+    """A sparse entry: polynomial, over a power of one field variable, with
+    formal parameters in the numerator, or over the two-term u1 + u2 + 1."""
+    if rng.random() < 0.3:
+        return RatFunc.zero()
+    num = rand_poly(rng, n, 1 if n == 4 else 2, terms=2, allow_params=2 if kind == "params" else 0)
+    if kind == "monomial" and rng.random() < 0.5:
+        return RatFunc(num, Poly.var(rng.randint(1, n), rng.randint(1, 2)))
+    if kind == "two-term" and rng.random() < 0.5:
+        return RatFunc(num, Poly.var(1) + Poly.var(2) + 1)
+    return RatFunc.from_poly(num)
+
+
+_CLASSIFY_CASES = [(2, "poly"), (3, "poly"), (4, "poly"), (2, "monomial"), (3, "monomial"),
+                   (2, "params"), (3, "params"), (2, "two-term")]
+
+
+def _classify_matrices():
+    rng = random.Random(51)
+    mats = [[[_classify_entry(rng, n, kind) for _ in range(n)] for _ in range(n)]
+            for n, kind in _CLASSIFY_CASES]
+    # a constant matrix and one upper-triangular in u1 only, whose tensors vanish
+    mats.append([[1, 2], [3, 4]])
+    mats.append([["u1", "1", "0"], ["0", "u1", "0"], ["0", "0", "2*u1"]])
+    for name in ("oriented-assoc", "n4-second-order"):
+        mats.append(Problem(get_entry(name).problem).system.jacobian())
+    return mats
+
+
+@pytest.mark.parametrize("index", range(len(_CLASSIFY_CASES) + 4))
+def test_classifiers_match_loops(index):
+    V = as_matrix(_classify_matrices()[index])
+    N = nijenhuis(V)
+    assert N == reference_nijenhuis(V)
+    H = haantjes(V)
+    assert H == reference_haantjes(V)
+    got = linear_degeneracy_check(V)
+    assert got.residuals == reference_linear_degeneracy_check(V).residuals
+    if index < len(_CLASSIFY_CASES):  # random matrices are not linearly degenerate,
+        assert got.residuals  # and at n >= 3 their Haantjes tensor is not zero
+        assert any(not h.is_zero for plane in H for row in plane for h in row) == (len(V) > 2)
