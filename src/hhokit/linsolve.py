@@ -1,26 +1,35 @@
 """Exact linear solving for parameter-affine systems of scalar equations.
 
-Each input equation is a RatFunc that is affine in the formal parameters.
-Denominators are cleared, each equation is expanded over u-monomials into
-scalar linear equations over Q, and the whole system is brought to reduced
-row echelon form with exact Fraction arithmetic.
+Each equation is a RatFunc affine in the formal parameters.  Its numerator
+gives one scalar row per u-monomial, kept as a primitive integer vector: a
+``{pid: int}`` dict with the constant under key 0, cleared by the lcm of its
+denominators and divided by the gcd of its entries (its content).
 
-The scalar rows are eliminated sparsest-first (fewest parameters first, a
-stable sort), which keeps the fill-in of the pivot rows small.  The order
-cannot change the answer: each pivot is its row's lowest-``_pkey``
-parameter and every pivot row is kept fully reduced against the others, so
-the pivot rows are the reduced row echelon form of the row space for that
-column order, which is unique.  ``pivots``, ``free`` and ``inconsistent``
-are therefore those of any other elimination order, and ``pivots`` is
-returned in ``_pkey`` order.
+The rows split into independent blocks, the connected components of the
+parameters that share a row (a union-find); rows without parameters form a
+block of their own.  Each block is brought to reduced row echelon form by
+fraction-free Gauss-Jordan elimination, sparsest row first (a stable sort,
+to keep fill-in small): pivot ``p`` of row ``P`` leaves row ``r`` by
+``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``, and ``r`` is
+then divided by its content.  Fractions appear only in the read-out.
+
+None of this changes the answer.  Scaling a row by a nonzero integer keeps
+the row space; each pivot is its row's lowest-``_pkey`` parameter and every
+pivot row stays fully reduced against the others, so the pivot rows, scaled
+to a leading 1, are the reduced row echelon form for that column order,
+which is unique; and the form of a block-diagonal system is the union of
+its blocks' forms.  ``pivots``, ``free`` and ``inconsistent`` are therefore
+those of any plain elimination, and ``pivots`` is returned in ``_pkey`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from .rational import Poly, RatFunc
+from .errors import NonlinearAnsatzError
+from .rational import Poly, RatFunc, mono_str
 
 
 @dataclass
@@ -42,13 +51,10 @@ class LinearSystemSolution:
 
     def value_of(self, pid: int, assignment: dict) -> Fraction:
         """Evaluate a parameter under an assignment of the free parameters."""
-        if pid in self.pivots:
-            coeffs, const = self.pivots[pid]
-            total = const
-            for f, a in coeffs.items():
-                total += a * assignment.get(f, Fraction(0))
-            return total
-        return assignment.get(pid, Fraction(0))
+        if pid not in self.pivots:
+            return assignment.get(pid, Fraction(0))
+        coeffs, const = self.pivots[pid]
+        return const + sum(a * assignment.get(f, Fraction(0)) for f, a in coeffs.items())
 
 
 def _pkey(pid: int) -> int:
@@ -57,16 +63,67 @@ def _pkey(pid: int) -> int:
 
 
 def _scalar_rows(eq: RatFunc, params: set):
-    """Expand one affine equation over u-monomials into sparse rows."""
-    linear, absolute = eq.num.split_affine_params()
+    """Expand one affine equation over u-monomials into primitive integer rows."""
     rows = {}
-    for pid, poly in linear.items():
-        params.add(pid)
-        for m, c in poly.terms.items():
-            rows.setdefault(m, ({}, [Fraction(0)]))[0][pid] = c
-    for m, c in absolute.terms.items():
-        rows.setdefault(m, ({}, [Fraction(0)]))[1][0] = c
-    return [(coeffs, const[0]) for coeffs, const in rows.values()]
+    for m, c in eq.num.terms.items():
+        pid = m[-1][0] if m and m[-1][0] < 0 else 0  # parameters sort last (vkey)
+        if pid:
+            if m[-1][1] > 1 or (len(m) > 1 and m[-2][0] < 0):
+                raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
+            params.add(pid)
+            m = m[:-1]
+        rows.setdefault(m, {})[pid] = c
+    out = []
+    for row in rows.values():
+        den = lcm(*(c.denominator for c in row.values()))
+        out.append(_primitive({q: c.numerator * (den // c.denominator) for q, c in row.items()}))
+    return out
+
+
+def _primitive(row: dict) -> dict:
+    """Divide an integer row by its content, in place."""
+    content = gcd(*row.values())
+    if content > 1:
+        for q in row:
+            row[q] //= content
+    return row
+
+
+def _eliminate(row: dict, pid: int, prow: dict):
+    """Remove ``pid`` from ``row`` in place by the pivot row ``prow``."""
+    g = gcd(prow[pid], row[pid])
+    a, b = prow[pid] // g, row.pop(pid) // g
+    if a != 1:
+        for q in row:
+            row[q] *= a
+    for q, x in prow.items():
+        if q != pid:
+            s = row.get(q, 0) - b * x
+            if s:
+                row[q] = s
+            else:
+                row.pop(q, None)
+    _primitive(row)
+
+
+def _blocks(rows):
+    """The rows grouped by connected parameter sets (parameter-free rows under 0)."""
+    parent: dict = {}
+
+    def find(p):
+        while parent.setdefault(p, p) != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    for row in rows:
+        root = find(min(row))  # a parameter, unless the row has none
+        for q in row:
+            if q:
+                parent[find(q)] = root
+    blocks: dict = {}
+    for row in rows:
+        blocks.setdefault(find(min(row)), []).append(row)
+    return blocks.values()
 
 
 def linear_solve(eqs) -> LinearSystemSolution:
@@ -75,66 +132,38 @@ def linear_solve(eqs) -> LinearSystemSolution:
     Raises NonlinearAnsatzError when a parameter occurs nonlinearly.
     """
     params: set = set()
-    pending = []
+    rows = []
     for eq in eqs:
         if isinstance(eq, Poly):
             eq = RatFunc.from_poly(eq)
-        if eq.is_zero:
-            continue
-        pending.extend(_scalar_rows(eq, params))
-    pending.sort(key=lambda row: len(row[0]))
+        rows.extend(_scalar_rows(eq, params))
 
-    pivot_rows: dict = {}  # pid -> (coeffs, const) with coeffs[pid] == 1
-    inconsistent = False
-    for coeffs, const in pending:
-        coeffs = dict(coeffs)
-        # reduce by existing pivots
-        for pid in sorted(coeffs, key=_pkey):
-            if pid not in pivot_rows or pid not in coeffs:
+    pivot_rows: dict = {}  # pid -> primitive integer row holding pid
+    for block in _blocks(rows):
+        block.sort(key=len)
+        block_pivots: dict = {}
+        for row in block:
+            for pid in sorted(row, key=_pkey):
+                if pid in block_pivots and pid in row:
+                    _eliminate(row, pid, block_pivots[pid])
+            lead = min((q for q in row if q), key=_pkey, default=None)
+            if lead is None:
+                if row:  # 0 = nonzero constant
+                    return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
                 continue
-            factor = coeffs.pop(pid)
-            prow, pconst = pivot_rows[pid]
-            for q, a in prow.items():
-                if q == pid:
-                    continue
-                s = coeffs.get(q, Fraction(0)) - factor * a
-                if s:
-                    coeffs[q] = s
-                else:
-                    coeffs.pop(q, None)
-            const = const - factor * pconst
-        if not coeffs:
-            if const:
-                inconsistent = True
-            continue
-        lead = min(coeffs, key=_pkey)
-        inv = 1 / coeffs[lead]
-        row = {q: a * inv for q, a in coeffs.items()}
-        const = const * inv
-        # eliminate the new pivot from previous rows
-        for pid, (prow, pconst) in list(pivot_rows.items()):
-            if lead in prow:
-                f = prow.pop(lead)
-                for q, a in row.items():
-                    if q == lead:
-                        continue
-                    s = prow.get(q, Fraction(0)) - f * a
-                    if s:
-                        prow[q] = s
-                    else:
-                        prow.pop(q, None)
-                pivot_rows[pid] = (prow, pconst - f * const)
-        pivot_rows[lead] = (row, const)
-
-    if inconsistent:
-        return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
+            # eliminate the new pivot from the block's previous rows
+            for prow in block_pivots.values():
+                if lead in prow:
+                    _eliminate(prow, lead, row)
+            block_pivots[lead] = row
+        pivot_rows.update(block_pivots)
 
     free = sorted((p for p in params if p not in pivot_rows), key=_pkey)
     pivots = {}
     for pid in sorted(pivot_rows, key=_pkey):
-        row, const = pivot_rows[pid]
-        coeffs = {q: -row[q] for q in sorted(row, key=_pkey) if q != pid}
-        pivots[pid] = (coeffs, -const)
+        row = pivot_rows[pid]
+        pivots[pid] = ({q: Fraction(-row[q], row[pid]) for q in sorted(row, key=_pkey)
+                        if q and q != pid}, Fraction(-row.get(0, 0), row[pid]))
     return LinearSystemSolution(pivots=pivots, free=free, inconsistent=False)
 
 
@@ -147,21 +176,8 @@ def substitute_solution(rf: RatFunc, sol: LinearSystemSolution) -> RatFunc:
     for pid, poly in linear.items():
         if pid in sol.pivots:
             coeffs, const = sol.pivots[pid]
-            repl = Poly.const(const)
-            for f, a in coeffs.items():
-                repl = repl + Poly.var(f) * a
+            repl = Poly({(): const, **{((f, 1),): a for f, a in coeffs.items()}})
             num = num + poly * repl
         else:
             num = num + poly * Poly.var(pid)
     return RatFunc(num, rf.den)
-
-
-def assign_free(rf: RatFunc, sol: LinearSystemSolution, assignment: dict,
-                free) -> RatFunc:
-    """Substitute the solution, then give each parameter in ``free`` its value
-    in ``assignment`` (0 when absent)."""
-    out = substitute_solution(rf, sol)
-    values = {pid: Fraction(assignment.get(pid, 0)) for pid in free}
-    if not values:
-        return out
-    return out.subs_params(values)

@@ -31,7 +31,7 @@ from .geometry import (
     third_order_compat,
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
-from .linsolve import LinearSystemSolution, assign_free, linear_solve, substitute_solution
+from .linsolve import LinearSystemSolution, linear_solve, substitute_solution
 from .rational import Poly, RatFunc
 
 
@@ -197,51 +197,34 @@ def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
 
 def _free_params(sol: LinearSystemSolution, ansatz_params):
     """Free directions: solver-free columns plus params no equation mentions."""
-    if sol.inconsistent:
-        return []
-    seen = set(sol.free) | set(sol.pivots)
-    extra = [p for p in ansatz_params if p not in seen]
-    return sorted(set(sol.free) | set(extra), key=lambda pid: -pid)
+    return [] if sol.inconsistent else sorted(
+        set(ansatz_params).union(sol.free) - set(sol.pivots), key=lambda pid: -pid)
 
 
-def _basis_from_solution(substitute, free_all):
-    return tuple(substitute({f: Fraction(1)}, free_all) for f in free_all)
-
-
-def _subst_component(comp: DiffPoly, sol: LinearSystemSolution, assignment,
-                     free_all) -> DiffPoly:
-    out = DiffPoly.zero()
-    for m, c in comp.terms.items():
-        c2 = assign_free(c, sol, assignment, free_all)
-        if not c2.is_zero:
-            out = out + DiffPoly.monomial(m, c2)
-    return out
+def _unit_assignments(free_all):
+    """One assignment per free direction: that parameter 1, the others 0."""
+    for f in free_all:
+        yield {p: Fraction(int(p == f)) for p in free_all}
 
 
 def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
     """All members of the template whose covering residual vanishes."""
-    ctx = build_cotangent(system)
-    A = BivectorForm(components=ansatz.components)
-    residual = bivector_residual(ctx, A)
-    eqs = extract_conditions(residual)
-    sol = linear_solve(eqs)
+    residual = bivector_residual(build_cotangent(system), BivectorForm(ansatz.components))
+    sol = linear_solve(extract_conditions(residual))
     free_all = _free_params(sol, ansatz.params)
+    generic = [{m: substitute_solution(c, sol) for m, c in comp.terms.items()}
+               for comp in ansatz.components] if free_all else []
+    basis = tuple(tuple(DiffPoly({m: c.subs_params(values) for m, c in comp.items()})
+                        for comp in generic)
+                  for values in _unit_assignments(free_all))
+    return SolutionFamily(substitution=sol, basis=basis, dimension=len(free_all))
 
-    def member(assignment, free):
-        return tuple(_subst_component(c, sol, assignment, free)
-                     for c in ansatz.components)
 
-    return SolutionFamily(substitution=sol, basis=_basis_from_solution(member, free_all),
-                          dimension=len(free_all))
-
-
-def _classify_family(ansatz: FluxAnsatz, sol: LinearSystemSolution, with_square):
+def _classify_family(generic, with_square):
     """Classification of the generic member (free parameters kept symbolic)."""
-    V = flux_jacobian(tuple(substitute_solution(comp, sol) for comp in ansatz.components))
-    out = {
-        "linear-degeneracy": linear_degeneracy_check(V),
-        "haantjes-zero": haantjes_zero_check(V),
-    }
+    V = flux_jacobian(generic)
+    out = {"linear-degeneracy": linear_degeneracy_check(V),
+           "haantjes-zero": haantjes_zero_check(V)}
     if with_square:
         out["char-poly-square"] = char_square_check(V)
     return out
@@ -252,10 +235,10 @@ def _flux_family(ansatz: FluxAnsatz, rep, classify: bool,
     """Solve the residuals of ``rep`` for the ansatz parameters and span the family."""
     sol = linear_solve([rf for _, _, rf in rep.residuals])
     free_all = _free_params(sol, ansatz.params)
-    basis = _basis_from_solution(
-        lambda a, free: tuple(assign_free(comp, sol, a, free) for comp in ansatz.components),
-        free_all)
-    classification = _classify_family(ansatz, sol, with_square) if classify else None
+    generic = tuple(substitute_solution(comp, sol) for comp in ansatz.components)
+    basis = tuple(tuple(g.subs_params(values) for g in generic)
+                  for values in _unit_assignments(free_all))
+    classification = _classify_family(generic, with_square) if classify else None
     return SolutionFamily(substitution=sol, basis=basis, dimension=len(free_all),
                           classification=classification)
 

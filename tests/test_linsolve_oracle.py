@@ -8,6 +8,7 @@ order.  Every consistent solution is also certified by substituting it
 into every scalar row.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,8 +21,9 @@ from hhokit.covering import (
     build_cotangent,
     extract_conditions,
 )
+from hhokit.errors import NonlinearAnsatzError
 from hhokit.grammar import parse, parse_scalar
-from hhokit.linsolve import linear_solve
+from hhokit.linsolve import _blocks, _eliminate, _scalar_rows, linear_solve
 from hhokit.rational import Poly, RatFunc
 from hhokit.solver import make_operator_ansatz
 
@@ -201,3 +203,163 @@ def test_cyclic_order1_equations_match_reference(perm):
     system = EvolutionSystem.hydrodynamic(V)
     sol = check_against_reference(_residual_equations(system, 3, 1, 1))
     assert not sol.inconsistent
+
+
+# -- independent blocks and primitive integer rows --------------------------------
+
+
+def random_block(rng, first, nparams, scale=Fraction(1)):
+    """Equations over c{first}..c{first + nparams - 1} only."""
+    eqs = []
+    for _ in range(rng.randint(2, 5)):
+        acc = RatFunc.zero()
+        if rng.random() < 0.03:  # rarely: a block of many may turn inconsistent
+            acc = RatFunc.from_poly(rand_poly(rng, 2, 1, terms=2))
+        for k in range(first, first + nparams):
+            if rng.random() < 0.6:
+                acc = acc + c(k) * RatFunc.from_poly(rand_poly(rng, 2, 2, terms=2) * scale)
+        if not acc.is_zero:
+            eqs.append(acc)
+    if len(eqs) > 1:
+        eqs.append(eqs[0] + eqs[1] * Fraction(rng.randint(-2, 2)))
+    return eqs
+
+
+def block_system(rng, nblocks, scale_of=lambda b: Fraction(1)):
+    eqs, first = [], 1
+    for b in range(nblocks):
+        nparams = rng.randint(2, 6)
+        eqs.extend(random_block(rng, first, nparams, scale_of(b)))
+        first += nparams
+    rng.shuffle(eqs)
+    return eqs
+
+
+def test_block_systems_match_reference():
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for _ in range(80):
+        sol = check_against_reference(block_system(rng, rng.randint(4, 7)))
+        outcomes[sol.inconsistent] += 1
+    assert outcomes[True] >= 5 and outcomes[False] >= 5
+
+
+def test_one_inconsistent_block_makes_the_system_inconsistent():
+    rng = random.Random(12)
+    # c90 + c91 = 0 at the monomial 1 and c90 + c91 = 1 at u2
+    bad = [c(90) + c(91), (c(90) + c(91) - 1) * RatFunc.var(2)]
+    assert check_against_reference(bad).inconsistent
+    checked = 0
+    while checked < 20:
+        eqs = block_system(rng, 4)
+        if check_against_reference(eqs).inconsistent:
+            continue
+        checked += 1
+        mixed = eqs + bad
+        rng.shuffle(mixed)
+        assert check_against_reference(mixed).inconsistent
+
+
+def test_large_rational_block_matches_reference():
+    rng = random.Random(13)
+    big = (Fraction(1, 2 ** 40), Fraction(3 ** 25, 7), Fraction(5, 3 ** 25), Fraction(2 ** 40, 11))
+    for _ in range(30):
+        eqs = block_system(rng, 4, lambda b: big[b] if b < 3 else rng.choice(big))
+        check_against_reference(eqs)
+
+
+def test_zero_equations_are_ignored():
+    rng = random.Random(14)
+    for _ in range(20):
+        eqs = [eq for eq in block_system(rng, 4) if not eq.is_zero]
+        sol = linear_solve(eqs)
+        padded = linear_solve([RatFunc.zero()] + eqs + [Poly.zero(), RatFunc.zero()])
+        assert (padded.pivots, padded.free, padded.inconsistent) == \
+            (sol.pivots, sol.free, sol.inconsistent)
+    # 0 = 0 after elimination: a consistent parameter-free part
+    sol = check_against_reference([c(1) - 1, (c(1) - 1) * RatFunc.var(1), c(2) * RatFunc.var(2)])
+    assert sol.pivots == {-1: ({}, 1), -2: ({}, 0)} and sol.free == []
+
+
+def _normalised(row):
+    lead = row[min(row, key=lambda q: (q == 0, -q))]
+    return sorted((q, Fraction(a) / lead) for q, a in row.items())
+
+
+def test_scalar_rows_are_primitive_integer_rows():
+    rng = random.Random(15)
+    big = (Fraction(1, 2 ** 40), Fraction(3 ** 25))
+    eqs = _residual_equations(EvolutionSystem.general([parse("u1_x3 + u1*u1_x")]), 1, 3, 1)
+    for _ in range(20):
+        eqs.extend(block_system(rng, 4, lambda b: big[b % 2]))
+    for eq in eqs:
+        if eq.is_zero:
+            continue
+        params = set()
+        rows = _scalar_rows(eq, params)
+        ref = scalar_rows([eq])
+        assert len(rows) == len(ref)
+        assert params == {p for coeffs, _ in ref for p in coeffs}
+        for row in rows:
+            assert row and all(type(a) is int and a for a in row.values())
+            assert math.gcd(*row.values()) == 1
+        expected = [{**coeffs, **({0: const} if const else {})} for coeffs, const in ref]
+        assert sorted(map(_normalised, rows)) == sorted(map(_normalised, expected))
+
+
+def test_blocks_partition_the_parameters():
+    rng = random.Random(16)
+    for _ in range(20):
+        rows = [row for eq in block_system(rng, 4) for row in _scalar_rows(eq, set())]
+        blocks = list(_blocks(rows))
+        assert sorted(map(id, rows)) == sorted(id(row) for block in blocks for row in block)
+        owner = {}
+        for i, block in enumerate(blocks):
+            for row in block:
+                assert all(owner.setdefault(q, i) == i for q in row if q)
+                assert any(row) == any(any(r) for r in block)  # parameter-free rows apart
+        assert len(set(owner.values())) >= 4
+
+
+def test_eliminate_gives_a_primitive_multiple_of_the_exact_row():
+    rng = random.Random(17)
+    for _ in range(300):
+        prow = {q: rng.randint(-30, 30) * 2 ** rng.randint(0, 40) for q in (0, -1, -2, -3)}
+        row = {q: rng.randint(-30, 30) * 3 ** rng.randint(0, 25) for q in (0, -1, -3, -4)}
+        prow[-1], row[-1] = prow[-1] or 6, row[-1] or 10
+        prow = {q: a for q, a in prow.items() if a}
+        row = {q: a for q, a in row.items() if a}
+        exact = {q: Fraction(a) for q, a in row.items()}
+        factor = Fraction(row[-1], prow[-1])
+        for q, a in prow.items():
+            exact[q] = exact.get(q, 0) - factor * a
+        exact = {q: a for q, a in exact.items() if a}
+        _eliminate(row, -1, prow)
+        assert set(row) == set(exact) and -1 not in row
+        if row:
+            assert math.gcd(*row.values()) == 1
+            ratio = {Fraction(row[q]) / exact[q] for q in row}
+            assert len(ratio) == 1
+
+
+@pytest.mark.parametrize("eq", [c(1) * c(1) + c(2), c(1) * c(2) * RatFunc.var(1) + c(3)],
+                         ids=["square", "product"])
+def test_nonlinear_parameter_monomials_are_rejected(eq):
+    with pytest.raises(NonlinearAnsatzError) as expected:
+        eq.num.split_affine_params()
+    with pytest.raises(NonlinearAnsatzError) as raised:
+        _scalar_rows(eq, set())
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("nonlinear ansatz: parameter monomial ")
+
+
+def test_cyclic_order4_rung_is_certified():
+    """The largest cyclic rung under the size cap: 4968 parameters in
+    independent blocks, solved and certified by substitution."""
+    V = [[parse_scalar(x) for x in row] for row in _CYCLIC_V]
+    eqs = _residual_equations(EvolutionSystem.hydrodynamic(V), 3, 4, 1)
+    sol = linear_solve(eqs)
+    assert not sol.inconsistent
+    assert len(sol.pivots) + len(sol.free) == 4968
+    assert len(sol.pivots) == 4964 and sol.dimension == 4
+    certify([eq for eq in eqs if not eq.is_zero], sol)

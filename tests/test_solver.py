@@ -234,3 +234,79 @@ def test_inconsistent_flux_family_is_empty():
     fam = _flux_family(make_flux_ansatz(1, 1), rep, classify=False, with_square=False)
     assert fam.substitution.inconsistent
     assert (fam.dimension, fam.basis) == (0, ())
+
+
+# -- the family basis against one substitution per free parameter ------------------
+
+
+def _assign_free(rf, sol, assignment, free):
+    """The basis substitution as it was: substitute the solution, then give
+    each parameter in ``free`` its value in ``assignment`` (0 when absent)."""
+    from hhokit.linsolve import substitute_solution
+    out = substitute_solution(rf, sol)
+    values = {pid: Fraction(assignment.get(pid, 0)) for pid in free}
+    return out.subs_params(values) if values else out
+
+
+def _reference_operator_basis(ansatz, fam):
+    from hhokit.jets import DiffPoly
+    from hhokit.solver import _free_params
+    free_all = _free_params(fam.substitution, ansatz.params)
+    basis = []
+    for f in free_all:
+        member = []
+        for comp in ansatz.components:
+            out = DiffPoly.zero()
+            for m, c in comp.terms.items():
+                c2 = _assign_free(c, fam.substitution, {f: 1}, free_all)
+                if not c2.is_zero:
+                    out = out + DiffPoly.monomial(m, c2)
+            member.append(out)
+        basis.append(tuple(member))
+    return tuple(basis)
+
+
+def _cyclic_system():
+    V = [["u1", "u2", "u3"], ["u2", "u3", "u1"], ["u3", "u1", "u2"]]
+    return EvolutionSystem.hydrodynamic([[parse_scalar(x) for x in row] for row in V])
+
+
+@pytest.mark.parametrize("system, n, order, degree", [
+    (EvolutionSystem.general([parse("u1_x3 + u1*u1_x")]), 1, 5, 2),
+    (_cyclic_system(), 3, 1, 1),
+], ids=["kdv-o5", "cyclic-o1"])
+def test_operator_basis_matches_per_parameter_substitution(system, n, order, degree):
+    ansatz = make_operator_ansatz(n, order, degree)
+    fam = find_bivectors(system, ansatz)
+    expected = _reference_operator_basis(ansatz, fam)
+    assert fam.dimension == len(expected) >= 1
+    assert fam.basis == expected
+    assert [[format_diffpoly(c) for c in m] for m in fam.basis] == \
+        [[format_diffpoly(c) for c in m] for m in expected]
+
+
+def test_flux_basis_and_classification_match_per_parameter_substitution():
+    from hhokit.covering import flux_jacobian
+    from hhokit.geometry import char_square_check, haantjes_zero_check, \
+        linear_degeneracy_check
+    from hhokit.linsolve import substitute_solution
+    from hhokit.solver import _free_params
+    d = SecondOrderData.from_generators(4, {(1, 2, 3): 1}, {(3, 4): 1})
+    ansatz = make_flux_ansatz(4, 2, denominator=Poly.var(3))
+    fam = find_fluxes_second_order(d, ansatz, classify=True)
+    sol = fam.substitution
+    free_all = _free_params(sol, ansatz.params)
+    expected = tuple(tuple(_assign_free(comp, sol, {f: 1}, free_all) for comp in ansatz.components)
+                     for f in free_all)
+    assert fam.dimension == len(expected) == 10
+    assert fam.basis == expected
+    assert [[str(c) for c in m] for m in fam.basis] == [[str(c) for c in m] for m in expected]
+    V = flux_jacobian(tuple(substitute_solution(comp, sol) for comp in ansatz.components))
+    classification = {"linear-degeneracy": linear_degeneracy_check(V),
+                      "haantjes-zero": haantjes_zero_check(V),
+                      "char-poly-square": char_square_check(V)}
+    assert list(fam.classification) == list(classification)
+    for name, report in classification.items():
+        got = fam.classification[name]
+        assert (got.passed, str(got)) == (report.passed, str(report))
+        assert got == report
