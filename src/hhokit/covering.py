@@ -318,7 +318,7 @@ class CoveringContext:
                     lowered = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
                 else:
                     lowered = m.even[:pos] + m.even[pos + 1:]
-                rest = DiffPoly.monomial(DiffMonomial(lowered, m.odd), c * Fraction(e))
+                rest = DiffPoly.monomial(DiffMonomial(lowered, m.odd), c * e)
                 add_into(res, (rest * self._dx_chain("f", jv.index - 1, jv.xorder)).terms)
             if m.odd is not None:
                 jv = m.odd

@@ -12,9 +12,13 @@ Variables are identified by integer ids:
 
 A monomial is a tuple ``((vid, exp), ...)`` sorted by variable key, with all
 exponents positive; the empty tuple is 1.  Polynomials are sparse dicts
-monomial -> Fraction with no zero values, so equality of canonical forms is
-dict equality.  The term order is graded lexicographic with field variables
-before parameters.
+monomial -> coefficient with no zero values, so equality of canonical forms is
+dict equality.  A coefficient is an exact rational, never a float: the
+constructors and every division here store an integral value as ``int`` and
+any other as ``Fraction``; ``+ - *`` keep the type their operands give, so a
+``Fraction`` of denominator 1 may remain.  ``int`` and ``Fraction`` compare,
+hash and print alike, so no answer depends on which one is stored.  The term
+order is graded lexicographic with field variables before parameters.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ _EMPTY: Mono = ()
 def vkey(vid: int):
     """Sort key placing u1 < u2 < ... < c1 < c2 < ..."""
     return (0, vid) if vid > 0 else (1, -vid)
+
+
+def _q(a, b=1):
+    """The exact rational a / b: an int when integral, else a Fraction."""
+    if type(a) is int and b == 1:
+        return a
+    c = Fraction(a, b)
+    return c.numerator if c.denominator == 1 else c
 
 
 def var_name(vid: int) -> str:
@@ -111,7 +123,8 @@ def mono_str(m: Mono) -> str:
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with exact rational (int or Fraction)
+    coefficients."""
 
     __slots__ = ("terms",)
 
@@ -133,12 +146,12 @@ class Poly:
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = Fraction(c)
+        c = _q(c)
         return cls._new({_EMPTY: c} if c else {})
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._new({_EMPTY: Fraction(1)})
+        return cls._new({_EMPTY: 1})
 
     @classmethod
     def var(cls, vid: int, exp: int = 1) -> "Poly":
@@ -146,7 +159,7 @@ class Poly:
             raise ValueError("negative exponent")
         if exp == 0:
             return cls.one()
-        return cls._new({((vid, exp),): Fraction(1)})
+        return cls._new({((vid, exp),): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -218,7 +231,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _q(other)
             if not c:
                 return Poly.zero()
             return Poly._new({m: v * c for m, v in self.terms.items()})
@@ -331,7 +344,7 @@ class Poly:
                     c = c * values[vid] ** e
                 else:
                     rest.append((vid, e))
-            res = res + Poly._new({tuple(rest): Fraction(1)}) * c
+            res = res + Poly._new({tuple(rest): 1}) * c
         return res
 
     def split_affine_params(self):
@@ -393,7 +406,7 @@ def exact_div(a: Poly, b: Poly):
         return Poly.zero()
     if b.is_monomial:
         ((bm, bc),) = b.terms.items()
-        quot = {mono_div(m, bm): c / bc for m, c in a.terms.items()}
+        quot = {mono_div(m, bm): _q(c, bc) for m, c in a.terms.items()}
         return None if None in quot else Poly._new(quot)
     bm, bc = b.leading()
     rem = dict(a.terms)
@@ -404,7 +417,7 @@ def exact_div(a: Poly, b: Poly):
         qm = mono_div(m, bm)
         if qm is None:
             return None
-        qc = c / bc
+        qc = _q(c, bc)
         quot[qm] = qc
         for m2, c2 in b.terms.items():
             mm = mono_mul(qm, m2)
@@ -435,7 +448,7 @@ def _normalize_unit(p: Poly) -> Poly:
     _, lc = p.leading()
     if lc == 1:
         return p
-    inv = 1 / lc
+    inv = _q(1, lc)
     return Poly._new({m: c * inv for m, c in p.terms.items()})
 
 
@@ -515,7 +528,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return _normalize_unit(a)
     shared = _mono_common(itertools.chain(a.terms, b.terms))
-    shared_poly = Poly._new({shared: Fraction(1)})
+    shared_poly = Poly._new({shared: 1})
     if a.is_monomial or b.is_monomial:
         return shared_poly
     if shared:
@@ -622,7 +635,7 @@ class RatFunc:
         return self.num.is_const and self.den.is_const
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        return _q(self.num.const_value(), self.den.const_value())
 
     @property
     def is_poly(self) -> bool:
@@ -663,6 +676,8 @@ class RatFunc:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
+        if self.den.is_const and other.den.is_const:
+            return RatFunc._new(self.num - other.num, self.den)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -675,7 +690,8 @@ class RatFunc:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RatFunc.zero()
-            return RatFunc(self.num * other, self.den)
+            # a reduced fraction times a nonzero constant stays reduced, den monic
+            return RatFunc._new(self.num * other, self.den)
         if self.num.is_zero or other.num.is_zero:
             return RatFunc.zero()
         if self.den.is_const and other.den.is_const:
@@ -756,7 +772,7 @@ def _reduce(num: Poly, den: Poly):
             raise ParameterInDenominatorError(
                 "formal parameters must stay linear: denominator contains a parameter")
     if den.is_const:
-        inv = 1 / den.const_value()
+        inv = _q(1, den.const_value())
         if inv != 1:
             num = num * inv
         return num, Poly.one()
@@ -765,11 +781,11 @@ def _reduce(num: Poly, den: Poly):
         num = exact_div(num, g)
         den = exact_div(den, g)
     if den.is_const:
-        inv = 1 / den.const_value()
+        inv = _q(1, den.const_value())
         return (num * inv if inv != 1 else num), Poly.one()
     _, lc = den.leading()
     if lc != 1:
-        inv = 1 / lc
+        inv = _q(1, lc)
         num = num * inv
         den = den * inv
     return num, den

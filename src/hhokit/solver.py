@@ -179,9 +179,13 @@ def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
                      size_cap: int = SIZE_CAP) -> FluxAnsatz:
     """Flux template: numerators of total degree <= degree over a declared
     denominator (rational template), parameters linear in the numerators."""
-    _check_size(n * comb(n + max(degree, 0), n), size_cap)
-    coeff_monos = _u_monomials(n, degree)
+    if degree < 0:
+        raise InputError("degree bound must be >= 0")
     den = denominator if denominator is not None else Poly.one()
+    if den.is_zero:
+        raise InputError("flux denominator must be nonzero")
+    _check_size(n * comb(n + degree, n), size_cap)
+    coeff_monos = _u_monomials(n, degree)
     pid = -1
     params = []
     comps = []

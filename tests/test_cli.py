@@ -292,3 +292,13 @@ def test_huge_order_is_rejected_before_counting(capsys):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == "input error: ansatz would need more than 9000000 parameters (cap 10000)\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--degree", "1", "--denominator", "0"], "flux denominator must be nonzero"),
+    (["--degree", "-1"], "degree bound must be >= 0"),
+])
+def test_find_fluxes_rejects_bad_degree_and_denominator(capsys, extra, message):
+    code, out, err = run(["find-fluxes", "--example", "n4-second-order", *extra], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"

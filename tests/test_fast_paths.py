@@ -9,6 +9,7 @@ must give exactly the canonical result of the general route.
 """
 
 import random
+from fractions import Fraction
 
 from hhokit.covering import EvolutionSystem, build_cotangent
 from hhokit.grammar import parse, parse_scalar
@@ -116,7 +117,7 @@ def reference_exact_div(a, b):
         qm = mono_div(m, bm)
         if qm is None:
             return None
-        qc = rem[m] / bc
+        qc = Fraction(rem[m]) / bc
         quot[qm] = qc
         for m2, c2 in b.terms.items():
             mm = mono_mul(qm, m2)

@@ -78,7 +78,7 @@ def reference_solve(eqs):
                 inconsistent = True
             continue
         lead = min(coeffs, key=_pkey)
-        inv = 1 / coeffs[lead]
+        inv = Fraction(1) / coeffs[lead]
         row = {q: a * inv for q, a in coeffs.items()}
         const = const * inv
         for pid, (prow, pconst) in list(pivot_rows.items()):
