@@ -17,7 +17,7 @@ from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
-from .jets import KIND_P, DiffMonomial, DiffPoly, add_into, total_x
+from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, total_x
 from .rational import RatFunc
 
 
@@ -212,21 +212,18 @@ def formal_adjoint(A: LocalOperator) -> LocalOperator:
     for i in range(A.n):
         row = []
         for j in range(A.n):
-            terms = []
+            by_m: dict = {}
             for coeff, k in A.entries[j][i]:
-                sign = Fraction(-1) ** k
-                dcoeff = coeff
                 # (-1)^k d^k (a .) = sum_m C(k,m) (d^{k-m} a) d^m
                 ladder = [coeff]
                 for _ in range(k):
                     ladder.append(total_x(ladder[-1], cap=cap))
                 for m in range(k + 1):
-                    c = ladder[k - m].scalar_mul(sign * comb(k, m))
-                    if not c.is_zero:
-                        terms.append((c, m))
-            row.append(tuple(terms))
+                    by_m.setdefault(m, DiffSum()).add(ladder[k - m], (-1) ** k * comb(k, m))
+            sums = ((by_m[m].value(), m) for m in sorted(by_m))
+            row.append(tuple((c, m) for c, m in sums if not c.is_zero))
         rows.append(tuple(row))
-    return LocalOperator(n=A.n, entries=tuple(rows)).normalized()
+    return LocalOperator(n=A.n, entries=tuple(rows))
 
 
 def operator_to_bivector(A: LocalOperator, ctx: "CoveringContext" = None,
@@ -234,16 +231,16 @@ def operator_to_bivector(A: LocalOperator, ctx: "CoveringContext" = None,
     """Evaluate the operator on p, adding weight * phi^i * r_alpha tails."""
     comps = []
     for i in range(A.n):
-        total = DiffPoly.zero()
+        total = DiffSum()
         for j in range(A.n):
             for coeff, k in A.entries[i][j]:
-                total = total + coeff * DiffPoly.odd_p(j + 1, k)
+                total.addmul(coeff, DiffPoly.odd_p(j + 1, k))
         for weight, alpha in tail:
             if ctx is None:
                 raise InputError("nonlocal tails need a covering context")
             slot = ctx.slot(alpha)
-            total = total + slot.phi[i].scalar_mul(weight) * DiffPoly.odd_r(alpha)
-        comps.append(total)
+            total.addmul(slot.phi[i].scalar_mul(weight), DiffPoly.odd_r(alpha))
+        comps.append(total.value())
     return BivectorForm(components=tuple(comps))
 
 
@@ -266,18 +263,15 @@ class CoveringContext:
         p_{j,t} = sum_{i,sigma} (-1)^{sigma+1} D_x^sigma(a^i_{j,sigma} p_i)."""
         rules = []
         for j in range(self.system.n):
-            acc = DiffPoly.zero()
+            acc = DiffSum()
             for (i, jj, sigma), a in self.table.items():
                 if jj != j:
                     continue
                 term = a * DiffPoly.odd_p(i + 1, 0)
                 for _ in range(sigma):
                     term = self.total_x(term)
-                if sigma % 2 == 0:
-                    acc = acc - term
-                else:
-                    acc = acc + term
-            rules.append(acc)
+                acc.add(term, 1 if sigma % 2 else -1)
+            rules.append(acc.value())
         return tuple(rules)
 
     def slot(self, alpha: int) -> NonlocalSlot:
@@ -307,28 +301,26 @@ class CoveringContext:
 
     def total_t(self, a: DiffPoly) -> DiffPoly:
         """D_t with all t-derivatives eliminated through the covering rules."""
-        res: dict = {}
+        res = DiffSum()
         for m, c in a.terms.items():
             for vid in c.field_vars():
-                dc = c.diff(vid)
-                if not dc.is_zero:
-                    add_into(res, (DiffPoly.monomial(m, dc) * self.system.fluxes[vid - 1]).terms)
+                res.addmul(DiffPoly._new({m: c.diff(vid)}), self.system.fluxes[vid - 1])
             for pos, (jv, e) in enumerate(m.even):
                 if e > 1:
                     lowered = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
                 else:
                     lowered = m.even[:pos] + m.even[pos + 1:]
-                rest = DiffPoly.monomial(DiffMonomial(lowered, m.odd), c * e)
-                add_into(res, (rest * self._dx_chain("f", jv.index - 1, jv.xorder)).terms)
+                rest = DiffPoly._new({DiffMonomial(lowered, m.odd): c})
+                res.addmul(rest, self._dx_chain("f", jv.index - 1, jv.xorder), e)
             if m.odd is not None:
                 jv = m.odd
-                rest = DiffPoly.monomial(DiffMonomial(m.even, None), c)
+                rest = DiffPoly._new({DiffMonomial(m.even, None): c})
                 if jv.kind == KIND_P:
                     rule = self._dx_chain("p", jv.index - 1, jv.xorder)
                 else:
                     rule = self.slot(jv.index).rt_rule
-                add_into(res, (rest * rule).terms)
-        return DiffPoly._new(res)
+                res.addmul(rest, rule)
+        return res.value()
 
     # -- operations --------------------------------------------------------------
 
@@ -347,12 +339,11 @@ class CoveringContext:
 
         out = []
         for i in range(self.system.n):
-            acc = self.total_t(phi[i])
+            acc = DiffSum()
             for (ii, j, sigma), a in self.table.items():
-                if ii != i:
-                    continue
-                acc = acc - a * dxp(j, sigma)
-            out.append(acc)
+                if ii == i:
+                    acc.addmul(a, dxp(j, sigma))
+            out.append(self.total_t(phi[i]) - acc.value())
         return tuple(out)
 
     def register_symmetry(self, phi) -> int:
@@ -366,10 +357,10 @@ class CoveringContext:
         residual = self.linearize(phi)
         if any(not comp.is_zero for comp in residual):
             raise NotASymmetryError("characteristic is not a symmetry", residual=residual)
-        rx = DiffPoly.zero()
+        rx = DiffSum()
         for i in range(self.system.n):
-            rx = rx + phi[i] * DiffPoly.odd_p(i + 1, 0)
-        rt = DiffPoly.zero()
+            rx.addmul(phi[i], DiffPoly.odd_p(i + 1, 0))
+        rt = DiffSum()
         for (i, j, sigma), a in self.table.items():
             if sigma < 1:
                 continue
@@ -380,14 +371,13 @@ class CoveringContext:
                 dphi = phi[j]
                 for _ in range(sigma - 1 - mth):
                     dphi = self.total_x(dphi)
-                term = dm_ap * dphi
-                rt = rt + term if mth % 2 == 0 else rt - term
+                rt.addmul(dm_ap, dphi, -1 if mth % 2 else 1)
                 if mth < sigma - 1:
                     dm_ap = self.total_x(dm_ap)
         alpha = len(self.slots) + 1
-        slot = NonlocalSlot(alpha=alpha, phi=phi, rx_rule=rx, rt_rule=rt)
+        slot = NonlocalSlot(alpha=alpha, phi=phi, rx_rule=rx.value(), rt_rule=rt.value())
         self.slots.append(slot)
-        self._rx_rules[alpha] = rx
+        self._rx_rules[alpha] = slot.rx_rule
         return alpha
 
 

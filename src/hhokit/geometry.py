@@ -23,7 +23,7 @@ from .config import SIZE_CAP
 from .covering import BivectorForm, EvolutionSystem, LocalOperator, flux_jacobian, linearize
 from .errors import DegenerateMetricError, InputError
 from .jets import DiffPoly
-from .rational import Poly, RatFunc
+from .rational import Poly, RatFunc, RatSum
 
 # -- exact matrix helpers ------------------------------------------------------
 
@@ -50,10 +50,17 @@ def identity(n) -> tuple:
                  for i in range(n))
 
 
+def _dot(xs, ys) -> RatFunc:
+    """sum_s xs[s] * ys[s]."""
+    acc = RatSum()
+    for x, y in zip(xs, ys):
+        acc.addmul(x, y)
+    return acc.value()
+
+
 def mat_mul(A, B) -> tuple:
-    n = len(A)
-    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)), RatFunc.zero())
-                       for j in range(n)) for i in range(n))
+    Bt = _swap(B)
+    return tuple(tuple(_dot(row, col) for col in Bt) for row in A)
 
 
 def _contract(M, T, slot) -> tuple:
@@ -62,12 +69,12 @@ def _contract(M, T, slot) -> tuple:
     r = range(len(T))
 
     def entry(idx):
-        total = RatFunc.zero()
+        total = RatSum()
         for s, m in enumerate(M[idx[slot]]):
             if not m.is_zero:
                 a = idx[:slot] + (s,) + idx[slot + 1:]
-                total = total + m * T[a[0]][a[1]][a[2]]
-        return total
+                total.addmul(m, T[a[0]][a[1]][a[2]])
+        return total.value()
 
     return tuple(tuple(tuple(entry((i, j, k)) for k in r) for j in r) for i in r)
 
@@ -97,15 +104,12 @@ def _minors(A):
         if hit is not None:
             return hit
         r = rows[0]
-        total = RatFunc.zero()
+        total = RatSum()
         for pos, c in enumerate(cols):
             a = A[r][c]
-            if a.is_zero:
-                continue
-            term = a * minor(rows[1:], cols[:pos] + cols[pos + 1:])
-            total = total + term if pos % 2 == 0 else total - term
-        memo[key] = total
-        return total
+            if not a.is_zero:
+                total.addmul(a, minor(rows[1:], cols[:pos] + cols[pos + 1:]), -1 if pos % 2 else 1)
+        return memo.setdefault(key, total.value())
 
     return minor
 
@@ -141,10 +145,10 @@ def char_poly_coeffs(V) -> list:
     minor = _minors(V)
     coeffs = []
     for k in range(1, n + 1):
-        ek = RatFunc.zero()
+        fk = RatSum()
         for subset in itertools.combinations(range(n), k):
-            ek = ek + minor(subset, subset)
-        coeffs.append(ek if k % 2 == 0 else -ek)
+            fk.add(minor(subset, subset), -1 if k % 2 else 1)
+        coeffs.append(fk.value())
     return coeffs
 
 
@@ -262,11 +266,11 @@ def curvature(metric: Metric, conn: Connection) -> tuple:
             for k in range(n):
                 row = []
                 for l in range(n):
-                    acc = gamma[i][j][l].diff(k + 1) - gamma[i][j][k].diff(l + 1)
+                    acc = RatSum(gamma[i][j][l].diff(k + 1) - gamma[i][j][k].diff(l + 1))
                     for s in range(n):
-                        acc = acc + chrs[i][k][s] * gamma[s][j][l]
-                        acc = acc - chrs[j][k][s] * gamma[s][i][l]
-                    row.append(acc)
+                        acc.addmul(chrs[i][k][s], gamma[s][j][l])
+                        acc.addmul(chrs[j][k][s], gamma[s][i][l], -1)
+                    row.append(acc.value())
                 plane_j.append(tuple(row))
             plane_i.append(tuple(plane_j))
         out.append(tuple(plane_i))
@@ -306,10 +310,11 @@ def _covariant_velocity_derivative(conn: Connection, V, k, j, h):
     """nabla_k V^j_h with the lowered Christoffel symbols."""
     n = conn.n
     chrs = conn.christoffel()
-    acc = V[j][h].diff(k + 1)
+    acc = RatSum(V[j][h].diff(k + 1))
     for s in range(n):
-        acc = acc + chrs[j][k][s] * V[s][h] - chrs[s][k][h] * V[j][s]
-    return acc
+        acc.addmul(chrs[j][k][s], V[s][h])
+        acc.addmul(chrs[s][k][h], V[j][s], -1)
+    return acc.value()
 
 
 def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
@@ -347,56 +352,56 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
     # coefficient of p_{j,xx}
     for i in range(n):
         for j in range(i + 1, n):
-            acc = RatFunc.zero()
+            acc = RatSum()
             for k in range(n):
-                acc = acc + V[i][k] * g[k][j] - V[j][k] * g[k][i]
-            rep.add("coeff-p-xx", (i, j), acc)
+                acc.addmul(V[i][k], g[k][j])
+                acc.addmul(V[j][k], g[k][i], -1)
+            rep.add("coeff-p-xx", (i, j), acc.value())
     # coefficient of u^m_x p_{j,x}
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                acc = RatFunc.zero()
+                acc = RatSum()
                 for k in range(n):
-                    acc = acc + d(g[i][j], k) * V[k][m]
-                    acc = acc + g[i][k] * (d(V[j][k], m) - d(V[j][m], k))
-                    acc = acc + g[i][k] * d(V[j][k], m)
-                    acc = acc + gm[i][k][m] * V[j][k]
-                    acc = acc - d(V[i][m], k) * g[k][j]
-                    acc = acc - V[i][k] * d(g[k][j], m)
-                    acc = acc - V[i][k] * gm[k][j][m]
-                rep.add("coeff-ux-px", (i, j, m), acc)
+                    acc.addmul(d(g[i][j], k), V[k][m])
+                    acc.addmul(g[i][k], d(V[j][k], m) - d(V[j][m], k))
+                    acc.addmul(g[i][k], d(V[j][k], m))
+                    acc.addmul(gm[i][k][m], V[j][k])
+                    acc.addmul(d(V[i][m], k), g[k][j], -1)
+                    acc.addmul(V[i][k], d(g[k][j], m), -1)
+                    acc.addmul(V[i][k], gm[k][j][m], -1)
+                rep.add("coeff-ux-px", (i, j, m), acc.value())
     # coefficient of u^h_{xx} p_j
     for i in range(n):
         for j in range(n):
             for h in range(n):
-                acc = RatFunc.zero()
+                acc = RatSum()
                 for k in range(n):
-                    acc = acc + g[i][k] * (d(V[j][k], h) - d(V[j][h], k))
-                    acc = acc + gm[i][j][k] * V[k][h]
-                    acc = acc - gm[k][j][h] * V[i][k]
-                rep.add("coeff-uxx-p", (i, j, h), acc)
+                    acc.addmul(g[i][k], d(V[j][k], h) - d(V[j][h], k))
+                    acc.addmul(gm[i][j][k], V[k][h])
+                    acc.addmul(gm[k][j][h], V[i][k], -1)
+                rep.add("coeff-uxx-p", (i, j, h), acc.value())
     # coefficient of u^l_x u^m_x p_j (symmetric in l, m)
     for i in range(n):
         for j in range(n):
             for l in range(n):
                 for m in range(l, n):
-                    acc = RatFunc.zero()
+                    acc = RatSum()
                     for k in range(n):
-                        acc = acc + g[i][k] * (
-                            d(d(V[j][k], m), l) + d(d(V[j][k], l), m)
-                            - d(d(V[j][m], k), l) - d(d(V[j][l], k), m))
-                        acc = acc + d(gm[i][j][m], k) * V[k][l]
-                        acc = acc + d(gm[i][j][l], k) * V[k][m]
-                        acc = acc + gm[i][j][k] * (d(V[k][l], m) + d(V[k][m], l))
-                        acc = acc + gm[i][k][l] * d(V[j][k], m)
-                        acc = acc + gm[i][k][m] * d(V[j][k], l)
-                        acc = acc - gm[i][k][l] * d(V[j][m], k)
-                        acc = acc - gm[i][k][m] * d(V[j][l], k)
-                        acc = acc - gm[k][j][m] * d(V[i][l], k)
-                        acc = acc - gm[k][j][l] * d(V[i][m], k)
-                        acc = acc - d(gm[k][j][m], l) * V[i][k]
-                        acc = acc - d(gm[k][j][l], m) * V[i][k]
-                    rep.add("coeff-uxux-p", (i, j, l, m), acc)
+                        acc.addmul(g[i][k], d(d(V[j][k], m), l) + d(d(V[j][k], l), m)
+                                   - d(d(V[j][m], k), l) - d(d(V[j][l], k), m))
+                        acc.addmul(d(gm[i][j][m], k), V[k][l])
+                        acc.addmul(d(gm[i][j][l], k), V[k][m])
+                        acc.addmul(gm[i][j][k], d(V[k][l], m) + d(V[k][m], l))
+                        acc.addmul(gm[i][k][l], d(V[j][k], m))
+                        acc.addmul(gm[i][k][m], d(V[j][k], l))
+                        acc.addmul(gm[i][k][l], d(V[j][m], k), -1)
+                        acc.addmul(gm[i][k][m], d(V[j][l], k), -1)
+                        acc.addmul(gm[k][j][m], d(V[i][l], k), -1)
+                        acc.addmul(gm[k][j][l], d(V[i][m], k), -1)
+                        acc.addmul(d(gm[k][j][m], l), V[i][k], -1)
+                        acc.addmul(d(gm[k][j][l], m), V[i][k], -1)
+                    rep.add("coeff-uxux-p", (i, j, l, m), acc.value())
     return rep
 
 
@@ -432,14 +437,15 @@ def nonlocal_first_order_check(metric: Metric, conn: Connection, W, V) -> Condit
         for j in range(n):
             for l in range(n):
                 for m in range(l, n):
-                    acc = RatFunc.zero()
+                    acc = RatSum()
                     for k in range(n):
-                        acc = acc + R[i][j][k][l] * V[k][m] + R[i][j][k][m] * V[k][l]
-                        acc = acc + W[i][l] * V[j][k] * W[k][m]
-                        acc = acc + W[i][m] * V[j][k] * W[k][l]
-                        acc = acc - V[i][k] * W[k][l] * W[j][m]
-                        acc = acc - V[i][k] * W[k][m] * W[j][l]
-                    rep.add("curvature-tail-balance", (i, j, l, m), acc)
+                        acc.addmul(R[i][j][k][l], V[k][m])
+                        acc.addmul(R[i][j][k][m], V[k][l])
+                        acc.addmul(W[i][l] * V[j][k], W[k][m])
+                        acc.addmul(W[i][m] * V[j][k], W[k][l])
+                        acc.addmul(V[i][k] * W[k][l], W[j][m], -1)
+                        acc.addmul(V[i][k] * W[k][m], W[j][l], -1)
+                    rep.add("curvature-tail-balance", (i, j, l, m), acc.value())
     return rep
 
 
@@ -538,12 +544,12 @@ def second_order_compat(d: SecondOrderData, vflux) -> ConditionReport:
     for q in range(n):
         for p in range(n):
             for l in range(n):
-                acc = RatFunc.zero()
+                acc = RatSum()
                 for k in range(n):
-                    acc = acc + g[q][k] * vflux[k].diff(p + 1).diff(l + 1)
-                    acc = acc + g[p][q].diff(k + 1) * V[k][l]
-                    acc = acc + g[q][k].diff(l + 1) * V[k][p]
-                rep.add("flux-gradient-compat", (q, p, l), acc)
+                    acc.addmul(g[q][k], vflux[k].diff(p + 1).diff(l + 1))
+                    acc.addmul(g[p][q].diff(k + 1), V[k][l])
+                    acc.addmul(g[q][k].diff(l + 1), V[k][p])
+                rep.add("flux-gradient-compat", (q, p, l), acc.value())
     return rep
 
 
@@ -598,12 +604,12 @@ def _add_closure(rep, family, cl, cm, tails):
     lowered tail (w, weight): one residual per (n, m, l, k)."""
     n = len(cl)
     for nn, m, l, k in itertools.product(range(n), repeat=4):
-        acc = cl[nn][m][l].diff(k + 1)
+        acc = RatSum(cl[nn][m][l].diff(k + 1))
         for s in range(n):
-            acc = acc + cm[s][m][l] * cl[s][nn][k]
+            acc.addmul(cm[s][m][l], cl[s][nn][k])
         for wl, weight in tails:
-            acc = acc + wl[m][l] * wl[nn][k] * weight
-        rep.add(family, (nn, m, l, k), acc)
+            acc.addmul(wl[m][l], wl[nn][k] * weight)
+        rep.add(family, (nn, m, l, k), acc.value())
 
 
 def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
@@ -686,13 +692,13 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
         for i in range(n):
             for h in range(n):
                 for m in range(h, n):
-                    acc = RatFunc.zero()
+                    acc = RatSum()
                     for k in range(n):
-                        acc = acc - w[i][h].diff(k + 1) * V[k][m]
-                        acc = acc - w[i][m].diff(k + 1) * V[k][h]
-                        acc = acc - w[i][k] * vflux[k].diff(m + 1).diff(h + 1) * 2
-                        acc = acc + V[i][k] * (w[k][m].diff(h + 1) + w[k][h].diff(m + 1))
-                    rep.add("tail-derivative-exchange", (a, i, h, m), acc)
+                        acc.addmul(w[i][h].diff(k + 1), V[k][m], -1)
+                        acc.addmul(w[i][m].diff(k + 1), V[k][h], -1)
+                        acc.addmul(w[i][k], vflux[k].diff(m + 1).diff(h + 1), -2)
+                        acc.addmul(V[i][k], w[k][m].diff(h + 1) + w[k][h].diff(m + 1))
+                    rep.add("tail-derivative-exchange", (a, i, h, m), acc.value())
 
     # the algebraic tail conditions say exactly that w(b_x) b_xx is a symmetry
     pot = EvolutionSystem.potential(vflux)
@@ -774,11 +780,12 @@ def nijenhuis(V) -> tuple:
     d = [[[V[i][k].diff(s + 1) for k in r] for i in r] for s in r]
 
     def entry(i, j, k):
-        acc = RatFunc.zero()
+        acc = RatSum()
         for s in r:
-            acc = (acc + V[s][j] * d[s][i][k] - V[s][k] * d[s][i][j]
-                   - V[i][s] * (d[j][s][k] - d[k][s][j]))
-        return acc
+            acc.addmul(V[s][j], d[s][i][k])
+            acc.addmul(V[s][k], d[s][i][j], -1)
+            acc.addmul(V[i][s], d[j][s][k] - d[k][s][j], -1)
+        return acc.value()
 
     return tuple(tuple(tuple(entry(i, j, k) for k in r) for j in r) for i in r)
 
@@ -816,8 +823,9 @@ def linear_degeneracy_check(V) -> ConditionReport:
     r = range(len(V))
     rep = ConditionReport("linear-degeneracy")
     total = [RatFunc.zero() for _ in r]
+    Vt = _swap(V)
     for f in char_poly_coeffs(V):
-        total = [sum((total[row] * V[row][col] for row in r), f.diff(col + 1)) for col in r]
+        total = [_dot(total, Vt[col]) + f.diff(col + 1) for col in r]
     for col in r:
         rep.add("characteristic-contraction", (col,), total[col])
     return rep
@@ -854,17 +862,14 @@ def char_square_check(V) -> ConditionReport:
     m = n // 2
     # match q = lam^m + q1 lam^{m-1} + ... + qm from the top coefficients
     q = [RatFunc.one()] + [RatFunc.zero()] * m
-    for k in range(1, m + 1):
-        acc = f[k - 1]
-        for i in range(1, k):
-            acc = acc - q[i] * q[k - i]
-        q[k] = acc / 2
-    for k in range(m + 1, n + 1):
-        acc = RatFunc.zero()
-        for i in range(k - m, m + 1):
-            if 0 <= k - i <= m:
-                acc = acc + q[i] * q[k - i]
-        rep.add("square-match", (k,), f[k - 1] - acc)
+    for k in range(1, n + 1):
+        acc = RatSum(f[k - 1])  # f_k - sum of q_i q_{k-i} over 0 < i, k - i <= m
+        for i in range(max(1, k - m), min(k, m + 1)):
+            acc.addmul(q[i], q[k - i], -1)
+        if k <= m:
+            q[k] = acc.value() / 2
+        else:
+            rep.add("square-match", (k,), acc.value())
     if rep.passed and n == 4:
         # sampled evidence that q has real roots (discriminant >= 0); reality
         # can depend on the region of field/parameter space, so this never

@@ -14,12 +14,11 @@ objects in canonical form, so equality is normal-form comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import RatFunc
+from .rational import RatFunc, RatSum
 
 KIND_U = 0
 KIND_P = 1
@@ -101,20 +100,26 @@ def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
     return DiffMonomial(_even_mul(m1.even, m2.even), m1.odd or m2.odd)
 
 
-def add_into(acc: dict, terms: dict) -> None:
-    """Add the terms of a DiffPoly into the accumulator dict ``acc`` in place,
-    dropping coefficients that cancel.  Sums built term by term go through
-    this, so they cost linear, not quadratic, time in the number of terms."""
-    for m, c in terms.items():
-        s = acc.get(m)
-        if s is None:
-            acc[m] = c
-        else:
-            s = s + c
-            if s.is_zero:
-                del acc[m]
-            else:
-                acc[m] = s
+class DiffSum(dict):
+    """A sum of DiffPoly terms and products, formed in place with one
+    ``RatSum`` per differential monomial: ``add(a, k)`` and ``addmul(a, b, k)``
+    add k*a and k*a*b for a scalar k (int or Fraction)."""
+
+    def __missing__(self, m):
+        s = self[m] = RatSum()
+        return s
+
+    def add(self, a: "DiffPoly", k=1) -> None:
+        for m, c in a.terms.items():
+            self[m].add(c, k)
+
+    def addmul(self, a: "DiffPoly", b: "DiffPoly", k=1) -> None:
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                self[dm_mul(m1, m2)].addmul(c1, c2, k)
+
+    def value(self) -> "DiffPoly":
+        return DiffPoly({m: s.value() for m, s in self.items()})
 
 
 class DiffPoly:
@@ -140,7 +145,7 @@ class DiffPoly:
 
     @classmethod
     def from_scalar(cls, c) -> "DiffPoly":
-        if isinstance(c, (int, Fraction)):
+        if type(c) is not RatFunc:
             c = RatFunc.const(c)
         if c.is_zero:
             return cls.zero()
@@ -223,16 +228,25 @@ class DiffPoly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if type(other) is not DiffPoly:
             other = DiffPoly.from_scalar(other)
         res = dict(self.terms)
-        add_into(res, other.terms)
+        for m, c in other.terms.items():
+            s = res.get(m)
+            if s is None:
+                res[m] = c
+            else:
+                s = s + c
+                if s.is_zero:
+                    del res[m]
+                else:
+                    res[m] = s
         return DiffPoly._new(res)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if type(other) is not DiffPoly:
             other = DiffPoly.from_scalar(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
@@ -251,29 +265,16 @@ class DiffPoly:
         return DiffPoly._new({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if type(other) is not DiffPoly:
             return self.scalar_mul(other)
-        res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = dm_mul(m1, m2)
-                c = c1 * c2
-                s = res.get(m)
-                if s is None:
-                    if not c.is_zero:
-                        res[m] = c
-                else:
-                    s = s + c
-                    if s.is_zero:
-                        del res[m]
-                    else:
-                        res[m] = s
-        return DiffPoly._new(res)
+        res = DiffSum()
+        res.addmul(self, other)
+        return res.value()
 
     __rmul__ = __mul__
 
     def scalar_mul(self, c) -> "DiffPoly":
-        if isinstance(c, (int, Fraction)):
+        if type(c) is not RatFunc:
             c = RatFunc.const(c)
         if c.is_zero:
             return DiffPoly.zero()
@@ -291,12 +292,13 @@ class DiffPoly:
 
     def partial_jet(self, index: int, xorder: int) -> "DiffPoly":
         """Formal partial derivative wrt u{index} (xorder 0) or its jet."""
+        # distinct monomials stay distinct under either derivative, so nothing adds up
         res: dict = {}
         if xorder == 0:
             for m, c in self.terms.items():
                 dc = c.diff(index)
                 if not dc.is_zero:
-                    add_into(res, {m: dc})
+                    res[m] = dc
             return DiffPoly._new(res)
         target = ujet(index, xorder)
         for m, c in self.terms.items():
@@ -306,7 +308,7 @@ class DiffPoly:
                         even = m.even[:pos] + m.even[pos + 1:]
                     else:
                         even = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
-                    add_into(res, {DiffMonomial(even, m.odd): c * e})
+                    res[DiffMonomial(even, m.odd)] = c * e
                     break
         return DiffPoly._new(res)
 
@@ -345,27 +347,22 @@ def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
     """
     if cap is None:
         cap = jet_cap()
-    res: dict = {}
+    res = DiffSum()
     for m, c in a.terms.items():
         for vid in c.field_vars():
-            dc = c.diff(vid)
-            if not dc.is_zero:
-                nm = dm_mul(m, mono([(ujet(vid, 1), 1)]))
-                add_into(res, {nm: dc})
+            res[dm_mul(m, mono([(ujet(vid, 1), 1)]))].add(c.diff(vid))
         for pos, (jv, e) in enumerate(m.even):
-            add_into(res, {_bump_even(m, pos, cap): c * e})
+            res[_bump_even(m, pos, cap)].add(c, e)
         if m.odd is not None:
             jv = m.odd
             if jv.kind == KIND_P:
-                nm = DiffMonomial(m.even, _raise_order(jv, cap))
-                add_into(res, {nm: c})
+                res[DiffMonomial(m.even, _raise_order(jv, cap))].add(c)
             else:
                 if rx_rules is None or jv.index not in rx_rules:
                     raise UnregisteredNonlocalError(
                         f"no covering rule for the nonlocal variable r{jv.index}")
-                rest = DiffPoly._new({DiffMonomial(m.even, None): c})
-                add_into(res, (rest * rx_rules[jv.index]).terms)
-    return DiffPoly._new(res)
+                res.addmul(DiffPoly._new({DiffMonomial(m.even, None): c}), rx_rules[jv.index])
+    return res.value()
 
 
 def collect(a: DiffPoly) -> dict:

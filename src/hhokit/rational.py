@@ -19,6 +19,9 @@ any other as ``Fraction``; ``+ - *`` keep the type their operands give, so a
 ``Fraction`` of denominator 1 may remain.  ``int`` and ``Fraction`` compare,
 hash and print alike, so no answer depends on which one is stored.  The term
 order is graded lexicographic with field variables before parameters.
+
+Every sum of products is formed in place in one ``RatSum``, which adds
+polynomial products term by term into one dict and returns the canonical sum.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ def var_name(vid: int) -> str:
     return f"u{vid}" if vid > 0 else f"c{-vid}"
 
 
+_PARAM_BASE = 1 << 62  # c{k} sorts as _PARAM_BASE + k, past every field variable u{i}
+
+
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
     if not m1:
         return m2
@@ -61,12 +67,11 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
     while i < n1 and j < n2:
         v1, e1 = m1[i]
         v2, e2 = m2[j]
-        k1, k2 = vkey(v1), vkey(v2)
-        if k1 == k2:
+        if v1 == v2:
             out.append((v1, e1 + e2))
             i += 1
             j += 1
-        elif k1 < k2:
+        elif (v1 if v1 > 0 else _PARAM_BASE - v1) < (v2 if v2 > 0 else _PARAM_BASE - v2):
             out.append(m1[i])
             i += 1
         else:
@@ -195,7 +200,7 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
             other = Poly.const(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
@@ -211,7 +216,7 @@ class Poly:
         return Poly._new(res)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
             other = Poly.const(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
@@ -230,7 +235,7 @@ class Poly:
         return Poly._new({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
             c = _q(other)
             if not c:
                 return Poly.zero()
@@ -589,11 +594,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if type(num) is not Poly:
             num = Poly.const(num)
         if den is None:
             den = Poly.one()
-        elif isinstance(den, (int, Fraction)):
+        elif type(den) is not Poly:
             den = Poly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -645,16 +650,16 @@ class RatFunc:
         return not self.num.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RatFunc.const(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     __hash__ = None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc:
             other = RatFunc.const(other)
         if self.num.is_zero:
             return other
@@ -674,7 +679,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc:
             other = RatFunc.const(other)
         if self.den.is_const and other.den.is_const:
             return RatFunc._new(self.num - other.num, self.den)
@@ -687,11 +692,12 @@ class RatFunc:
         return RatFunc._new(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if type(other) is not RatFunc:
+            c = _q(other)
+            if not c:
                 return RatFunc.zero()
             # a reduced fraction times a nonzero constant stays reduced, den monic
-            return RatFunc._new(self.num * other, self.den)
+            return RatFunc._new(self.num * c, self.den)
         if self.num.is_zero or other.num.is_zero:
             return RatFunc.zero()
         if self.den.is_const and other.den.is_const:
@@ -704,7 +710,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RatFunc:
             other = RatFunc.const(other)
         if other.num.is_zero:
             raise ZeroDivisionError("rational function division by zero")
@@ -789,6 +795,63 @@ def _reduce(num: Poly, den: Poly):
         num = num * inv
         den = den * inv
     return num, den
+
+
+class RatSum:
+    """A sum of RatFunc terms and products, formed in place from ``first``.
+
+    ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b for a scalar k
+    (int or Fraction); a zero operand returns at once.  Products of
+    polynomial operands (denominator 1) go term by term into one
+    {monomial: coefficient} dict, with no intermediate Poly or RatFunc; a
+    rational operand takes the RatFunc product and sum.  ``value()`` is the
+    canonical RatFunc, equal to the chain of ``+`` and ``*`` it replaces; it
+    takes over the polynomial dict, and the sum goes on from that value.
+    """
+
+    __slots__ = ("terms", "rest")
+
+    def __init__(self, first: RatFunc | None = None):
+        self.terms = {}  # the polynomial part; cancelled entries stay as 0
+        self.rest = first  # the RatFunc sum of the rational terms and of a first add(), uncopied
+
+    def add(self, a: RatFunc, k=1):
+        if self.rest is not None and a.den.is_const:
+            self.addmul(a, _UNIT, k)
+        else:
+            a = a * k if k != 1 else a
+            self.rest = a if self.rest is None else self.rest + a
+
+    def addmul(self, a: RatFunc, b: RatFunc, k=1):
+        ta, tb = a.num.terms, b.num.terms
+        if not ta or not tb:
+            return
+        if not (a.den.is_const and b.den.is_const):
+            return self.add(a * b, k)
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        if k != 1:
+            ta = {m: c * k for m, c in ta.items()}
+        terms = self.terms
+        get = terms.get
+        for m1, c1 in ta.items():
+            for m2, c2 in tb.items():
+                m = mono_mul(m1, m2)
+                c = get(m)
+                terms[m] = c1 * c2 if c is None else c + c1 * c2
+
+    def value(self) -> RatFunc:
+        terms = self.terms
+        if terms:
+            for m in [m for m, c in terms.items() if not c]:
+                del terms[m]
+            poly = RatFunc._new(Poly._new(terms), Poly.one())
+            self.terms = {}
+            self.rest = poly if self.rest is None else self.rest + poly
+        return RatFunc.zero() if self.rest is None else self.rest
+
+
+_UNIT = RatFunc.one()  # never mutated: RatSum.add's second factor
 
 
 def rf_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:

@@ -184,6 +184,8 @@ def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
     den = denominator if denominator is not None else Poly.one()
     if den.is_zero:
         raise InputError("flux denominator must be nonzero")
+    if den.has_params:
+        raise InputError("flux denominator must not contain parameters")
     _check_size(n * comb(n + degree, n), size_cap)
     coeff_monos = _u_monomials(n, degree)
     pid = -1

@@ -302,3 +302,12 @@ def test_find_fluxes_rejects_bad_degree_and_denominator(capsys, extra, message):
     code, out, err = run(["find-fluxes", "--example", "n4-second-order", *extra], capsys)
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("den", ["c1", "u1+c1"])
+def test_find_fluxes_rejects_parameter_in_denominator(capsys, den):
+    # bad input, not an engine error: exit 2 with the input-error prefix
+    code, out, err = run(["find-fluxes", "--example", "n4-second-order", "--degree", "1",
+                          "--denominator", den], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: flux denominator must not contain parameters\n"

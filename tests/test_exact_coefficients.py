@@ -14,10 +14,11 @@ import pytest
 
 from hhokit.covering import BivectorForm, EvolutionSystem, bivector_residual, build_cotangent
 from hhokit.grammar import parse, parse_scalar
+from hhokit.jets import DiffPoly
 from hhokit.rational import Poly, RatFunc, exact_div, poly_gcd
 from hhokit.solver import make_operator_ansatz
 
-from genutil import rand_fraction, rand_poly, rand_ratfunc
+from genutil import rand_diffpoly, rand_fraction, rand_poly, rand_ratfunc
 
 
 def as_fractions(x):
@@ -167,3 +168,46 @@ def test_residuals_hold_no_float(case):
             assert_exact(rf)
             count += 1
     assert count
+
+
+_SCALARS = (3, -1, 0, True, False, Fraction(5, 2), Fraction(6, 3), Fraction(0))
+
+
+def assert_exact_dp(d):
+    for c in d.terms.values():
+        assert_exact(c)
+
+
+def test_scalar_and_mixed_operands_of_every_operator():
+    # the operators test their own class first; int, bool and Fraction
+    # operands, and RatFunc operands of DiffPoly, still act as constants
+    rng = random.Random(17)
+    for _ in range(25):
+        p, r = _poly(rng), rand_ratfunc(rng, 2)
+        d = rand_diffpoly(rng, nvars=2)
+        for c in _SCALARS:
+            pc, rc = Poly.const(c), RatFunc.const(c)
+            dc = DiffPoly.from_scalar(rc)
+            for got, ref in ((p + c, p + pc), (p - c, p - pc), (p * c, p * pc),
+                             (c * p, pc * p)):
+                assert_same(got, ref)
+            for got, ref in ((r + c, r + rc), (r - c, r - rc), (r * c, r * rc),
+                             (c + r, rc + r), (c - r, rc - r), (c * r, rc * r)):
+                assert_same(got, ref)
+            assert (r == c) == (r == rc)
+            assert RatFunc.const(c) == c
+            if c:
+                assert_same(r / c, r / rc)
+            if not r.is_zero:
+                assert_same(c / r, rc / r)
+            for got, ref in ((d + c, d + dc), (d - c, d - dc), (c + d, dc + d),
+                             (d * c, d * dc), (c * d, dc * d), (d.scalar_mul(c), d * dc)):
+                assert got == ref
+                assert_exact_dp(got)
+        assert type(RatFunc(True).const_value()) is int
+        assert RatFunc(Fraction(6, 3), 2) == RatFunc(1)
+        rd = DiffPoly.from_scalar(r)
+        for got, ref in ((d + r, d + rd), (d - r, d - rd), (d * r, d * rd),
+                         (d.scalar_mul(r), d * rd)):
+            assert got == ref
+            assert_exact_dp(got)
