@@ -7,28 +7,23 @@ CLI accepts from files, plus golden assertions that ``examples run`` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .covering import BivectorForm, bivector_residual, build_cotangent, operator_to_bivector
+from .covering import bivector_residual, build_cotangent
+from .errors import InputError
 from .geometry import (
     SecondOrderData,
     ThirdOrderData,
     char_square_check,
     expanded_first_order_conditions,
-    first_order_operator,
     haantjes_zero_check,
     linear_degeneracy_check,
-    nonlocal_first_order_check,
     potentialize,
     second_order_compat,
     second_order_potential_bivector,
     third_order_compat,
-    third_order_hamiltonian_check,
-    third_order_operator,
-    tsarev_check,
 )
 from .grammar import parse, parse_scalar
-from .problem import Problem, load_operator
+from .problem import BivectorOperator, FirstOrderOperator, Problem, load_operator
 from .solver import find_bivectors, make_operator_ansatz
 
 
@@ -66,19 +61,18 @@ _KDV_PROBLEM = {
 def _kdv_goldens():
     out = []
     problem = Problem(_KDV_PROBLEM)
-    ctx = build_cotangent(problem.system)
+    ctx = problem.covering()
     expected = parse("p1_x3 + u1*p1_x")
     out.append(GoldenResult("adjoint-rule", ctx.pt_rules[0] == expected,
                             "p1_t reduces to p1_x3 + u1*p1_x"))
-    operators = {name: load_operator(problem, name)[1] for name in ("A1", "A2")}
-    for name, comps in operators.items():
-        res = bivector_residual(ctx, BivectorForm(comps))
-        out.append(GoldenResult(f"{name}-residual-zero", _all_zero(res)))
-    bad = bivector_residual(ctx, BivectorForm((parse("u1*p1_x"),)))
-    out.append(GoldenResult("u-px-not-bivector", not _all_zero(bad)))
+    operators = [load_operator(problem, name) for name in ("A1", "A2")]
+    for op in operators:
+        out.append(GoldenResult(f"{op.name}-residual-zero", _all_zero(op.residual(ctx))))
+    bad = BivectorOperator("B", (parse("u1*p1_x"),))
+    out.append(GoldenResult("u-px-not-bivector", not _all_zero(bad.residual(ctx))))
     family = find_bivectors(problem.system, make_operator_ansatz(1, 3, 1))
     basis_ok = family.dimension == 2 and {
-        str(b[0]) for b in family.basis} == {str(c[0]) for c in operators.values()}
+        str(b[0]) for b in family.basis} == {str(op.components[0]) for op in operators}
     out.append(GoldenResult("search-dimension-2", basis_ok,
                             f"dimension {family.dimension}"))
     return out
@@ -95,7 +89,7 @@ _TRANSPORT_PROBLEM = {
 
 def _transport_goldens():
     problem = Problem(_TRANSPORT_PROBLEM)
-    ctx = build_cotangent(problem.system)
+    ctx = problem.covering()
     out = [GoldenResult("adjoint-rule", ctx.pt_rules[0] == parse("p1_x"))]
     family = find_bivectors(problem.system, make_operator_ansatz(1, 1, 0))
     found = any(str(b[0]) == str(parse("p1_x")) for b in family.basis)
@@ -126,15 +120,11 @@ _HYDRO2_FAIL = {
 
 def _hydro2(data, expect_pass):
     problem = Problem(data)
-    _, metric, conn, _ = load_operator(problem, "A")
-    V = problem.system.velocity
+    op = load_operator(problem, "A")
     out = []
-    trep = tsarev_check(metric, conn, V)
-    erep = expanded_first_order_conditions(metric, conn, V)
-    ctx = build_cotangent(problem.system)
-    A = operator_to_bivector(first_order_operator(metric, conn))
-    res = bivector_residual(ctx, A)
-    cov_pass = _all_zero(res)
+    (trep,) = op.compat(problem)
+    erep = expanded_first_order_conditions(op.metric, op.conn, problem.system.velocity)
+    cov_pass = _all_zero(op.residual(problem.covering()))
     out.append(GoldenResult("tsarev", trep.passed == expect_pass, str(trep)))
     out.append(GoldenResult("expanded", erep.passed == expect_pass, str(erep)))
     out.append(GoldenResult("covering", cov_pass == expect_pass))
@@ -160,24 +150,15 @@ _NONLOCAL_PROBLEM = {
 
 def _nonlocal_goldens():
     problem = Problem(_NONLOCAL_PROBLEM)
-    _, metric, conn, W = load_operator(problem, "B")
-    V = problem.system.velocity
-    rep = nonlocal_first_order_check(metric, conn, W, V)
+    op = load_operator(problem, "B")
+    (rep,) = op.compat(problem)
     out = [GoldenResult("closed-form", rep.passed, str(rep))]
-    ctx = build_cotangent(problem.system)
-    alpha = ctx.register_symmetry(problem.symmetries[0])
-    A = operator_to_bivector(first_order_operator(metric, conn), ctx,
-                             tail=[(Fraction(1), alpha)])
-    res = bivector_residual(ctx, A)
-    out.append(GoldenResult("covering-residual-zero", _all_zero(res)))
+    out.append(GoldenResult("covering-residual-zero",
+                            _all_zero(op.residual(problem.covering()))))
     # a tail not matched to the curvature fails both routes identically
-    Wbad = [["0", "1"], ["1", "0"]]
-    bad_rep = nonlocal_first_order_check(metric, conn, Wbad, V)
-    ctx2 = build_cotangent(problem.system)
-    alpha2 = ctx2.register_symmetry((parse("u2_x"), parse("u1_x")))
-    Abad = operator_to_bivector(first_order_operator(metric, conn), ctx2,
-                                tail=[(Fraction(1), alpha2)])
-    bad_cov = _all_zero(bivector_residual(ctx2, Abad))
+    bad = FirstOrderOperator(op.metric, op.conn, [["0", "1"], ["1", "0"]])
+    (bad_rep,) = bad.compat(problem)
+    bad_cov = _all_zero(bad.residual(build_cotangent(problem.system)))
     out.append(GoldenResult("unmatched-tail-agreement",
                             (not bad_rep.passed) and (not bad_cov),
                             "both oracles reject the swap tail"))
@@ -204,15 +185,14 @@ _N4_PROBLEM = {
 
 
 def n4_second_order_data() -> SecondOrderData:
-    return load_operator(Problem(_N4_PROBLEM), "C")[1]
+    return load_operator(Problem(_N4_PROBLEM), "C").data
 
 
 def _n4_goldens():
     problem = Problem(_N4_PROBLEM)
-    d = load_operator(problem, "C")[1]
-    vflux = problem.vflux()
+    d = load_operator(problem, "C").data
     out = []
-    rep = second_order_compat(d, vflux)
+    rep = second_order_compat(d, problem.vflux())
     out.append(GoldenResult("flux-family-compatible", rep.passed, str(rep)))
     jac = problem.system.jacobian()
     out.append(GoldenResult("linearly-degenerate",
@@ -271,19 +251,15 @@ _THIRD_FLAT_PROBLEM = {
 
 def _third_flat_goldens():
     problem = Problem(_THIRD_FLAT_PROBLEM)
-    d = load_operator(problem, "D")[1]
-    out = []
-    out.append(GoldenResult("operator-conditions",
-                            third_order_hamiltonian_check(d).passed))
-    rep = third_order_compat(d, problem.vflux())
-    out.append(GoldenResult("compat", rep.passed, str(rep)))
-    ctx = build_cotangent(problem.system)
-    A = operator_to_bivector(third_order_operator(d))
-    res = bivector_residual(ctx, A)
-    out.append(GoldenResult("covering-residual-zero", _all_zero(res)))
+    op = load_operator(problem, "D")
+    ham, rep = op.compat(problem)
+    out = [GoldenResult("operator-conditions", ham.passed),
+           GoldenResult("compat", rep.passed, str(rep))]
+    out.append(GoldenResult("covering-residual-zero",
+                            _all_zero(op.residual(problem.covering()))))
     bad = [parse_scalar("u1^2"), parse_scalar("u2")]
     out.append(GoldenResult("quadratic-flux-fails",
-                            not third_order_compat(d, bad).passed))
+                            not third_order_compat(op.data, bad).passed))
     return out
 
 
@@ -298,12 +274,11 @@ _THIRD_MONGE_PROBLEM = {
 
 
 def monge_third_order_data() -> ThirdOrderData:
-    return load_operator(Problem(_THIRD_MONGE_PROBLEM), "D")[1]
+    return load_operator(Problem(_THIRD_MONGE_PROBLEM), "D").data
 
 
 def _third_monge_goldens():
-    d = monge_third_order_data()
-    rep = third_order_hamiltonian_check(d)
+    (rep,) = load_operator(Problem(_THIRD_MONGE_PROBLEM), "D").intrinsic()
     return [GoldenResult("operator-conditions", rep.passed, str(rep))]
 
 
@@ -339,4 +314,4 @@ def get_entry(name: str) -> CatalogEntry:
     for entry in ENTRIES:
         if entry.name == name:
             return entry
-    raise KeyError(name)
+    raise InputError(f"no built-in example named {name!r}; try 'examples list'")

@@ -11,17 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .catalog import examples_catalog, get_entry
-from .covering import (
-    BivectorForm,
-    bivector_residual,
-    build_cotangent,
-    extract_conditions,
-    operator_to_bivector,
-)
+from .covering import extract_conditions
 from .errors import (
     DegenerateMetricError,
     ExpressionError,
@@ -29,33 +22,12 @@ from .errors import (
     InputError,
     NotASymmetryError,
 )
-from .geometry import (
-    char_square_check,
-    first_order_hamiltonian_check,
-    first_order_operator,
-    haantjes_zero_check,
-    linear_degeneracy_check,
-    nonlocal_first_order_check,
-    second_order_canonical_check,
-    second_order_compat,
-    tail_characteristic,
-    third_order_compat,
-    third_order_hamiltonian_check,
-    third_order_nonlocal_checks,
-    third_order_operator,
-    tsarev_check,
-)
+from .geometry import char_square_check, haantjes_zero_check, linear_degeneracy_check
 from .grammar import format_diffpoly, format_ratfunc, parse_scalar
 from .jets import DiffPoly
-from .problem import Problem, load_operator
+from .problem import CoveringCheck, Problem, load_operator
 from .rational import Poly
-from .solver import (
-    find_bivectors,
-    find_fluxes_second_order,
-    find_fluxes_third_order,
-    make_flux_ansatz,
-    make_operator_ansatz,
-)
+from .solver import find_bivectors, make_flux_ansatz, make_operator_ansatz
 
 SCHEMA_VERSION = 1
 RESIDUAL_LIMIT = 20  # residuals (and residual terms) a report lists without --full
@@ -65,7 +37,9 @@ RESIDUAL_LIMIT = 20  # residuals (and residual terms) a report lists without --f
 
 
 class Report:
-    def __init__(self, command: str, problem: Problem | None):
+    """A command's structured report; ``full`` lists residuals without truncation."""
+
+    def __init__(self, command: str, problem: Problem | None, full: bool):
         self.payload = {
             "schema": SCHEMA_VERSION,
             "engine": f"hhokit {__version__}",
@@ -76,19 +50,29 @@ class Report:
             "residual_dumps": [],
         }
         self.failed = False
+        self.full = full
 
-    def add_condition(self, rep, full=False):
+    def add_check(self, check):
+        """A ConditionReport, or a CoveringCheck: a verdict, and a dump if it fails."""
+        if not isinstance(check, CoveringCheck):
+            return self.add_condition(check)
+        ok = all(c.is_zero for c in check.residual)
+        self.add_verdict(check.name, ok)
+        if not ok:
+            self.add_residual_dump(check.label, check.residual)
+
+    def add_condition(self, rep):
         entry = {
             "name": rep.name,
             "pass": rep.passed,
             "notes": list(rep.notes),
             "residuals": [],
         }
-        shown = rep.residuals if full else rep.residuals[:RESIDUAL_LIMIT]
+        shown = rep.residuals if self.full else rep.residuals[:RESIDUAL_LIMIT]
         for fam, idx, rf in shown:
             entry["residuals"].append(
                 {"family": fam, "at": list(idx), "expr": format_ratfunc(rf)})
-        if not full and len(rep.residuals) > RESIDUAL_LIMIT:
+        if not self.full and len(rep.residuals) > RESIDUAL_LIMIT:
             entry["residuals_truncated"] = len(rep.residuals) - RESIDUAL_LIMIT
         self.payload["verdicts"].append(entry)
         if not rep.passed:
@@ -100,26 +84,22 @@ class Report:
         if not passed:
             self.failed = True
 
-    def add_residual_dump(self, label: str, components, full=False):
+    def add_residual_dump(self, label: str, components):
         dump = []
         for i, comp in enumerate(components, start=1):
             terms = comp.sorted_terms()
-            shown = terms if full else terms[:RESIDUAL_LIMIT]
+            shown = terms if self.full else terms[:RESIDUAL_LIMIT]
             text = format_diffpoly(DiffPoly(dict(shown)))
             item = {"component": i, "terms": len(terms), "normal_form": text}
-            if not full and len(terms) > RESIDUAL_LIMIT:
+            if not self.full and len(terms) > RESIDUAL_LIMIT:
                 item["truncated"] = True
             dump.append(item)
         self.payload["residual_dumps"].append({"label": label, "components": dump})
 
-    def add_family(self, family, kind: str):
-        basis = []
-        for member in family.basis:
-            if kind == "bivector":
-                basis.append([format_diffpoly(c) for c in member])
-            else:
-                basis.append([format_ratfunc(c) for c in member])
-        entry = {"dimension": family.dimension, "basis": basis}
+    def add_family(self, family, fmt):
+        """A solution family; ``fmt`` prints one entry of a basis member."""
+        entry = {"dimension": family.dimension,
+                 "basis": [[fmt(c) for c in member] for member in family.basis]}
         if family.classification:
             entry["classification"] = {
                 key: {"pass": rep.passed, "notes": list(rep.notes)}
@@ -166,28 +146,23 @@ class Report:
 # -- tasks ---------------------------------------------------------------------------
 
 
-def _load_problem_arg(args) -> Problem:
+def _load_problem_arg(args, needs_system=False) -> Problem:
     if getattr(args, "example", None):
-        entry = get_entry_or_die(args.example)
-        data = entry.problem
+        data = get_entry(args.example).problem
         blob = json.dumps(data, sort_keys=True).encode()
-        return Problem(data, blob)
-    if getattr(args, "file", None):
+    elif getattr(args, "file", None):
         with open(args.file, "rb") as fh:
             blob = fh.read()
         try:
             data = json.loads(blob)
         except ValueError as exc:
             raise InputError(f"not valid JSON: {exc}")
-        return Problem(data, blob)
-    raise InputError("provide --file PROBLEM.json or --example NAME")
-
-
-def get_entry_or_die(name):
-    try:
-        return get_entry(name)
-    except KeyError:
-        raise InputError(f"no built-in example named {name!r}; try 'examples list'")
+    else:
+        raise InputError("provide --file PROBLEM.json or --example NAME")
+    problem = Problem(data, blob)
+    if needs_system and problem.system is None:
+        raise InputError(f"{args.command} needs a system block")
+    return problem
 
 
 def _operator_names(problem, args):
@@ -201,106 +176,37 @@ def _operator_names(problem, args):
 
 def cmd_check_op(args):
     problem = _load_problem_arg(args)
-    report = Report("check-op", problem)
+    report = Report("check-op", problem, args.full)
     for name in _operator_names(problem, args):
-        op = load_operator(problem, name)
-        if op[0] == "first":
-            report.add_condition(first_order_hamiltonian_check(op[1], op[2]),
-                                 full=args.full)
-        elif op[0] == "second":
-            report.add_condition(second_order_canonical_check(op[1]), full=args.full)
-        elif op[0] == "third":
-            report.add_condition(third_order_hamiltonian_check(op[1]), full=args.full)
-        else:
-            raise InputError(
-                f"{name!r} is a raw odd-variable vector; intrinsic operator "
-                "checks need structured coefficients (use check-compat)")
+        for rep in load_operator(problem, name).intrinsic():
+            report.add_condition(rep)
     return report.finish(args.json)
 
 
-def _register_symmetries(problem, ctx):
-    for phi in problem.symmetries:
-        ctx.register_symmetry(phi)
-
-
 def cmd_check_compat(args):
-    problem = _load_problem_arg(args)
-    if problem.system is None:
-        raise InputError("check-compat needs a system block")
-    report = Report("check-compat", problem)
+    problem = _load_problem_arg(args, needs_system=True)
+    report = Report("check-compat", problem, args.full)
     for name in _operator_names(problem, args):
-        op = load_operator(problem, name)
-        if op[0] == "first":
-            _, g, conn, W = op
-            if problem.system.kind != "hydrodynamic":
-                raise InputError("first-order compatibility needs a hydrodynamic system")
-            V = problem.system.velocity
-            if W is None:
-                report.add_condition(tsarev_check(g, conn, V), full=args.full)
-            else:
-                report.add_condition(nonlocal_first_order_check(g, conn, W, V),
-                                     full=args.full)
-        elif op[0] == "second":
-            report.add_condition(second_order_canonical_check(op[1]), full=args.full)
-            report.add_condition(second_order_compat(op[1], problem.vflux()),
-                                 full=args.full)
-        elif op[0] == "third":
-            _, data, w_list, weights = op
-            report.add_condition(third_order_hamiltonian_check(data), full=args.full)
-            report.add_condition(third_order_compat(data, problem.vflux()),
-                                 full=args.full)
-            if w_list:
-                report.add_condition(
-                    third_order_nonlocal_checks(data, w_list, weights, problem.vflux()),
-                    full=args.full)
-        else:
-            ctx = build_cotangent(problem.system)
-            _register_symmetries(problem, ctx)
-            A = BivectorForm(op[1])
-            residual = bivector_residual(ctx, A)
-            ok = all(c.is_zero for c in residual)
-            report.add_verdict(f"covering-residual[{name}]", ok)
-            if not ok:
-                report.add_residual_dump(name, residual, full=args.full)
+        for check in load_operator(problem, name).compat(problem):
+            report.add_check(check)
     return report.finish(args.json)
 
 
 def cmd_reduce(args):
-    problem = _load_problem_arg(args)
-    if problem.system is None:
-        raise InputError("reduce needs a system block")
-    report = Report("reduce", problem)
-    ctx = build_cotangent(problem.system)
-    _register_symmetries(problem, ctx)
+    problem = _load_problem_arg(args, needs_system=True)
+    report = Report("reduce", problem, args.full)
+    ctx = problem.covering()  # one covering for every operator: r's keep their numbers
     for name in _operator_names(problem, args):
-        op = load_operator(problem, name)
-        if op[0] == "bivector":
-            A = BivectorForm(op[1])
-        elif op[0] == "first":
-            _, g, conn, W = op
-            tail = ()
-            if W is not None:
-                # the tail W u_x d^{-1} W u_x, as the catalog's nonlocal golden builds it
-                try:
-                    tail = [(Fraction(1), ctx.register_symmetry(tail_characteristic(W)))]
-                except NotASymmetryError as exc:
-                    # no potential exists for the tail: a failed check, as in check-compat
-                    report.add_residual_dump(f"tail-symmetry[{name}]", exc.residual,
-                                             full=args.full)
-                    report.add_verdict(f"tail-symmetry[{name}]", False,
-                                       notes=["W u_x is not a symmetry of the system"])
-                    continue
-            A = operator_to_bivector(first_order_operator(g, conn), ctx, tail=tail)
-        elif op[0] == "third":
-            if op[2]:
-                raise InputError("reduce does not cover the nonlocal tails 'w' of a "
-                                 "third-order operator; check-compat checks them")
-            A = operator_to_bivector(third_order_operator(op[1]))
-        else:
-            raise InputError("reduce supports bivector, first- or third-order operators")
-        residual = bivector_residual(ctx, A)
+        try:
+            residual = load_operator(problem, name).residual(ctx)
+        except NotASymmetryError as exc:
+            # no potential exists for the tail: a failed check, as in check-compat
+            report.add_residual_dump(f"tail-symmetry[{name}]", exc.residual)
+            report.add_verdict(f"tail-symmetry[{name}]", False,
+                               notes=["W u_x is not a symmetry of the system"])
+            continue
         conditions = extract_conditions(residual)
-        report.add_residual_dump(name, residual, full=args.full)
+        report.add_residual_dump(name, residual)
         report.add_verdict(f"residual-zero[{name}]",
                            all(c.is_zero for c in residual),
                            notes=[f"{len(conditions)} coefficient conditions"])
@@ -318,15 +224,13 @@ def _setting(args, problem, key, fallback):
 
 
 def cmd_find_bivectors(args):
-    problem = _load_problem_arg(args)
-    if problem.system is None:
-        raise InputError("find-bivectors needs a system block")
+    problem = _load_problem_arg(args, needs_system=True)
     order = int(_setting(args, problem, "order", 1))
     degree = int(_setting(args, problem, "degree", 1))
     ansatz = make_operator_ansatz(problem.n, order, degree)
     family = find_bivectors(problem.system, ansatz)
-    report = Report("find-bivectors", problem)
-    report.add_family(family, "bivector")
+    report = Report("find-bivectors", problem, args.full)
+    report.add_family(family, format_diffpoly)
     report.add_verdict(
         f"search(order<={order}, degree<={degree})", True,
         notes=[f"{len(ansatz.params)} ansatz parameters",
@@ -336,7 +240,7 @@ def cmd_find_bivectors(args):
 
 def cmd_find_fluxes(args):
     problem = _load_problem_arg(args)
-    report = Report("find-fluxes", problem)
+    report = Report("find-fluxes", problem, args.full)
     name = _setting(args, problem, "operator", None)
     if name is None:
         raise InputError("find-fluxes needs --operator NAME")
@@ -350,31 +254,24 @@ def cmd_find_fluxes(args):
             raise InputError("--denominator must be polynomial")
         den = den_rf.num
     ansatz = make_flux_ansatz(problem.n, degree, denominator=den)
-    if op[0] == "second":
-        family = find_fluxes_second_order(op[1], ansatz, classify=not args.no_classify)
-    elif op[0] == "third":
-        family = find_fluxes_third_order(op[1], ansatz, classify=not args.no_classify)
-    else:
-        raise InputError("find-fluxes needs a second- or third-order operator")
-    report.add_family(family, "flux")
+    family = op.fluxes(ansatz, not args.no_classify)
+    report.add_family(family, format_ratfunc)
     report.add_verdict(f"search(degree<={degree})", True,
                        notes=[f"dimension {family.dimension}"])
     return report.finish(args.json)
 
 
 def cmd_classify(args):
-    problem = _load_problem_arg(args)
-    if problem.system is None:
-        raise InputError("classify needs a system block")
+    problem = _load_problem_arg(args, needs_system=True)
     try:
         J = problem.system.jacobian()
     except InputError:
         raise InputError("classify needs a hydrodynamic or conservative system")
-    report = Report("classify", problem)
-    report.add_condition(linear_degeneracy_check(J), full=args.full)
-    report.add_condition(haantjes_zero_check(J), full=args.full)
+    report = Report("classify", problem, args.full)
+    report.add_condition(linear_degeneracy_check(J))
+    report.add_condition(haantjes_zero_check(J))
     if problem.n % 2 == 0:
-        report.add_condition(char_square_check(J), full=args.full)
+        report.add_condition(char_square_check(J))
     return report.finish(args.json)
 
 
@@ -384,12 +281,12 @@ def cmd_examples(args):
             print(f"{entry.name:20s} {entry.title}")
         return 0
     if args.action == "show":
-        entry = get_entry_or_die(args.name)
+        entry = get_entry(args.name)
         print(json.dumps(entry.problem, indent=2, sort_keys=True))
         return 0
     if args.action == "run":
         entries = (examples_catalog() if args.all or args.name is None
-                   else [get_entry_or_die(args.name)])
+                   else [get_entry(args.name)])
         failed = False
         for entry in entries:
             results = entry.run_goldens()

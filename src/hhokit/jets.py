@@ -261,6 +261,9 @@ class DiffPoly:
                     res[m] = s
         return DiffPoly._new(res)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __neg__(self):
         return DiffPoly._new({m: -c for m, c in self.terms.items()})
 

@@ -4,18 +4,33 @@ The CLI loads problem files and the catalog loads its built-in examples
 through the same two entry points, ``Problem`` and ``load_operator``.  Input
 from outside the program is checked here: wrong types, wrong shapes and
 out-of-range indices raise InputError, which the CLI reports with exit 2.
+
+``load_operator`` returns a ``BivectorOperator``, ``FirstOrderOperator``,
+``SecondOrderOperator`` or ``ThirdOrderOperator``, each with ``intrinsic()``,
+``compat(problem)``, ``bivector(ctx)`` and ``fluxes(ansatz, classify)``; a
+method that does not apply to the kind raises InputError.
+``Problem.covering()`` is the system's cotangent covering with the declared
+symmetries registered.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from fractions import Fraction
 
-from .covering import EvolutionSystem
+from .covering import (BivectorForm, EvolutionSystem, bivector_residual, build_cotangent,
+                       operator_to_bivector)
 from .errors import InputError
-from .geometry import Connection, Metric, SecondOrderData, ThirdOrderData
+from .geometry import (Connection, Metric, SecondOrderData, ThirdOrderData,
+                       first_order_hamiltonian_check, first_order_operator,
+                       nonlocal_first_order_check, second_order_canonical_check,
+                       second_order_compat, tail_characteristic, third_order_compat,
+                       third_order_hamiltonian_check, third_order_nonlocal_checks,
+                       third_order_operator, tsarev_check)
 from .grammar import parse, parse_scalar
 from .jets import KIND_R
+from .solver import find_fluxes_second_order, find_fluxes_third_order
 
 
 class Problem:
@@ -76,16 +91,17 @@ class Problem:
             return maker(V)
         raise InputError(f"unknown system type {kind!r}")
 
-    def operator_spec(self, name: str) -> dict:
-        try:
-            return self.operators[name]
-        except KeyError:
-            raise InputError(f"no operator named {name!r} in the problem")
-
     def vflux(self):
         if self.system is None or self.system.flux_potentials is None:
             raise InputError("this task needs a conservative (or potential) system")
         return self.system.flux_potentials
+
+    def covering(self):
+        """The system's cotangent covering with the declared symmetries registered."""
+        ctx = build_cotangent(self.system)
+        for phi in self.symmetries:
+            ctx.register_symmetry(phi)
+        return ctx
 
 
 def _require(spec, key, where):
@@ -162,12 +178,113 @@ def _sparse_or_full_skew(data, n, rank):
     return None
 
 
+# a bivector's residual on the covering: it passes iff every component is zero
+CoveringCheck = namedtuple("CoveringCheck", "name label residual")
+
+
+class _Operator:
+    def bivector(self, ctx):
+        raise InputError("reduce supports bivector, first- or third-order operators")
+
+    def residual(self, ctx):
+        """The covering residual of ``bivector(ctx)``: zero iff that is a bivector."""
+        return bivector_residual(ctx, self.bivector(ctx))
+
+    def fluxes(self, ansatz, classify):
+        raise InputError("find-fluxes needs a second- or third-order operator")
+
+
+class BivectorOperator(_Operator):
+    """Raw components in p (and r), one per field."""
+
+    def __init__(self, name, components):
+        self.name, self.components = name, components
+
+    def intrinsic(self):
+        raise InputError(
+            f"{self.name!r} is a raw odd-variable vector; intrinsic operator "
+            "checks need structured coefficients (use check-compat)")
+
+    def compat(self, problem):
+        return [CoveringCheck(f"covering-residual[{self.name}]", self.name,
+                              self.residual(problem.covering()))]
+
+    def bivector(self, ctx):
+        return BivectorForm(self.components)
+
+
+class FirstOrderOperator(_Operator):
+    """g^{ij} d_x + Gamma^{ij}_k u^k_x, with the tail W u_x d^{-1} W u_x if W is given."""
+
+    def __init__(self, metric, conn, W):
+        self.metric, self.conn, self.W = metric, conn, W
+
+    def intrinsic(self):
+        return [first_order_hamiltonian_check(self.metric, self.conn)]
+
+    def compat(self, problem):
+        V = problem.system.velocity
+        if V is None:
+            raise InputError("first-order compatibility needs a hydrodynamic system")
+        if self.W is None:
+            return [tsarev_check(self.metric, self.conn, V)]
+        return [nonlocal_first_order_check(self.metric, self.conn, self.W, V)]
+
+    def bivector(self, ctx):
+        """Raises NotASymmetryError if W u_x is not a symmetry of the system."""
+        tail = () if self.W is None else [
+            (Fraction(1), ctx.register_symmetry(tail_characteristic(self.W)))]
+        return operator_to_bivector(first_order_operator(self.metric, self.conn), ctx, tail=tail)
+
+
+class SecondOrderOperator(_Operator):
+    def __init__(self, data):
+        self.data = data
+
+    def intrinsic(self):
+        return [second_order_canonical_check(self.data)]
+
+    def compat(self, problem):
+        return self.intrinsic() + [second_order_compat(self.data, problem.vflux())]
+
+    def fluxes(self, ansatz, classify):
+        return find_fluxes_second_order(self.data, ansatz, classify=classify)
+
+
+class ThirdOrderOperator(_Operator):
+    """The local operator with nonlocal tails ``w`` weighted by ``weights``."""
+
+    def __init__(self, data, w_list, weights):
+        self.data, self.w_list, self.weights = data, w_list, weights
+
+    def intrinsic(self):
+        return [third_order_hamiltonian_check(self.data)]
+
+    def compat(self, problem):
+        checks = self.intrinsic() + [third_order_compat(self.data, problem.vflux())]
+        if self.w_list:
+            checks.append(third_order_nonlocal_checks(
+                self.data, self.w_list, self.weights, problem.vflux()))
+        return checks
+
+    def bivector(self, ctx):
+        if self.w_list:
+            raise InputError("reduce does not cover the nonlocal tails 'w' of a "
+                             "third-order operator; check-compat checks them")
+        return operator_to_bivector(third_order_operator(self.data))
+
+    def fluxes(self, ansatz, classify):
+        return find_fluxes_third_order(self.data, ansatz, classify=classify)
+
+
 def load_operator(problem: Problem, name: str):
-    spec = problem.operator_spec(name)
+    spec = problem.operators.get(name)
+    if spec is None:
+        raise InputError(f"no operator named {name!r} in the problem")
     n = problem.n
     if "bivector" in spec:
-        return ("bivector", tuple(_array(spec["bivector"], (n,), _expr(n),
-                                         "bivector needs n components")))
+        return BivectorOperator(name, tuple(_array(spec["bivector"], (n,), _expr(n),
+                                                   "bivector needs n components")))
     order = spec.get("order")
     if order == 1:
         g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
@@ -175,11 +292,10 @@ def load_operator(problem: Problem, name: str):
                    variance=spec.get("variance", "upper"))
         gamma = _array(_require(spec, "Gamma", "operator"), (n, n, n), _scalar(n),
                        f"Gamma must be {n} x {n} x {n}")
-        conn = Connection(g, gamma)
         W = None
         if "W" in spec:
             W = _array(spec["W"], (n, n), _scalar(n), f"W must be {n} x {n}")
-        return ("first", g, conn, W)
+        return FirstOrderOperator(g, Connection(g, gamma), W)
     if order == 2:
         t_raw = _require(spec, "T", "operator")
         g0_raw = _require(spec, "g0", "operator")
@@ -188,10 +304,10 @@ def load_operator(problem: Problem, name: str):
         if t_gens is not None or g0_gens is not None:
             if t_gens is None or g0_gens is None:
                 raise InputError("T and g0 must both be sparse or both full arrays")
-            return ("second", SecondOrderData.from_generators(n, t_gens, g0_gens))
+            return SecondOrderOperator(SecondOrderData.from_generators(n, t_gens, g0_gens))
         T = _array(t_raw, (n, n, n), _number, "T must be n x n x n")
         g0 = _array(g0_raw, (n, n), _number, "g0 must be n x n")
-        return ("second", SecondOrderData(T, g0))
+        return SecondOrderOperator(SecondOrderData(T, g0))
     if order == 3:
         g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
                           f"g must be {n} x {n}"),
@@ -207,5 +323,5 @@ def load_operator(problem: Problem, name: str):
                                   "'w' must be a list of tails")]
         weights = _array(spec.get("weights", ["1"] * len(w_list)), (len(w_list),),
                          _number, "weights must match the number of tails")
-        return ("third", data, w_list, weights)
+        return ThirdOrderOperator(data, w_list, weights)
     raise InputError(f"operator {name!r} needs 'order' in 1..3 or a 'bivector' field")

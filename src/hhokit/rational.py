@@ -34,6 +34,7 @@ from .errors import NonlinearAnsatzError, ParameterInDenominatorError
 Mono = tuple  # ((vid, exp), ...)
 
 _EMPTY: Mono = ()
+_SCALARS = (int, bool, Fraction)  # matched by exact type: isinstance on an ABC is slow
 
 
 def vkey(vid: int):
@@ -660,6 +661,8 @@ class RatFunc:
 
     def __add__(self, other):
         if type(other) is not RatFunc:
+            if type(other) not in _SCALARS:
+                return NotImplemented
             other = RatFunc.const(other)
         if self.num.is_zero:
             return other
@@ -680,6 +683,8 @@ class RatFunc:
 
     def __sub__(self, other):
         if type(other) is not RatFunc:
+            if type(other) not in _SCALARS:
+                return NotImplemented
             other = RatFunc.const(other)
         if self.den.is_const and other.den.is_const:
             return RatFunc._new(self.num - other.num, self.den)
@@ -693,6 +698,8 @@ class RatFunc:
 
     def __mul__(self, other):
         if type(other) is not RatFunc:
+            if type(other) not in _SCALARS:
+                return NotImplemented
             c = _q(other)
             if not c:
                 return RatFunc.zero()
@@ -726,6 +733,8 @@ class RatFunc:
 
     def diff(self, vid: int) -> "RatFunc":
         dn = self.num.diff(vid)
+        if self.den.is_const:  # a polynomial's derivative needs no reduction
+            return RatFunc._new(dn, self.den)
         dd = self.den.diff(vid)
         if dd.is_zero:
             return RatFunc(dn, self.den)

@@ -1,0 +1,126 @@
+"""Byte-identity guard for CLI paths the catalog reports do not reach.
+
+``test_report_identity.py`` pins every catalog example through check-op,
+check-compat, classify and reduce.  The cases here pin the other paths: the
+``--full`` switch, ``find-fluxes`` on operators of the wrong kind,
+check-compat refusals and failures, and ``reduce`` over two operators whose
+tails share one covering.  Each case pins the exit code, the standard error
+and the sha256 of the ``--json`` report.
+"""
+
+import copy
+import hashlib
+import json
+
+import pytest
+
+from hhokit.catalog import examples_catalog
+from hhokit.cli import main
+
+_PROBLEMS = {entry.name: entry.problem for entry in examples_catalog()}
+
+
+def _variant(example, **changes):
+    doc = copy.deepcopy(_PROBLEMS[example])
+    doc.update(copy.deepcopy(changes))
+    return doc
+
+
+_FLAT = {"order": 1, "g": [["1", "0"], ["0", "1"]],
+         "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}
+
+FILES = {
+    # a first-order operator on a conservative (not hydrodynamic) system
+    "first-on-conservative": _variant(
+        "hydro2-pass", system={"type": "conservative", "V": ["u1*u2", "u1^2/2"]}),
+    # the n=4 second-order operator on a hydrodynamic system: no flux potentials
+    "second-on-hydrodynamic": _variant(
+        "n4-second-order", system={"type": "hydrodynamic", "V": [
+            ["u1", "0", "0", "0"], ["0", "u2", "0", "0"],
+            ["0", "0", "u3", "0"], ["0", "0", "0", "u4"]]}),
+    # u1*p1_x is not a bivector of KdV
+    "kdv-failing-bivector": _variant(
+        "kdv", operators={"B": {"bivector": ["u1*p1_x"]}}),
+    # two tails registered on one covering (r1 declared, r2 and r3 the tails
+    # of B and S), then a bivector Z that reads both tail potentials
+    "two-tails": _variant(
+        "nonlocal-hydro2",
+        operators={"B": dict(_FLAT, W=[["1", "1"], ["1", "1"]]),
+                   "S": dict(_FLAT, W=[["0", "1"], ["1", "0"]]),
+                   "Z": {"bivector": ["u1_x*r3", "u2_x*r2"]}}),
+    # a bivector whose residual components have more than 20 terms
+    "long-residual": {
+        "n": 2, "system": {"type": "hydrodynamic", "V": [["u1", "u2"], ["u2", "u1"]]},
+        "operators": {"B": {"bivector": [
+            "u1^2*u2*p2_x3 + u2*p1_xx + u1_x*u2*p2_x",
+            "u2^2*p1_x3 + u1*u2*p2_x + u2_xx*p1"]}}},
+}
+
+# "<command> <flags>" (a --file name is a key of FILES) -> (exit code, report
+# sha256 or None, standard error)
+PINNED = {
+    "check-compat --file first-on-conservative": (2, None,
+        "input error: first-order compatibility needs a hydrodynamic system\n"),
+    "check-compat --file kdv-failing-bivector": (1, "80a02441d3b943bb9c447a2b1c3d52c63c137d897c1a3a878ec8ced26efa233c", ""),
+    "check-compat --file second-on-hydrodynamic": (2, None,
+        "input error: this task needs a conservative (or potential) system\n"),
+    "classify --example oriented-assoc": (1, "f2417f62363377ce0c9d04427a8fa07144db0f10facf0e70b0216908f4ed7ec9", ""),
+    "classify --example oriented-assoc --full": (1, "6a0d15601fe36b9104f3313dfd7d95a2c29dcf068f37874457e3a9bf77454469", ""),
+    "find-fluxes --example hydro2-pass --operator A": (2, None,
+        "input error: find-fluxes needs a second- or third-order operator\n"),
+    "find-fluxes --example kdv --operator A1": (2, None,
+        "input error: find-fluxes needs a second- or third-order operator\n"),
+    "reduce --file long-residual": (1, "4c2fcb93705941985bd652d6221333cd5e251b435624ee22f98f921e85dc3264", ""),
+    "reduce --file long-residual --full": (1, "a625c153b3e0ca1b97186fd3a87a17bc401c9f31e3c7fc37b00dbc14c3aa26d5", ""),
+    "reduce --file two-tails": (1, "427765cb034f33e018b2ce8d7a9c881132a5eed6bb526aa1829bac1c83ae17f7", ""),
+}
+
+
+def _run(key, tmp_path, capsys):
+    argv = key.split(" ")
+    if argv[1] == "--file":
+        path = tmp_path / f"{argv[2]}.json"
+        path.write_text(json.dumps(FILES[argv[2]]))
+        argv[2] = str(path)
+    report = tmp_path / "report.json"
+    code = main(argv + ["--json", str(report)])
+    err = capsys.readouterr().err
+    return code, report, err
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_cli_path_pinned(key, tmp_path, capsys):
+    code, report, err = _run(key, tmp_path, capsys)
+    digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
+    assert (code, digest, err) == PINNED[key]
+
+
+def _verdict(report, name):
+    return next(v for v in json.loads(report.read_text())["verdicts"] if v["name"] == name)
+
+
+def test_full_lists_every_classify_residual(tmp_path, capsys):
+    _, report, _ = _run("classify --example oriented-assoc", tmp_path, capsys)
+    short = _verdict(report, "haantjes-zero")
+    assert len(short["residuals"]) == 20
+    assert short["residuals_truncated"] == 48
+    _, report, _ = _run("classify --example oriented-assoc --full", tmp_path, capsys)
+    full = _verdict(report, "haantjes-zero")
+    assert len(full["residuals"]) == 68
+    assert "residuals_truncated" not in full
+    assert full["residuals"][:20] == short["residuals"]
+
+
+def test_full_lists_every_reduce_term(tmp_path, capsys):
+    def components(key):
+        _, report, _ = _run(key, tmp_path, capsys)
+        (dump,) = json.loads(report.read_text())["residual_dumps"]
+        return dump["components"]
+
+    short = components("reduce --file long-residual")
+    full = components("reduce --file long-residual --full")
+    assert [c["terms"] for c in short] == [c["terms"] for c in full] == [22, 21]
+    assert all(c.get("truncated") is True for c in short)
+    assert not any("truncated" in c for c in full)
+    for s, f in zip(short, full):
+        assert len(f["normal_form"]) > len(s["normal_form"])

@@ -309,6 +309,21 @@ def test_product_matches_reference():
         assert_same(a * (b - b), DiffPoly.zero())
 
 
+def test_ratfunc_and_diffpoly_operands_commute():
+    rng = random.Random(909)
+    for _ in range(60):
+        nvars = rng.randint(1, 2)
+        r = rand_ratfunc(rng, nvars) if rng.random() < 0.8 else RatFunc.zero()
+        d = rational_diffpoly(rng, nvars, slots=1)
+        assert_same(r + d, d + r)
+        assert_same(r * d, d * r)
+        assert_same(r - d, -(d - r))
+        for c in (0, 3, Fraction(-2, 5), True):
+            assert_same(r + c, c + r)
+            assert_same(r * c, c * r)
+            assert_same(r - c, -(c - r))
+
+
 def test_total_x_and_total_t_match_reference():
     rng = random.Random(907)
     for ctx, nvars in _coverings():
