@@ -79,14 +79,6 @@ def _contract(M, T, slot) -> tuple:
     return tuple(tuple(tuple(entry((i, j, k)) for k in r) for j in r) for i in r)
 
 
-def _sum3(x, y, z) -> RatFunc:
-    """x + y + z, adding first two terms over one denominator if there are any:
-    their sum needs no gcd, and terms that cancel do so before they meet a third."""
-    if y.den == z.den:
-        return x + (y + z)
-    return (x + z) + y if x.den == z.den else (x + y) + z
-
-
 def _swap(T) -> tuple:
     """T with its first two indices exchanged (for a matrix, its transpose)."""
     return tuple(zip(*T))
@@ -792,23 +784,33 @@ def nijenhuis(V) -> tuple:
 
 def haantjes(V) -> tuple:
     """H^i_jk = N^i_pq V^p_j V^q_k - N^p_jq V^i_p V^q_k - N^p_qk V^i_p V^q_j
-    + N^p_jk V^i_q V^q_p = A^i_jq V^q_k + V^i_p D^p_jk in four contractions, with
-    A^i_jk = N^i_pk V^p_j and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj)."""
+    + N^p_jk V^i_q V^q_p = A^i_jq V^q_k + V^i_p D^p_jk, with A^i_jk = N^i_pk V^p_j
+    and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj).  Each entry
+    of D and of H is one sum, so no partial product tensor is ever held."""
     V = as_matrix(V)
     r = range(len(V))
     N = nijenhuis(V)
     Vt = _swap(V)
     A = _contract(Vt, N, 1)
-    VN = _contract(V, N, 0)
-    del N  # each tensor is dropped once used: holding all seven tripled the peak memory
-    D = tuple(tuple(tuple(_sum3(VN[p][j][k], -A[p][j][k], A[p][k][j]) for k in r) for j in r)
-              for p in r)
-    del VN
-    AV = _contract(Vt, A, 2)
-    del A
-    VD = _contract(V, D, 0)
-    del D
-    return tuple(tuple(tuple(AV[i][j][k] + VD[i][j][k] for k in r) for j in r) for i in r)
+
+    def d_entry(p, j, k):
+        total = RatSum(A[p][k][j] - A[p][j][k])
+        for q in r:
+            total.addmul(V[p][q], N[q][j][k])
+        return total.value()
+
+    D = tuple(tuple(tuple(d_entry(p, j, k) for k in r) for j in r) for p in r)
+    del N  # H needs only A and D: drop N before H is built
+
+    def entry(i, j, k):
+        total = RatSum()
+        for q in r:
+            total.addmul(A[i][j][q], V[q][k])
+        for p in r:
+            total.addmul(V[i][p], D[p][j][k])
+        return total.value()
+
+    return tuple(tuple(tuple(entry(i, j, k) for k in r) for j in r) for i in r)
 
 
 def linear_degeneracy_check(V) -> ConditionReport:

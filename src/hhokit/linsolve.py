@@ -5,21 +5,24 @@ gives one scalar row per u-monomial, kept as a primitive integer vector: a
 ``{pid: int}`` dict with the constant under key 0, cleared by the lcm of its
 denominators and divided by the gcd of its entries (its content).
 
-The rows split into independent blocks, the connected components of the
-parameters that share a row (a union-find); rows without parameters form a
-block of their own.  Each block is brought to reduced row echelon form by
-fraction-free Gauss-Jordan elimination, sparsest row first (a stable sort,
-to keep fill-in small): pivot ``p`` of row ``P`` leaves row ``r`` by
+The rows are sorted once, sparsest first (a stable sort, to keep fill-in
+small), and brought to reduced row echelon form by one fraction-free
+Gauss-Jordan pass: pivot ``p`` of row ``P`` leaves row ``r`` by
 ``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``, and ``r`` is
-then divided by its content.  Fractions appear only in the read-out.
+then divided by its content; a pivot row of one entry forces ``p = 0``, so
+``p`` is simply deleted from ``r``.  A column index maps each parameter to
+the pivots whose rows hold it, so a new pivot is removed from exactly those
+rows.  Fractions appear only in the read-out.
 
 None of this changes the answer.  Scaling a row by a nonzero integer keeps
-the row space; each pivot is its row's lowest-``_pkey`` parameter and every
-pivot row stays fully reduced against the others, so the pivot rows, scaled
-to a leading 1, are the reduced row echelon form for that column order,
-which is unique; and the form of a block-diagonal system is the union of
-its blocks' forms.  ``pivots``, ``free`` and ``inconsistent`` are therefore
-those of any plain elimination, and ``pivots`` is returned in ``_pkey`` order.
+the row space.  Every pivot row stays fully reduced (it holds no other
+pivot), so the pivots leave a new row in any order with the same result;
+and each pivot is its row's lowest-``_pkey`` parameter, since a later
+pivot only adds parameters above itself.  The pivot rows, scaled to a
+leading 1, are thus the reduced row echelon form of the whole system for
+that column order, which is unique.  ``pivots``, ``free`` and
+``inconsistent`` are therefore those of any plain elimination, and
+``pivots`` is returned in ``_pkey`` order.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ def _scalar_rows(eq: RatFunc, params: set):
         rows.setdefault(m, {})[pid] = c
     out = []
     for row in rows.values():
-        den = lcm(*(c.denominator for c in row.values()))
-        out.append(_primitive({q: c.numerator * (den // c.denominator) for q, c in row.items()}))
+        if Fraction in map(type, row.values()):
+            den = lcm(*(c.denominator for c in row.values()))
+            row = {q: c.numerator * (den // c.denominator) for q, c in row.items()}
+        out.append(_primitive(row))
     return out
 
 
@@ -106,26 +111,6 @@ def _eliminate(row: dict, pid: int, prow: dict):
     _primitive(row)
 
 
-def _blocks(rows):
-    """The rows grouped by connected parameter sets (parameter-free rows under 0)."""
-    parent: dict = {}
-
-    def find(p):
-        while parent.setdefault(p, p) != p:
-            parent[p] = p = parent[parent[p]]
-        return p
-
-    for row in rows:
-        root = find(min(row))  # a parameter, unless the row has none
-        for q in row:
-            if q:
-                parent[find(q)] = root
-    blocks: dict = {}
-    for row in rows:
-        blocks.setdefault(find(min(row)), []).append(row)
-    return blocks.values()
-
-
 def linear_solve(eqs) -> LinearSystemSolution:
     """Solve a list of parameter-affine RatFunc equations (= 0) exactly.
 
@@ -138,25 +123,34 @@ def linear_solve(eqs) -> LinearSystemSolution:
             eq = RatFunc.from_poly(eq)
         rows.extend(_scalar_rows(eq, params))
 
-    pivot_rows: dict = {}  # pid -> primitive integer row holding pid
-    for block in _blocks(rows):
-        block.sort(key=len)
-        block_pivots: dict = {}
-        for row in block:
-            for pid in sorted(row, key=_pkey):
-                if pid in block_pivots and pid in row:
-                    _eliminate(row, pid, block_pivots[pid])
-            lead = min((q for q in row if q), key=_pkey, default=None)
-            if lead is None:
-                if row:  # 0 = nonzero constant
-                    return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
-                continue
-            # eliminate the new pivot from the block's previous rows
-            for prow in block_pivots.values():
-                if lead in prow:
-                    _eliminate(prow, lead, row)
-            block_pivots[lead] = row
-        pivot_rows.update(block_pivots)
+    rows.sort(key=len)
+    pivot_rows: dict = {}  # pid -> primitive integer row holding pid, fully reduced
+    holders: dict = {}  # non-pivot parameter -> the pivots whose rows hold it
+    for row in rows:
+        for pid in row.keys() & pivot_rows.keys():
+            prow = pivot_rows[pid]
+            if len(prow) == 1:  # prow forces pid = 0
+                del row[pid]
+            else:
+                _eliminate(row, pid, prow)
+        if not row:
+            continue
+        lead = min((q for q in row if q), key=_pkey, default=0)
+        if not lead:  # 0 = nonzero constant
+            return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
+        _primitive(row)  # a dropped entry may leave a content
+        rest = [q for q in row if q and q != lead]
+        for q in rest:
+            holders.setdefault(q, set()).add(lead)
+        for pid in holders.pop(lead, ()):
+            prow = pivot_rows[pid]
+            _eliminate(prow, lead, row)
+            for q in rest:
+                if q in prow:
+                    holders[q].add(pid)
+                else:
+                    holders[q].discard(pid)
+        pivot_rows[lead] = row
 
     free = sorted((p for p in params if p not in pivot_rows), key=_pkey)
     pivots = {}

@@ -23,7 +23,7 @@ from hhokit.covering import (
 )
 from hhokit.errors import NonlinearAnsatzError
 from hhokit.grammar import parse, parse_scalar
-from hhokit.linsolve import _blocks, _eliminate, _scalar_rows, linear_solve
+from hhokit.linsolve import _eliminate, _scalar_rows, linear_solve
 from hhokit.rational import Poly, RatFunc
 from hhokit.solver import make_operator_ansatz
 
@@ -307,18 +307,76 @@ def test_scalar_rows_are_primitive_integer_rows():
         assert sorted(map(_normalised, rows)) == sorted(map(_normalised, expected))
 
 
-def test_blocks_partition_the_parameters():
+def test_block_systems_equal_their_blocks_solved_apart():
+    """Solved whole, a system of disjoint blocks gives the union of its
+    blocks' solutions, and is inconsistent iff some block is."""
     rng = random.Random(16)
-    for _ in range(20):
-        rows = [row for eq in block_system(rng, 4) for row in _scalar_rows(eq, set())]
-        blocks = list(_blocks(rows))
-        assert sorted(map(id, rows)) == sorted(id(row) for block in blocks for row in block)
-        owner = {}
-        for i, block in enumerate(blocks):
-            for row in block:
-                assert all(owner.setdefault(q, i) == i for q in row if q)
-                assert any(row) == any(any(r) for r in block)  # parameter-free rows apart
-        assert len(set(owner.values())) >= 4
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        blocks, first = [], 1
+        for _ in range(rng.randint(3, 6)):
+            nparams = rng.randint(2, 6)
+            blocks.append(random_block(rng, first, nparams))
+            first += nparams
+        whole = [eq for block in blocks for eq in block]
+        rng.shuffle(whole)
+        sol = linear_solve(whole)
+        parts = [linear_solve(block) for block in blocks]
+        assert sol.inconsistent == any(part.inconsistent for part in parts)
+        outcomes[sol.inconsistent] += 1
+        if not sol.inconsistent:
+            # the blocks hold c1, c2, ... in turn, so their lists concatenate in order
+            assert list(sol.pivots.items()) == [
+                item for part in parts for item in part.pivots.items()]
+            assert sol.free == [f for part in parts for f in part.free]
+    assert outcomes[True] >= 5 and outcomes[False] >= 20
+
+
+def test_one_entry_pivot_chains_match_reference():
+    """Rows of one entry force their parameter to zero and drop it from the
+    rows that follow, which can leave further one-entry rows behind."""
+    u1, u2, u3 = RatFunc.var(1), RatFunc.var(2), RatFunc.var(3)
+    chain = [
+        c(1) * 2,                                  # c1 = 0
+        (c(1) + c(2) * 2) * u1,                    # then c2 = 0
+        (c(1) * 3 - c(2) + c(3) * 4 + c(4) * 6) * u2,  # then 2 c3 + 3 c4 = 0
+        (c(1) + c(4) - 5) * u3,                    # c4 = 5
+        c(5) - c(6),                               # a pivot row c5 - c6 ...
+        (c(5) + c(6)) * u1,                        # ... that c6 = 0 cuts to one entry
+        (c(5) + c(7) - c(6) * 3) * u2,
+    ]
+    sol = check_against_reference(chain)
+    assert sol.free == []
+    assert sol.pivots[-3] == ({}, Fraction(-15, 2)) and sol.pivots[-4] == ({}, 5)
+    assert all(sol.pivots[-k] == ({}, 0) for k in (1, 2, 5, 6, 7))
+    assert check_against_reference(chain + [(c(1) - 3) * u3 * u3]).inconsistent
+    rng = random.Random(19)
+    for _ in range(60):
+        eqs = [eq * RatFunc.var(rng.randint(1, 3)) for eq in rng.sample(chain, rng.randint(2, 7))]
+        eqs.extend(c(rng.randint(1, 9)) * rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+        eqs.extend(random_block(rng, 1, 9))
+        if rng.random() < 0.3:
+            eqs.append((c(rng.randint(1, 9)) - rng.randint(1, 3)) * u1 * u2)
+        rng.shuffle(eqs)
+        check_against_reference(eqs)
+
+
+def test_pivot_coefficients_mention_only_free_parameters():
+    rng = random.Random(18)
+    systems = [_residual_equations(EvolutionSystem.general([parse("u1_x3 + u1*u1_x")]), 1, 5, 2)]
+    systems += [random_system(rng) for _ in range(100)]
+    systems += [block_system(rng, rng.randint(2, 5)) for _ in range(40)]
+    checked = 0
+    for eqs in systems:
+        sol = linear_solve(eqs)
+        if sol.inconsistent:
+            continue
+        checked += 1
+        free = set(sol.free)
+        assert free.isdisjoint(sol.pivots)
+        for coeffs, _ in sol.pivots.values():
+            assert set(coeffs) <= free and all(coeffs.values())
+    assert checked >= 60
 
 
 def test_eliminate_gives_a_primitive_multiple_of_the_exact_row():
@@ -354,8 +412,8 @@ def test_nonlinear_parameter_monomials_are_rejected(eq):
 
 
 def test_cyclic_order4_rung_is_certified():
-    """The largest cyclic rung under the size cap: 4968 parameters in
-    independent blocks, solved and certified by substitution."""
+    """The largest cyclic rung under the size cap: 4968 parameters, solved
+    in one elimination pass and certified by substitution."""
     V = [[parse_scalar(x) for x in row] for row in _CYCLIC_V]
     eqs = _residual_equations(EvolutionSystem.hydrodynamic(V), 3, 4, 1)
     sol = linear_solve(eqs)
