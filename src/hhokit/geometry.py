@@ -6,10 +6,11 @@ iff every residual entry is the zero rational function.  Matrices are tuples
 of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
 (adjugate over determinant, one division per entry) and characteristic
 coefficients all come from one memoized minor expansion, ``_minors``; every
-index raise or lower of a three-index tensor goes through ``_contract``, and
-so does the Haantjes tensor (four contractions, n^4 products where the
-literal sum has n^5).  Linear degeneracy is summed by Horner's rule, without
-matrix powers.
+index raise or lower of a three-index tensor goes through ``_contract``.  The
+Nijenhuis and Haantjes tensors are polynomial sums (n^4 products, not n^5) over
+one common denominator d of V, for lower indices j < k only, each entry reduced
+once against a power of d (``ratfunc_over``).  Linear degeneracy is summed by
+Horner's rule, without matrix powers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import SIZE_CAP
 from .covering import BivectorForm, EvolutionSystem, LocalOperator, flux_jacobian, linearize
 from .errors import DegenerateMetricError, InputError
 from .jets import DiffPoly
-from .rational import Poly, RatFunc, RatSum
+from .rational import Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
 
 # -- exact matrix helpers ------------------------------------------------------
 
@@ -764,53 +765,76 @@ def second_order_potential_bivector(d: SecondOrderData) -> BivectorForm:
 # -- classification ----------------------------------------------------------------
 
 
-def nijenhuis(V) -> tuple:
-    """N^i_jk = V^s_j V^i_k,s - V^s_k V^i_j,s - V^i_s (V^s_k,j - V^s_j,k), from
-    the n^3 derivatives d[s][i][k] = V^i_k,s tabulated once."""
+def _antisymmetric(entry, n) -> tuple:
+    """The n x n x n tensor equal to entry(i, j, k) for j < k, antisymmetric in j, k."""
+    r = range(n)
+    T = [[[RatFunc.zero()] * n for _ in r] for _ in r]
+    for i, (j, k) in itertools.product(r, itertools.combinations(r, 2)):
+        T[i][j][k] = entry(i, j, k)
+        T[i][k][j] = -T[i][j][k]
+    return tuple(tuple(tuple(row) for row in plane) for plane in T)
+
+
+def _nijenhuis_numerator(V) -> tuple:
+    """(W, d, Nt), all polynomial: V = W / d for d the monic lcm of the entry
+    denominators, N = Nt / d^3.  With P[s][i][k] = W_ik,s d - W_ik d_,s = V^i_k,s d^2,
+    Nt^i_jk = W_sj P[s][i][k] - W_sk P[s][i][j] - W_is (P[j][s][k] - P[k][s][j]), j < k."""
     V = as_matrix(V)
     r = range(len(V))
-    d = [[[V[i][k].diff(s + 1) for k in r] for i in r] for s in r]
+    d = Poly.one()
+    for x in itertools.chain.from_iterable(V):
+        if not x.den.is_const and exact_div(d, x.den) is None:
+            d = d * exact_div(x.den, poly_gcd(d, x.den))
+    W = [[RatFunc._new(x.num * exact_div(d, x.den), Poly.one()) for x in row] for row in V]
+    D = RatFunc._new(d, Poly.one())
+    P = [[[W[i][k].diff(s + 1) * D - W[i][k] * D.diff(s + 1) for k in r] for i in r] for s in r]
 
     def entry(i, j, k):
         acc = RatSum()
         for s in r:
-            acc.addmul(V[s][j], d[s][i][k])
-            acc.addmul(V[s][k], d[s][i][j], -1)
-            acc.addmul(V[i][s], d[j][s][k] - d[k][s][j], -1)
+            acc.addmul(W[s][j], P[s][i][k])
+            acc.addmul(W[s][k], P[s][i][j], -1)
+            acc.addmul(W[i][s], P[j][s][k] - P[k][s][j], -1)
         return acc.value()
 
-    return tuple(tuple(tuple(entry(i, j, k) for k in r) for j in r) for i in r)
+    return W, d, _antisymmetric(entry, len(V))
+
+
+def nijenhuis(V) -> tuple:
+    """N^i_jk = V^s_j V^i_k,s - V^s_k V^i_j,s - V^i_s (V^s_k,j - V^s_j,k), each
+    entry j < k reduced once from its numerator over the common denominator."""
+    _, d, N = _nijenhuis_numerator(V)
+    return _antisymmetric(lambda i, j, k: ratfunc_over(N[i][j][k].num, d, 3), len(N))
 
 
 def haantjes(V) -> tuple:
     """H^i_jk = N^i_pq V^p_j V^q_k - N^p_jq V^i_p V^q_k - N^p_qk V^i_p V^q_j
     + N^p_jk V^i_q V^q_p = A^i_jq V^q_k + V^i_p D^p_jk, with A^i_jk = N^i_pk V^p_j
-    and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj).  Each entry
-    of D and of H is one sum, so no partial product tensor is ever held."""
-    V = as_matrix(V)
-    r = range(len(V))
-    N = nijenhuis(V)
-    Vt = _swap(V)
-    A = _contract(Vt, N, 1)
+    and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj).  Over the
+    common denominator d of V = W / d, A = At / d^4, D = Dt / d^4 and H = Ht / d^5
+    are polynomial sums, for j < k only; each entry of H is reduced once."""
+    W, d, N = _nijenhuis_numerator(V)
+    r = range(len(W))
+    A = _contract(_swap(W), N, 1)
 
     def d_entry(p, j, k):
         total = RatSum(A[p][k][j] - A[p][j][k])
         for q in r:
-            total.addmul(V[p][q], N[q][j][k])
+            total.addmul(W[p][q], N[q][j][k])
         return total.value()
 
-    D = tuple(tuple(tuple(d_entry(p, j, k) for k in r) for j in r) for p in r)
+    D = {(p, j, k): d_entry(p, j, k) for p in r for j, k in itertools.combinations(r, 2)}
     del N  # H needs only A and D: drop N before H is built
 
     def entry(i, j, k):
         total = RatSum()
         for q in r:
-            total.addmul(A[i][j][q], V[q][k])
+            total.addmul(A[i][j][q], W[q][k])
         for p in r:
-            total.addmul(V[i][p], D[p][j][k])
-        return total.value()
+            total.addmul(W[i][p], D[p, j, k])
+        return ratfunc_over(total.value().num, d, 5)
 
-    return tuple(tuple(tuple(entry(i, j, k) for k in r) for j in r) for i in r)
+    return _antisymmetric(entry, len(W))
 
 
 def linear_degeneracy_check(V) -> ConditionReport:

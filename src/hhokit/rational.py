@@ -806,6 +806,22 @@ def _reduce(num: Poly, den: Poly):
     return num, den
 
 
+def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
+    """The canonical RatFunc(num, d**e), d monic and parameter-free, without a gcd
+    against d**e: num and den lose g = gcd(num, gcd(den, d)) until g is constant,
+    which is exact for reducible d (a factor of num and den divides gcd(den, d))."""
+    if not num:
+        return RatFunc.zero()
+    den, r = d ** e, d  # gcd(d**e, d) = d
+    while not den.is_const:
+        g = poly_gcd(num, r)
+        if g.is_const:
+            break
+        num, den = exact_div(num, g), exact_div(den, g)
+        r = poly_gcd(den, d)
+    return RatFunc._new(num, den)  # a monic g keeps den monic: 1 if constant
+
+
 class RatSum:
     """A sum of RatFunc terms and products, formed in place from ``first``.
 

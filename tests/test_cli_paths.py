@@ -2,10 +2,11 @@
 
 ``test_report_identity.py`` pins every catalog example through check-op,
 check-compat, classify and reduce.  The cases here pin the other paths: the
-``--full`` switch, ``find-fluxes`` on operators of the wrong kind,
-check-compat refusals and failures, and ``reduce`` over two operators whose
-tails share one covering.  Each case pins the exit code, the standard error
-and the sha256 of the ``--json`` report.
+``--full`` switch, ``find-fluxes`` on operators of the wrong kind and on the
+n=4 second-order family (its classification runs ``haantjes`` with free
+parameters in V), check-compat refusals and failures, and ``reduce`` over two
+operators whose tails share one covering.  Each case pins the exit code, the
+standard error and the sha256 of the ``--json`` report.
 """
 
 import copy
@@ -70,6 +71,7 @@ PINNED = {
         "input error: find-fluxes needs a second- or third-order operator\n"),
     "find-fluxes --example kdv --operator A1": (2, None,
         "input error: find-fluxes needs a second- or third-order operator\n"),
+    "find-fluxes --example n4-second-order": (0, "f4f30336594222102e625ee57ff552a91bbc2af21a3a2940efdc736d72ea4f1a", ""),
     "reduce --file long-residual": (1, "4c2fcb93705941985bd652d6221333cd5e251b435624ee22f98f921e85dc3264", ""),
     "reduce --file long-residual --full": (1, "a625c153b3e0ca1b97186fd3a87a17bc401c9f31e3c7fc37b00dbc14c3aa26d5", ""),
     "reduce --file two-tails": (1, "427765cb034f33e018b2ce8d7a9c881132a5eed6bb526aa1829bac1c83ae17f7", ""),
