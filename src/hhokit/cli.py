@@ -9,6 +9,7 @@ failed mathematically, 2 malformed input (including degenerate metrics).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -314,6 +315,7 @@ def _add_common(p, with_operator=True):
                    help="do not truncate residual listings")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every main() call
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="hhokit",

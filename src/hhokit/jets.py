@@ -9,7 +9,8 @@ monomial part never stores them.
 
 Odd variables commute and carry degree at most 1: products of two odd factors
 raise OddDegreeError.  All values are immutable; operations return fresh
-objects in canonical form, so equality is normal-form comparison.
+objects in canonical form, with no zero coefficient stored (sums go through
+``rational.add_terms``), so equality is normal-form comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import RatFunc, RatSum
+from .rational import RatFunc, RatSum, add_terms
 
 KIND_U = 0
 KIND_P = 1
@@ -231,16 +232,7 @@ class DiffPoly:
         if type(other) is not DiffPoly:
             other = DiffPoly.from_scalar(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
-            else:
-                s = s + c
-                if s.is_zero:
-                    del res[m]
-                else:
-                    res[m] = s
+        add_terms(res, other.terms)
         return DiffPoly._new(res)
 
     __radd__ = __add__
@@ -249,16 +241,7 @@ class DiffPoly:
         if type(other) is not DiffPoly:
             other = DiffPoly.from_scalar(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = -c
-            else:
-                s = s - c
-                if s.is_zero:
-                    del res[m]
-                else:
-                    res[m] = s
+        add_terms(res, other.terms, -1)
         return DiffPoly._new(res)
 
     def __rsub__(self, other):

@@ -20,8 +20,10 @@ any other as ``Fraction``; ``+ - *`` keep the type their operands give, so a
 hash and print alike, so no answer depends on which one is stored.  The term
 order is graded lexicographic with field variables before parameters.
 
-Every sum of products is formed in place in one ``RatSum``, which adds
-polynomial products term by term into one dict and returns the canonical sum.
+Terms are summed in one place, ``add_terms``: it adds k*m0*terms into a term
+dict in place and deletes a term that cancels, so no stored coefficient is
+zero.  Every sum of products is formed in place in one ``RatSum``, whose
+polynomial products go through the same kernel.
 """
 
 from __future__ import annotations
@@ -81,6 +83,29 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
     out.extend(m1[i:])
     out.extend(m2[j:])
     return tuple(out)
+
+
+def add_terms(res: dict, terms: dict, k=1, m0: Mono = _EMPTY) -> None:
+    """res += k*m0*terms in place (k a scalar); a term that cancels is deleted, k == 0 returns
+    at once.  Neither dict holds a zero; only ``*``, ``+`` and truth touch a coefficient."""
+    if not k:
+        return
+    scale = k != 1  # once per call: a Fraction k compares in Python
+    get = res.get
+    for m, c in terms.items():
+        if m0:
+            m = mono_mul(m0, m)
+        if scale:
+            c = c * k
+        s = get(m)
+        if s is None:
+            res[m] = c
+        else:
+            s = s + c
+            if s:
+                res[m] = s
+            else:
+                del res[m]
 
 
 def mono_div(m1: Mono, m2: Mono):
@@ -204,33 +229,20 @@ class Poly:
         if type(other) is not Poly:
             other = Poly.const(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
-            else:
-                s = s + c
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
+        add_terms(res, other.terms)
         return Poly._new(res)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not Poly:
             other = Poly.const(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = -c
-            else:
-                s = s - c
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
+        add_terms(res, other.terms, -1)
         return Poly._new(res)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __neg__(self):
         return Poly._new({m: -c for m, c in self.terms.items()})
@@ -248,17 +260,7 @@ class Poly:
             a, b = b, a
         res = {}
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m)
-                if s is None:
-                    res[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        res[m] = s
-                    else:
-                        del res[m]
+            add_terms(res, b, c1, m1)
         return Poly._new(res)
 
     __rmul__ = __mul__
@@ -278,20 +280,15 @@ class Poly:
     # -- calculus and structure ---------------------------------------------
 
     def diff(self, vid: int) -> "Poly":
+        # distinct monomials stay distinct under d/du{vid}, so nothing adds up
         res = {}
         for m, c in self.terms.items():
             for pos, (v, e) in enumerate(m):
                 if v == vid:
                     if e == 1:
-                        nm = m[:pos] + m[pos + 1:]
+                        res[m[:pos] + m[pos + 1:]] = c
                     else:
-                        nm = m[:pos] + ((v, e - 1),) + m[pos + 1:]
-                    s = res.get(nm)
-                    s = c * e if s is None else s + c * e
-                    if s:
-                        res[nm] = s
-                    elif nm in res:
-                        del res[nm]
+                        res[m[:pos] + ((v, e - 1),) + m[pos + 1:]] = c * e
                     break
         return Poly._new(res)
 
@@ -342,7 +339,7 @@ class Poly:
 
     def subs_params(self, values: dict) -> "Poly":
         """Substitute rational values for parameters, keeping field variables."""
-        res = Poly.zero()
+        res = {}
         for m, c in self.terms.items():
             rest = []
             for vid, e in m:
@@ -350,8 +347,8 @@ class Poly:
                     c = c * values[vid] ** e
                 else:
                     rest.append((vid, e))
-            res = res + Poly._new({tuple(rest): 1}) * c
-        return res
+            add_terms(res, {tuple(rest): 1}, _q(c))
+        return Poly._new(res)
 
     def split_affine_params(self):
         """Decompose sum_k ck*rho_k(u) + rho_0(u) -> ({param_vid: rho_k}, rho_0).
@@ -425,14 +422,7 @@ def exact_div(a: Poly, b: Poly):
             return None
         qc = _q(c, bc)
         quot[qm] = qc
-        for m2, c2 in b.terms.items():
-            mm = mono_mul(qm, m2)
-            s = rem.get(mm)
-            s = -qc * c2 if s is None else s - qc * c2
-            if s:
-                rem[mm] = s
-            elif mm in rem:
-                del rem[mm]
+        add_terms(rem, b.terms, -qc, qm)
     return Poly._new(quot)
 
 
@@ -474,10 +464,10 @@ def _univar(p: Poly, x: int) -> dict:
 
 
 def _from_univar(coeffs: dict, x: int) -> Poly:
-    total = Poly.zero()
+    total = {}
     for d, p in coeffs.items():
-        total = total + p * Poly.var(x, d)
-    return total
+        add_terms(total, p.terms, 1, ((x, d),) if d else _EMPTY)
+    return Poly._new(total)
 
 
 def _content_x(coeffs: dict) -> Poly:
@@ -502,21 +492,8 @@ def _uv_pseudo_rem(a: dict, b: dict) -> dict:
     while rem and _uv_deg(rem) >= db:
         dr = _uv_deg(rem)
         lr = rem[dr]
-        new = {}
-        for d, p in rem.items():
-            if d == dr:
-                continue
-            new[d] = p * lb
-        for d, p in b.items():
-            if d == db:
-                continue
-            dd = d + dr - db
-            t = new.get(dd, Poly.zero()) - p * lr
-            if t.is_zero:
-                new.pop(dd, None)
-            else:
-                new[dd] = t
-        rem = {d: p for d, p in new.items() if not p.is_zero}
+        rem = {d: p * lb for d, p in rem.items() if d != dr}
+        add_terms(rem, {d + dr - db: p * lr for d, p in b.items() if d != db}, -1)
         e -= 1
     if e > 0 and rem:
         scale = lb ** e
@@ -827,7 +804,7 @@ class RatSum:
 
     ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b for a scalar k
     (int or Fraction); a zero operand returns at once.  Products of
-    polynomial operands (denominator 1) go term by term into one
+    polynomial operands (denominator 1) go by ``add_terms`` into one
     {monomial: coefficient} dict, with no intermediate Poly or RatFunc; a
     rational operand takes the RatFunc product and sum.  ``value()`` is the
     canonical RatFunc, equal to the chain of ``+`` and ``*`` it replaces; it
@@ -837,7 +814,7 @@ class RatSum:
     __slots__ = ("terms", "rest")
 
     def __init__(self, first: RatFunc | None = None):
-        self.terms = {}  # the polynomial part; cancelled entries stay as 0
+        self.terms = {}  # the polynomial part, kept canonical by add_terms
         self.rest = first  # the RatFunc sum of the rational terms and of a first add(), uncopied
 
     def add(self, a: RatFunc, k=1):
@@ -855,22 +832,12 @@ class RatSum:
             return self.add(a * b, k)
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        if k != 1:
-            ta = {m: c * k for m, c in ta.items()}
-        terms = self.terms
-        get = terms.get
         for m1, c1 in ta.items():
-            for m2, c2 in tb.items():
-                m = mono_mul(m1, m2)
-                c = get(m)
-                terms[m] = c1 * c2 if c is None else c + c1 * c2
+            add_terms(self.terms, tb, c1 * k if k != 1 else c1, m1)
 
     def value(self) -> RatFunc:
-        terms = self.terms
-        if terms:
-            for m in [m for m, c in terms.items() if not c]:
-                del terms[m]
-            poly = RatFunc._new(Poly._new(terms), Poly.one())
+        if self.terms:
+            poly = RatFunc._new(Poly._new(self.terms), Poly.one())
             self.terms = {}
             self.rest = poly if self.rest is None else self.rest + poly
         return RatFunc.zero() if self.rest is None else self.rest

@@ -92,3 +92,26 @@ def test_incomplete_or_incorrect_runs_are_refused(tmp_path, capsys, case):
     assert bench_pairs.main([str(tmp_path), "--out", str(out), *HEADER]) == 2
     assert expected in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verdict_against_the_benchmark_bounds(tmp_path):
+    # BENCHMARK.json bounds wall_s by 0.25 and peak_rss_mb by 0.1, lower better
+    write_runs(tmp_path, "search-ladder", [  # change median 1.5 vs 1.0: worse
+        (s, run_line(1.0, 30.0), run_line(1.5, 30.0)) for s in range(4)])
+    write_runs(tmp_path, "verify-covering", [  # parent quartiles 1.0..2.0, spread above 0.375
+        (s, run_line(p, 30.0), run_line(c, 30.0))
+        for s, p, c in ((0, 1.0, 1.2), (1, 2.0, 1.8), (2, 1.0, 1.4), (3, 2.0, 1.6))])
+    # wall_s 10% slower with no spread; peak_rss_mb spread wide, but every change run lower
+    write_runs(tmp_path, "catalog-cli", [
+        (s, run_line(1.0, 30.0 + 10 * (s % 2)), run_line(1.1, 20.0 + s)) for s in range(4)])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path), "--out", str(out), *HEADER]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    verdicts = {w: {m: entry["verdict"] for m, entry in workloads[w]["metrics"].items()}
+                for w in workloads}
+    assert verdicts["search-ladder"]["wall_s"] == "worse"
+    assert verdicts["verify-covering"]["wall_s"] == "unresolved"
+    assert verdicts["catalog-cli"]["wall_s"] == "within bound"
+    assert verdicts["catalog-cli"]["peak_rss_mb"] == "within bound"
+    assert verdicts["verify-covering"]["peak_rss_mb"] == "within bound"
+    assert verdicts["search-ladder"]["setup_s"] == "within bound"

@@ -4,9 +4,11 @@
 check-compat, classify and reduce.  The cases here pin the other paths: the
 ``--full`` switch, ``find-fluxes`` on operators of the wrong kind and on the
 n=4 second-order family (its classification runs ``haantjes`` with free
-parameters in V), check-compat refusals and failures, and ``reduce`` over two
-operators whose tails share one covering.  Each case pins the exit code, the
-standard error and the sha256 of the ``--json`` report.
+parameters in V), ``find-bivectors`` on KdV and on the cyclic n=3 system (each
+basis member is formed by ``Poly.subs_params``), check-compat refusals and
+failures, and ``reduce`` over two operators whose tails share one covering.
+Each case pins the exit code, the standard error and the sha256 of the
+``--json`` report.
 """
 
 import copy
@@ -49,6 +51,9 @@ FILES = {
         operators={"B": dict(_FLAT, W=[["1", "1"], ["1", "1"]]),
                    "S": dict(_FLAT, W=[["0", "1"], ["1", "0"]]),
                    "Z": {"bivector": ["u1_x*r3", "u2_x*r2"]}}),
+    # the cyclic n=3 hydrodynamic system: 144 ansatz parameters at order 1, degree 1
+    "cyclic3": {"n": 3, "system": {"type": "hydrodynamic", "V": [
+        ["u1", "u2", "u3"], ["u2", "u3", "u1"], ["u3", "u1", "u2"]]}},
     # a bivector whose residual components have more than 20 terms
     "long-residual": {
         "n": 2, "system": {"type": "hydrodynamic", "V": [["u1", "u2"], ["u2", "u1"]]},
@@ -67,6 +72,8 @@ PINNED = {
         "input error: this task needs a conservative (or potential) system\n"),
     "classify --example oriented-assoc": (1, "f2417f62363377ce0c9d04427a8fa07144db0f10facf0e70b0216908f4ed7ec9", ""),
     "classify --example oriented-assoc --full": (1, "6a0d15601fe36b9104f3313dfd7d95a2c29dcf068f37874457e3a9bf77454469", ""),
+    "find-bivectors --example kdv --order 3 --degree 1": (0, "5e525e4fb85410dafdb5ed205615ba1d9f3754de64b9a765dcc1fcdc6f33d21c", ""),
+    "find-bivectors --file cyclic3 --order 1 --degree 1": (0, "a1cd74d803ab9738173a780c52b7c4048ec3e67fc57e715b26898d4a8ee96815", ""),
     "find-fluxes --example hydro2-pass --operator A": (2, None,
         "input error: find-fluxes needs a second- or third-order operator\n"),
     "find-fluxes --example kdv --operator A1": (2, None,

@@ -189,7 +189,7 @@ def test_scalar_and_mixed_operands_of_every_operator():
             pc, rc = Poly.const(c), RatFunc.const(c)
             dc = DiffPoly.from_scalar(rc)
             for got, ref in ((p + c, p + pc), (p - c, p - pc), (p * c, p * pc),
-                             (c * p, pc * p)):
+                             (c * p, pc * p), (c + p, pc + p), (c - p, pc - p)):
                 assert_same(got, ref)
             for got, ref in ((r + c, r + rc), (r - c, r - rc), (r * c, r * rc),
                              (c + r, rc + r), (c - r, rc - r), (c * r, rc * r)):

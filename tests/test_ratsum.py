@@ -39,7 +39,7 @@ def assert_same(got, ref):
 # -- RatSum against the RatFunc chain ---------------------------------------------
 
 
-_SCALES = (1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2))
+_SCALES = (0, 1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2))
 
 
 def _operand(rng):

@@ -12,8 +12,13 @@ Every seed of a workload needs both sides, every run must be correct, and
 every run must carry exactly the five end-to-end metrics of an untraced run.
 
 Per workload and metric the file gives both medians, their ratio (change
-over parent), both sides' first and third quartiles (inclusive method) and
-the number of pairs in which the change was lower.
+over parent), both sides' first and third quartiles (inclusive method), the
+number of pairs in which the change was lower, and a no-regression verdict
+against the metric's ``better`` direction and ``bound`` in the repository's
+``BENCHMARK.json``: ``worse`` when the change's median is worse than the
+parent's by more than bound x the parent median; otherwise ``unresolved``
+when the parent's quartile spread is wider than that and not every change run
+beats every parent run; otherwise ``within bound``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import sys
 
 SIDES = ("parent", "change")
 METRICS = {"setup_s", "wall_s", "task_p50_s", "task_tail_s", "peak_rss_mb"}
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
 _NAME = re.compile(r"^(?P<workload>[\w-]+)\.(?P<side>parent|change)\.(?P<seed>\d+)\.json$")
 
 
@@ -74,8 +80,21 @@ def _quartiles(values):
     return [q1, q3]
 
 
-def summarize(seeds: dict) -> dict:
-    """The BENCH entry of one workload from {seed: {side: result}}."""
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The no-regression verdict of one metric's runs (see the module docstring)."""
+    sign = 1 if better == "lower" else -1  # sign * (change - parent) > 0 is worse
+    allowed = bound * abs(statistics.median(parent))
+    if sign * (statistics.median(change) - statistics.median(parent)) > allowed:
+        return "worse"
+    q1, q3 = _quartiles(parent)
+    if q3 - q1 > allowed and not all(sign * (c - p) < 0 for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(seeds: dict, specs: dict) -> dict:
+    """The BENCH entry of one workload from {seed: {side: result}}; ``specs``
+    maps each end-to-end metric to its BENCHMARK.json entry."""
     order = sorted(seeds)
     first = seeds[order[0]]["parent"]["metrics"]
     metrics = {}
@@ -92,6 +111,8 @@ def summarize(seeds: dict) -> dict:
             "parent_quartiles": [round(q, 4) for q in _quartiles(values["parent"])],
             "change_quartiles": [round(q, 4) for q in _quartiles(values["change"])],
             "change_lower_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
+            "verdict": verdict(values["parent"], values["change"],
+                               specs[metric]["better"], specs[metric]["bound"]),
         }
     return {
         "seeds": order,
@@ -102,9 +123,9 @@ def summarize(seeds: dict) -> dict:
     }
 
 
-def build(runs: dict, header: dict) -> dict:
+def build(runs: dict, header: dict, specs: dict) -> dict:
     out = dict(header)
-    out["workloads"] = {w: summarize(runs[w]) for w in sorted(runs)}
+    out["workloads"] = {w: summarize(runs[w], specs) for w in sorted(runs)}
     return out
 
 
@@ -135,6 +156,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         runs = load_runs(args.runs)
+        with open(BENCHMARK, encoding="utf-8") as fh:
+            specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     except (PairError, OSError, json.JSONDecodeError) as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
@@ -149,7 +172,7 @@ def main(argv=None) -> int:
     if args.claim:
         header["claim"] = args.claim
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps(build(runs, header)) + "\n")
+        fh.write(dumps(build(runs, header, specs)) + "\n")
     return 0
 
 
