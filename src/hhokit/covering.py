@@ -1,12 +1,17 @@
 """Cotangent coverings of evolutionary systems and bivector residuals.
 
 An evolutionary system u^i_t = f^i(x-jets) is augmented with odd variables
-p_i obeying the adjoint linearized equations; a differential operator applied
-to p becomes a vector function linear in the odd variables, and it is a
-variational bivector exactly when its linearization residual reduces to zero
-on the covering.  Symmetries generate conservation laws linear in the odd
-variables; their potentials r_alpha extend the covering with rewrite rules
-for r_x and r_t, which is how weakly nonlocal operator tails are handled.
+p_i obeying the adjoint linearized equations p_t = -l_F*(p), where the
+linearization l_F is a ``LocalOperator`` and l_F* its ``formal_adjoint``.  A
+differential operator applied to p (``LocalOperator.apply``, the one routine
+that applies an operator, l_F included) becomes a vector function linear in
+the odd variables, and it is a variational bivector exactly when
+D_t A(p) - l_F(A(p)) reduces to zero on the covering.  Symmetries generate
+conservation laws linear in the odd variables; their potentials r_alpha
+extend the covering with rewrite rules for r_x and r_t, which is how weakly
+nonlocal operator tails are handled.  Every chain D_x^0..k of a flux, a p_t
+rule, an argument of l_F or a product a p_i is kept in one kind of memo,
+``CoveringContext._dx``.
 """
 
 from __future__ import annotations
@@ -101,30 +106,20 @@ def flux_jacobian(flux_potentials) -> tuple:
     return tuple(tuple(V.diff(j + 1) for j in range(n)) for V in flux_potentials)
 
 
-def linearization_table(system: EvolutionSystem) -> dict:
-    """Coefficients of the linearization: (i, j, sigma) -> DiffPoly.
+def linearization(system: EvolutionSystem) -> "LocalOperator":
+    """The linearization l_F, (l_F phi)^i = sum a^i_{j,sigma} D_x^sigma phi^j.
 
-    l_F(phi)^i = D_t phi^i - sum a^i_{j,sigma} D_x^sigma phi^j.  For general
-    systems a^i_{j,sigma} = df^i/du^j_sigma; a potential system b_t = V(b_x)
-    has the single band a^i_{j,1} = dV^i/du^j because its dependent variables
-    are the potentials, not u.
+    For general systems a^i_{j,sigma} = df^i/du^j_sigma; a potential system
+    b_t = V(b_x) has the single band a^i_{j,1} = dV^i/du^j because its
+    dependent variables are the potentials, not u.
     """
-    table = {}
+    n = system.n
     if system.kind == "potential":
         jac = system.jacobian()
-        for i in range(system.n):
-            for j in range(system.n):
-                if not jac[i][j].is_zero:
-                    table[(i, j, 1)] = DiffPoly.from_scalar(jac[i][j])
-        return table
-    for i, f in enumerate(system.fluxes):
-        max_order = f.max_jet_order()
-        for j in range(1, system.n + 1):
-            for sigma in range(max_order + 1):
-                a = f.partial_jet(j, sigma)
-                if not a.is_zero:
-                    table[(i, j - 1, sigma)] = a
-    return table
+        return LocalOperator.build(n, [[((jac[i][j], 1),) for j in range(n)] for i in range(n)])
+    return LocalOperator.build(n, [[[(f.partial_jet(j, sigma), sigma)
+                                     for sigma in range(f.max_jet_order() + 1)]
+                                    for j in range(1, n + 1)] for f in system.fluxes])
 
 
 @dataclass(frozen=True)
@@ -147,13 +142,6 @@ class BivectorForm:
         for i, comp in enumerate(self.components, start=1):
             if not comp.odd_linear():
                 raise InputError(f"component {i} is not linear in the odd variables")
-
-    def __add__(self, other):
-        return BivectorForm(tuple(a + b for a, b in
-                                  zip(self.components, other.components)))
-
-    def scalar_mul(self, c):
-        return BivectorForm(tuple(a.scalar_mul(c) for a in self.components))
 
 
 @dataclass(frozen=True)
@@ -204,6 +192,16 @@ class LocalOperator:
                      for row in self.entries)
         return LocalOperator(n=self.n, entries=rows)
 
+    def apply(self, dx):
+        """Yield one DiffSum per row i, sum_j sum_(a, k) a * dx(j, k), where
+        dx(j, k) is D_x^k of the j-th argument; row i is formed when asked for."""
+        for row in self.entries:
+            total = DiffSum()
+            for j, entry in enumerate(row):
+                for coeff, k in entry:
+                    total.addmul(coeff, dx(j, k))
+            yield total
+
 
 def formal_adjoint(A: LocalOperator) -> LocalOperator:
     """(a d^k)* = (-1)^k d^k a, expanded to normal form entrywise."""
@@ -229,19 +227,14 @@ def formal_adjoint(A: LocalOperator) -> LocalOperator:
 def operator_to_bivector(A: LocalOperator, ctx: "CoveringContext" = None,
                          tail=()) -> BivectorForm:
     """Evaluate the operator on p, adding weight * phi^i * r_alpha tails."""
-    comps = []
-    for i in range(A.n):
-        total = DiffSum()
-        for j in range(A.n):
-            for coeff, k in A.entries[i][j]:
-                total.addmul(coeff, DiffPoly.odd_p(j + 1, k))
-        for weight, alpha in tail:
-            if ctx is None:
-                raise InputError("nonlocal tails need a covering context")
-            slot = ctx.slot(alpha)
-            total.addmul(slot.phi[i].scalar_mul(weight), DiffPoly.odd_r(alpha))
-        comps.append(total.value())
-    return BivectorForm(components=tuple(comps))
+    if tail and ctx is None:
+        raise InputError("nonlocal tails need a covering context")
+    rows = list(A.apply(lambda j, k: DiffPoly.odd_p(j + 1, k)))
+    for weight, alpha in tail:
+        slot = ctx.slot(alpha)
+        for phi, total in zip(slot.phi, rows):
+            total.addmul(phi.scalar_mul(weight), DiffPoly.odd_r(alpha))
+    return BivectorForm(components=tuple(total.value() for total in rows))
 
 
 class CoveringContext:
@@ -249,30 +242,16 @@ class CoveringContext:
 
     def __init__(self, system: EvolutionSystem):
         self.system = system
-        self.table = linearization_table(system)
+        self.linearization = linearization(system)
         self.slots: list[NonlocalSlot] = []
         self._rx_rules: dict[int, DiffPoly] = {}
-        self._dx_cache: dict = {}
         self._cap = jet_cap()  # read once: jet_cap() consults os.environ
-        self.pt_rules = self._adjoint_rules()
-
-    # -- construction ----------------------------------------------------------
-
-    def _adjoint_rules(self):
-        """Solve the adjoint linearized system for p_{j,t} by parts:
-        p_{j,t} = sum_{i,sigma} (-1)^{sigma+1} D_x^sigma(a^i_{j,sigma} p_i)."""
-        rules = []
-        for j in range(self.system.n):
-            acc = DiffSum()
-            for (i, jj, sigma), a in self.table.items():
-                if jj != j:
-                    continue
-                term = a * DiffPoly.odd_p(i + 1, 0)
-                for _ in range(sigma):
-                    term = self.total_x(term)
-                acc.add(term, 1 if sigma % 2 else -1)
-            rules.append(acc.value())
-        return tuple(rules)
+        # D_x ladders of r-free bases, valid for every slot registered later:
+        # ("f", i) flux f^i, ("pt", i) rule p_{i,t}, ("p", i) p_i, ("ap", i, j, sigma) a p_i
+        self._chains: dict = {}
+        rows = formal_adjoint(self.linearization).neg().apply(
+            lambda j, k: self._dx(self._chains, ("p", j), DiffPoly.odd_p(j + 1), k))
+        self.pt_rules = tuple(total.value() for total in rows)
 
     def slot(self, alpha: int) -> NonlocalSlot:
         if not 1 <= alpha <= len(self.slots):
@@ -284,20 +263,14 @@ class CoveringContext:
     def total_x(self, a: DiffPoly) -> DiffPoly:
         return total_x(a, rx_rules=self._rx_rules, cap=self._cap)
 
-    def _dx_chain(self, kind: str, idx: int, order: int) -> DiffPoly:
-        """Cached D_x^order of flux idx ('f') or adjoint rule idx ('p')."""
-        key = (kind, idx, order)
-        hit = self._dx_cache.get(key)
-        if hit is not None:
-            return hit
-        if order == 0:
-            base = self.system.fluxes[idx] if kind == "f" else self.pt_rules[idx]
-            self._dx_cache[key] = base
-            return base
-        prev = self._dx_chain(kind, idx, order - 1)
-        value = self.total_x(prev)
-        self._dx_cache[key] = value
-        return value
+    def _dx(self, memo: dict, key, base: DiffPoly, k: int) -> DiffPoly:
+        """D_x^k of base; memo[key] keeps the ladder D_x^0..k of base."""
+        ladder = memo.get(key)
+        if ladder is None:
+            ladder = memo[key] = [base]
+        while len(ladder) <= k:
+            ladder.append(self.total_x(ladder[-1]))
+        return ladder[k]
 
     def total_t(self, a: DiffPoly) -> DiffPoly:
         """D_t with all t-derivatives eliminated through the covering rules."""
@@ -311,12 +284,15 @@ class CoveringContext:
                 else:
                     lowered = m.even[:pos] + m.even[pos + 1:]
                 rest = DiffPoly._new({DiffMonomial(lowered, m.odd): c})
-                res.addmul(rest, self._dx_chain("f", jv.index - 1, jv.xorder), e)
+                i = jv.index - 1
+                res.addmul(rest, self._dx(self._chains, ("f", i), self.system.fluxes[i],
+                                          jv.xorder), e)
             if m.odd is not None:
                 jv = m.odd
                 rest = DiffPoly._new({DiffMonomial(m.even, None): c})
                 if jv.kind == KIND_P:
-                    rule = self._dx_chain("p", jv.index - 1, jv.xorder)
+                    i = jv.index - 1
+                    rule = self._dx(self._chains, ("pt", i), self.pt_rules[i], jv.xorder)
                 else:
                     rule = self.slot(jv.index).rt_rule
                 res.addmul(rest, rule)
@@ -325,26 +301,16 @@ class CoveringContext:
     # -- operations --------------------------------------------------------------
 
     def linearize(self, phi) -> tuple:
-        """l_F(phi) reduced on the covering; phi is a symmetry characteristic
-        (odd-free) or the image A(p) of an operator (odd-linear)."""
-        phi = tuple(phi)
+        """D_t phi - l_F(phi) reduced on the covering; phi is a symmetry
+        characteristic (odd-free) or the image A(p) of an operator (odd-linear)."""
+        return self._linearize(tuple(phi), {})
+
+    def _linearize(self, phi: tuple, memo: dict) -> tuple:
+        """linearize(phi), keeping the ladders D_x^k phi^j in memo[j]."""
         if len(phi) != self.system.n:
             raise InputError("characteristic has the wrong number of components")
-        dx_phi: dict = {}
-
-        def dxp(j, sigma):
-            if (j, sigma) not in dx_phi:
-                dx_phi[(j, sigma)] = phi[j] if sigma == 0 else self.total_x(dxp(j, sigma - 1))
-            return dx_phi[(j, sigma)]
-
-        out = []
-        for i in range(self.system.n):
-            acc = DiffSum()
-            for (ii, j, sigma), a in self.table.items():
-                if ii == i:
-                    acc.addmul(a, dxp(j, sigma))
-            out.append(self.total_t(phi[i]) - acc.value())
-        return tuple(out)
+        rows = self.linearization.apply(lambda j, k: self._dx(memo, j, phi[j], k))
+        return tuple(self.total_t(f) - total.value() for f, total in zip(phi, rows))
 
     def register_symmetry(self, phi) -> int:
         """Register a symmetry characteristic; returns the slot index alpha.
@@ -353,27 +319,22 @@ class CoveringContext:
         rewrite rules r_x = phi^i p_i and r_t = the integration-by-parts flux
         of <l_F(phi), p>.
         """
-        phi = tuple(phi)
-        residual = self.linearize(phi)
+        phi, dphi = tuple(phi), {}
+        residual = self._linearize(phi, dphi)
         if any(not comp.is_zero for comp in residual):
             raise NotASymmetryError("characteristic is not a symmetry", residual=residual)
         rx = DiffSum()
         for i in range(self.system.n):
             rx.addmul(phi[i], DiffPoly.odd_p(i + 1, 0))
         rt = DiffSum()
-        for (i, j, sigma), a in self.table.items():
-            if sigma < 1:
-                continue
-            ap = a * DiffPoly.odd_p(i + 1, 0)
-            dm_ap = ap
-            for mth in range(sigma):
-                # (-1)^m D_x^m(a p_i) * D_x^{sigma-1-m} phi^j
-                dphi = phi[j]
-                for _ in range(sigma - 1 - mth):
-                    dphi = self.total_x(dphi)
-                rt.addmul(dm_ap, dphi, -1 if mth % 2 else 1)
-                if mth < sigma - 1:
-                    dm_ap = self.total_x(dm_ap)
+        for i, row in enumerate(self.linearization.entries):
+            for j, entry in enumerate(row):
+                for a, sigma in entry:
+                    ap = a * DiffPoly.odd_p(i + 1, 0)
+                    for m in range(sigma):
+                        # (-1)^m D_x^m(a p_i) * D_x^{sigma-1-m} phi^j
+                        rt.addmul(self._dx(self._chains, ("ap", i, j, sigma), ap, m),
+                                  self._dx(dphi, j, phi[j], sigma - 1 - m), -1 if m % 2 else 1)
         alpha = len(self.slots) + 1
         slot = NonlocalSlot(alpha=alpha, phi=phi, rx_rule=rx.value(), rt_rule=rt.value())
         self.slots.append(slot)
@@ -387,7 +348,8 @@ def build_cotangent(system: EvolutionSystem) -> CoveringContext:
 
 
 def linearize(system: EvolutionSystem, phi) -> tuple:
-    """l_F(phi) in x-jet normal form, without constructing odd rules."""
+    """D_t phi - l_F(phi) in x-jet normal form, on a fresh cotangent covering
+    (its p_t rules are built too, though an odd-free phi never reads them)."""
     return CoveringContext(system).linearize(phi)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .config import SIZE_CAP
 from .covering import BivectorForm, EvolutionSystem, LocalOperator, flux_jacobian, linearize
 from .errors import DegenerateMetricError, InputError
-from .jets import DiffPoly
+from .jets import DiffPoly, DiffSum, dm_mul, mono, pjet, ujet
 from .rational import Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -401,10 +401,8 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
 def tail_characteristic(W) -> tuple:
     """The characteristic W u_x (component i is sum_j W[i][j] u^j_x) of the
     symmetry that generates a nonlocal tail."""
-    W = as_matrix(W)
-    n = len(W)
-    return tuple(sum((DiffPoly.jet(j + 1, 1).scalar_mul(W[i][j]) for j in range(n)),
-                     DiffPoly.zero()) for i in range(n))
+    ux = _jet_monomials(len(W), 1)
+    return tuple(DiffPoly(dict(zip(ux, row))) for row in as_matrix(W))
 
 
 def nonlocal_first_order_check(metric: Metric, conn: Connection, W, V) -> ConditionReport:
@@ -710,20 +708,20 @@ def potentialize(system: EvolutionSystem) -> EvolutionSystem:
     return EvolutionSystem.potential(system.flux_potentials)
 
 
+def _jet_monomials(n, xorder) -> list:
+    """The monomials u^1_{x^xorder}, ..., u^n_{x^xorder}."""
+    return [mono([(ujet(k + 1, xorder), 1)]) for k in range(n)]
+
+
 def first_order_operator(metric: Metric, conn: Connection) -> LocalOperator:
     """g^{ij} d_x + Gamma^{ij}_k u^k_x as a LocalOperator."""
     n = metric.n
     g = metric.upper()
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            zero_part = DiffPoly.zero()
-            for k in range(n):
-                zero_part = zero_part + DiffPoly.jet(k + 1, 1).scalar_mul(conn.gamma[i][j][k])
-            row.append(((DiffPoly.from_scalar(g[i][j]), 1), (zero_part, 0)))
-        entries.append(tuple(row))
-    return LocalOperator(n=n, entries=tuple(entries)).normalized()
+    ux = _jet_monomials(n, 1)
+    entries = tuple(tuple(((DiffPoly.from_scalar(g[i][j]), 1),
+                           (DiffPoly(dict(zip(ux, conn.gamma[i][j]))), 0))
+                          for j in range(n)) for i in range(n))
+    return LocalOperator(n=n, entries=entries).normalized()
 
 
 def third_order_operator(d: ThirdOrderData) -> LocalOperator:
@@ -731,35 +729,27 @@ def third_order_operator(d: ThirdOrderData) -> LocalOperator:
     n = d.n
     g = d.metric.upper()
     c = d.c_up
+    ux, uxx = _jet_monomials(n, 1), _jet_monomials(n, 2)
     entries = []
     for i in range(n):
         row = []
         for j in range(n):
-            second = DiffPoly.zero()
-            first = DiffPoly.zero()
+            second = DiffPoly({ux[k]: g[i][j].diff(k + 1) + c[i][j][k] for k in range(n)})
+            first = DiffSum()
             for k in range(n):
-                second = second + DiffPoly.jet(k + 1, 1).scalar_mul(
-                    g[i][j].diff(k + 1) + c[i][j][k])
-                first = first + DiffPoly.jet(k + 1, 2).scalar_mul(c[i][j][k])
+                first[uxx[k]].add(c[i][j][k])
                 for l in range(n):
-                    first = first + (DiffPoly.jet(l + 1, 1) * DiffPoly.jet(k + 1, 1)
-                                     ).scalar_mul(c[i][j][k].diff(l + 1))
-            row.append(((DiffPoly.from_scalar(g[i][j]), 3), (second, 2), (first, 1)))
+                    first[dm_mul(ux[l], ux[k])].add(c[i][j][k].diff(l + 1))
+            row.append(((DiffPoly.from_scalar(g[i][j]), 3), (second, 2), (first.value(), 1)))
         entries.append(tuple(row))
     return LocalOperator(n=n, entries=tuple(entries)).normalized()
 
 
 def second_order_potential_bivector(d: SecondOrderData) -> BivectorForm:
     """The order-0 image -g^{ij}(b_x) p_j of the canonical operator."""
-    g_up = inverse(d.g_low())
-    n = d.n
-    comps = []
-    for i in range(n):
-        total = DiffPoly.zero()
-        for j in range(n):
-            total = total - DiffPoly.odd_p(j + 1, 0).scalar_mul(g_up[i][j])
-        comps.append(total)
-    return BivectorForm(components=tuple(comps))
+    p = [mono((), pjet(j + 1)) for j in range(d.n)]
+    return BivectorForm(components=tuple(DiffPoly({pj: -g for pj, g in zip(p, row)})
+                                         for row in inverse(d.g_low())))
 
 
 # -- classification ----------------------------------------------------------------

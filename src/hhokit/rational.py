@@ -313,9 +313,6 @@ class Poly:
                 seen.add(v)
         return sorted(seen, key=vkey)
 
-    def field_vars(self):
-        return [v for v in self.vars_used() if v > 0]
-
     @property
     def has_params(self) -> bool:
         return any(v < 0 for m in self.terms for v, _ in m)
@@ -613,10 +610,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_const(self) -> bool:
-        return self.num.is_const and self.den.is_const
-
     def const_value(self) -> Fraction:
         return _q(self.num.const_value(), self.den.const_value())
 
@@ -723,10 +716,6 @@ class RatFunc:
 
     def field_vars(self):
         return [v for v in self.vars_used() if v > 0]
-
-    @property
-    def has_params(self) -> bool:
-        return self.num.has_params
 
     def evaluate(self, point: dict) -> Fraction:
         d = self.den.evaluate(point)

@@ -6,7 +6,11 @@ check-compat, classify and reduce.  The cases here pin the other paths: the
 n=4 second-order family (its classification runs ``haantjes`` with free
 parameters in V), ``find-bivectors`` on KdV and on the cyclic n=3 system (each
 basis member is formed by ``Poly.subs_params``), check-compat refusals and
-failures, and ``reduce`` over two operators whose tails share one covering.
+failures, ``reduce`` over two operators whose tails share one covering, a
+third-order operator with tails ``w`` (their symmetry residuals are
+linearizations on the potential covering), ``find-fluxes`` on a third-order
+operator, second-order data given as full ``T``/``g0`` arrays, third-order data
+with explicit ``c`` symbols, and ``reduce`` on a potential system.
 Each case pins the exit code, the standard error and the sha256 of the
 ``--json`` report.
 """
@@ -17,7 +21,7 @@ import json
 
 import pytest
 
-from hhokit.catalog import examples_catalog
+from hhokit.catalog import examples_catalog, n4_second_order_data
 from hhokit.cli import main
 
 _PROBLEMS = {entry.name: entry.problem for entry in examples_catalog()}
@@ -28,6 +32,8 @@ def _variant(example, **changes):
     doc.update(copy.deepcopy(changes))
     return doc
 
+
+_N4 = n4_second_order_data()
 
 _FLAT = {"order": 1, "g": [["1", "0"], ["0", "1"]],
          "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}
@@ -60,6 +66,29 @@ FILES = {
         "operators": {"B": {"bivector": [
             "u1^2*u2*p2_x3 + u2*p1_xx + u1_x*u2*p2_x",
             "u2^2*p1_x3 + u1*u2*p2_x + u2_xx*p1"]}}},
+    # two tails w on the flat third-order operator, one with a nonconstant entry
+    "third-with-tails": _variant(
+        "third-order-flat", operators={"D": {
+            "order": 3, "g": [["1", "0"], ["0", "-1"]], "variance": "lower",
+            "c": "from-metric", "w": [[["0", "1"], ["1", "u2"]], [["0", "1"], ["1", "0"]]],
+            "weights": ["1", "-1/2"]}}),
+    # the n=4 second-order operator with T and g0 written out as full arrays
+    "n4-full": _variant(
+        "n4-second-order", operators={"C": {
+            "order": 2, "T": [[[str(x) for x in row] for row in plane] for plane in _N4.T],
+            "g0": [[str(x) for x in row] for row in _N4.g0]}}),
+    # the Monge metric's c symbols written out instead of derived
+    "monge-explicit-c": _variant(
+        "third-order-monge", operators={"D": {
+            "order": 3, "g": [["-2*u2", "u1"], ["u1", "0"]], "variance": "lower",
+            "c": [[["0", "0"], ["-1/u1^2", "0"]], [["0", "0"], ["-2*u2/u1^3", "1/u1^2"]]]}}),
+    # a potential system b_t = V(b_x): its linearization is the single band dV/du
+    "potential": {
+        "n": 2, "system": {"type": "potential", "V": ["u1*u2", "u1^2/2 + u2^2/2"]},
+        "operators": {"P": {"bivector": ["p2", "-p1"]},
+                      "Q": {"bivector": ["u2*p2_x", "p1 + u1_x*p2"]},
+                      "D": {"order": 3, "g": [["1", "0"], ["0", "-1"]], "variance": "lower",
+                            "c": "from-metric"}}},
 }
 
 # "<command> <flags>" (a --file name is a key of FILES) -> (exit code, report
@@ -68,8 +97,11 @@ PINNED = {
     "check-compat --file first-on-conservative": (2, None,
         "input error: first-order compatibility needs a hydrodynamic system\n"),
     "check-compat --file kdv-failing-bivector": (1, "80a02441d3b943bb9c447a2b1c3d52c63c137d897c1a3a878ec8ced26efa233c", ""),
+    "check-compat --file monge-explicit-c": (0, "6ea5e236297d8eed8cdb8a468509b9075ad6e43fe10f758a4285548fcdd11a58", ""),
+    "check-compat --file n4-full": (0, "6004d53bf8233a4447b889aece43efc38ce78ef61624dfc64a017f5596ed9832", ""),
     "check-compat --file second-on-hydrodynamic": (2, None,
         "input error: this task needs a conservative (or potential) system\n"),
+    "check-compat --file third-with-tails": (1, "b97d7a6ef67fcd4d27a132341b35c51393333022c2b0e796d39607ad97714bd3", ""),
     "classify --example oriented-assoc": (1, "f2417f62363377ce0c9d04427a8fa07144db0f10facf0e70b0216908f4ed7ec9", ""),
     "classify --example oriented-assoc --full": (1, "6a0d15601fe36b9104f3313dfd7d95a2c29dcf068f37874457e3a9bf77454469", ""),
     "find-bivectors --example kdv --order 3 --degree 1": (0, "5e525e4fb85410dafdb5ed205615ba1d9f3754de64b9a765dcc1fcdc6f33d21c", ""),
@@ -79,8 +111,11 @@ PINNED = {
     "find-fluxes --example kdv --operator A1": (2, None,
         "input error: find-fluxes needs a second- or third-order operator\n"),
     "find-fluxes --example n4-second-order": (0, "f4f30336594222102e625ee57ff552a91bbc2af21a3a2940efdc736d72ea4f1a", ""),
+    "find-fluxes --example third-order-flat --operator D --degree 2": (0, "d8930f55b4c04dd3d988ff0d1355b596df53ba2bacf716476cb17004bb63f11a", ""),
     "reduce --file long-residual": (1, "4c2fcb93705941985bd652d6221333cd5e251b435624ee22f98f921e85dc3264", ""),
     "reduce --file long-residual --full": (1, "a625c153b3e0ca1b97186fd3a87a17bc401c9f31e3c7fc37b00dbc14c3aa26d5", ""),
+    "reduce --file monge-explicit-c": (0, "143a88d37d33f87bc742bdf70080722d87100f284f8a705e8eceba8645788ba9", ""),
+    "reduce --file potential": (1, "29d25e5503428d0bbc31fc79d7194ac5f6988fc0dac2f818ea631fbbced39759", ""),
     "reduce --file two-tails": (1, "427765cb034f33e018b2ce8d7a9c881132a5eed6bb526aa1829bac1c83ae17f7", ""),
 }
 

@@ -215,6 +215,18 @@ def ref_total_x(a, rx_rules=None, cap=None):
     return DiffPoly._new(res)
 
 
+def ref_dx(ctx, a, k):
+    for _ in range(k):
+        a = ref_total_x(a, ctx._rx_rules, ctx._cap)
+    return a
+
+
+def ref_table(ctx):
+    """The coefficients (i, j, sigma, a) of the covering's linearization."""
+    return [(i, j, sigma, a) for i, row in enumerate(ctx.linearization.entries)
+            for j, entry in enumerate(row) for a, sigma in entry]
+
+
 def ref_total_t(ctx, a):
     res = {}
     for m, c in a.terms.items():
@@ -229,12 +241,13 @@ def ref_total_t(ctx, a):
             else:
                 lowered = m.even[:pos] + m.even[pos + 1:]
             rest = DiffPoly.monomial(DiffMonomial(lowered, m.odd), c * e)
-            ref_add_into(res, ref_mul(rest, ctx._dx_chain("f", jv.index - 1, jv.xorder)).terms)
+            ref_add_into(res, ref_mul(rest, ref_dx(ctx, ctx.system.fluxes[jv.index - 1],
+                                                        jv.xorder)).terms)
         if m.odd is not None:
             jv = m.odd
             rest = DiffPoly.monomial(DiffMonomial(m.even, None), c)
             if jv.kind == KIND_P:
-                rule = ctx._dx_chain("p", jv.index - 1, jv.xorder)
+                rule = ref_dx(ctx, ctx.pt_rules[jv.index - 1], jv.xorder)
             else:
                 rule = ctx.slot(jv.index).rt_rule
             ref_add_into(res, ref_mul(rest, rule).terms)
@@ -245,7 +258,7 @@ def ref_linearize(ctx, phi):
     out = []
     for i in range(ctx.system.n):
         acc = ref_total_t(ctx, phi[i])
-        for (ii, j, sigma), a in ctx.table.items():
+        for ii, j, sigma, a in ref_table(ctx):
             if ii == i:
                 dphi = phi[j]
                 for _ in range(sigma):
@@ -259,7 +272,7 @@ def ref_adjoint_rules(ctx):
     rules = []
     for j in range(ctx.system.n):
         acc = DiffPoly.zero()
-        for (i, jj, sigma), a in ctx.table.items():
+        for i, jj, sigma, a in ref_table(ctx):
             if jj == j:
                 term = ref_mul(a, DiffPoly.odd_p(i + 1, 0))
                 for _ in range(sigma):
