@@ -25,6 +25,8 @@ from .errors import InputError, NotASymmetryError
 from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, total_x
 from .rational import RatFunc
 
+_SCALAR_COEFFS = (int, bool, Fraction, RatFunc)  # matched by exact type: isinstance on an ABC is slow
+
 
 @dataclass(frozen=True)
 class EvolutionSystem:
@@ -159,7 +161,7 @@ class LocalOperator:
             for j in range(n):
                 terms = []
                 for coeff, k in entries[i][j]:
-                    if isinstance(coeff, (int, Fraction, RatFunc)):
+                    if type(coeff) in _SCALAR_COEFFS:
                         coeff = DiffPoly.from_scalar(coeff)
                     if coeff.odd_degree():
                         raise InputError("operator coefficients must be odd-free")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import SIZE_CAP
-from .covering import BivectorForm, EvolutionSystem, LocalOperator, flux_jacobian, linearize
+from .covering import BivectorForm, CoveringContext, EvolutionSystem, LocalOperator, flux_jacobian
 from .errors import DegenerateMetricError, InputError
 from .jets import DiffPoly, DiffSum, dm_mul, mono, pjet, ujet
 from .rational import Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
@@ -692,9 +692,9 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
                     rep.add("tail-derivative-exchange", (a, i, h, m), acc.value())
 
     # the algebraic tail conditions say exactly that w(b_x) b_xx is a symmetry
-    pot = EvolutionSystem.potential(vflux)
+    ctx = CoveringContext(EvolutionSystem.potential(vflux)) if w_list else None
     for a, w in enumerate(w_list):
-        res = linearize(pot, tail_characteristic(w))
+        res = ctx.linearize(tail_characteristic(w))
         for i, comp in enumerate(res):
             for mkey, coeff in comp.sorted_terms():
                 rep.add("tail-symmetry-residual", (a, i), coeff)

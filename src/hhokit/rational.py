@@ -15,21 +15,26 @@ exponents positive; the empty tuple is 1.  Polynomials are sparse dicts
 monomial -> coefficient with no zero values, so equality of canonical forms is
 dict equality.  A coefficient is an exact rational, never a float: the
 constructors and every division here store an integral value as ``int`` and
-any other as ``Fraction``; ``+ - *`` keep the type their operands give, so a
-``Fraction`` of denominator 1 may remain.  ``int`` and ``Fraction`` compare,
-hash and print alike, so no answer depends on which one is stored.  The term
-order is graded lexicographic with field variables before parameters.
+any other as ``Fraction``; ``Poly``'s ``+ - *`` keep the type their operands
+give, so a ``Fraction`` of denominator 1 may remain in their results.  The
+products a ``RatSum`` accumulates leave none: ``RatSum.value()`` makes each of
+their coefficients once (a first ``add()`` is kept as given and joins them by
+``+``).  ``int`` and ``Fraction`` compare, hash and print alike, so no answer
+depends on which one is stored.  The term order is graded lexicographic
+with field variables before parameters.
 
 Terms are summed in one place, ``add_terms``: it adds k*m0*terms into a term
 dict in place and deletes a term that cancels, so no stored coefficient is
 zero.  Every sum of products is formed in place in one ``RatSum``, whose
-polynomial products go through the same kernel.
+polynomial products go through the same kernel as integer numerators over one
+running denominator, with no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NonlinearAnsatzError, ParameterInDenominatorError
 
@@ -155,20 +160,24 @@ def mono_str(m: Mono) -> str:
 
 class Poly:
     """Sparse multivariate polynomial with exact rational (int or Fraction)
-    coefficients."""
+    coefficients.  ``ints`` caches the integer form (d, {m: n}), every
+    coefficient n/d, once ``RatSum`` has needed it (None until then); it may
+    share ``terms``, so a built Poly's term dict is never mutated."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "ints")
 
     def __init__(self, terms=None):
         if terms is None:
             self.terms = {}
         else:
             self.terms = {m: c for m, c in terms.items() if c}
+        self.ints = None
 
     @staticmethod
     def _new(terms: dict) -> "Poly":
         p = object.__new__(Poly)
         p.terms = terms
+        p.ints = None
         return p
 
     @classmethod
@@ -622,7 +631,7 @@ class RatFunc:
 
     def __eq__(self, other):
         if type(other) is not RatFunc:
-            if not isinstance(other, (int, Fraction)):
+            if type(other) not in _SCALARS:
                 return NotImplemented
             other = RatFunc.const(other)
         return self.num == other.num and self.den == other.den
@@ -788,22 +797,42 @@ def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
     return RatFunc._new(num, den)  # a monic g keeps den monic: 1 if constant
 
 
+def _int_form(p: Poly) -> tuple:
+    """p's integer form (d, {m: n}), every coefficient n/d with d the lcm of
+    their denominators, computed once and kept in ``p.ints``; an all-``int``
+    p shares its term dict."""
+    terms = p.terms
+    dens = [c.denominator for c in terms.values() if type(c) is not int]
+    if not dens:
+        form = (1, terms)
+    else:
+        d = lcm(*dens)
+        form = (d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()})
+    p.ints = form
+    return form
+
+
 class RatSum:
     """A sum of RatFunc terms and products, formed in place from ``first``.
 
     ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b for a scalar k
-    (int or Fraction); a zero operand returns at once.  Products of
-    polynomial operands (denominator 1) go by ``add_terms`` into one
-    {monomial: coefficient} dict, with no intermediate Poly or RatFunc; a
-    rational operand takes the RatFunc product and sum.  ``value()`` is the
-    canonical RatFunc, equal to the chain of ``+`` and ``*`` it replaces; it
-    takes over the polynomial dict, and the sum goes on from that value.
+    (int or Fraction); a zero operand returns at once.  Products of operands
+    with denominator 1 are kept as integer numerators ``terms`` over one
+    positive ``den``: ``add_terms`` multiplies the operands' integer forms, and
+    ``den`` grows to lcm(den, r) only when r, the reduced denominator of
+    k/(d_a*d_b), does not divide it.  A rational operand takes the RatFunc
+    product and sum.  ``value()`` is the canonical RatFunc, equal to the chain
+    of ``+`` and ``*`` it replaces; it divides out gcd(den, numerators) once and
+    makes each coefficient there, an ``int`` when integral, else its one
+    ``Fraction``.  It takes over the polynomial part, and the sum goes on from
+    that value.
     """
 
-    __slots__ = ("terms", "rest")
+    __slots__ = ("terms", "den", "rest")
 
     def __init__(self, first: RatFunc | None = None):
-        self.terms = {}  # the polynomial part, kept canonical by add_terms
+        self.terms = {}  # integer numerators of the polynomial part, kept canonical by add_terms
+        self.den = 1  # their common denominator
         self.rest = first  # the RatFunc sum of the rational terms and of a first add(), uncopied
 
     def add(self, a: RatFunc, k=1):
@@ -814,21 +843,47 @@ class RatSum:
             self.rest = a if self.rest is None else self.rest + a
 
     def addmul(self, a: RatFunc, b: RatFunc, k=1):
-        ta, tb = a.num.terms, b.num.terms
-        if not ta or not tb:
+        pa, pb = a.num, b.num
+        if not pa.terms or not pb.terms:
             return
         if not (a.den.is_const and b.den.is_const):
             return self.add(a * b, k)
+        da, ta = pa.ints or _int_form(pa)
+        db, tb = pb.ints or _int_form(pb)
+        p, r = k.numerator, k.denominator * da * db
+        if r != 1:
+            g = gcd(p, r)
+            p, r = p // g, r // g
+        den, terms = self.den, self.terms
+        if den % r:
+            grown = lcm(den, r)
+            f = grown // den
+            for m in terms:
+                terms[m] *= f
+            self.den = den = grown
+        p *= den // r
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for m1, c1 in ta.items():
-            add_terms(self.terms, tb, c1 * k if k != 1 else c1, m1)
+            add_terms(terms, tb, c1 * p, m1)
 
     def value(self) -> RatFunc:
-        if self.terms:
-            poly = RatFunc._new(Poly._new(self.terms), Poly.one())
+        nums = self.terms
+        if nums:
+            den = self.den
+            if den != 1:
+                g = gcd(den, *nums.values())
+                if g != 1:
+                    den //= g
+                    nums = {m: n // g for m, n in nums.items()}
+            coeffs = nums if den == 1 else {
+                m: n // den if n % den == 0 else Fraction(n, den) for m, n in nums.items()}
+            poly = Poly._new(coeffs)
+            poly.ints = (den, nums)
             self.terms = {}
+            poly = RatFunc._new(poly, Poly.one())
             self.rest = poly if self.rest is None else self.rest + poly
+        self.den = 1
         return RatFunc.zero() if self.rest is None else self.rest
 
 

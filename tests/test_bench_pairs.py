@@ -48,7 +48,8 @@ def test_medians_quartiles_and_lower_pairs(tmp_path):
     assert bench_pairs.main([str(tmp_path), "--out", str(out), *HEADER,
                              "--claim", "search-ladder:wall_s:0.8"]) == 0
     data = json.loads(out.read_text())
-    assert data["claim"] == {"workload": "search-ladder", "metric": "wall_s", "target_ratio": 0.8}
+    assert data["claim"] == {"workload": "search-ladder", "metric": "wall_s", "target_ratio": 0.8,
+                             "met": False}
     assert data["parent_commit"] == "abc1234"
     assert "--seconds 15 --trace 0" in data["command"]
     assert list(data["workloads"]) == ["catalog-cli", "search-ladder"]
@@ -115,3 +116,31 @@ def test_verdict_against_the_benchmark_bounds(tmp_path):
     assert verdicts["catalog-cli"]["peak_rss_mb"] == "within bound"
     assert verdicts["verify-covering"]["peak_rss_mb"] == "within bound"
     assert verdicts["search-ladder"]["setup_s"] == "within bound"
+
+
+@pytest.mark.parametrize("case, met", [("nine-of-ten", True), ("tie-and-loss", False),
+                                       ("within-spread", False)])
+def test_claim_is_judged_by_pairs_and_parent_spread(tmp_path, case, met):
+    # parent wall_s 1.00..1.09: median 1.045, quartiles 1.0225 and 1.0675 (spread 0.045)
+    parent = [1.0 + 0.01 * s for s in range(10)]
+    if case == "nine-of-ten":  # 0.1 lower in nine pairs, a tie in the tenth
+        change = [p - 0.1 for p in parent[:9]] + [parent[9]]
+    elif case == "tie-and-loss":  # a tie counts for neither side: 8 of 10 won
+        change = [p - 0.1 for p in parent[:8]] + [parent[8], parent[9] + 0.1]
+    else:  # lower in every pair, but by 0.02, inside the parent's spread
+        change = [p - 0.02 for p in parent]
+    write_runs(tmp_path, "verify-covering", [
+        (s, run_line(p, 30.0), run_line(c, 30.0)) for s, (p, c) in enumerate(zip(parent, change))])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path), "--out", str(out), *HEADER,
+                             "--claim", "verify-covering:wall_s:0.9"]) == 0
+    assert json.loads(out.read_text())["claim"]["met"] is met
+
+
+def test_claim_without_runs_is_refused(tmp_path, capsys):
+    write_runs(tmp_path, "verify-covering", [(1, run_line(1.0, 30.0), run_line(0.9, 30.0))])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path), "--out", str(out), *HEADER,
+                             "--claim", "search-ladder:wall_s:0.9"]) == 2
+    assert "no search-ladder runs" in capsys.readouterr().err
+    assert not out.exists()

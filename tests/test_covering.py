@@ -7,6 +7,7 @@ import pytest
 
 from hhokit.covering import (
     BivectorForm,
+    CoveringContext,
     EvolutionSystem,
     LocalOperator,
     bivector_residual,
@@ -17,7 +18,8 @@ from hhokit.covering import (
     operator_to_bivector,
 )
 from hhokit.errors import NotASymmetryError
-from hhokit.geometry import Connection, Metric, first_order_operator
+from hhokit.geometry import (Connection, Metric, ThirdOrderData, first_order_operator,
+                             tail_characteristic, third_order_nonlocal_checks)
 from hhokit.grammar import parse, parse_scalar
 from hhokit.jets import DiffPoly, total_x
 from hhokit.rational import Poly, RatFunc
@@ -360,3 +362,30 @@ def test_covering_reads_the_jet_cap_when_built(monkeypatch):
             build_cotangent(system).total_x(parse("u1_x3"))
     finally:
         set_jet_cap(None)
+
+
+def test_third_order_tails_share_one_covering(monkeypatch):
+    # every tail's symmetry residual is linearized on one potential covering per call
+    built = []
+    init = CoveringContext.__init__
+
+    def counting_init(self, system):
+        built.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(CoveringContext, "__init__", counting_init)
+    d = ThirdOrderData.from_lower_metric([[1]])
+    vflux = [parse_scalar("1/2*u1^2")]
+    tails = [[[parse_scalar("1")]], [[parse_scalar("u1")]]]
+    rep = third_order_nonlocal_checks(d, tails, [Fraction(1), Fraction(2)], vflux)
+    assert len(built) == 1
+    # the shared covering gives each tail the residual a fresh covering gives it
+    got = [(idx, value) for fam, idx, value in rep.residuals if fam == "tail-symmetry-residual"]
+    pot = EvolutionSystem.potential(vflux)
+    ref = [((a + 1, i + 1), coeff) for a, w in enumerate(tails)
+           for i, comp in enumerate(linearize(pot, tail_characteristic(w)))
+           for _, coeff in comp.sorted_terms()]
+    assert got and got == ref
+    built.clear()
+    third_order_nonlocal_checks(d, [], [], vflux)
+    assert built == []

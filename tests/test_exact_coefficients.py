@@ -16,6 +16,7 @@ from hhokit.covering import BivectorForm, EvolutionSystem, bivector_residual, bu
 from hhokit.grammar import parse, parse_scalar
 from hhokit.jets import DiffPoly
 from hhokit.rational import Poly, RatFunc, exact_div, poly_gcd
+from hhokit.rational import RatSum
 from hhokit.solver import make_operator_ansatz
 
 from genutil import rand_diffpoly, rand_fraction, rand_poly, rand_ratfunc
@@ -116,6 +117,28 @@ def test_constructors_store_integral_values_as_int():
     assert type(RatFunc(6, 3).const_value()) is int
     assert RatFunc(1, 3).const_value() == Fraction(1, 3)
     assert type(RatFunc.const(Fraction(10, 5)).num.const_value()) is int
+
+
+def test_ratsum_stores_integral_coefficients_as_int():
+    half_u1, two_u2 = RatFunc.var(1) * Fraction(1, 2), RatFunc.var(2) * 2
+    acc = RatSum()
+    acc.addmul(half_u1, two_u2)
+    got = acc.value()
+    assert str(got) == "u1*u2"
+    assert [type(v) for v in got.num.terms.values()] == [int]
+    # sums of polynomial products, against all-Fraction copies
+    rng = random.Random(19)
+    for _ in range(60):
+        acc, ref = RatSum(), RatFunc.zero()
+        for _ in range(rng.randint(1, 5)):
+            a, b = (RatFunc.from_poly(_poly(rng)) for _ in range(2))
+            k = rng.choice((1, -2, Fraction(3, 2), Fraction(-6, 4)))
+            acc.addmul(a, b, k)
+            ref = ref + as_fractions(a) * as_fractions(b) * Fraction(k)
+        got = acc.value()
+        assert_same(got, ref)
+        for c in got.num.terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
 
 
 def test_scalar_multiple_skips_the_reduction():

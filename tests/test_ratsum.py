@@ -7,6 +7,7 @@ against reference copies of the term-by-term implementations they replaced
 identically and hold only ``int`` or ``Fraction`` coefficients.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hhokit.grammar import parse, parse_scalar
 from hhokit.jets import (KIND_P, DiffMonomial, DiffPoly, _bump_even, _raise_order, dm_mul, mono,
                          total_x, ujet)
 from hhokit.rational import RatFunc, RatSum, mono_mul, vkey
+from hhokit.rational import Poly
 
 from genutil import rand_diffpoly, rand_poly, rand_ratfunc
 
@@ -358,3 +360,118 @@ def test_linearize_matches_reference():
             got, ref = ctx.linearize(phi), ref_linearize(ctx, phi)
             for g, r in zip(got, ref):
                 assert_same(g, r)
+
+
+# -- the integer accumulator: numerators over one running denominator ---------------
+
+
+def _over(d, seed, n=1):
+    """A random polynomial in u1, u2 whose coefficients are multiples of 1/d."""
+    rng = random.Random(seed)
+    terms = {}
+    for _ in range(3):
+        m = tuple((v, rng.randint(1, 2)) for v in (1, 2) if rng.random() < 0.6)
+        terms[m] = Fraction(n * rng.choice((1, -1, 2, 5, -7)), d)
+    return RatFunc.from_poly(Poly(terms))
+
+
+def _sum_and_chain(ops):
+    acc, ref = RatSum(), RatFunc.zero()
+    for a, b, k in ops:
+        acc.addmul(a, b, k)
+        ref = ref + a * b * k
+    return acc, ref
+
+
+def assert_lowest_int_form(rf):
+    """The integer form value() leaves on its numerator is in lowest terms."""
+    form = rf.num.ints
+    if form is not None:
+        d, nums = form
+        assert d == math.lcm(*(Fraction(c).denominator for c in rf.num.terms.values()))
+        assert nums == {m: c * d for m, c in rf.num.terms.items()}
+
+
+def test_ratsum_denominator_grows_to_the_lcm():
+    big = 1_000_003  # prime
+    ops = [(_over(d, d), RatFunc.from_poly(Poly.var(2)), 1) for d in (2, 3, 4, 9, big)]
+    acc = RatSum()
+    dens = []
+    for a, b, k in ops:
+        acc.addmul(a, b, k)
+        dens.append(acc.den)
+    assert dens == [2, 6, 12, 36, 36 * big]
+    acc2, ref = _sum_and_chain(ops)
+    got = acc2.value()
+    assert_same(got, ref)
+    assert_lowest_int_form(got)
+    # any order of the same products gives the same value
+    rng = random.Random(911)
+    for _ in range(20):
+        rng.shuffle(ops)
+        acc, ref = _sum_and_chain(ops)
+        assert_same(acc.value(), ref)
+
+
+def test_ratsum_fraction_scalars_and_fraction_one_coefficients():
+    # a Fraction k, and input coefficients stored as Fraction(n, 1)
+    whole = RatFunc.from_poly(Poly({((1, 1),): Fraction(4, 1), ((2, 1),): Fraction(-3, 1)}))
+    assert {type(c) for c in whole.num.terms.values()} == {Fraction}
+    for k in (Fraction(-5, 6), Fraction(7, 4), Fraction(4, 2), 3):
+        for other in (whole, _over(4, 912), _over(9, 913, n=3), RatFunc.var(1)):
+            ops = [(whole, other, k), (other, _over(2, 914), Fraction(1, 3)), (whole, whole, k)]
+            acc, ref = _sum_and_chain(ops)
+            got = acc.value()
+            assert_same(got, ref)
+            assert_lowest_int_form(got)
+    # k/(d_a*d_b) = (4/3)/2 is reduced to 2/3 before the denominator grows
+    acc = RatSum()
+    acc.addmul(RatFunc.var(1) * Fraction(1, 2), RatFunc.var(1), Fraction(4, 3))
+    assert acc.den == 3
+    assert_same(acc.value(), RatFunc.var(1) * RatFunc.var(1) * Fraction(2, 3))
+
+
+def test_ratsum_cancels_to_zero_over_a_denominator():
+    a, b = _over(3, 915), _over(5, 916)
+    acc = RatSum()
+    acc.addmul(a, b, Fraction(2, 7))
+    acc.addmul(b, a, Fraction(-2, 7))
+    assert acc.terms == {} and acc.den > 1
+    got = acc.value()
+    assert got.is_zero and str(got) == "0"
+    # and goes on from zero, over denominators of its own
+    acc.addmul(a, a)
+    acc.addmul(RatFunc.var(1), RatFunc.var(2), 3)
+    assert_same(acc.value(), a * a + RatFunc.var(1) * RatFunc.var(2) * 3)
+
+
+def test_ratsum_goes_on_after_value_with_new_denominators():
+    rng = random.Random(917)
+    for _ in range(40):
+        head = [(_over(rng.choice((1, 2, 3)), rng.random()), _over(1, rng.random()),
+                 rng.choice(_SCALES)) for _ in range(rng.randint(1, 4))]
+        tail = [(_over(rng.choice((5, 7, 25)), rng.random()), _over(rng.choice((1, 11)), rng.random()),
+                 rng.choice(_SCALES)) for _ in range(rng.randint(1, 4))]
+        acc = RatSum()
+        for a, b, k in head:
+            acc.addmul(a, b, k)
+        first = acc.value()
+        assert_same(first, _chain(head))
+        for a, b, k in tail:
+            acc.addmul(a, b, k)
+        assert_same(acc.value(), _chain(head + tail))
+        assert_same(first, _chain(head))
+
+
+def test_ratsum_mixes_rational_operands_with_the_accumulator():
+    rng = random.Random(918)
+    for _ in range(60):
+        ops = []
+        for _ in range(rng.randint(2, 7)):
+            roll = rng.random()
+            a = rand_ratfunc(rng, 2) if roll < 0.3 else _over(rng.choice((1, 2, 6, 9)), rng.random())
+            b = _over(rng.choice((1, 4, 13)), rng.random()) if rng.random() < 0.7 else RatFunc.one()
+            ops.append((a, b, rng.choice(_SCALES)))
+        assert_same(_ratsum(ops), _chain(ops))
+        first = rand_ratfunc(rng, 2)
+        assert_same(_ratsum(ops, first), _chain(ops, first))

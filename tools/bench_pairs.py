@@ -19,6 +19,11 @@ against the metric's ``better`` direction and ``bound`` in the repository's
 parent's by more than bound x the parent median; otherwise ``unresolved``
 when the parent's quartile spread is wider than that and not every change run
 beats every parent run; otherwise ``within bound``.
+
+A ``--claim`` entry records ``met``: true iff the change is better on the
+claimed workload and metric in at least nine tenths of the pairs, ties
+counting for neither side, and the two medians differ in its favour by more
+than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -92,6 +97,23 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
+def claim_met(parent: list, change: list, better: str) -> bool:
+    """A claimed gain holds iff the change is better in at least nine tenths of
+    the pairs (a tie counts for neither side) and its median is better than the
+    parent's by more than the parent's quartile spread."""
+    sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0 is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, q3 = _quartiles(parent)
+    gap = sign * (statistics.median(parent) - statistics.median(change))
+    return 10 * wins >= 9 * len(parent) and gap > q3 - q1
+
+
+def side_values(seeds: dict, metric: str) -> dict:
+    """{side: [value of the metric per seed, in seed order]}."""
+    order = sorted(seeds)
+    return {side: [seeds[s][side]["metrics"][metric]["value"] for s in order] for side in SIDES}
+
+
 def summarize(seeds: dict, specs: dict) -> dict:
     """The BENCH entry of one workload from {seed: {side: result}}; ``specs``
     maps each end-to-end metric to its BENCHMARK.json entry."""
@@ -99,8 +121,7 @@ def summarize(seeds: dict, specs: dict) -> dict:
     first = seeds[order[0]]["parent"]["metrics"]
     metrics = {}
     for metric, spec in first.items():
-        values = {side: [seeds[s][side]["metrics"][metric]["value"] for s in order]
-                  for side in SIDES}
+        values = side_values(seeds, metric)
         parent_median = statistics.median(values["parent"])
         change_median = statistics.median(values["change"])
         metrics[metric] = {
@@ -170,7 +191,14 @@ def main(argv=None) -> int:
         "pairing": args.pairing,
     }
     if args.claim:
-        header["claim"] = args.claim
+        workload, metric = args.claim["workload"], args.claim["metric"]
+        if workload not in runs or metric not in specs:
+            print(f"bench_pairs: no {workload} runs or no metric {metric} to claim",
+                  file=sys.stderr)
+            return 2
+        values = side_values(runs[workload], metric)
+        met = claim_met(values["parent"], values["change"], specs[metric]["better"])
+        header["claim"] = {**args.claim, "met": met}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps(build(runs, header, specs)) + "\n")
     return 0
