@@ -156,7 +156,7 @@ def _load_problem_arg(args, needs_system=False) -> Problem:
             blob = fh.read()
         try:
             data = json.loads(blob)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise InputError(f"not valid JSON: {exc}")
     else:
         raise InputError("provide --file PROBLEM.json or --example NAME")

@@ -2,15 +2,16 @@
 
 An evolutionary system u^i_t = f^i(x-jets) is augmented with odd variables
 p_i obeying the adjoint linearized equations p_t = -l_F*(p), where the
-linearization l_F is a ``LocalOperator`` and l_F* its ``formal_adjoint``.  A
-differential operator applied to p (``LocalOperator.apply``, the one routine
-that applies an operator, l_F included) becomes a vector function linear in
-the odd variables, and it is a variational bivector exactly when
-D_t A(p) - l_F(A(p)) reduces to zero on the covering.  Symmetries generate
-conservation laws linear in the odd variables; their potentials r_alpha
-extend the covering with rewrite rules for r_x and r_t, which is how weakly
-nonlocal operator tails are handled.  Every chain D_x^0..k of a flux, a p_t
-rule, an argument of l_F or a product a p_i is kept in one kind of memo,
+linearization l_F is a ``LocalOperator``.  A differential operator applied to
+p (``LocalOperator.apply``, the one routine that applies an operator, l_F
+included) becomes a vector function linear in the odd variables, and it is a
+variational bivector exactly when D_t A(p) - l_F(A(p)) reduces to zero on the
+covering.  Symmetries generate conservation laws linear in the odd variables;
+their potentials r_alpha extend the covering with rewrite rules for r_x and
+r_t, which is how weakly nonlocal operator tails are handled.  Both p_t and
+r_t integrate a p_i by parts for each band a d^sigma of l_F, so both read one
+ladder D_x^0..sigma(a p_i) per band.  Every such chain, and that of a flux, a
+p_t rule or an argument of l_F, is kept in one kind of memo,
 ``CoveringContext._dx``.
 """
 
@@ -22,7 +23,7 @@ from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
-from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, total_x
+from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, even_lowered, total_x
 from .rational import RatFunc
 
 _SCALAR_COEFFS = (int, bool, Fraction, RatFunc)  # matched by exact type: isinstance on an ABC is slow
@@ -66,25 +67,12 @@ class EvolutionSystem:
         vel = tuple(tuple(row) for row in velocity)
         if any(len(row) != n for row in vel):
             raise InputError("velocity matrix must be square")
-        fluxes = []
-        for i in range(n):
-            f = DiffPoly.zero()
-            for j in range(n):
-                f = f + DiffPoly.jet(j + 1, 1).scalar_mul(vel[i][j])
-            fluxes.append(f)
-        return cls(n=n, fluxes=tuple(fluxes), kind="hydrodynamic", velocity=vel)
+        return cls(n=n, fluxes=_first_order(vel), kind="hydrodynamic", velocity=vel)
 
     @classmethod
     def conservative(cls, flux_potentials) -> "EvolutionSystem":
         pots = tuple(flux_potentials)
-        n = len(pots)
-        fluxes = []
-        for V in pots:
-            f = DiffPoly.zero()
-            for j in range(1, n + 1):
-                f = f + DiffPoly.jet(j, 1).scalar_mul(V.diff(j))
-            fluxes.append(f)
-        return cls(n=n, fluxes=tuple(fluxes), kind="conservative",
+        return cls(n=len(pots), fluxes=_first_order(flux_jacobian(pots)), kind="conservative",
                    flux_potentials=pots)
 
     @classmethod
@@ -100,6 +88,12 @@ class EvolutionSystem:
         if self.flux_potentials is not None:
             return flux_jacobian(self.flux_potentials)
         raise InputError(f"a {self.kind} system carries no velocity matrix")
+
+
+def _first_order(matrix) -> tuple:
+    """The fluxes f^i = sum_j matrix[i][j] u^j_x."""
+    return tuple(sum((DiffPoly.jet(j + 1, 1).scalar_mul(c) for j, c in enumerate(row)),
+                     DiffPoly.zero()) for row in matrix)
 
 
 def flux_jacobian(flux_potentials) -> tuple:
@@ -194,14 +188,14 @@ class LocalOperator:
                      for row in self.entries)
         return LocalOperator(n=self.n, entries=rows)
 
-    def apply(self, dx):
-        """Yield one DiffSum per row i, sum_j sum_(a, k) a * dx(j, k), where
+    def apply(self, dx, sign=1):
+        """Yield one DiffSum per row i, sign * sum_j sum_(a, k) a * dx(j, k), where
         dx(j, k) is D_x^k of the j-th argument; row i is formed when asked for."""
         for row in self.entries:
             total = DiffSum()
             for j, entry in enumerate(row):
                 for coeff, k in entry:
-                    total.addmul(coeff, dx(j, k))
+                    total.addmul(coeff, dx(j, k), sign)
             yield total
 
 
@@ -249,11 +243,17 @@ class CoveringContext:
         self._rx_rules: dict[int, DiffPoly] = {}
         self._cap = jet_cap()  # read once: jet_cap() consults os.environ
         # D_x ladders of r-free bases, valid for every slot registered later:
-        # ("f", i) flux f^i, ("pt", i) rule p_{i,t}, ("p", i) p_i, ("ap", i, j, sigma) a p_i
+        # ("f", i) flux f^i and ("pt", i) rule p_{i,t}; _bands[i, j, sigma] is
+        # a p_i for the one band a d^sigma of l_F[i][j] with that sigma
         self._chains: dict = {}
-        rows = formal_adjoint(self.linearization).neg().apply(
-            lambda j, k: self._dx(self._chains, ("p", j), DiffPoly.odd_p(j + 1), k))
-        self.pt_rules = tuple(total.value() for total in rows)
+        self._bands: dict = {}
+        pt = [DiffSum() for _ in range(system.n)]
+        for i, row in enumerate(self.linearization.entries):
+            for j, entry in enumerate(row):
+                for a, sigma in entry:  # p_{j,t} gets -(-1)^sigma D_x^sigma(a p_i)
+                    top = self._dx(self._bands, (i, j, sigma), a * DiffPoly.odd_p(i + 1), sigma)
+                    pt[j].add(top, 1 if sigma % 2 else -1)
+        self.pt_rules = tuple(total.value() for total in pt)
 
     def slot(self, alpha: int) -> NonlocalSlot:
         if not 1 <= alpha <= len(self.slots):
@@ -274,18 +274,15 @@ class CoveringContext:
             ladder.append(self.total_x(ladder[-1]))
         return ladder[k]
 
-    def total_t(self, a: DiffPoly) -> DiffPoly:
-        """D_t with all t-derivatives eliminated through the covering rules."""
-        res = DiffSum()
+    def total_t(self, a: DiffPoly, into: DiffSum | None = None):
+        """D_t with all t-derivatives eliminated through the covering rules, as
+        a DiffPoly; when a DiffSum is given, added into it and it is returned."""
+        res = DiffSum() if into is None else into
         for m, c in a.terms.items():
             for vid in c.field_vars():
                 res.addmul(DiffPoly._new({m: c.diff(vid)}), self.system.fluxes[vid - 1])
             for pos, (jv, e) in enumerate(m.even):
-                if e > 1:
-                    lowered = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
-                else:
-                    lowered = m.even[:pos] + m.even[pos + 1:]
-                rest = DiffPoly._new({DiffMonomial(lowered, m.odd): c})
+                rest = DiffPoly._new({DiffMonomial(even_lowered(m.even, pos), m.odd): c})
                 i = jv.index - 1
                 res.addmul(rest, self._dx(self._chains, ("f", i), self.system.fluxes[i],
                                           jv.xorder), e)
@@ -298,7 +295,7 @@ class CoveringContext:
                 else:
                     rule = self.slot(jv.index).rt_rule
                 res.addmul(rest, rule)
-        return res.value()
+        return res.value() if into is None else into
 
     # -- operations --------------------------------------------------------------
 
@@ -311,8 +308,8 @@ class CoveringContext:
         """linearize(phi), keeping the ladders D_x^k phi^j in memo[j]."""
         if len(phi) != self.system.n:
             raise InputError("characteristic has the wrong number of components")
-        rows = self.linearization.apply(lambda j, k: self._dx(memo, j, phi[j], k))
-        return tuple(self.total_t(f) - total.value() for f, total in zip(phi, rows))
+        rows = self.linearization.apply(lambda j, k: self._dx(memo, j, phi[j], k), -1)
+        return tuple(self.total_t(f, total).value() for f, total in zip(phi, rows))
 
     def register_symmetry(self, phi) -> int:
         """Register a symmetry characteristic; returns the slot index alpha.
@@ -329,14 +326,10 @@ class CoveringContext:
         for i in range(self.system.n):
             rx.addmul(phi[i], DiffPoly.odd_p(i + 1, 0))
         rt = DiffSum()
-        for i, row in enumerate(self.linearization.entries):
-            for j, entry in enumerate(row):
-                for a, sigma in entry:
-                    ap = a * DiffPoly.odd_p(i + 1, 0)
-                    for m in range(sigma):
-                        # (-1)^m D_x^m(a p_i) * D_x^{sigma-1-m} phi^j
-                        rt.addmul(self._dx(self._chains, ("ap", i, j, sigma), ap, m),
-                                  self._dx(dphi, j, phi[j], sigma - 1 - m), -1 if m % 2 else 1)
+        for (_, j, sigma), ladder in self._bands.items():
+            for m in range(sigma):
+                # (-1)^m D_x^m(a p_i) * D_x^{sigma-1-m} phi^j
+                rt.addmul(ladder[m], self._dx(dphi, j, phi[j], sigma - 1 - m), -1 if m % 2 else 1)
         alpha = len(self.slots) + 1
         slot = NonlocalSlot(alpha=alpha, phi=phi, rx_rule=rx.value(), rt_rule=rt.value())
         self.slots.append(slot)
@@ -350,8 +343,9 @@ def build_cotangent(system: EvolutionSystem) -> CoveringContext:
 
 
 def linearize(system: EvolutionSystem, phi) -> tuple:
-    """D_t phi - l_F(phi) in x-jet normal form, on a fresh cotangent covering
-    (its p_t rules are built too, though an odd-free phi never reads them)."""
+    """D_t phi - l_F(phi) in x-jet normal form, one sum per component, on a
+    fresh cotangent covering (its band ladders and p_t rules are built too,
+    though an odd-free phi never reads them)."""
     return CoveringContext(system).linearize(phi)
 
 

@@ -11,7 +11,8 @@ Names: field variables ``u1..`` (order-0), jets ``u1_x``, ``u1_xx``,
 ``u1_x3`` (k >= 3 written ``_x{k}``), odd cotangent variables ``p1``,
 ``p1_x``, ..., nonlocal potentials ``r1`` (never differentiated in the
 text form), parameters ``c1..``.  Exponents are non-negative integers.
-Division is only by scalar (jet- and odd-free) subexpressions.
+Division is only by scalar (jet- and odd-free) subexpressions.  Parentheses
+nest at most 100 deep; deeper input is an ExpressionError.
 
 ``parse`` returns a DiffPoly; printing is the exact inverse, so
 ``parse(format_diffpoly(e)) == e``.
@@ -28,6 +29,7 @@ from .rational import Poly, RatFunc
 
 _TOKEN_RE = re.compile(r"(\d+)|([a-z][a-zA-Z0-9_]*)|(\*|/|\+|-|\^|\(|\))")
 _NAME_RE = re.compile(r"^([uprc])([1-9]\d*)(?:_(xx?|x\d+))?$")
+_MAX_DEPTH = 100  # parenthesis nesting; each level costs four stack frames
 
 
 class _Token:
@@ -101,6 +103,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -175,8 +178,13 @@ class _Parser:
         if tok.kind == "name":
             return _name_to_value(tok)
         if tok.kind == "op" and tok.value == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ExpressionError(f"parentheses nested deeper than {_MAX_DEPTH}",
+                                      tok.line, tok.col)
             value = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ExpressionError("expected a number, name or parenthesis",
                               tok.line, tok.col)

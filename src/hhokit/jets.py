@@ -95,6 +95,14 @@ def _even_mul(e1, e2):
     return tuple(sorted(out.items()))
 
 
+def even_lowered(even: tuple, pos: int) -> tuple:
+    """The even factors with one power of even[pos] taken away."""
+    jv, e = even[pos]
+    if e > 1:
+        return even[:pos] + ((jv, e - 1),) + even[pos + 1:]
+    return even[:pos] + even[pos + 1:]
+
+
 def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
     if m1.odd is not None and m2.odd is not None:
         raise OddDegreeError("odd degree overflow")
@@ -290,11 +298,7 @@ class DiffPoly:
         for m, c in self.terms.items():
             for pos, (jv, e) in enumerate(m.even):
                 if jv == target:
-                    if e == 1:
-                        even = m.even[:pos] + m.even[pos + 1:]
-                    else:
-                        even = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
-                    res[DiffMonomial(even, m.odd)] = c * e
+                    res[DiffMonomial(even_lowered(m.even, pos), m.odd)] = c * e
                     break
         return DiffPoly._new(res)
 
@@ -314,13 +318,8 @@ def _raise_order(jv: JetVar, cap: int) -> JetVar:
 
 
 def _bump_even(m: DiffMonomial, pos: int, cap: int) -> DiffMonomial:
-    jv, e = m.even[pos]
-    raised = _raise_order(jv, cap)
-    if e > 1:
-        lowered = m.even[:pos] + ((jv, e - 1),) + m.even[pos + 1:]
-    else:
-        lowered = m.even[:pos] + m.even[pos + 1:]
-    return DiffMonomial(_even_mul(lowered, ((raised, 1),)), m.odd)
+    raised = _raise_order(m.even[pos][0], cap)
+    return DiffMonomial(_even_mul(even_lowered(m.even, pos), ((raised, 1),)), m.odd)
 
 
 def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:

@@ -37,10 +37,8 @@ class Problem:
     def __init__(self, data: dict, source_bytes: bytes | None = None):
         self.input_hash = (hashlib.sha256(source_bytes).hexdigest()
                            if source_bytes is not None else None)
-        try:
-            self.n = int(data["n"])
-        except (KeyError, TypeError, ValueError):
-            raise InputError("problem needs an integer field 'n'")
+        self.n = _int(data.get("n") if isinstance(data, dict) else None,
+                      "problem needs an integer field 'n'")
         names = data.get("variables")
         if names is not None and (not isinstance(names, list) or len(names) != self.n):
             raise InputError("the 'variables' naming list must have n entries")
@@ -64,10 +62,7 @@ class Problem:
             if not isinstance(self.task.get(key, ""), str):
                 raise InputError(f"task field {key!r} must be a string")
         for key in ("order", "degree"):
-            try:
-                int(self.task.get(key, 0))
-            except (TypeError, ValueError):
-                raise InputError(f"task field {key!r} must be an integer")
+            _int(self.task.get(key, 0), f"task field {key!r} must be an integer")
 
     def _load_system(self, spec):
         if spec is None:
@@ -148,6 +143,17 @@ def _number(x):
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError):
         raise InputError(f"expected a rational number, got {x!r}")
+
+
+def _int(x, message):
+    """int(x) for an int or an integer-valued string; a bool or a float, which
+    int() would truncate, is rejected like any other non-integer."""
+    if isinstance(x, (bool, float)):
+        raise InputError(message)
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise InputError(message)
 
 
 def _array(value, shape, leaf, message):

@@ -753,7 +753,7 @@ def _reduce(num: Poly, den: Poly):
     """Canonical (num, den): gcd-reduced, den monic and parameter-free."""
     if num.is_zero:
         return Poly.zero(), Poly.one()
-    if den.has_params:
+    if not den.is_const:
         g = poly_gcd(num, den)
         if not g.is_const:
             num = exact_div(num, g)
@@ -761,15 +761,6 @@ def _reduce(num: Poly, den: Poly):
         if den.has_params:
             raise ParameterInDenominatorError(
                 "formal parameters must stay linear: denominator contains a parameter")
-    if den.is_const:
-        inv = _q(1, den.const_value())
-        if inv != 1:
-            num = num * inv
-        return num, Poly.one()
-    g = poly_gcd(num, den)
-    if not g.is_const:
-        num = exact_div(num, g)
-        den = exact_div(den, g)
     if den.is_const:
         inv = _q(1, den.const_value())
         return (num * inv if inv != 1 else num), Poly.one()
