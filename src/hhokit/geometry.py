@@ -6,7 +6,8 @@ iff every residual entry is the zero rational function.  Matrices are tuples
 of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
 (adjugate over determinant, one division per entry) and characteristic
 coefficients all come from one memoized minor expansion, ``_minors``; every
-index raise or lower of a three-index tensor goes through ``_contract``.  The
+index raise or lower of a three-index tensor goes through ``_contract``, and
+each metric-derived tensor is formed once, from the variance it was given.  The
 Nijenhuis and Haantjes tensors are polynomial sums (n^4 products, not n^5) over
 one common denominator d of V, for lower indices j < k only, each entry reduced
 once against a power of d (``ratfunc_over``).  Linear degeneracy is summed by
@@ -38,12 +39,20 @@ def _scalar(x) -> RatFunc:
     return RatFunc.const(x)
 
 
+def _tensor(x, n, rank, message, leaf) -> tuple:
+    """x as nested tuples of leaf(entry); InputError(message) unless every
+    index runs over range(n).  Each level is converted before its length is checked."""
+    if rank == 0:
+        return leaf(x)
+    out = tuple(_tensor(y, n, rank - 1, message, leaf) for y in x)
+    if len(out) != n:
+        raise InputError(message)
+    return out
+
+
 def as_matrix(rows) -> tuple:
-    out = [tuple(_scalar(x) for x in row) for row in rows]
-    n = len(out)
-    if any(len(r) != n for r in out):
-        raise InputError("matrix must be square")
-    return tuple(out)
+    rows = tuple(rows)
+    return _tensor(rows, len(rows), 2, "matrix must be square", _scalar)
 
 
 def identity(n) -> tuple:
@@ -212,14 +221,9 @@ class Connection:
 
     def __init__(self, metric: Metric, gamma_upper):
         self.metric = metric
-        n = metric.n
-        self.gamma = tuple(tuple(tuple(
-            x if isinstance(x, RatFunc) else RatFunc.const(x) for x in row)
-            for row in plane) for plane in gamma_upper)
-        if len(self.gamma) != n or any(len(p) != n or any(len(r) != n for r in p)
-                                       for p in self.gamma):
-            raise InputError("connection symbols must be n x n x n")
-        self.n = n
+        self.n = metric.n
+        self.gamma = _tensor(gamma_upper, self.n, 3, "connection symbols must be n x n x n",
+                             _scalar)
         self._christoffel = None
 
     def christoffel(self) -> tuple:
@@ -231,15 +235,19 @@ class Connection:
 
     @classmethod
     def levi_civita(cls, metric: Metric) -> "Connection":
-        """Upper symbols of the Levi-Civita connection of the metric:
-        Gamma^{ab}_k = -g^{aj} g^{bs} (g_{sj,k} + g_{sk,j} - g_{jk,s}) / 2."""
+        """Gamma_{sjk} = (g_{sj,k} + g_{sk,j} - g_{jk,s}) / 2 raised to the Christoffel symbols
+        Gamma^i_{jk} = g^{is} Gamma_{sjk}, kept, then Gamma^{ab}_k = -g^{aj} Gamma^b_{jk}."""
         g = metric.lower()
         g_up = metric.upper()
         r = range(metric.n)
-        half = tuple(tuple(tuple(
-            (g[j][k].diff(s + 1) - g[s][j].diff(k + 1) - g[s][k].diff(j + 1)) / 2
+        low = tuple(tuple(tuple(
+            (g[s][j].diff(k + 1) + g[s][k].diff(j + 1) - g[j][k].diff(s + 1)) / 2
             for k in r) for j in r) for s in r)
-        return cls(metric, _swap(_contract(g_up, _contract(g_up, half, 0), 1)))
+        chrs = _contract(g_up, low, 0)
+        conn = cls(metric, _swap(_contract(tuple(tuple(-x for x in row) for row in g_up),
+                                           chrs, 1)))
+        conn._christoffel = chrs
+        return conn
 
 
 # -- first-order checkers --------------------------------------------------------
@@ -448,14 +456,8 @@ class SecondOrderData:
 
     def __init__(self, T, g0):
         self.n = len(g0)
-        self.T = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane)
-                       for plane in T)
-        self.g0 = tuple(tuple(Fraction(x) for x in row) for row in g0)
-        if len(self.T) != self.n or any(
-                len(p) != self.n or any(len(r) != self.n for r in p) for p in self.T):
-            raise InputError("T must be n x n x n")
-        if any(len(r) != self.n for r in self.g0):
-            raise InputError("g0 must be n x n")
+        self.T = _tensor(T, self.n, 3, "T must be n x n x n", Fraction)
+        self.g0 = _tensor(g0, self.n, 2, "g0 must be n x n", Fraction)
 
     @classmethod
     def from_generators(cls, n, t_entries, g0_entries):
@@ -548,38 +550,39 @@ def second_order_compat(d: SecondOrderData, vflux) -> ConditionReport:
 
 
 class ThirdOrderData:
-    """Canonical-form third-order data: metric plus c^{ij}_k symbols."""
+    """Canonical-form third-order data: a metric and its c symbols, kept in the variance
+    given (c^{ij}_k by the constructor, c_{ijk} by ``from_lower_metric``).  Each other form
+    is made once, one contraction from a form already held: c^s_{ml} = g^{sq} c_{qml} =
+    g_{mp} c^{ps}_l, c_{ijk} = g_{is} c^s_{jk} and c^{pq}_k = g^{pm} c^q_{mk}."""
 
     def __init__(self, metric: Metric, c_upper):
-        self.metric = metric
-        self.n = metric.n
-        self.c_up = tuple(tuple(tuple(
-            x if isinstance(x, RatFunc) else RatFunc.const(x) for x in row)
-            for row in plane) for plane in c_upper)
-        if len(self.c_up) != self.n or any(
-                len(p) != self.n or any(len(r) != self.n for r in p) for p in self.c_up):
-            raise InputError("c must be n x n x n")
-        self._c_low = None
+        self.metric, self.n = metric, metric.n
+        self._c = {"up": _tensor(c_upper, self.n, 3, "c must be n x n x n", _scalar)}
 
     @classmethod
     def from_lower_metric(cls, g_low_entries) -> "ThirdOrderData":
-        """Derive the c symbols from the lowered metric via the gradient rule."""
-        metric = Metric(g_low_entries, variance="lower")
-        g_up = metric.upper()
-        # c^{pq}_k = g^{qi} g^{pj} c_{ijk}: raise i, then j, then swap to (p, q)
-        c_up = _swap(_contract(g_up, _contract(g_up, _c_from_metric(metric.lower()), 0), 1))
-        return cls(metric, c_up)
+        """c_{ijk} of the lowered metric by the gradient rule; c^{ij}_k waits until asked for."""
+        d = cls.__new__(cls)
+        d.metric = Metric(g_low_entries, variance="lower")
+        d.n, d._c = d.metric.n, {"low": _c_from_metric(d.metric.lower())}
+        return d
+
+    def _form(self, key, make) -> tuple:
+        if key not in self._c:
+            self._c[key] = make()
+        return self._c[key]
+
+    @property
+    def c_up(self) -> tuple:
+        return self._form("up", lambda: _swap(_contract(self.metric.upper(), self.c_mixed(), 1)))
 
     def c_low(self) -> tuple:
-        """c_{ijk} = g_{iq} g_{jp} c^{pq}_k: lower p, then q, then swap to (i, j)."""
-        if self._c_low is None:
-            g = self.metric.lower()
-            self._c_low = _swap(_contract(g, _contract(g, self.c_up, 0), 1))
-        return self._c_low
+        return self._form("low", lambda: _contract(self.metric.lower(), self.c_mixed(), 0))
 
     def c_mixed(self) -> tuple:
-        """c^s_{ml} = g^{sq} c_{qml}."""
-        return _contract(self.metric.upper(), self.c_low(), 0)
+        c = self._c
+        return self._form("mixed", lambda: _contract(self.metric.upper(), c["low"], 0)
+                          if "low" in c else _swap(_contract(self.metric.lower(), c["up"], 0)))
 
 
 def _c_from_metric(g) -> tuple:

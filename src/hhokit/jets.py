@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import RatFunc, RatSum, add_terms
+from .rational import RatFunc, RatSum, add_terms, power
 
 KIND_U = 0
 KIND_P = 1
@@ -277,10 +277,7 @@ class DiffPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a differential polynomial")
-        out = DiffPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, DiffPoly.one())
 
     # -- calculus -------------------------------------------------------------
 

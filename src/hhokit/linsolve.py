@@ -2,8 +2,8 @@
 
 Each equation is a RatFunc affine in the formal parameters.  Its numerator
 gives one scalar row per u-monomial, kept as a primitive integer vector: a
-``{pid: int}`` dict with the constant under key 0, cleared by the lcm of its
-denominators and divided by the gcd of its entries (its content).
+``{pid: int}`` dict with the constant under key 0, read from the numerator's
+integer form and divided by the gcd of its entries (its content).
 
 The rows are sorted once, sparsest first (a stable sort, to keep fill-in
 small), and brought to reduced row echelon form by one fraction-free
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NonlinearAnsatzError
-from .rational import Poly, RatFunc, mono_str
+from .rational import Poly, RatFunc, _int_form, mono_str
 
 
 @dataclass
@@ -66,9 +66,9 @@ def _pkey(pid: int) -> int:
 
 
 def _scalar_rows(eq: RatFunc, params: set):
-    """Expand one affine equation over u-monomials into primitive integer rows."""
+    """Expand one affine equation's integer form into primitive rows, one per u-monomial."""
     rows = {}
-    for m, c in eq.num.terms.items():
+    for m, c in (eq.num.ints or _int_form(eq.num))[1].items():
         pid = m[-1][0] if m and m[-1][0] < 0 else 0  # parameters sort last (vkey)
         if pid:
             if m[-1][1] > 1 or (len(m) > 1 and m[-2][0] < 0):
@@ -76,13 +76,7 @@ def _scalar_rows(eq: RatFunc, params: set):
             params.add(pid)
             m = m[:-1]
         rows.setdefault(m, {})[pid] = c
-    out = []
-    for row in rows.values():
-        if Fraction in map(type, row.values()):
-            den = lcm(*(c.denominator for c in row.values()))
-            row = {q: c.numerator * (den // c.denominator) for q, c in row.items()}
-        out.append(_primitive(row))
-    return out
+    return [_primitive(row) for row in rows.values()]
 
 
 def _primitive(row: dict) -> dict:

@@ -277,14 +277,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent on polynomial")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, Poly.one())
 
     # -- calculus and structure ---------------------------------------------
 
@@ -786,6 +779,18 @@ def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
         num, den = exact_div(num, g), exact_div(den, g)
         r = poly_gcd(den, d)
     return RatFunc._new(num, den)  # a monic g keeps den monic: 1 if constant
+
+
+def power(base, n: int, one):
+    """base ** n (int n >= 0) by square-and-multiply, for ``Poly`` and ``DiffPoly``."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = base * base
 
 
 def _int_form(p: Poly) -> tuple:
