@@ -12,7 +12,10 @@ Names: field variables ``u1..`` (order-0), jets ``u1_x``, ``u1_xx``,
 ``p1_x``, ..., nonlocal potentials ``r1`` (never differentiated in the
 text form), parameters ``c1..``.  Exponents are non-negative integers.
 Division is only by scalar (jet- and odd-free) subexpressions.  Parentheses
-nest at most 100 deep; deeper input is an ExpressionError.
+nest at most 100 deep; deeper input is an ExpressionError.  So is a power
+whose expansion could exceed ``config.SIZE_CAP`` terms: a base of T terms
+(numerator terms summed over its jet terms; non-constant denominators' terms
+counted apart) raised to e gives at most C(T+e-1, e) of them.
 
 ``parse`` returns a DiffPoly; printing is the exact inverse, so
 ``parse(format_diffpoly(e)) == e``.
@@ -23,9 +26,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .config import SIZE_CAP
 from .errors import ExpressionError
 from .jets import DiffPoly
-from .rational import Poly, RatFunc
+from .rational import Poly, RatFunc, join_signed
 
 _TOKEN_RE = re.compile(r"(\d+)|([a-z][a-zA-Z0-9_]*)|(\*|/|\+|-|\^|\(|\))")
 _NAME_RE = re.compile(r"^([uprc])([1-9]\d*)(?:_(xx?|x\d+))?$")
@@ -99,6 +103,24 @@ def _name_to_value(tok: _Token) -> DiffPoly:
     return DiffPoly.from_scalar(RatFunc.var(-index))
 
 
+def _check_power_size(base: DiffPoly, etok: _Token) -> None:
+    """Reject ``base ^ e`` when its expansion may hold more than SIZE_CAP terms:
+    T terms raised to the e-th power give at most C(T+e-1, e) monomials, for T
+    the numerator terms summed over the jet terms and, apart, for T the terms of
+    the non-constant denominators.  The binomial stops growing past the cap."""
+    e = etok.value
+    nums = sum(len(c.num.terms) for c in base.terms.values())
+    dens = sum(len(c.den.terms) for c in base.terms.values() if not c.den.is_const)
+    for t in (nums, dens):
+        lo, hi = sorted((e, t - 1))
+        size = 1
+        for i in range(1, lo + 1):  # size = C(hi + i, i), at most C(T+e-1, e)
+            size = size * (hi + i) // i
+            if size > SIZE_CAP:
+                raise ExpressionError(
+                    f"power would expand to more than {SIZE_CAP} terms", etok.line, etok.col)
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -168,6 +190,7 @@ class _Parser:
             if etok.kind != "int":
                 raise ExpressionError("exponent must be a non-negative integer",
                                       etok.line, etok.col)
+            _check_power_size(value, etok)
             value = value ** etok.value
         return -value if sign < 0 else value
 
@@ -242,8 +265,6 @@ def _coeff_factor(r: RatFunc) -> str:
 
 
 def format_diffpoly(a: DiffPoly) -> str:
-    if a.is_zero:
-        return "0"
     chunks = []
     for m, coeff in a.sorted_terms():
         factors = []
@@ -261,8 +282,4 @@ def format_diffpoly(a: DiffPoly) -> str:
         else:
             body = "*".join([_coeff_factor(coeff)] + factors)
         chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return join_signed(chunks)

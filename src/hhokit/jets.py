@@ -9,8 +9,10 @@ monomial part never stores them.
 
 Odd variables commute and carry degree at most 1: products of two odd factors
 raise OddDegreeError.  All values are immutable; operations return fresh
-objects in canonical form, with no zero coefficient stored (sums go through
-``rational.add_terms``), so equality is normal-form comparison.
+objects in canonical form, with no zero coefficient stored, so equality is
+normal-form comparison: ``DiffPoly`` takes its constructor, sums, negation,
+powers and equality from ``rational.SparsePoly`` and adds only its products
+and calculus.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import RatFunc, RatSum, add_terms, power
+from .rational import RatFunc, RatSum, SparsePoly
 
 KIND_U = 0
 KIND_P = 1
@@ -131,16 +133,11 @@ class DiffSum(dict):
         return DiffPoly({m: s.value() for m, s in self.items()})
 
 
-class DiffPoly:
+class DiffPoly(SparsePoly):
     """Canonical map DiffMonomial -> RatFunc with no zero coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+    __slots__ = ()
+    _negative_power = "negative power of a differential polynomial"
 
     @staticmethod
     def _new(terms: dict) -> "DiffPoly":
@@ -149,16 +146,14 @@ class DiffPoly:
         return p
 
     @classmethod
-    def zero(cls):
-        return cls._new({})
-
-    @classmethod
     def from_scalar(cls, c) -> "DiffPoly":
         if type(c) is not RatFunc:
             c = RatFunc.const(c)
         if c.is_zero:
             return cls.zero()
         return cls._new({EMPTY_MONO: c})
+
+    _lift = from_scalar
 
     @classmethod
     def one(cls):
@@ -189,20 +184,6 @@ class DiffPoly:
         return cls._new({m: coeff})
 
     # -- structure ------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
 
     @property
     def is_scalar(self) -> bool:
@@ -236,28 +217,6 @@ class DiffPoly:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        if type(other) is not DiffPoly:
-            other = DiffPoly.from_scalar(other)
-        res = dict(self.terms)
-        add_terms(res, other.terms)
-        return DiffPoly._new(res)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not DiffPoly:
-            other = DiffPoly.from_scalar(other)
-        res = dict(self.terms)
-        add_terms(res, other.terms, -1)
-        return DiffPoly._new(res)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return DiffPoly._new({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if type(other) is not DiffPoly:
             return self.scalar_mul(other)
@@ -273,11 +232,6 @@ class DiffPoly:
         if c.is_zero:
             return DiffPoly.zero()
         return DiffPoly._new({m: v * c for m, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a differential polynomial")
-        return power(self, n, DiffPoly.one())
 
     # -- calculus -------------------------------------------------------------
 
@@ -302,8 +256,6 @@ class DiffPoly:
     def __str__(self):
         from .grammar import format_diffpoly
         return format_diffpoly(self)
-
-    __repr__ = __str__
 
 
 def _raise_order(jv: JetVar, cap: int) -> JetVar:

@@ -1,9 +1,10 @@
 """Exact linear solving for parameter-affine systems of scalar equations.
 
 Each equation is a RatFunc affine in the formal parameters.  Its numerator
-gives one scalar row per u-monomial, kept as a primitive integer vector: a
-``{pid: int}`` dict with the constant under key 0, read from the numerator's
-integer form and divided by the gcd of its entries (its content).
+gives one scalar row per u-monomial (``rational.affine_rows``), kept as a
+primitive integer vector: a ``{pid: int}`` dict with the constant under key
+0, read from the numerator's integer form and divided by the gcd of its
+entries (its content).
 
 The rows are sorted once, sparsest first (a stable sort, to keep fill-in
 small), and brought to reduced row echelon form by one fraction-free
@@ -31,8 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import NonlinearAnsatzError
-from .rational import Poly, RatFunc, _int_form, mono_str
+from .rational import Poly, RatFunc, _int_form, affine_rows
 
 
 @dataclass
@@ -67,16 +67,10 @@ def _pkey(pid: int) -> int:
 
 def _scalar_rows(eq: RatFunc, params: set):
     """Expand one affine equation's integer form into primitive rows, one per u-monomial."""
-    rows = {}
-    for m, c in (eq.num.ints or _int_form(eq.num))[1].items():
-        pid = m[-1][0] if m and m[-1][0] < 0 else 0  # parameters sort last (vkey)
-        if pid:
-            if m[-1][1] > 1 or (len(m) > 1 and m[-2][0] < 0):
-                raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
-            params.add(pid)
-            m = m[:-1]
-        rows.setdefault(m, {})[pid] = c
-    return [_primitive(row) for row in rows.values()]
+    rows = affine_rows((eq.num.ints or _int_form(eq.num))[1]).values()
+    params.update(*rows)
+    params.discard(0)
+    return [_primitive(row) for row in rows]
 
 
 def _primitive(row: dict) -> dict:
@@ -108,7 +102,8 @@ def _eliminate(row: dict, pid: int, prow: dict):
 def linear_solve(eqs) -> LinearSystemSolution:
     """Solve a list of parameter-affine RatFunc equations (= 0) exactly.
 
-    Raises NonlinearAnsatzError when a parameter occurs nonlinearly.
+    Raises NonlinearAnsatzError (from ``rational.affine_rows``) when a
+    parameter occurs nonlinearly.
     """
     params: set = set()
     rows = []

@@ -13,15 +13,17 @@ Variables are identified by integer ids:
 A monomial is a tuple ``((vid, exp), ...)`` sorted by variable key, with all
 exponents positive; the empty tuple is 1.  Polynomials are sparse dicts
 monomial -> coefficient with no zero values, so equality of canonical forms is
-dict equality.  A coefficient is an exact rational, never a float: the
-constructors and every division here store an integral value as ``int`` and
-any other as ``Fraction``; ``Poly``'s ``+ - *`` keep the type their operands
-give, so a ``Fraction`` of denominator 1 may remain in their results.  The
-products a ``RatSum`` accumulates leave none: ``RatSum.value()`` makes each of
-their coefficients once (a first ``add()`` is kept as given and joins them by
-``+``).  ``int`` and ``Fraction`` compare, hash and print alike, so no answer
-depends on which one is stored.  The term order is graded lexicographic
-with field variables before parameters.
+dict equality.  ``SparsePoly`` holds that invariant and the arithmetic that
+keeps it, once, for ``Poly`` here and ``jets.DiffPoly``.  A coefficient is an
+exact rational, never a float: the constructors and every division here store
+an integral value as ``int`` and any other as ``Fraction``; ``Poly``'s
+``+ - *`` keep the type their operands give, so a ``Fraction`` of denominator
+1 may remain in their results.  The polynomial part of a ``RatSum`` leaves
+none: ``RatSum.value()`` makes each of its coefficients once (a lone first
+``add()`` is returned as given; with further terms it joins them through the
+same integer path).  ``int`` and ``Fraction`` compare, hash and print alike,
+so no answer depends on which one is stored.  The term order is graded
+lexicographic with field variables before parameters.
 
 Terms are summed in one place, ``add_terms``: it adds k*m0*terms into a term
 dict in place and deletes a term that cancels, so no stored coefficient is
@@ -158,20 +160,92 @@ def mono_str(m: Mono) -> str:
     return "*".join(parts)
 
 
-class Poly:
+class SparsePoly:
+    """A sparse sum {monomial: coefficient} with no zero coefficient stored, so
+    equality is dict equality: the one body of ``Poly`` and ``jets.DiffPoly``.
+    A subclass gives ``_new(terms)`` (adopts a dict), ``_lift(scalar)`` (the
+    scalar as a sum, for ``+`` and ``-`` with a scalar on either side),
+    ``one()``, its products and ``_negative_power``, the message of ``p ** -k``.
+    A built sum's term dict is never mutated."""
+
+    __slots__ = ("terms",)
+
+    def __new__(cls, terms=None):
+        return cls._new({} if terms is None else {m: c for m, c in terms.items() if c})
+
+    @classmethod
+    def zero(cls):
+        return cls._new({})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+        res = dict(self.terms)
+        add_terms(res, other.terms)
+        return self._new(res)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            other = self._lift(other)
+        res = dict(self.terms)
+        add_terms(res, other.terms, -1)
+        return self._new(res)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __pow__(self, n: int):
+        """By square-and-multiply; a first factor is taken as is, not multiplied by one."""
+        if n < 0:
+            raise ValueError(self._negative_power)
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return self.one() if out is None else out
+            base = base * base
+
+    def __repr__(self):
+        return str(self)
+
+
+def join_signed(chunks) -> str:
+    """Signed terms (sign, body), sign "+" or "-", as "a - b + c"; "0" for none."""
+    text = " ".join(f"{sign} {body}" for sign, body in chunks)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+class Poly(SparsePoly):
     """Sparse multivariate polynomial with exact rational (int or Fraction)
     coefficients.  ``ints`` caches the integer form (d, {m: n}), every
     coefficient n/d, once ``RatSum`` has needed it (None until then); it may
-    share ``terms``, so a built Poly's term dict is never mutated."""
+    share ``terms``."""
 
-    __slots__ = ("terms", "ints")
-
-    def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {m: c for m, c in terms.items() if c}
-        self.ints = None
+    __slots__ = ("ints",)
+    _negative_power = "negative exponent on polynomial"
 
     @staticmethod
     def _new(terms: dict) -> "Poly":
@@ -181,13 +255,11 @@ class Poly:
         return p
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls._new({})
-
-    @classmethod
     def const(cls, c) -> "Poly":
         c = _q(c)
         return cls._new({_EMPTY: c} if c else {})
+
+    _lift = const
 
     @classmethod
     def one(cls) -> "Poly":
@@ -204,10 +276,6 @@ class Poly:
     # -- predicates ---------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
 
@@ -222,39 +290,7 @@ class Poly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if type(other) is not Poly:
-            other = Poly.const(other)
-        res = dict(self.terms)
-        add_terms(res, other.terms)
-        return Poly._new(res)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not Poly:
-            other = Poly.const(other)
-        res = dict(self.terms)
-        add_terms(res, other.terms, -1)
-        return Poly._new(res)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Poly._new({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not Poly:
@@ -273,11 +309,6 @@ class Poly:
         return Poly._new(res)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent on polynomial")
-        return power(self, n, Poly.one())
 
     # -- calculus and structure ---------------------------------------------
 
@@ -355,25 +386,14 @@ class Poly:
         Raises NonlinearAnsatzError when a parameter occurs with degree >= 2
         or two parameters share a monomial.
         """
-        # distinct monomials give distinct (parameter, rest) pairs, so every
-        # term lands in its own slot and no coefficients need adding
-        linear: dict[int, dict] = {}
-        absolute = {}
-        for m, c in self.terms.items():
-            pvars = [(v, e) for v, e in m if v < 0]
-            if not pvars:
-                absolute[m] = c
-                continue
-            if len(pvars) > 1 or pvars[0][1] > 1:
-                raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
-            rest = tuple((v, e) for v, e in m if v > 0)
-            linear.setdefault(pvars[0][0], {})[rest] = c
-        return ({pid: Poly._new(terms) for pid, terms in linear.items()},
-                Poly._new(absolute))
+        parts: dict[int, dict] = {}
+        for m, row in affine_rows(self.terms).items():
+            for pid, c in row.items():
+                parts.setdefault(pid, {})[m] = c
+        absolute = Poly._new(parts.pop(0, {}))
+        return {pid: Poly._new(terms) for pid, terms in parts.items()}, absolute
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         chunks = []
         for m in sorted(self.terms, key=mono_key):
             c = self.terms[m]
@@ -386,13 +406,26 @@ class Poly:
             else:
                 body = f"{c}*{mono_str(m)}"
             chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_signed(chunks)
 
-    __repr__ = __str__
+
+def affine_rows(terms: dict) -> dict:
+    """A parameter-affine term dict grouped by u-monomial: {u-monomial: {pid: c}},
+    pid the parameter's vid, 0 for the parameter-free part.
+
+    Raises NonlinearAnsatzError when a parameter occurs with degree >= 2
+    or two parameters share a monomial.
+    """
+    # distinct monomials give distinct (u-monomial, pid) pairs, so no coefficients need adding
+    rows: dict = {}
+    for m, c in terms.items():
+        pid = m[-1][0] if m and m[-1][0] < 0 else 0  # parameters sort last (vkey)
+        if pid:
+            if m[-1][1] > 1 or (len(m) > 1 and m[-2][0] < 0):
+                raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
+            m = m[:-1]
+        rows.setdefault(m, {})[pid] = c
+    return rows
 
 
 # -- exact division and gcd --------------------------------------------------
@@ -781,18 +814,6 @@ def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
     return RatFunc._new(num, den)  # a monic g keeps den monic: 1 if constant
 
 
-def power(base, n: int, one):
-    """base ** n (int n >= 0) by square-and-multiply, for ``Poly`` and ``DiffPoly``."""
-    out = None
-    while True:
-        if n & 1:
-            out = base if out is None else out * base
-        n >>= 1
-        if not n:
-            return one if out is None else out
-        base = base * base
-
-
 def _int_form(p: Poly) -> tuple:
     """p's integer form (d, {m: n}), every coefficient n/d with d the lcm of
     their denominators, computed once and kept in ``p.ints``; an all-``int``
@@ -817,11 +838,12 @@ class RatSum:
     positive ``den``: ``add_terms`` multiplies the operands' integer forms, and
     ``den`` grows to lcm(den, r) only when r, the reduced denominator of
     k/(d_a*d_b), does not divide it.  A rational operand takes the RatFunc
-    product and sum.  ``value()`` is the canonical RatFunc, equal to the chain
-    of ``+`` and ``*`` it replaces; it divides out gcd(den, numerators) once and
-    makes each coefficient there, an ``int`` when integral, else its one
-    ``Fraction``.  It takes over the polynomial part, and the sum goes on from
-    that value.
+    product and sum.  A first polynomial ``add()`` with k == 1 is kept as
+    given, in O(1).  ``value()`` is the canonical RatFunc, equal to the chain
+    of ``+`` and ``*`` it replaces; it joins a polynomial first term to the
+    integer numerators, divides out gcd(den, numerators) once and makes each
+    coefficient there, an ``int`` when integral, else its one ``Fraction``.
+    It takes over the polynomial part, and the sum goes on from that value.
     """
 
     __slots__ = ("terms", "den", "rest")
@@ -832,7 +854,7 @@ class RatSum:
         self.rest = first  # the RatFunc sum of the rational terms and of a first add(), uncopied
 
     def add(self, a: RatFunc, k=1):
-        if self.rest is not None and a.den.is_const:
+        if a.den.is_const and (self.rest is not None or k != 1):
             self.addmul(a, _UNIT, k)
         else:
             a = a * k if k != 1 else a
@@ -864,6 +886,10 @@ class RatSum:
             add_terms(terms, tb, c1 * p, m1)
 
     def value(self) -> RatFunc:
+        rest = self.rest
+        if self.terms and rest is not None and rest.den.is_const:
+            self.rest = None
+            self.addmul(rest, _UNIT)
         nums = self.terms
         if nums:
             den = self.den

@@ -141,6 +141,21 @@ def test_ratsum_stores_integral_coefficients_as_int():
             assert type(c) is (int if c.denominator == 1 else Fraction), c
 
 
+def test_ratsum_joins_a_first_add_through_the_integer_path():
+    """A polynomial first add() and a later product, or one add() with k != 1,
+    leave no Fraction of denominator 1."""
+    half_u1 = RatFunc.var(1) * Fraction(1, 2)
+    joined = RatSum()
+    joined.add(half_u1)
+    joined.addmul(half_u1, RatFunc.one())
+    scaled = RatSum()
+    scaled.add(half_u1, 2)
+    for acc in (joined, scaled):
+        got = acc.value()
+        assert got == RatFunc.var(1)
+        assert [type(v) for v in got.num.terms.values()] == [int]
+
+
 def test_scalar_multiple_skips_the_reduction():
     rng = random.Random(15)
     for _ in range(40):

@@ -2,6 +2,7 @@
 with an ``input error:`` message, never a traceback and never a verdict."""
 
 import json
+import time
 
 import pytest
 
@@ -70,3 +71,24 @@ def test_integer_strings_still_load():
     assert problem.n == 1
     with pytest.raises(InputError, match="integer field 'n'"):
         Problem(dict(get_entry("kdv").problem, n="1.0"))
+
+
+def test_power_expansion_is_bounded():
+    assert len(parse("(u1 + u2 + u3)^40").scalar_value().num.terms) == 861
+    start = time.perf_counter()
+    # the error points at the exponent; the last base is bounded by its denominator
+    for base, e in (("(u1 + u2 + u3 + u4 + u5)", "40"), ("(u1 + u2 + u3 + u4 + u5)", "20"),
+                    ("(u1_x + u2)", "9" * 40), ("(u1_x/(u1 + u2 + u3 + u4 + u5 + 1))", "40")):
+        with pytest.raises(ExpressionError,
+                           match=rf"more than 10000 terms \(line 1, column {len(base) + 2}\)"):
+            parse(f"{base}^{e}")
+    assert time.perf_counter() - start < 0.5
+    assert parse("u1^100000") == parse("u1") ** 100000
+
+
+def test_oversized_power_exits_two(tmp_path, capsys):
+    flux = "(u1 + u1_x + u1_xx + u1_x3 + u1_x4)^40"
+    code, err = run_file(tmp_path, capsys, "check-compat", json.dumps(kdv_with_flux(flux)))
+    assert code == 2
+    assert err.startswith("input error: power would expand to more than 10000 terms")
+    assert "Traceback" not in err
