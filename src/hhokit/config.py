@@ -6,6 +6,9 @@ from .errors import InputError
 
 DEFAULT_JET_CAP = 12
 SIZE_CAP = 10_000  # most ansatz parameters, and most dense T entries from sparse generators
+# a parsed power's cost: its last squaring's term products and its coefficients' bits
+POWER_PRODUCTS_CAP = 250_000
+POWER_BITS_CAP = 2048
 _ENV_VAR = "HHOKIT_JET_CAP"
 
 _jet_cap_override = None

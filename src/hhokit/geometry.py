@@ -740,9 +740,9 @@ def third_order_operator(d: ThirdOrderData) -> LocalOperator:
             second = DiffPoly({ux[k]: g[i][j].diff(k + 1) + c[i][j][k] for k in range(n)})
             first = DiffSum()
             for k in range(n):
-                first[uxx[k]].add(c[i][j][k])
+                first.add_term(uxx[k], c[i][j][k])
                 for l in range(n):
-                    first[dm_mul(ux[l], ux[k])].add(c[i][j][k].diff(l + 1))
+                    first.add_term(dm_mul(ux[l], ux[k]), c[i][j][k].diff(l + 1))
             row.append(((DiffPoly.from_scalar(g[i][j]), 3), (second, 2), (first.value(), 1)))
         entries.append(tuple(row))
     return LocalOperator(n=n, entries=tuple(entries)).normalized()

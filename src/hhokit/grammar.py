@@ -15,7 +15,11 @@ Division is only by scalar (jet- and odd-free) subexpressions.  Parentheses
 nest at most 100 deep; deeper input is an ExpressionError.  So is a power
 whose expansion could exceed ``config.SIZE_CAP`` terms: a base of T terms
 (numerator terms summed over its jet terms; non-constant denominators' terms
-counted apart) raised to e gives at most C(T+e-1, e) of them.
+counted apart) raised to e gives at most C(T+e-1, e) of them.  Its cost is
+bounded too, below that cap: its last squaring may take at most
+``config.POWER_PRODUCTS_CAP`` term products, and its coefficients, bounded by
+(T*H)**e for H the base's largest numerator or denominator, at most
+``config.POWER_BITS_CAP`` bits.
 
 ``parse`` returns a DiffPoly; printing is the exact inverse, so
 ``parse(format_diffpoly(e)) == e``.
@@ -25,8 +29,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt, log2
 
-from .config import SIZE_CAP
+from .config import POWER_BITS_CAP, POWER_PRODUCTS_CAP, SIZE_CAP
 from .errors import ExpressionError
 from .jets import DiffPoly
 from .rational import Poly, RatFunc, join_signed
@@ -103,22 +108,42 @@ def _name_to_value(tok: _Token) -> DiffPoly:
     return DiffPoly.from_scalar(RatFunc.var(-index))
 
 
+def _capped_binomial(t: int, e: int, cap: int) -> int:
+    """C(t+e-1, e), the most monomials a power e of t terms holds, or cap + 1
+    once it passes cap: the product stops growing there, so a huge e costs O(1)."""
+    lo, hi = sorted((e, t - 1))
+    size = 1
+    for i in range(1, lo + 1):  # size = C(hi + i, i)
+        size = size * (hi + i) // i
+        if size > cap:
+            return cap + 1
+    return size
+
+
 def _check_power_size(base: DiffPoly, etok: _Token) -> None:
-    """Reject ``base ^ e`` when its expansion may hold more than SIZE_CAP terms:
-    T terms raised to the e-th power give at most C(T+e-1, e) monomials, for T
-    the numerator terms summed over the jet terms and, apart, for T the terms of
-    the non-constant denominators.  The binomial stops growing past the cap."""
+    """Reject ``base ^ e`` when its expansion may hold more than SIZE_CAP terms,
+    when its last squaring may take more than POWER_PRODUCTS_CAP term products
+    (C(T+h-1, h)**2 for h = e // 2), or when its coefficients may pass
+    POWER_BITS_CAP bits (e * log2(T * H), H the largest numerator or denominator
+    of the base's coefficients).  T is the numerator terms summed over the jet
+    terms and, apart, the terms of the non-constant denominators."""
     e = etok.value
-    nums = sum(len(c.num.terms) for c in base.terms.values())
-    dens = sum(len(c.den.terms) for c in base.terms.values() if not c.den.is_const)
-    for t in (nums, dens):
-        lo, hi = sorted((e, t - 1))
-        size = 1
-        for i in range(1, lo + 1):  # size = C(hi + i, i), at most C(T+e-1, e)
-            size = size * (hi + i) // i
-            if size > SIZE_CAP:
-                raise ExpressionError(
-                    f"power would expand to more than {SIZE_CAP} terms", etok.line, etok.col)
+    coeffs = base.terms.values()
+    nums = [c.num for c in coeffs]
+    dens = [c.den for c in coeffs if not c.den.is_const]
+    half_cap = isqrt(POWER_PRODUCTS_CAP)
+    for polys in (nums, dens):
+        t = sum(len(p.terms) for p in polys)
+        if _capped_binomial(t, e, SIZE_CAP) > SIZE_CAP:
+            message = f"power would expand to more than {SIZE_CAP} terms"
+        elif _capped_binomial(t, e // 2, half_cap) ** 2 > POWER_PRODUCTS_CAP:
+            message = f"power would take more than {POWER_PRODUCTS_CAP} term products"
+        elif t and e * log2(t * max(max(abs(x.numerator), x.denominator)
+                                    for p in polys for x in p.terms.values())) > POWER_BITS_CAP:
+            message = f"power would have coefficients of more than {POWER_BITS_CAP} bits"
+        else:
+            continue
+        raise ExpressionError(message, etok.line, etok.col)
 
 
 class _Parser:

@@ -13,15 +13,21 @@ objects in canonical form, with no zero coefficient stored, so equality is
 normal-form comparison: ``DiffPoly`` takes its constructor, sums, negation,
 powers and equality from ``rational.SparsePoly`` and adds only its products
 and calculus.
+
+Every sum of products here (a product, ``total_x``, the covering's ``total_t``
+and residuals) is formed in place in one ``DiffSum``: integer numerators per
+differential monomial over one common denominator for the whole sum, with a
+``RatSum`` only for a monomial that receives a rational-function coefficient.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import RatFunc, RatSum, SparsePoly
+from .rational import Poly, RatFunc, RatSum, SparsePoly, _int_form, add_terms, poly_from_ints
 
 KIND_U = 0
 KIND_P = 1
@@ -66,6 +72,7 @@ class DiffMonomial(NamedTuple):
 
 
 EMPTY_MONO = DiffMonomial((), None)
+_new_mono = tuple.__new__  # DiffMonomial's own __new__ is a Python call
 
 
 def mono(even=(), odd=None) -> DiffMonomial:
@@ -91,10 +98,30 @@ def dm_key(m: DiffMonomial):
 
 
 def _even_mul(e1, e2):
-    out = dict(e1)
-    for jv, e in e2:
-        out[jv] = out.get(jv, 0) + e
-    return tuple(sorted(out.items()))
+    """The product of two sorted even-factor tuples, by one sorted merge."""
+    if not e1:
+        return e2
+    if not e2:
+        return e1
+    out = []
+    i = j = 0
+    n1, n2 = len(e1), len(e2)
+    while i < n1 and j < n2:
+        f1, f2 = e1[i], e2[j]
+        v1, v2 = f1[0], f2[0]
+        if v1 == v2:
+            out.append((v1, f1[1] + f2[1]))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(f1)
+            i += 1
+        else:
+            out.append(f2)
+            j += 1
+    out.extend(e1[i:])
+    out.extend(e2[j:])
+    return tuple(out)
 
 
 def even_lowered(even: tuple, pos: int) -> tuple:
@@ -111,26 +138,137 @@ def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
     return DiffMonomial(_even_mul(m1.even, m2.even), m1.odd or m2.odd)
 
 
-class DiffSum(dict):
-    """A sum of DiffPoly terms and products, formed in place with one
-    ``RatSum`` per differential monomial: ``add(a, k)`` and ``addmul(a, b, k)``
-    add k*a and k*a*b for a scalar k (int or Fraction)."""
+def _ints_of(c: RatFunc):
+    """The integer form (d, {u-monomial: n}) of a polynomial coefficient; None
+    for one with a non-constant denominator."""
+    den = c.den.terms
+    if len(den) == 1 and () in den:  # den.is_const, without the property call
+        num = c.num
+        return num.ints or _int_form(num)
+    return None
 
-    def __missing__(self, m):
-        s = self[m] = RatSum()
-        return s
+
+class DiffSum:
+    """A sum of DiffPoly terms and products, formed in place: ``add(a, k)``,
+    ``add_term(m, c, k)`` and ``addmul(a, b, k)`` add k*a, k*c*m and k*a*b for a
+    scalar k (int or Fraction).
+
+    Every polynomial coefficient is kept as integer numerators
+    ``{differential monomial: {u-monomial: n}}`` over one positive common
+    ``den``, which grows to lcm(den, r) only when r, the reduced denominator
+    of a product's k/(d_a*d_b), does not divide it; the numerators of every
+    monomial are then scaled up once.  A coefficient with a non-constant
+    denominator goes to a ``RatSum`` of its monomial, the only ones built.  A
+    monomial's first contribution by ``add_term`` with k == 1 is kept as given,
+    in O(1), and moved into the numerators only when a second one arrives.
+    ``value()`` divides each monomial's numerators by their gcd with ``den``,
+    makes each coefficient once (an ``int`` when integral, else its one
+    ``Fraction``) and sets ``Poly.ints``; the sum goes on from that value.
+    """
+
+    __slots__ = ("terms", "den", "rats")
+
+    def __init__(self):
+        self.terms = {}  # monomial -> {u-monomial: numerator}, or its lone first RatFunc
+        self.den = 1
+        self.rats = {}  # monomial -> RatSum of its coefficients with a non-constant denominator
+
+    def _grow(self, den: int) -> None:
+        """Bring every numerator over the multiple den of the common denominator."""
+        f = den // self.den
+        for acc in self.terms.values():
+            if type(acc) is dict:
+                for u in acc:
+                    acc[u] *= f
+        self.den = den
+
+    def _numerators(self, m: DiffMonomial, lone) -> dict:
+        """The numerators of m, made empty, with m's lone first coefficient
+        moved in when there is one; the move may grow ``den``."""
+        acc = self.terms[m] = {}
+        if lone is not None:
+            self.add_term(m, lone)
+        return acc
+
+    def _rational(self, m: DiffMonomial) -> RatSum:
+        rest = self.rats.get(m)
+        if rest is None:
+            rest = self.rats[m] = RatSum()
+        return rest
+
+    def _scale(self, kn: int, r: int) -> int:
+        """The factor turning numerators over r (k's numerator kn folded in) into
+        numerators over ``den``, grown to a multiple of r first."""
+        if r != 1:
+            g = gcd(kn, r)
+            kn, r = kn // g, r // g
+            if self.den % r:
+                self._grow(lcm(self.den, r))
+        return kn * (self.den // r)
+
+    def add_term(self, m: DiffMonomial, c: RatFunc, k=1) -> None:
+        kn = k.numerator
+        if not kn or not c.num.terms:
+            return
+        acc = self.terms.get(m)
+        if acc is None and kn == 1 and k.denominator == 1:
+            self.terms[m] = c
+            return
+        if type(acc) is not dict:
+            acc = self._numerators(m, acc)
+        form = _ints_of(c)
+        if form is None:
+            self._rational(m).add(c, k)
+            return
+        d, t = form
+        add_terms(acc, t, self._scale(kn, k.denominator * d))
 
     def add(self, a: "DiffPoly", k=1) -> None:
         for m, c in a.terms.items():
-            self[m].add(c, k)
+            self.add_term(m, c, k)
 
     def addmul(self, a: "DiffPoly", b: "DiffPoly", k=1) -> None:
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                self[dm_mul(m1, m2)].addmul(c1, c2, k)
+        kn, kd = k.numerator, k.denominator
+        if not kn:
+            return
+        terms = self.terms
+        right = [(e2, o2, c2, _ints_of(c2)) for (e2, o2), c2 in b.terms.items()]
+        for (e1, o1), c1 in a.terms.items():
+            f1 = _ints_of(c1)
+            for e2, o2, c2, f2 in right:
+                if o1 is not None and o2 is not None:
+                    raise OddDegreeError("odd degree overflow")
+                m = _new_mono(DiffMonomial, (_even_mul(e1, e2), o1 or o2))
+                acc = terms.get(m)
+                if type(acc) is not dict:
+                    acc = self._numerators(m, acc)
+                if f1 is None or f2 is None:
+                    self._rational(m).addmul(c1, c2, k)
+                    continue
+                (d1, t1), (d2, t2) = f1, f2
+                r = kd * d1 * d2
+                p = kn * self.den if r == 1 else self._scale(kn, r)
+                if len(t1) > len(t2):
+                    t1, t2 = t2, t1
+                for u1, n1 in t1.items():
+                    add_terms(acc, t2, n1 * p, u1)
 
     def value(self) -> "DiffPoly":
-        return DiffPoly({m: s.value() for m, s in self.items()})
+        den, rats, terms = self.den, self.rats, self.terms
+        out = {}
+        for m in list(terms):
+            acc = terms.pop(m)  # freed once made into a coefficient: no second copy of the sum
+            if type(acc) is dict:
+                c = RatFunc._new(poly_from_ints(den, acc), Poly.one()) if acc else RatFunc.zero()
+                rest = rats.get(m)
+                if rest is not None:
+                    c = c + rest.value()
+                if not c:
+                    continue
+                acc = c
+            out[m] = acc
+        self.terms, self.den, self.rats = dict(out), 1, {}
+        return DiffPoly._new(out)
 
 
 class DiffPoly(SparsePoly):
@@ -284,13 +422,13 @@ def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
     res = DiffSum()
     for m, c in a.terms.items():
         for vid in c.field_vars():
-            res[dm_mul(m, mono([(ujet(vid, 1), 1)]))].add(c.diff(vid))
+            res.add_term(dm_mul(m, mono([(ujet(vid, 1), 1)])), c.diff(vid))
         for pos, (jv, e) in enumerate(m.even):
-            res[_bump_even(m, pos, cap)].add(c, e)
+            res.add_term(_bump_even(m, pos, cap), c, e)
         if m.odd is not None:
             jv = m.odd
             if jv.kind == KIND_P:
-                res[DiffMonomial(m.even, _raise_order(jv, cap))].add(c)
+                res.add_term(DiffMonomial(m.even, _raise_order(jv, cap)), c)
             else:
                 if rx_rules is None or jv.index not in rx_rules:
                     raise UnregisteredNonlocalError(

@@ -27,9 +27,11 @@ lexicographic with field variables before parameters.
 
 Terms are summed in one place, ``add_terms``: it adds k*m0*terms into a term
 dict in place and deletes a term that cancels, so no stored coefficient is
-zero.  Every sum of products is formed in place in one ``RatSum``, whose
+zero.  Every scalar sum of products is formed in place in one ``RatSum``, whose
 polynomial products go through the same kernel as integer numerators over one
-running denominator, with no ``Fraction`` arithmetic.
+running denominator, with no ``Fraction`` arithmetic; ``jets.DiffSum`` does
+the same for a sum of differential polynomials, with one denominator for all
+its monomials, and builds a ``RatSum`` only for a rational-function term.
 """
 
 from __future__ import annotations
@@ -424,7 +426,11 @@ def affine_rows(terms: dict) -> dict:
             if m[-1][1] > 1 or (len(m) > 1 and m[-2][0] < 0):
                 raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
             m = m[:-1]
-        rows.setdefault(m, {})[pid] = c
+        row = rows.get(m)
+        if row is None:
+            rows[m] = {pid: c}
+        else:
+            row[pid] = c
     return rows
 
 
@@ -829,6 +835,21 @@ def _int_form(p: Poly) -> tuple:
     return form
 
 
+def poly_from_ints(den: int, nums: dict) -> Poly:
+    """The Poly of the integer numerators nums over den > 0, nums not all zero:
+    gcd(den, numerators) is divided out once, each coefficient is made once (an
+    ``int`` when integral, else its one ``Fraction``) and ``ints`` is set."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: n // g for m, n in nums.items()}
+    poly = Poly._new(nums if den == 1 else {
+        m: n // den if n % den == 0 else Fraction(n, den) for m, n in nums.items()})
+    poly.ints = (den, nums)
+    return poly
+
+
 class RatSum:
     """A sum of RatFunc terms and products, formed in place from ``first``.
 
@@ -890,20 +911,9 @@ class RatSum:
         if self.terms and rest is not None and rest.den.is_const:
             self.rest = None
             self.addmul(rest, _UNIT)
-        nums = self.terms
-        if nums:
-            den = self.den
-            if den != 1:
-                g = gcd(den, *nums.values())
-                if g != 1:
-                    den //= g
-                    nums = {m: n // g for m, n in nums.items()}
-            coeffs = nums if den == 1 else {
-                m: n // den if n % den == 0 else Fraction(n, den) for m, n in nums.items()}
-            poly = Poly._new(coeffs)
-            poly.ints = (den, nums)
+        if self.terms:
+            poly = RatFunc._new(poly_from_ints(self.den, self.terms), Poly.one())
             self.terms = {}
-            poly = RatFunc._new(poly, Poly.one())
             self.rest = poly if self.rest is None else self.rest + poly
         self.den = 1
         return RatFunc.zero() if self.rest is None else self.rest

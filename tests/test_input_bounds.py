@@ -92,3 +92,29 @@ def test_oversized_power_exits_two(tmp_path, capsys):
     assert code == 2
     assert err.startswith("input error: power would expand to more than 10000 terms")
     assert "Traceback" not in err
+
+
+def test_power_cost_is_bounded_below_the_term_cap():
+    start = time.perf_counter()
+    # each error points at the exponent
+    for text, col, cause in (("(u1+u2)^2000", 9, "take more than 250000 term products"),
+                             ("(u1+u2)^9999", 9, "take more than 250000 term products"),
+                             ("(u1 + u2 + u3)^100", 16, "take more than 250000 term products"),
+                             ("(2*u1)^100000", 8, "have coefficients of more than 2048 bits"),
+                             ("(7*u1_x + u2/9)^800", 17, "have coefficients of more than 2048 bits")):
+        with pytest.raises(ExpressionError, match=rf"power would {cause} \(line 1, column {col}\)"):
+            parse(text)
+    assert time.perf_counter() - start < 0.5
+    assert len(parse("(u1 + u2 + u3)^40").scalar_value().num.terms) == 861
+    assert sum(len(c.num.terms) for c in parse("(u1_x + u2_x + u3)^40").terms.values()) == 861
+    assert parse("u1_x^100000") == parse("u1_x") ** 100000
+
+
+def test_costly_power_exits_two(tmp_path, capsys):
+    problem = {"n": 2, "system": {"type": "conservative", "V": ["(u1+u2)^9999", "u1"]}}
+    start = time.perf_counter()
+    code, err = run_file(tmp_path, capsys, "classify", json.dumps(problem))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err.startswith("input error: power would take more than 250000 term products")
+    assert "Traceback" not in err
