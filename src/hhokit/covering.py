@@ -23,7 +23,7 @@ from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
-from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, even_lowered, total_x
+from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, dm_key, even_lowered, total_x
 from .rational import RatFunc
 
 _SCALAR_COEFFS = (int, bool, Fraction, RatFunc)  # matched by exact type: isinstance on an ABC is slow
@@ -360,6 +360,5 @@ def extract_conditions(residual) -> list:
     """Coefficient functions whose joint vanishing is residual = 0."""
     eqs = []
     for comp in residual:
-        for m in sorted(comp.terms, key=lambda k: (str(k),)):
-            eqs.append(comp.terms[m])
+        eqs.extend(comp.terms[m] for m in sorted(comp.terms, key=dm_key))
     return eqs

@@ -15,19 +15,18 @@ powers and equality from ``rational.SparsePoly`` and adds only its products
 and calculus.
 
 Every sum of products here (a product, ``total_x``, the covering's ``total_t``
-and residuals) is formed in place in one ``DiffSum``: integer numerators per
-differential monomial over one common denominator for the whole sum, with a
-``RatSum`` only for a monomial that receives a rational-function coefficient.
+and residuals) is formed in place in one ``DiffSum``, whose polynomial
+coefficients live in the integer accumulator ``rational.IntSum`` described
+there, one common denominator for the whole sum.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import Poly, RatFunc, RatSum, SparsePoly, _int_form, add_terms, poly_from_ints
+from .rational import IntSum, Poly, RatFunc, SparsePoly, _int_form, poly_from_ints
 
 KIND_U = 0
 KIND_P = 1
@@ -148,39 +147,38 @@ def _ints_of(c: RatFunc):
     return None
 
 
-class DiffSum:
+_ONE = (1, {(): 1})  # the integer form of 1: add_term's second factor
+
+
+class DiffSum(IntSum):
     """A sum of DiffPoly terms and products, formed in place: ``add(a, k)``,
     ``add_term(m, c, k)`` and ``addmul(a, b, k)`` add k*a, k*c*m and k*a*b for a
     scalar k (int or Fraction).
 
-    Every polynomial coefficient is kept as integer numerators
-    ``{differential monomial: {u-monomial: n}}`` over one positive common
-    ``den``, which grows to lcm(den, r) only when r, the reduced denominator
-    of a product's k/(d_a*d_b), does not divide it; the numerators of every
-    monomial are then scaled up once.  A coefficient with a non-constant
-    denominator goes to a ``RatSum`` of its monomial, the only ones built.  A
-    monomial's first contribution by ``add_term`` with k == 1 is kept as given,
-    in O(1), and moved into the numerators only when a second one arrives.
-    ``value()`` divides each monomial's numerators by their gcd with ``den``,
-    makes each coefficient once (an ``int`` when integral, else its one
-    ``Fraction``) and sets ``Poly.ints``; the sum goes on from that value.
+    Every polynomial coefficient goes into ``rational.IntSum``'s integer
+    numerators, laid out as ``{differential monomial: {u-monomial: n}}`` over
+    one common ``den`` for the whole sum.  A monomial's coefficients with a
+    non-constant denominator are one running RatFunc sum in ``rats``; a
+    rational product is added through ``add_term``, so one whose denominator
+    cancels joins the numerators.  A monomial's first contribution by
+    ``add_term`` with k == 1 is kept as given, in O(1), and moved into the
+    numerators only when a second one arrives.  ``value()`` makes each
+    monomial's coefficient once and sets ``Poly.ints``; the sum goes on from
+    that value.
     """
 
-    __slots__ = ("terms", "den", "rats")
+    __slots__ = ("terms", "rats")
 
     def __init__(self):
         self.terms = {}  # monomial -> {u-monomial: numerator}, or its lone first RatFunc
         self.den = 1
-        self.rats = {}  # monomial -> RatSum of its coefficients with a non-constant denominator
+        self.rats = {}  # monomial -> the RatFunc sum of its non-polynomial coefficients
 
-    def _grow(self, den: int) -> None:
-        """Bring every numerator over the multiple den of the common denominator."""
-        f = den // self.den
+    def _rescale(self, f: int) -> None:
         for acc in self.terms.values():
             if type(acc) is dict:
                 for u in acc:
                     acc[u] *= f
-        self.den = den
 
     def _numerators(self, m: DiffMonomial, lone) -> dict:
         """The numerators of m, made empty, with m's lone first coefficient
@@ -189,22 +187,6 @@ class DiffSum:
         if lone is not None:
             self.add_term(m, lone)
         return acc
-
-    def _rational(self, m: DiffMonomial) -> RatSum:
-        rest = self.rats.get(m)
-        if rest is None:
-            rest = self.rats[m] = RatSum()
-        return rest
-
-    def _scale(self, kn: int, r: int) -> int:
-        """The factor turning numerators over r (k's numerator kn folded in) into
-        numerators over ``den``, grown to a multiple of r first."""
-        if r != 1:
-            g = gcd(kn, r)
-            kn, r = kn // g, r // g
-            if self.den % r:
-                self._grow(lcm(self.den, r))
-        return kn * (self.den // r)
 
     def add_term(self, m: DiffMonomial, c: RatFunc, k=1) -> None:
         kn = k.numerator
@@ -218,18 +200,18 @@ class DiffSum:
             acc = self._numerators(m, acc)
         form = _ints_of(c)
         if form is None:
-            self._rational(m).add(c, k)
-            return
-        d, t = form
-        add_terms(acc, t, self._scale(kn, k.denominator * d))
+            c = c * k if k != 1 else c
+            rest = self.rats.get(m)
+            self.rats[m] = c if rest is None else rest + c
+        else:
+            self.addmul_ints(acc, form, _ONE, k)
 
     def add(self, a: "DiffPoly", k=1) -> None:
         for m, c in a.terms.items():
             self.add_term(m, c, k)
 
     def addmul(self, a: "DiffPoly", b: "DiffPoly", k=1) -> None:
-        kn, kd = k.numerator, k.denominator
-        if not kn:
+        if not k.numerator:
             return
         terms = self.terms
         right = [(e2, o2, c2, _ints_of(c2)) for (e2, o2), c2 in b.terms.items()]
@@ -239,19 +221,13 @@ class DiffSum:
                 if o1 is not None and o2 is not None:
                     raise OddDegreeError("odd degree overflow")
                 m = _new_mono(DiffMonomial, (_even_mul(e1, e2), o1 or o2))
+                if f1 is None or f2 is None:
+                    self.add_term(m, c1 * c2, k)
+                    continue
                 acc = terms.get(m)
                 if type(acc) is not dict:
                     acc = self._numerators(m, acc)
-                if f1 is None or f2 is None:
-                    self._rational(m).addmul(c1, c2, k)
-                    continue
-                (d1, t1), (d2, t2) = f1, f2
-                r = kd * d1 * d2
-                p = kn * self.den if r == 1 else self._scale(kn, r)
-                if len(t1) > len(t2):
-                    t1, t2 = t2, t1
-                for u1, n1 in t1.items():
-                    add_terms(acc, t2, n1 * p, u1)
+                self.addmul_ints(acc, f1, f2, k)
 
     def value(self) -> "DiffPoly":
         den, rats, terms = self.den, self.rats, self.terms
@@ -262,7 +238,7 @@ class DiffSum:
                 c = RatFunc._new(poly_from_ints(den, acc), Poly.one()) if acc else RatFunc.zero()
                 rest = rats.get(m)
                 if rest is not None:
-                    c = c + rest.value()
+                    c = c + rest
                 if not c:
                     continue
                 acc = c

@@ -27,11 +27,10 @@ lexicographic with field variables before parameters.
 
 Terms are summed in one place, ``add_terms``: it adds k*m0*terms into a term
 dict in place and deletes a term that cancels, so no stored coefficient is
-zero.  Every scalar sum of products is formed in place in one ``RatSum``, whose
-polynomial products go through the same kernel as integer numerators over one
-running denominator, with no ``Fraction`` arithmetic; ``jets.DiffSum`` does
-the same for a sum of differential polynomials, with one denominator for all
-its monomials, and builds a ``RatSum`` only for a rational-function term.
+zero.  Every scalar sum of products is formed in place in one ``RatSum``, and
+every sum of differential polynomials in one ``jets.DiffSum``; both keep their
+polynomial products in the one integer accumulator ``IntSum``, whose
+docstring describes it.
 """
 
 from __future__ import annotations
@@ -756,7 +755,8 @@ class RatFunc:
         return sorted(seen, key=vkey)
 
     def field_vars(self):
-        return [v for v in self.vars_used() if v > 0]
+        """The field variables' vids, ascending."""
+        return sorted({v for p in (self.num, self.den) for m in p.terms for v, _ in m if v > 0})
 
     def evaluate(self, point: dict) -> Fraction:
         d = self.den.evaluate(point)
@@ -850,29 +850,66 @@ def poly_from_ints(den: int, nums: dict) -> Poly:
     return poly
 
 
-class RatSum:
+class IntSum:
+    """The integer accumulator of ``RatSum`` and ``jets.DiffSum``: integer
+    numerators over one positive common denominator ``den``.
+
+    ``addmul_ints(acc, fa, fb, k)`` adds k*a*b into the numerator dict ``acc``
+    for the integer forms fa = (d_a, {m: n}) and fb of two polynomials and a
+    scalar k (int or Fraction).  It reduces k/(d_a*d_b) once to p/r and grows
+    ``den`` to lcm(den, r) only when r does not divide it, scaling every
+    numerator the sum holds by ``_rescale(f)``, the one method each subclass
+    supplies for its own layout; ``add_terms`` then multiplies the forms, with
+    no ``Fraction`` arithmetic.  Each subclass's ``value()`` makes its
+    coefficients with ``poly_from_ints(den, numerators)`` and sets ``den``
+    back to 1.
+    """
+
+    __slots__ = ("den",)
+
+    def addmul_ints(self, acc: dict, fa: tuple, fb: tuple, k=1) -> None:
+        (da, ta), (db, tb) = fa, fb
+        p, r = k.numerator, k.denominator * da * db
+        if r != 1:
+            g = gcd(p, r)
+            p, r = p // g, r // g
+            den = self.den
+            if den % r:
+                grown = lcm(den, r)
+                self._rescale(grown // den)
+                self.den = grown
+        p *= self.den // r
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        for m1, c1 in ta.items():
+            add_terms(acc, tb, c1 * p, m1)
+
+
+class RatSum(IntSum):
     """A sum of RatFunc terms and products, formed in place from ``first``.
 
     ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b for a scalar k
     (int or Fraction); a zero operand returns at once.  Products of operands
-    with denominator 1 are kept as integer numerators ``terms`` over one
-    positive ``den``: ``add_terms`` multiplies the operands' integer forms, and
-    ``den`` grows to lcm(den, r) only when r, the reduced denominator of
-    k/(d_a*d_b), does not divide it.  A rational operand takes the RatFunc
-    product and sum.  A first polynomial ``add()`` with k == 1 is kept as
-    given, in O(1).  ``value()`` is the canonical RatFunc, equal to the chain
-    of ``+`` and ``*`` it replaces; it joins a polynomial first term to the
-    integer numerators, divides out gcd(den, numerators) once and makes each
-    coefficient there, an ``int`` when integral, else its one ``Fraction``.
-    It takes over the polynomial part, and the sum goes on from that value.
+    with denominator 1 go into the integer numerators ``terms`` of ``IntSum``;
+    a rational operand takes the RatFunc product and sum.  A first polynomial
+    ``add()`` with k == 1 is kept as given, in O(1).  ``value()`` is the
+    canonical RatFunc, equal to the chain of ``+`` and ``*`` it replaces; it
+    joins a polynomial first term to the integer numerators and makes their
+    coefficients once.  It takes over the polynomial part, and the sum goes on
+    from that value.
     """
 
-    __slots__ = ("terms", "den", "rest")
+    __slots__ = ("terms", "rest")
 
     def __init__(self, first: RatFunc | None = None):
         self.terms = {}  # integer numerators of the polynomial part, kept canonical by add_terms
         self.den = 1  # their common denominator
         self.rest = first  # the RatFunc sum of the rational terms and of a first add(), uncopied
+
+    def _rescale(self, f: int) -> None:
+        terms = self.terms
+        for m in terms:
+            terms[m] *= f
 
     def add(self, a: RatFunc, k=1):
         if a.den.is_const and (self.rest is not None or k != 1):
@@ -887,24 +924,7 @@ class RatSum:
             return
         if not (a.den.is_const and b.den.is_const):
             return self.add(a * b, k)
-        da, ta = pa.ints or _int_form(pa)
-        db, tb = pb.ints or _int_form(pb)
-        p, r = k.numerator, k.denominator * da * db
-        if r != 1:
-            g = gcd(p, r)
-            p, r = p // g, r // g
-        den, terms = self.den, self.terms
-        if den % r:
-            grown = lcm(den, r)
-            f = grown // den
-            for m in terms:
-                terms[m] *= f
-            self.den = den = grown
-        p *= den // r
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        for m1, c1 in ta.items():
-            add_terms(terms, tb, c1 * p, m1)
+        self.addmul_ints(self.terms, pa.ints or _int_form(pa), pb.ints or _int_form(pb), k)
 
     def value(self) -> RatFunc:
         rest = self.rest

@@ -77,12 +77,27 @@ def test_denominator_grows_across_monomials():
     assert_same(*run_both(steps))
     acc, _ = run_both(steps)
     assert any(c.num.ints and c.num.ints[0] % 1000003 == 0 for c in acc.terms.values())
+    # den follows the lcm sequence test_ratsum_denominator_grows_to_the_lcm pins for RatSum
+    acc, dens = DiffSum(), []
+    for x, d in (("u1_x", 2), ("u2_x", 3), ("u1_xx", 4), ("u2_xx", 9), ("u1_x*u2_x", 1000003)):
+        acc.addmul(parse(f"{x}/{d}"), parse("u2"))
+        dens.append(acc.den)
+    assert dens == [2, 6, 12, 36, 36 * 1000003]
 
 
 def test_fraction_scalars():
     a, b = parse("u1_x/2 + u1*u2_x"), parse("3/4*u2 + u1_xx")
     steps = [("add", (a, Fraction(2, 3))), ("addmul", (a, b, Fraction(-5, 6))),
              ("add", (b, Fraction(4, 1))), ("addmul", (b, b, Fraction(1, 1)))]
+    assert_same(*run_both(steps))
+    # a rational coefficient times its own denominator joins the integer numerators
+    rat, den = parse("u1_x/(u1 + 1)"), parse("u1 + 1")
+    steps = [("addmul", (parse("u1_x/3"), parse("u2"))), ("addmul", (rat, den, 2)),
+             ("addmul", (rat, den, Fraction(-5, 7)))]
+    acc = DiffSum()
+    for method, args in steps:
+        getattr(acc, method)(*args)
+    assert not acc.rats
     assert_same(*run_both(steps))
 
 
