@@ -8,10 +8,12 @@ of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
 coefficients all come from one memoized minor expansion, ``_minors``; every
 index raise or lower of a three-index tensor goes through ``_contract``, and
 each metric-derived tensor is formed once, from the variance it was given.  The
-Nijenhuis and Haantjes tensors are polynomial sums (n^4 products, not n^5) over
-one common denominator d of V, for lower indices j < k only, each entry reduced
-once against a power of d (``ratfunc_over``).  Linear degeneracy is summed by
-Horner's rule, without matrix powers.
+classifiers work on polynomial numerators over one common denominator d of V = W / d,
+each entry reduced once against a power of d (``ratfunc_over``): the characteristic
+coefficients are W's principal-minor sums over d^k, linear degeneracy is summed by
+Horner's rule (no matrix powers) over d^{k+1}, and the Nijenhuis and Haantjes tensors
+are sums of n^4 products, not n^5, for lower indices j < k only.
+``second_order_compat`` tabulates g's first and the fluxes' second derivatives once.
 """
 
 from __future__ import annotations
@@ -138,20 +140,35 @@ def inverse(A) -> tuple:
     return tuple(tuple(entry(i, j) for j in idx) for i in idx)
 
 
-def char_poly_coeffs(V) -> list:
-    """[f_1..f_n] with det(lam I - V) = lam^n + f_1 lam^{n-1} + ... + f_n.
+def _over_common_denominator(V) -> tuple:
+    """(W, d) with V = W / d: d the monic lcm of the entry denominators, W polynomial."""
+    d = Poly.one()
+    for x in itertools.chain.from_iterable(V):
+        if not x.den.is_const and exact_div(d, x.den) is None:
+            d = d * exact_div(x.den, poly_gcd(d, x.den))
+    return tuple(tuple(RatFunc._new(x.num * exact_div(d, x.den), Poly.one()) for x in row)
+                 for row in V), d
 
-    f_k = (-1)^k * (sum of principal k x k minors); division-free.
-    """
-    n = len(V)
-    minor = _minors(V)
-    coeffs = []
-    for k in range(1, n + 1):
+
+def _char_numerators(V) -> tuple:
+    """(W, d, F), V = W / d: F[k-1] = (-1)^k (sum of W's principal k x k minors),
+    polynomial, so that f_k = F_k / d^k."""
+    W, d = _over_common_denominator(V)
+    minor, r = _minors(W), range(len(W))
+    F = []
+    for k in range(1, len(W) + 1):
         fk = RatSum()
-        for subset in itertools.combinations(range(n), k):
+        for subset in itertools.combinations(r, k):
             fk.add(minor(subset, subset), -1 if k % 2 else 1)
-        coeffs.append(fk.value())
-    return coeffs
+        F.append(fk.value())
+    return W, d, F
+
+
+def char_poly_coeffs(V) -> list:
+    """[f_1..f_n] with det(lam I - V) = lam^n + f_1 lam^{n-1} + ... + f_n:
+    f_k = (-1)^k * (sum of principal k x k minors) = F_k / d^k, reduced once."""
+    _, d, F = _char_numerators(V)
+    return [ratfunc_over(f.num, d, k) for k, f in enumerate(F, 1)]
 
 
 # -- reports -------------------------------------------------------------------
@@ -534,14 +551,19 @@ def second_order_compat(d: SecondOrderData, vflux) -> ConditionReport:
     for q in range(n):
         for p in range(q, n):
             rep.add("gv-skew", (q, p), gv[q][p] + gv[p][q])
+    r = range(n)
+    dg = [[[g[i][j].diff(k + 1) for k in r] for j in r] for i in r]  # dg[i][j][k] = g_ij,k
+    dV = [[[None] * n for _ in r] for _ in r]  # dV[k][p][l] = V^k_p,l, symmetric in p, l
+    for k, (p, l) in itertools.product(r, itertools.combinations_with_replacement(r, 2)):
+        dV[k][p][l] = dV[k][l][p] = V[k][p].diff(l + 1)
     for q in range(n):
         for p in range(n):
             for l in range(n):
                 acc = RatSum()
                 for k in range(n):
-                    acc.addmul(g[q][k], vflux[k].diff(p + 1).diff(l + 1))
-                    acc.addmul(g[p][q].diff(k + 1), V[k][l])
-                    acc.addmul(g[q][k].diff(l + 1), V[k][p])
+                    acc.addmul(g[q][k], dV[k][p][l])
+                    acc.addmul(dg[p][q][k], V[k][l])
+                    acc.addmul(dg[q][k][l], V[k][p])
                 rep.add("flux-gradient-compat", (q, p, l), acc.value())
     return rep
 
@@ -769,16 +791,11 @@ def _antisymmetric(entry, n) -> tuple:
 
 
 def _nijenhuis_numerator(V) -> tuple:
-    """(W, d, Nt), all polynomial: V = W / d for d the monic lcm of the entry
-    denominators, N = Nt / d^3.  With P[s][i][k] = W_ik,s d - W_ik d_,s = V^i_k,s d^2,
+    """(W, d, Nt), all polynomial: V = W / d over the common denominator
+    (``_over_common_denominator``), N = Nt / d^3.  With P[s][i][k] = W_ik,s d - W_ik d_,s = V^i_k,s d^2,
     Nt^i_jk = W_sj P[s][i][k] - W_sk P[s][i][j] - W_is (P[j][s][k] - P[k][s][j]), j < k."""
-    V = as_matrix(V)
-    r = range(len(V))
-    d = Poly.one()
-    for x in itertools.chain.from_iterable(V):
-        if not x.den.is_const and exact_div(d, x.den) is None:
-            d = d * exact_div(x.den, poly_gcd(d, x.den))
-    W = [[RatFunc._new(x.num * exact_div(d, x.den), Poly.one()) for x in row] for row in V]
+    W, d = _over_common_denominator(as_matrix(V))
+    r = range(len(W))
     D = RatFunc._new(d, Poly.one())
     P = [[[W[i][k].diff(s + 1) * D - W[i][k] * D.diff(s + 1) for k in r] for i in r] for s in r]
 
@@ -836,17 +853,20 @@ def linear_degeneracy_check(V) -> ConditionReport:
     With det(lam I - V) = lam^n + f_1 lam^{n-1} + ... + f_n the condition is
     sum_k (grad f_k) V^{n-k} = 0, summed by Horner's rule as
     ((grad f_1) V + grad f_2) V + ... + grad f_n: n - 1 row covector times
-    matrix products.
+    matrix products.  With V = W / d and f_k = F_k / d^k the k-th sum is G_k / d^{k+1},
+    G_k = G_{k-1} W + d grad F_k - k F_k grad d polynomial; G_n is reduced once per column.
     """
-    V = as_matrix(V)
-    r = range(len(V))
+    W, d, F = _char_numerators(as_matrix(V))
+    r = range(len(W))
     rep = ConditionReport("linear-degeneracy")
-    total = [RatFunc.zero() for _ in r]
-    Vt = _swap(V)
-    for f in char_poly_coeffs(V):
-        total = [_dot(total, Vt[col]) + f.diff(col + 1) for col in r]
+    D = RatFunc._new(d, Poly.one())
+    grad_d = [D.diff(col + 1) for col in r]
+    G = [RatFunc.zero() for _ in r]
+    Wt = _swap(W)
+    for k, f in enumerate(F, 1):
+        G = [_dot((*G, D, f), (*Wt[col], f.diff(col + 1), grad_d[col] * -k)) for col in r]
     for col in r:
-        rep.add("characteristic-contraction", (col,), total[col])
+        rep.add("characteristic-contraction", (col,), ratfunc_over(G[col].num, d, len(W) + 1))
     return rep
 
 

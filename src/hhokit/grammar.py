@@ -11,7 +11,7 @@ Names: field variables ``u1..`` (order-0), jets ``u1_x``, ``u1_xx``,
 ``u1_x3`` (k >= 3 written ``_x{k}``), odd cotangent variables ``p1``,
 ``p1_x``, ..., nonlocal potentials ``r1`` (never differentiated in the
 text form), parameters ``c1..``.  Exponents are non-negative integers.
-Division is only by scalar (jet- and odd-free) subexpressions.  Parentheses
+Division is only by jet-, odd- and parameter-free subexpressions.  Parentheses
 nest at most 100 deep; deeper input is an ExpressionError.  So is a power
 whose expansion could exceed ``config.SIZE_CAP`` terms: a base of T terms
 (numerator terms summed over its jet terms; non-constant denominators' terms
@@ -193,6 +193,9 @@ class _Parser:
                     divisor = rhs.scalar_value()
                     if divisor.is_zero:
                         raise ExpressionError("division by zero", tok.line, tok.col)
+                    if divisor.num.has_params:
+                        raise ExpressionError("division by an expression with formal "
+                                              "parameters", tok.line, tok.col)
                     value = value.scalar_mul(RatFunc.one() / divisor)
             else:
                 return value

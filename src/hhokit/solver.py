@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
 from .linsolve import LinearSystemSolution, linear_solve, substitute_solution
-from .rational import Poly, RatFunc
+from .rational import Poly, RatFunc, mono_mul
 
 
 @dataclass
@@ -157,19 +157,19 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
         raise InputError(f"ansatz would need more than {bound} parameters (cap {size_cap})")
     _check_size(n * _jet_pattern_count(n, order) * comb(n + degree_bound, n), size_cap)
     patterns = _jet_patterns(n, order)
-    coeff_monos = _u_monomials(n, degree_bound)
+    coeff_monos = [next(iter(cm.terms)) for cm in _u_monomials(n, degree_bound)]
     pid = -1
     params = []
     comps = []
     for _ in range(n):
         terms = {}
         for pat in patterns:
-            acc = RatFunc.zero()
+            coeff = {}
             for cm in coeff_monos:
-                acc = acc + RatFunc.from_poly(Poly.var(pid) * cm)
+                coeff[mono_mul(cm, ((pid, 1),))] = 1
                 params.append(pid)
                 pid -= 1
-            terms[pat] = acc
+            terms[pat] = RatFunc._new(Poly._new(coeff), Poly.one())
         comps.append(DiffPoly(terms))
     return OperatorAnsatz(n=n, order=order, degree=degree_bound,
                           components=tuple(comps), params=tuple(params))

@@ -311,3 +311,14 @@ def test_find_fluxes_rejects_parameter_in_denominator(capsys, den):
                           "--denominator", den], capsys)
     assert (code, out) == (2, "")
     assert err == "input error: flux denominator must not contain parameters\n"
+
+
+@pytest.mark.parametrize("expr, col", [("u1/(1+c1)", 3), ("(c1*u1)/c1", 8), ("u1/(u2*c1)", 3)])
+def test_parameter_in_divisor_is_an_input_error(tmp_path, capsys, expr, col):
+    # a denominator stays parameter-free: refused at the '/', not as an engine error
+    path = tmp_path / "divisor.json"
+    path.write_text(json.dumps({"n": 2, "system": {"type": "conservative", "V": [expr, "u2"]}}))
+    code, out, err = run(["classify", "--file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+    assert err.endswith(f"(line 1, column {col})\n")

@@ -14,6 +14,7 @@ the matrix-power linear-degeneracy check that a derivative table, four
 contractions and Horner's rule replaced.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -816,3 +817,61 @@ def test_classifiers_match_loops(index):
     if index < len(_CLASSIFY_CASES):  # random matrices are not linearly degenerate,
         assert got.residuals  # and at n >= 3 their Haantjes tensor is not zero
         assert any(not h.is_zero for plane in H for row in plane for h in row) == (len(V) > 2)
+
+
+def reference_determinant(A):
+    """Laplace expansion along the first row in plain RatFunc arithmetic."""
+    if not A:
+        return RatFunc.one()
+    acc = RatFunc.zero()
+    for c, a in enumerate(A[0]):
+        term = a * reference_determinant([row[:c] + row[c + 1:] for row in A[1:]])
+        acc = acc - term if c % 2 else acc + term
+    return acc
+
+
+def reference_char_poly_coeffs(V):
+    """f_k = (-1)^k (sum of principal k x k minors), each minor expanded on its own."""
+    n = len(V)
+    out = []
+    for k in range(1, n + 1):
+        acc = RatFunc.zero()
+        for s in itertools.combinations(range(n), k):
+            acc = acc + reference_determinant([[V[i][j] for j in s] for i in s])
+        out.append(-acc if k % 2 else acc)
+    return out
+
+
+# denominators that cancel in f_1 and f_2, and squared monomials sharing a factor
+_CHAR_EXTRA = [[["u1/(u1+1)", "0"], ["0", "1/(u1+1)"]],
+               [["1/u1^2", "1/u1"], ["u2/u1", "1/u1^2"]],
+               [["u1/(u1+u2+1)", "1/u1", "0"], ["u2/u1^2", "0", "1"], ["0", "u3/(u1+u2+1)", "u2"]]]
+
+
+@pytest.mark.parametrize("index", range(len(_CLASSIFY_CASES) + 4 + len(_CHAR_EXTRA)))
+def test_char_poly_coeffs_match_minor_expansion(index):
+    V = as_matrix((_classify_matrices() + _CHAR_EXTRA)[index])
+    got, want = char_poly_coeffs(V), reference_char_poly_coeffs(V)
+    assert got == want
+    assert [str(f) for f in got] == [str(f) for f in want]
+    assert linear_degeneracy_check(V).residuals == reference_linear_degeneracy_check(V).residuals
+
+
+@pytest.mark.parametrize("seed", [47, 48])
+def test_second_order_compat_rational_fluxes_match_loops(seed):
+    rng = random.Random(seed)
+    n = 4
+    e = RatFunc.var(1) + RatFunc.var(2) + 1
+    while True:
+        d = SecondOrderData.from_generators(
+            n, {(1, 2, 3): rand_fraction(rng), (2, 3, 4): rand_fraction(rng)},
+            {(i, j): rand_fraction(rng) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        if not determinant(d.g_low()).is_zero:
+            break
+    fluxes = random_fluxes(rng, n)
+    fluxes = [f / e ** (1 + (i == 2)) if i % 2 == 0 else f for i, f in enumerate(fluxes)]
+    got = second_order_compat(d, fluxes)
+    want = reference_second_order_compat(d, fluxes)
+    assert got.residuals == want.residuals
+    assert [str(v) for *_, v in got.residuals] == [str(v) for *_, v in want.residuals]
+    assert any(not v.is_poly for *_, v in got.residuals)
