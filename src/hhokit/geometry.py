@@ -1,19 +1,19 @@
 """Tensor condition checkers for homogeneous operators and quasilinear systems.
 
-All conditions are evaluated literally in exact arithmetic over the field
-variables (and any formal parameters riding in coefficients): a check passes
-iff every residual entry is the zero rational function.  Matrices are tuples
-of tuples of RatFunc; indices in reports are 1-based.  Determinants, inverses
-(adjugate over determinant, one division per entry) and characteristic
-coefficients all come from one memoized minor expansion, ``_minors``; every
-index raise or lower of a three-index tensor goes through ``_contract``, and
-each metric-derived tensor is formed once, from the variance it was given.  The
-classifiers work on polynomial numerators over one common denominator d of V = W / d,
-each entry reduced once against a power of d (``ratfunc_over``): the characteristic
-coefficients are W's principal-minor sums over d^k, linear degeneracy is summed by
-Horner's rule (no matrix powers) over d^{k+1}, and the Nijenhuis and Haantjes tensors
-are sums of n^4 products, not n^5, for lower indices j < k only.
-``second_order_compat`` tabulates g's first and the fluxes' second derivatives once.
+All conditions are evaluated literally in exact arithmetic over the field variables (and
+any formal parameters riding in coefficients): a check passes iff every residual entry is
+the zero rational function.  Matrices are tuples of tuples of RatFunc; indices in reports
+are 1-based.  Determinants, inverses (adjugate over determinant, one division per entry)
+and characteristic coefficients all come from one memoized minor expansion, ``_minors``.
+Index raises and lowers (``_contract``), the curvature, the c symbols and their closure and
+the covariant velocity derivatives scatter over nonzero entries only, each nonzero product
+into a sum keyed by its output index (``_Scatter``); each metric-derived tensor is formed
+once, from the variance it was given.  The classifiers work on polynomial numerators over
+one common denominator d of V = W / d, each entry reduced once against a power of d
+(``ratfunc_over``): the characteristic coefficients are W's principal-minor sums over d^k,
+linear degeneracy is summed by Horner's rule (no matrix powers) over d^{k+1}, and the
+Nijenhuis and Haantjes tensors are sums of n^4 products, not n^5, for lower indices j < k
+only.  ``second_order_compat`` tabulates g's first and the fluxes' second derivatives once.
 """
 
 from __future__ import annotations
@@ -75,20 +75,51 @@ def mat_mul(A, B) -> tuple:
     return tuple(tuple(_dot(row, col) for col in Bt) for row in A)
 
 
-def _contract(M, T, slot) -> tuple:
-    """M contracted into index ``slot`` of the n x n x n tensor T, the other
-    positions kept: out[..x..] = sum_s M[x][s] T[..s..] (raises or lowers one index)."""
-    r = range(len(T))
+class _Scatter(dict):
+    """One RatSum per output index, made when a first term lands there: ``add(key, a, b, k)``
+    adds k*a*b (k*a for b None).  Reading pops each sum: sums and values are never all held."""
 
-    def entry(idx):
-        total = RatSum()
-        for s, m in enumerate(M[idx[slot]]):
-            if not m.is_zero:
-                a = idx[:slot] + (s,) + idx[slot + 1:]
-                total.addmul(m, T[a[0]][a[1]][a[2]])
-        return total.value()
+    zero = RatFunc.zero()  # never mutated: shared by every entry that no term reached
 
-    return tuple(tuple(tuple(entry((i, j, k)) for k in r) for j in r) for i in r)
+    def add(self, key, a, b=None, k=1):
+        acc = self.get(key)
+        if acc is None:
+            acc = self[key] = RatSum()
+        if b is None:
+            acc.add(a, k)
+        else:
+            acc.addmul(a, b, k)
+
+    def tensor(self, n, rank, index=()) -> tuple:
+        """The dense rank-``rank`` tensor over range(n), ``zero`` where no term landed."""
+        if len(index) == rank:
+            acc = self.pop(index, None)
+            return self.zero if acc is None else acc.value()
+        return tuple(self.tensor(n, rank, index + (i,)) for i in range(n))
+
+
+def _nonzero(T, rank) -> list:
+    """[(index, entry)] for the nonzero entries of the rank-``rank`` tensor T, in index order."""
+    if rank == 1:
+        return [((i,), x) for i, x in enumerate(T) if not x.is_zero]
+    return [((i,) + index, x) for i, sub in enumerate(T) for index, x in _nonzero(sub, rank - 1)]
+
+
+def _partials(x, n) -> list:
+    """[(k, dx/du^{k+1})] for each field variable u^{k+1}, k < n, that x depends on."""
+    return [(v - 1, x.diff(v)) for v in x.field_vars() if v <= n]
+
+
+def _contract(M, T, slot, sign=1) -> tuple:
+    """sign * M contracted into index ``slot`` of the n x n x n tensor T, the other positions
+    kept: out[..x..] = sign * sum_s M[x][s] T[..s..] (raises or lowers one index),
+    scattered from the nonzero products only."""
+    cols = [_nonzero(col, 1) for col in _swap(M)]
+    out = _Scatter()
+    for index, t in _nonzero(T, 3):
+        for (x,), m in cols[index[slot]]:
+            out.add(index[:slot] + (x,) + index[slot + 1:], m, t, sign)
+    return out.tensor(len(T), 3)
 
 
 def _swap(T) -> tuple:
@@ -246,8 +277,7 @@ class Connection:
     def christoffel(self) -> tuple:
         """Gamma^i_{jk} = -g_{js} Gamma^{si}_k."""
         if self._christoffel is None:
-            minus_g = tuple(tuple(-x for x in row) for row in self.metric.lower())
-            self._christoffel = _swap(_contract(minus_g, self.gamma, 0))
+            self._christoffel = _swap(_contract(self.metric.lower(), self.gamma, 0, -1))
         return self._christoffel
 
     @classmethod
@@ -261,8 +291,7 @@ class Connection:
             (g[s][j].diff(k + 1) + g[s][k].diff(j + 1) - g[j][k].diff(s + 1)) / 2
             for k in r) for j in r) for s in r)
         chrs = _contract(g_up, low, 0)
-        conn = cls(metric, _swap(_contract(tuple(tuple(-x for x in row) for row in g_up),
-                                           chrs, 1)))
+        conn = cls(metric, _swap(_contract(g_up, chrs, 1, -1)))
         conn._christoffel = chrs
         return conn
 
@@ -271,28 +300,20 @@ class Connection:
 
 
 def curvature(metric: Metric, conn: Connection) -> tuple:
-    """R[g]^{ij}_{kl} of the first-order symbols (zero iff flat)."""
+    """R[g]^{ij}_{kl} = Gamma^{ij}_{l,k} - Gamma^{ij}_{k,l} + Gamma^i_{ks} Gamma^{sj}_l
+    - Gamma^j_{ks} Gamma^{si}_l of the first-order symbols (zero iff flat)."""
     metric.check_nondegenerate()
-    n = metric.n
-    gamma = conn.gamma
-    chrs = conn.christoffel()
-    out = []
-    for i in range(n):
-        plane_i = []
-        for j in range(n):
-            plane_j = []
-            for k in range(n):
-                row = []
-                for l in range(n):
-                    acc = RatSum(gamma[i][j][l].diff(k + 1) - gamma[i][j][k].diff(l + 1))
-                    for s in range(n):
-                        acc.addmul(chrs[i][k][s], gamma[s][j][l])
-                        acc.addmul(chrs[j][k][s], gamma[s][i][l], -1)
-                    row.append(acc.value())
-                plane_j.append(tuple(row))
-            plane_i.append(tuple(plane_j))
-        out.append(tuple(plane_i))
-    return tuple(out)
+    R = _Scatter()
+    for (i, j, l), x in _nonzero(conn.gamma, 3):
+        for k, dx in _partials(x, metric.n):
+            R.add((i, j, k, l), dx)
+            R.add((i, j, l, k), dx, k=-1)
+    planes = [_nonzero(plane, 2) for plane in conn.gamma]
+    for (a, k, s), c in _nonzero(conn.christoffel(), 3):
+        for (b, l), y in planes[s]:
+            R.add((a, b, k, l), c, y)
+            R.add((b, a, k, l), c, y, -1)
+    return R.tensor(metric.n, 4)
 
 
 def first_order_hamiltonian_check(metric: Metric, conn: Connection) -> ConditionReport:
@@ -325,7 +346,7 @@ def first_order_hamiltonian_check(metric: Metric, conn: Connection) -> Condition
 
 
 def _covariant_velocity_derivative(conn: Connection, V, k, j, h):
-    """nabla_k V^j_h with the lowered Christoffel symbols."""
+    """nabla_k V^j_h, the per-entry reference for the table that ``tsarev_check`` scatters."""
     n = conn.n
     chrs = conn.christoffel()
     acc = RatSum(V[j][h].diff(k + 1))
@@ -346,9 +367,18 @@ def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
     for i in range(n):
         for j in range(i + 1, n):
             rep.add("velocity-g-symmetry", (i, j), gv[i][j] - gv[j][i])
+    nab = _Scatter()  # nab[k][j][h] = V^j_h,k + Gamma^j_{ks} V^s_h - Gamma^s_{kh} V^j_s
+    for (j, h), x in _nonzero(V, 2):
+        for k, dx in _partials(x, n):
+            nab.add((k, j, h), dx)
+    rows, cols = [_nonzero(row, 1) for row in V], [_nonzero(col, 1) for col in _swap(V)]
+    for (a, k, s), c in _nonzero(conn.christoffel(), 3):
+        for (h,), v in rows[s]:
+            nab.add((k, a, h), c, v)
+        for (j,), v in cols[a]:
+            nab.add((k, j, s), c, v, -1)
+    nab = nab.tensor(n, 3)
     r = range(n)
-    nab = [[[_covariant_velocity_derivative(conn, V, k, j, h) for h in r]
-            for j in r] for k in r]
     curl = _contract(g, tuple(tuple(tuple(nab[k][j][h] - nab[h][j][k] for h in r)
                                     for j in r) for k in r), 0)
     for i, j, h in itertools.product(r, repeat=3):
@@ -609,23 +639,31 @@ class ThirdOrderData:
 
 def _c_from_metric(g) -> tuple:
     """c_{nkm} = (g_{mn,k} - g_{kn,m}) / 3, the c symbols of the lowered metric g."""
-    r = range(len(g))
-    third = Fraction(1, 3)
-    return tuple(tuple(tuple((g[m][nn].diff(k + 1) - g[k][nn].diff(m + 1)) * third
-                             for m in r) for k in r) for nn in r)
+    c = _Scatter()
+    for (m, nn), x in _nonzero(g, 2):
+        for k, dx in _partials(x, len(g)):
+            c.add((nn, k, m), dx, k=Fraction(1, 3))
+            c.add((nn, m, k), dx, k=Fraction(-1, 3))
+    return c.tensor(len(g), 3)
 
 
 def _add_closure(rep, family, cl, cm, tails):
     """c_{nml,k} + c^s_{ml} c_{snk}, plus weight * w_{ml} w_{nk} for each
     lowered tail (w, weight): one residual per (n, m, l, k)."""
-    n = len(cl)
-    for nn, m, l, k in itertools.product(range(n), repeat=4):
-        acc = RatSum(cl[nn][m][l].diff(k + 1))
-        for s in range(n):
-            acc.addmul(cm[s][m][l], cl[s][nn][k])
-        for wl, weight in tails:
-            acc.addmul(wl[m][l], wl[nn][k] * weight)
-        rep.add(family, (nn, m, l, k), acc.value())
+    acc = _Scatter()
+    for (nn, m, l), x in _nonzero(cl, 3):
+        for k, dx in _partials(x, len(cl)):
+            acc.add((nn, m, l, k), dx)
+    # each term is an outer product a_{ml} b_{nk}: (c^s, c_s) for each s, (w, weight * w) per tail
+    factors = list(zip(cm, cl)) + [(wl, tuple(tuple(x * weight for x in row) for row in wl))
+                                   for wl, weight in tails]
+    for left, right in factors:
+        right = _nonzero(right, 2)
+        for (m, l), a in _nonzero(left, 2):
+            for (nn, k), b in right:
+                acc.add((nn, m, l, k), a, b)
+    for index in sorted(acc):
+        rep.add(family, index, acc.pop(index).value())
 
 
 def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
@@ -761,10 +799,10 @@ def third_order_operator(d: ThirdOrderData) -> LocalOperator:
         for j in range(n):
             second = DiffPoly({ux[k]: g[i][j].diff(k + 1) + c[i][j][k] for k in range(n)})
             first = DiffSum()
-            for k in range(n):
-                first.add_term(uxx[k], c[i][j][k])
-                for l in range(n):
-                    first.add_term(dm_mul(ux[l], ux[k]), c[i][j][k].diff(l + 1))
+            for (k,), cijk in _nonzero(c[i][j], 1):
+                first.add_term(uxx[k], cijk)
+                for l, dc in _partials(cijk, n):
+                    first.add_term(dm_mul(ux[l], ux[k]), dc)
             row.append(((DiffPoly.from_scalar(g[i][j]), 3), (second, 2), (first.value(), 1)))
         entries.append(tuple(row))
     return LocalOperator(n=n, entries=tuple(entries)).normalized()

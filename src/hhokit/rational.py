@@ -805,11 +805,13 @@ def _reduce(num: Poly, den: Poly):
 
 
 def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
-    """The canonical RatFunc(num, d**e), d monic and parameter-free, without a gcd
-    against d**e: num and den lose g = gcd(num, gcd(den, d)) until g is constant,
-    which is exact for reducible d (a factor of num and den divides gcd(den, d))."""
+    """The canonical RatFunc(num, d**e), d monic and parameter-free: one monomial gcd if d is
+    a monomial, else no gcd against d**e: num and den lose g = gcd(num, gcd(den, d)) until
+    g is constant, exact for reducible d (a factor of num and den divides gcd(den, d))."""
     if not num:
         return RatFunc.zero()
+    if d.is_monomial:
+        return RatFunc(num, d ** e)
     den, r = d ** e, d  # gcd(d**e, d) = d
     while not den.is_const:
         g = poly_gcd(num, r)

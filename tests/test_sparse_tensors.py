@@ -1,0 +1,239 @@
+"""The contractions that scatter over nonzero entries against dense loops.
+
+The inputs plant zeros the way real data does: a constant lowered metric (so c = 0 and
+the Levi-Civita symbols vanish), a diagonal metric, a connection with one nonzero symbol,
+all-zero tensors and n = 1.  Dense generic inputs ride along.  Every tensor is compared
+with its literal loop by ``==`` and by ``str``, every report by its residual list and by
+the (family, indices, str) rows of it.  The loops for ``_contract`` and ``curvature`` are
+written out here; the others are the ``reference_*`` loops of ``test_geometry_oracle``.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from hhokit.errors import DegenerateMetricError
+from hhokit.geometry import (
+    Connection,
+    Metric,
+    ThirdOrderData,
+    _contract,
+    curvature,
+    first_order_hamiltonian_check,
+    third_order_compat,
+    third_order_hamiltonian_check,
+    tsarev_check,
+)
+from hhokit.rational import Poly, RatFunc
+
+from genutil import rand_fraction, rand_poly, random_fluxes, random_velocity
+from test_geometry_oracle import (
+    reference_c_low,
+    reference_c_up,
+    reference_christoffel,
+    reference_first_order_hamiltonian_check,
+    reference_third_order_compat,
+    reference_third_order_hamiltonian_check,
+    reference_tsarev_check,
+)
+
+
+def reference_contract(M, T, slot):
+    """out[..x..] = sum_s M[x][s] T[..s..], every product formed."""
+    n = len(T)
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        x = (i, j, k)[slot]
+        acc = RatFunc.zero()
+        for s in range(n):
+            a = [i, j, k]
+            a[slot] = s
+            acc = acc + M[x][s] * T[a[0]][a[1]][a[2]]
+        out[i][j][k] = acc
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+def reference_curvature(conn):
+    """R^{ij}_{kl} = Gamma^{ij}_{l,k} - Gamma^{ij}_{k,l} + Gamma^i_{ks} Gamma^{sj}_l
+    - Gamma^j_{ks} Gamma^{si}_l, every term formed."""
+    n = conn.n
+    gamma = conn.gamma
+    chrs = reference_christoffel(conn)
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        acc = gamma[i][j][l].diff(k + 1) - gamma[i][j][k].diff(l + 1)
+        for s in range(n):
+            acc = acc + chrs[i][k][s] * gamma[s][j][l] - chrs[j][k][s] * gamma[s][i][l]
+        out[i][j][k][l] = acc
+    return tuple(tuple(tuple(tuple(row) for row in plane) for plane in cube) for cube in out)
+
+
+def _same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+def _rows(residuals):
+    return [(family, indices, str(value)) for family, indices, value in residuals]
+
+
+def _same_report(got, want):
+    """got a ConditionReport; want a report or its residual list."""
+    want = getattr(want, "residuals", want)
+    assert got.residuals == want
+    assert _rows(got.residuals) == _rows(want)
+
+
+# -- inputs with planted zeros ---------------------------------------------------------------
+
+
+def _zero_tensor(n, rank):
+    if rank == 0:
+        return RatFunc.zero()
+    return tuple(_zero_tensor(n, rank - 1) for _ in range(n))
+
+
+def _poly(rng, n, degree=1, terms=3):
+    return RatFunc.from_poly(rand_poly(rng, n, degree, terms=terms))
+
+
+def _single_entry(rng, n):
+    """An n x n x n tensor with one nonzero entry, non-constant in the fields."""
+    T = [[[RatFunc.zero()] * n for _ in range(n)] for _ in range(n)]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    T[i][j][k] = RatFunc.var(rng.randint(1, n)) * rand_fraction(rng, 1, 4) + 1
+    return T
+
+
+def _dense_tensor(rng, n):
+    return [[[_poly(rng, n) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+def _lower_metric(rng, n, kind):
+    """A nondegenerate symmetric lowered metric: constant, diagonal or dense linear."""
+    while True:
+        g = [[RatFunc.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if kind == "constant":
+                    g[i][j] = RatFunc.const(rng.randint(-3, 3) + (4 if i == j else 0))
+                elif kind == "dense" or i == j:
+                    g[i][j] = _poly(rng, n, terms=2) + (3 if i == j else 0)
+                g[j][i] = g[i][j]
+        metric = Metric(g, variance="lower")
+        try:
+            metric.check_nondegenerate()
+        except DegenerateMetricError:
+            continue
+        return metric
+
+
+# a generic dense metric at n = 3 takes minutes to invert: dense stays at n <= 2
+_METRICS = [(1, "constant"), (1, "diagonal"), (2, "constant"), (2, "diagonal"), (2, "dense"),
+            (3, "constant"), (3, "diagonal")]
+
+
+def _connections(rng, metric):
+    """Levi-Civita, one nonzero symbol, all zero and dense generic symbols."""
+    n = metric.n
+    return [Connection.levi_civita(metric), Connection(metric, _single_entry(rng, n)),
+            Connection(metric, _zero_tensor(n, 3)), Connection(metric, _dense_tensor(rng, n))]
+
+
+def _velocities(rng, n):
+    diagonal = [[_poly(rng, n) if i == j else RatFunc.zero() for j in range(n)]
+                for i in range(n)]
+    return [random_velocity(rng, n, degree=1), diagonal, _zero_tensor(n, 2)]
+
+
+# -- the tensors -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_contract_matches_loop(slot):
+    rng = random.Random(60 + slot)
+    for n in (1, 2, 3):
+        matrices = [metric.upper() for metric in
+                    (_lower_metric(rng, n, kind) for kind in ("constant", "diagonal"))]
+        matrices += [_zero_tensor(n, 2), [[_poly(rng, n) for _ in range(n)] for _ in range(n)]]
+        tensors = [_single_entry(rng, n), _zero_tensor(n, 3), _dense_tensor(rng, n)]
+        for M, T in itertools.product(matrices, tensors):
+            _same(_contract(M, T, slot), reference_contract(M, T, slot))
+            _same(_contract(M, T, slot, -1), reference_contract(
+                M, tuple(tuple(tuple(-x for x in row) for row in plane) for plane in T), slot))
+
+
+def test_curvature_matches_loop():
+    rng = random.Random(63)
+    flat = curved = 0
+    for n, kind in _METRICS:
+        metric = _lower_metric(rng, n, kind)
+        for conn in _connections(rng, metric):
+            R = curvature(metric, conn)
+            _same(R, reference_curvature(conn))
+            if any(not x.is_zero for x in itertools.chain.from_iterable(
+                    itertools.chain.from_iterable(itertools.chain.from_iterable(R)))):
+                curved += 1
+            else:
+                flat += 1
+    assert flat and curved
+
+
+def test_c_symbols_match_loops():
+    rng = random.Random(64)
+    for n, kind in _METRICS:
+        metric = _lower_metric(rng, n, kind)
+        d = ThirdOrderData.from_lower_metric(metric.lower())
+        _same(d.c_up, reference_c_up(d.metric))
+        _same(d.c_low(), reference_c_low(d))
+        if kind == "constant":
+            assert all(x.is_zero for x in itertools.chain.from_iterable(
+                itertools.chain.from_iterable(d.c_low())))
+        for c_up in (_single_entry(rng, n), _zero_tensor(n, 3)):
+            d = ThirdOrderData(metric, c_up)
+            _same(d.c_low(), reference_c_low(d))
+
+
+# -- the reports -----------------------------------------------------------------------------
+
+
+def test_first_order_reports_match_loops():
+    rng = random.Random(65)
+    verdicts = set()
+    for n, kind in _METRICS:
+        metric = _lower_metric(rng, n, kind)
+        for conn in _connections(rng, metric):
+            got = first_order_hamiltonian_check(metric, conn)
+            _same_report(got, reference_first_order_hamiltonian_check(metric, conn))
+            verdicts.add(got.passed)
+            for V in _velocities(rng, n):
+                got = tsarev_check(metric, conn, V)
+                _same_report(got, reference_tsarev_check(metric, conn, V))
+                verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+def _third_order_data(rng, n, kind):
+    metric = _lower_metric(rng, n, kind)
+    yield ThirdOrderData.from_lower_metric(metric.lower())
+    yield ThirdOrderData(metric, _single_entry(rng, n))
+    yield ThirdOrderData(metric, _zero_tensor(n, 3))
+
+
+def test_third_order_reports_match_loops():
+    rng = random.Random(66)
+    verdicts = set()
+    for n, kind in _METRICS:
+        for d in _third_order_data(rng, n, kind):
+            got = third_order_hamiltonian_check(d)
+            _same_report(got, reference_third_order_hamiltonian_check(d))
+            verdicts.add(got.passed)
+            for vflux in (random_fluxes(rng, n), [RatFunc.zero()] * n,
+                          [RatFunc.from_poly(Poly.var(i + 1)) * Fraction(i + 2)
+                           for i in range(n)]):
+                got = third_order_compat(d, vflux)
+                _same_report(got, reference_third_order_compat(d, vflux))
+                verdicts.add(got.passed)
+    assert verdicts == {True, False}
