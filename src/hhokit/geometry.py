@@ -7,13 +7,14 @@ are 1-based.  Determinants, inverses (adjugate over determinant, one division pe
 and characteristic coefficients all come from one memoized minor expansion, ``_minors``.
 Index raises and lowers (``_contract``), the curvature, the c symbols and their closure and
 the covariant velocity derivatives scatter over nonzero entries only, each nonzero product
-into a sum keyed by its output index (``_Scatter``); each metric-derived tensor is formed
-once, from the variance it was given.  The classifiers work on polynomial numerators over
-one common denominator d of V = W / d, each entry reduced once against a power of d
-(``ratfunc_over``): the characteristic coefficients are W's principal-minor sums over d^k,
-linear degeneracy is summed by Horner's rule (no matrix powers) over d^{k+1}, and the
-Nijenhuis and Haantjes tensors are sums of n^4 products, not n^5, for lower indices j < k
-only.  ``second_order_compat`` tabulates g's first and the fluxes' second derivatives once.
+into one ``rational.IntSum`` keyed by output index (``_Scatter``); each metric-derived
+tensor is formed once, from the variance it was given.  The classifiers work on polynomial
+numerators over one common denominator d of V = W / d, each entry reduced once against a
+power of d (``ratfunc_over``): the characteristic coefficients are W's principal-minor sums
+over d^k, linear degeneracy is summed by Horner's rule (no matrix powers) over d^{k+1}, and
+the Nijenhuis and Haantjes tensors are sums of n^4 products, not n^5, for lower indices
+j < k only.  A tensor is differentiated through one table, ``_grad``, each entry only by
+the field variables it holds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import SIZE_CAP
 from .covering import BivectorForm, CoveringContext, EvolutionSystem, LocalOperator, flux_jacobian
 from .errors import DegenerateMetricError, InputError
 from .jets import DiffPoly, DiffSum, dm_mul, mono, pjet, ujet
-from .rational import Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
+from .rational import _ZERO, IntSum, Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
 
 # -- exact matrix helpers ------------------------------------------------------
 
@@ -75,26 +76,16 @@ def mat_mul(A, B) -> tuple:
     return tuple(tuple(_dot(row, col) for col in Bt) for row in A)
 
 
-class _Scatter(dict):
-    """One RatSum per output index, made when a first term lands there: ``add(key, a, b, k)``
-    adds k*a*b (k*a for b None).  Reading pops each sum: sums and values are never all held."""
+class _Scatter(IntSum):
+    """The ``rational.IntSum`` keyed by output index, read once as a dense tensor."""
 
-    zero = RatFunc.zero()  # never mutated: shared by every entry that no term reached
-
-    def add(self, key, a, b=None, k=1):
-        acc = self.get(key)
-        if acc is None:
-            acc = self[key] = RatSum()
-        if b is None:
-            acc.add(a, k)
-        else:
-            acc.addmul(a, b, k)
+    __slots__ = ()
 
     def tensor(self, n, rank, index=()) -> tuple:
-        """The dense rank-``rank`` tensor over range(n), ``zero`` where no term landed."""
+        """The rank-``rank`` tensor over range(n), each entry popped: sums and values are never
+        all held, and the entries that no term reached share one zero."""
         if len(index) == rank:
-            acc = self.pop(index, None)
-            return self.zero if acc is None else acc.value()
+            return self.pop(index)
         return tuple(self.tensor(n, rank, index + (i,)) for i in range(n))
 
 
@@ -105,9 +96,16 @@ def _nonzero(T, rank) -> list:
     return [((i,) + index, x) for i, sub in enumerate(T) for index, x in _nonzero(sub, rank - 1)]
 
 
-def _partials(x, n) -> list:
-    """[(k, dx/du^{k+1})] for each field variable u^{k+1}, k < n, that x depends on."""
-    return [(v - 1, x.diff(v)) for v in x.field_vars() if v <= n]
+def _grad(T, n) -> tuple:
+    """T with one more, last, index k holding dT/du^{k+1}, k < n: each entry is differentiated
+    only by the field variables it holds, and every other derivative is the shared zero."""
+    if type(T) is not RatFunc:
+        return tuple(_grad(x, n) for x in T)
+    out = [_ZERO] * n
+    for v in T.field_vars():
+        if v <= n:
+            out[v - 1] = T.diff(v)
+    return tuple(out)
 
 
 def _contract(M, T, slot, sign=1) -> tuple:
@@ -118,7 +116,7 @@ def _contract(M, T, slot, sign=1) -> tuple:
     out = _Scatter()
     for index, t in _nonzero(T, 3):
         for (x,), m in cols[index[slot]]:
-            out.add(index[:slot] + (x,) + index[slot + 1:], m, t, sign)
+            out.addmul_term(index[:slot] + (x,) + index[slot + 1:], m, t, sign)
     return out.tensor(len(T), 3)
 
 
@@ -284,12 +282,11 @@ class Connection:
     def levi_civita(cls, metric: Metric) -> "Connection":
         """Gamma_{sjk} = (g_{sj,k} + g_{sk,j} - g_{jk,s}) / 2 raised to the Christoffel symbols
         Gamma^i_{jk} = g^{is} Gamma_{sjk}, kept, then Gamma^{ab}_k = -g^{aj} Gamma^b_{jk}."""
-        g = metric.lower()
+        dg = _grad(metric.lower(), metric.n)
         g_up = metric.upper()
         r = range(metric.n)
-        low = tuple(tuple(tuple(
-            (g[s][j].diff(k + 1) + g[s][k].diff(j + 1) - g[j][k].diff(s + 1)) / 2
-            for k in r) for j in r) for s in r)
+        low = tuple(tuple(tuple((dg[s][j][k] + dg[s][k][j] - dg[j][k][s]) / 2
+                                for k in r) for j in r) for s in r)
         chrs = _contract(g_up, low, 0)
         conn = cls(metric, _swap(_contract(g_up, chrs, 1, -1)))
         conn._christoffel = chrs
@@ -304,15 +301,14 @@ def curvature(metric: Metric, conn: Connection) -> tuple:
     - Gamma^j_{ks} Gamma^{si}_l of the first-order symbols (zero iff flat)."""
     metric.check_nondegenerate()
     R = _Scatter()
-    for (i, j, l), x in _nonzero(conn.gamma, 3):
-        for k, dx in _partials(x, metric.n):
-            R.add((i, j, k, l), dx)
-            R.add((i, j, l, k), dx, k=-1)
+    for (i, j, l, k), dx in _nonzero(_grad(conn.gamma, metric.n), 4):
+        R.add_term((i, j, k, l), dx)
+        R.add_term((i, j, l, k), dx, -1)
     planes = [_nonzero(plane, 2) for plane in conn.gamma]
     for (a, k, s), c in _nonzero(conn.christoffel(), 3):
         for (b, l), y in planes[s]:
-            R.add((a, b, k, l), c, y)
-            R.add((b, a, k, l), c, y, -1)
+            R.addmul_term((a, b, k, l), c, y)
+            R.addmul_term((b, a, k, l), c, y, -1)
     return R.tensor(metric.n, 4)
 
 
@@ -326,11 +322,12 @@ def first_order_hamiltonian_check(metric: Metric, conn: Connection) -> Condition
     for i in range(n):
         for j in range(i + 1, n):
             rep.add("metric-symmetry", (i, j), g[i][j] - g[j][i])
+    dg = _grad(g, n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 rep.add("metric-compat", (i, j, k),
-                        g[i][j].diff(k + 1) - gamma[i][j][k] - gamma[j][i][k])
+                        dg[i][j][k] - gamma[i][j][k] - gamma[j][i][k])
     gg = _contract(g, gamma, 2)  # gg[j][l][i] = g^{ik} Gamma^{jl}_k
     for i in range(n):
         for j in range(i + 1, n):
@@ -368,15 +365,14 @@ def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
         for j in range(i + 1, n):
             rep.add("velocity-g-symmetry", (i, j), gv[i][j] - gv[j][i])
     nab = _Scatter()  # nab[k][j][h] = V^j_h,k + Gamma^j_{ks} V^s_h - Gamma^s_{kh} V^j_s
-    for (j, h), x in _nonzero(V, 2):
-        for k, dx in _partials(x, n):
-            nab.add((k, j, h), dx)
+    for (j, h, k), dx in _nonzero(_grad(V, n), 3):
+        nab.add_term((k, j, h), dx)
     rows, cols = [_nonzero(row, 1) for row in V], [_nonzero(col, 1) for col in _swap(V)]
     for (a, k, s), c in _nonzero(conn.christoffel(), 3):
         for (h,), v in rows[s]:
-            nab.add((k, a, h), c, v)
+            nab.addmul_term((k, a, h), c, v)
         for (j,), v in cols[a]:
-            nab.add((k, j, s), c, v, -1)
+            nab.addmul_term((k, j, s), c, v, -1)
     nab = nab.tensor(n, 3)
     r = range(n)
     curl = _contract(g, tuple(tuple(tuple(nab[k][j][h] - nab[h][j][k] for h in r)
@@ -393,9 +389,8 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
     gm = conn.gamma
     V = as_matrix(V)
     rep = ConditionReport("first-order-expanded")
-
-    def d(rf, k):
-        return rf.diff(k + 1)
+    dg, dV, dgm = _grad(g, n), _grad(V, n), _grad(gm, n)
+    ddV = _grad(dV, n)
 
     # coefficient of p_{j,xx}
     for i in range(n):
@@ -411,12 +406,12 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
             for m in range(n):
                 acc = RatSum()
                 for k in range(n):
-                    acc.addmul(d(g[i][j], k), V[k][m])
-                    acc.addmul(g[i][k], d(V[j][k], m) - d(V[j][m], k))
-                    acc.addmul(g[i][k], d(V[j][k], m))
+                    acc.addmul(dg[i][j][k], V[k][m])
+                    acc.addmul(g[i][k], dV[j][k][m] - dV[j][m][k])
+                    acc.addmul(g[i][k], dV[j][k][m])
                     acc.addmul(gm[i][k][m], V[j][k])
-                    acc.addmul(d(V[i][m], k), g[k][j], -1)
-                    acc.addmul(V[i][k], d(g[k][j], m), -1)
+                    acc.addmul(dV[i][m][k], g[k][j], -1)
+                    acc.addmul(V[i][k], dg[k][j][m], -1)
                     acc.addmul(V[i][k], gm[k][j][m], -1)
                 rep.add("coeff-ux-px", (i, j, m), acc.value())
     # coefficient of u^h_{xx} p_j
@@ -425,7 +420,7 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
             for h in range(n):
                 acc = RatSum()
                 for k in range(n):
-                    acc.addmul(g[i][k], d(V[j][k], h) - d(V[j][h], k))
+                    acc.addmul(g[i][k], dV[j][k][h] - dV[j][h][k])
                     acc.addmul(gm[i][j][k], V[k][h])
                     acc.addmul(gm[k][j][h], V[i][k], -1)
                 rep.add("coeff-uxx-p", (i, j, h), acc.value())
@@ -436,19 +431,19 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
                 for m in range(l, n):
                     acc = RatSum()
                     for k in range(n):
-                        acc.addmul(g[i][k], d(d(V[j][k], m), l) + d(d(V[j][k], l), m)
-                                   - d(d(V[j][m], k), l) - d(d(V[j][l], k), m))
-                        acc.addmul(d(gm[i][j][m], k), V[k][l])
-                        acc.addmul(d(gm[i][j][l], k), V[k][m])
-                        acc.addmul(gm[i][j][k], d(V[k][l], m) + d(V[k][m], l))
-                        acc.addmul(gm[i][k][l], d(V[j][k], m))
-                        acc.addmul(gm[i][k][m], d(V[j][k], l))
-                        acc.addmul(gm[i][k][l], d(V[j][m], k), -1)
-                        acc.addmul(gm[i][k][m], d(V[j][l], k), -1)
-                        acc.addmul(gm[k][j][m], d(V[i][l], k), -1)
-                        acc.addmul(gm[k][j][l], d(V[i][m], k), -1)
-                        acc.addmul(d(gm[k][j][m], l), V[i][k], -1)
-                        acc.addmul(d(gm[k][j][l], m), V[i][k], -1)
+                        acc.addmul(g[i][k], ddV[j][k][m][l] + ddV[j][k][l][m]
+                                   - ddV[j][m][k][l] - ddV[j][l][k][m])
+                        acc.addmul(dgm[i][j][m][k], V[k][l])
+                        acc.addmul(dgm[i][j][l][k], V[k][m])
+                        acc.addmul(gm[i][j][k], dV[k][l][m] + dV[k][m][l])
+                        acc.addmul(gm[i][k][l], dV[j][k][m])
+                        acc.addmul(gm[i][k][m], dV[j][k][l])
+                        acc.addmul(gm[i][k][l], dV[j][m][k], -1)
+                        acc.addmul(gm[i][k][m], dV[j][l][k], -1)
+                        acc.addmul(gm[k][j][m], dV[i][l][k], -1)
+                        acc.addmul(gm[k][j][l], dV[i][m][k], -1)
+                        acc.addmul(dgm[k][j][m][l], V[i][k], -1)
+                        acc.addmul(dgm[k][j][l][m], V[i][k], -1)
                     rep.add("coeff-uxux-p", (i, j, l, m), acc.value())
     return rep
 
@@ -581,11 +576,7 @@ def second_order_compat(d: SecondOrderData, vflux) -> ConditionReport:
     for q in range(n):
         for p in range(q, n):
             rep.add("gv-skew", (q, p), gv[q][p] + gv[p][q])
-    r = range(n)
-    dg = [[[g[i][j].diff(k + 1) for k in r] for j in r] for i in r]  # dg[i][j][k] = g_ij,k
-    dV = [[[None] * n for _ in r] for _ in r]  # dV[k][p][l] = V^k_p,l, symmetric in p, l
-    for k, (p, l) in itertools.product(r, itertools.combinations_with_replacement(r, 2)):
-        dV[k][p][l] = dV[k][l][p] = V[k][p].diff(l + 1)
+    dg, dV = _grad(g, n), _grad(V, n)  # dg[i][j][k] = g_ij,k, dV[k][p][l] = V^k_p,l
     for q in range(n):
         for p in range(n):
             for l in range(n):
@@ -640,10 +631,9 @@ class ThirdOrderData:
 def _c_from_metric(g) -> tuple:
     """c_{nkm} = (g_{mn,k} - g_{kn,m}) / 3, the c symbols of the lowered metric g."""
     c = _Scatter()
-    for (m, nn), x in _nonzero(g, 2):
-        for k, dx in _partials(x, len(g)):
-            c.add((nn, k, m), dx, k=Fraction(1, 3))
-            c.add((nn, m, k), dx, k=Fraction(-1, 3))
+    for (m, nn, k), dx in _nonzero(_grad(g, len(g)), 3):
+        c.add_term((nn, k, m), dx, Fraction(1, 3))
+        c.add_term((nn, m, k), dx, Fraction(-1, 3))
     return c.tensor(len(g), 3)
 
 
@@ -651,9 +641,8 @@ def _add_closure(rep, family, cl, cm, tails):
     """c_{nml,k} + c^s_{ml} c_{snk}, plus weight * w_{ml} w_{nk} for each
     lowered tail (w, weight): one residual per (n, m, l, k)."""
     acc = _Scatter()
-    for (nn, m, l), x in _nonzero(cl, 3):
-        for k, dx in _partials(x, len(cl)):
-            acc.add((nn, m, l, k), dx)
+    for index, dx in _nonzero(_grad(cl, len(cl)), 4):
+        acc.add_term(index, dx)
     # each term is an outer product a_{ml} b_{nk}: (c^s, c_s) for each s, (w, weight * w) per tail
     factors = list(zip(cm, cl)) + [(wl, tuple(tuple(x * weight for x in row) for row in wl))
                                    for wl, weight in tails]
@@ -661,9 +650,9 @@ def _add_closure(rep, family, cl, cm, tails):
         right = _nonzero(right, 2)
         for (m, l), a in _nonzero(left, 2):
             for (nn, k), b in right:
-                acc.add((nn, m, l, k), a, b)
-    for index in sorted(acc):
-        rep.add(family, index, acc.pop(index).value())
+                acc.addmul_term((nn, m, l, k), a, b)
+    for index in sorted(acc.terms):
+        rep.add(family, index, acc.pop(index))
 
 
 def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
@@ -680,11 +669,11 @@ def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
     cg = _c_from_metric(g)
     for nn, k, m in itertools.product(range(n), repeat=3):
         rep.add("c-from-metric", (nn, k, m), cl[nn][k][m] - cg[nn][k][m])
+    dg = _grad(g, n)
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                rep.add("metric-cyclic", (i, j, k),
-                        g[i][j].diff(k + 1) + g[j][k].diff(i + 1) + g[k][i].diff(j + 1))
+                rep.add("metric-cyclic", (i, j, k), dg[i][j][k] + dg[j][k][i] + dg[k][i][j])
     _add_closure(rep, "c-closure", cl, cm, ())
     return rep
 
@@ -708,11 +697,11 @@ def third_order_compat(d: ThirdOrderData, vflux) -> ConditionReport:
     for i, k, l in itertools.product(range(n), repeat=3):
         rep.add("c-v-cyclic", (i, k, l), cv[i][k][l] + cv[l][i][k] + cv[k][l][i])
     gcv = _contract(g_up, _contract(Vt, cl, 1), 0)  # gcv[k][i][j] = g^{ks} c_{smj} V^m_i
+    dV = _grad(V, n)  # the flux Hessian, dV[k][i][j] = V^k_,ij
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                rep.add("flux-hessian", (k, i, j),
-                        vflux[k].diff(i + 1).diff(j + 1) - gcv[k][i][j] - gcv[k][j][i])
+                rep.add("flux-hessian", (k, i, j), dV[k][i][j] - gcv[k][i][j] - gcv[k][j][i])
     return rep
 
 
@@ -727,6 +716,7 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
     weights = [Fraction(x) if not isinstance(x, RatFunc) else x for x in weights]
     vflux = tuple(vflux)
     V = flux_jacobian(vflux)
+    dV = _grad(V, n)  # the flux Hessian, dV[k][m][h] = V^k_,mh
     rep = ConditionReport("third-order-nonlocal")
 
     w_low = [mat_mul(g, w) for w in w_list]
@@ -735,23 +725,25 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
             for j in range(i, n):
                 rep.add("tail-skew", (a, i, j), wl[i][j] + wl[j][i])
         cw = _contract(_swap(wl), cm, 0)  # cw[l][i][j] = c^s_{ij} w_{sl}
+        dwl = _grad(wl, n)
         for i, j, l in itertools.product(range(n), repeat=3):
-            rep.add("tail-gradient", (a, i, j, l), wl[i][j].diff(l + 1) - cw[l][i][j])
+            rep.add("tail-gradient", (a, i, j, l), dwl[i][j][l] - cw[l][i][j])
     _add_closure(rep, "closure-with-tails", cl, cm, tuple(zip(w_low, weights)))
     for a, w in enumerate(w_list):
         vw, wv = mat_mul(V, w), mat_mul(w, V)
         for i in range(n):
             for h in range(n):
                 rep.add("tail-commutation", (a, i, h), vw[i][h] - wv[i][h])
+        dw = _grad(w, n)
         for i in range(n):
             for h in range(n):
                 for m in range(h, n):
                     acc = RatSum()
                     for k in range(n):
-                        acc.addmul(w[i][h].diff(k + 1), V[k][m], -1)
-                        acc.addmul(w[i][m].diff(k + 1), V[k][h], -1)
-                        acc.addmul(w[i][k], vflux[k].diff(m + 1).diff(h + 1), -2)
-                        acc.addmul(V[i][k], w[k][m].diff(h + 1) + w[k][h].diff(m + 1))
+                        acc.addmul(dw[i][h][k], V[k][m], -1)
+                        acc.addmul(dw[i][m][k], V[k][h], -1)
+                        acc.addmul(w[i][k], dV[k][m][h], -2)
+                        acc.addmul(V[i][k], dw[k][m][h] + dw[k][h][m])
                     rep.add("tail-derivative-exchange", (a, i, h, m), acc.value())
 
     # the algebraic tail conditions say exactly that w(b_x) b_xx is a symmetry
@@ -793,16 +785,17 @@ def third_order_operator(d: ThirdOrderData) -> LocalOperator:
     g = d.metric.upper()
     c = d.c_up
     ux, uxx = _jet_monomials(n, 1), _jet_monomials(n, 2)
+    dg, dc = _grad(g, n), _grad(c, n)
     entries = []
     for i in range(n):
         row = []
         for j in range(n):
-            second = DiffPoly({ux[k]: g[i][j].diff(k + 1) + c[i][j][k] for k in range(n)})
+            second = DiffPoly({ux[k]: dg[i][j][k] + c[i][j][k] for k in range(n)})
             first = DiffSum()
             for (k,), cijk in _nonzero(c[i][j], 1):
                 first.add_term(uxx[k], cijk)
-                for l, dc in _partials(cijk, n):
-                    first.add_term(dm_mul(ux[l], ux[k]), dc)
+                for (l,), dcl in _nonzero(dc[i][j][k], 1):
+                    first.add_term(dm_mul(ux[l], ux[k]), dcl)
             row.append(((DiffPoly.from_scalar(g[i][j]), 3), (second, 2), (first.value(), 1)))
         entries.append(tuple(row))
     return LocalOperator(n=n, entries=tuple(entries)).normalized()
@@ -835,7 +828,8 @@ def _nijenhuis_numerator(V) -> tuple:
     W, d = _over_common_denominator(as_matrix(V))
     r = range(len(W))
     D = RatFunc._new(d, Poly.one())
-    P = [[[W[i][k].diff(s + 1) * D - W[i][k] * D.diff(s + 1) for k in r] for i in r] for s in r]
+    dW, dD = _grad(W, len(W)), _grad(D, len(W))
+    P = [[[dW[i][k][s] * D - W[i][k] * dD[s] for k in r] for i in r] for s in r]
 
     def entry(i, j, k):
         acc = RatSum()
@@ -898,11 +892,12 @@ def linear_degeneracy_check(V) -> ConditionReport:
     r = range(len(W))
     rep = ConditionReport("linear-degeneracy")
     D = RatFunc._new(d, Poly.one())
-    grad_d = [D.diff(col + 1) for col in r]
+    grad_d = _grad(D, len(W))
     G = [RatFunc.zero() for _ in r]
     Wt = _swap(W)
     for k, f in enumerate(F, 1):
-        G = [_dot((*G, D, f), (*Wt[col], f.diff(col + 1), grad_d[col] * -k)) for col in r]
+        grad_f = _grad(f, len(W))
+        G = [_dot((*G, D, f), (*Wt[col], grad_f[col], grad_d[col] * -k)) for col in r]
     for col in r:
         rep.add("characteristic-contraction", (col,), ratfunc_over(G[col].num, d, len(W) + 1))
     return rep

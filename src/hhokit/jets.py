@@ -15,9 +15,8 @@ powers and equality from ``rational.SparsePoly`` and adds only its products
 and calculus.
 
 Every sum of products here (a product, ``total_x``, the covering's ``total_t``
-and residuals) is formed in place in one ``DiffSum``, whose polynomial
-coefficients live in the integer accumulator ``rational.IntSum`` described
-there, one common denominator for the whole sum.
+and residuals) is formed in place in one ``DiffSum``, the ``rational.IntSum``
+keyed by differential monomial, whose docstring describes the layout.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from .config import jet_cap
 from .errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
-from .rational import IntSum, Poly, RatFunc, SparsePoly, _int_form, poly_from_ints
+from .rational import IntSum, RatFunc, SparsePoly, _ints_of
 
 KIND_U = 0
 KIND_P = 1
@@ -137,74 +136,14 @@ def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
     return DiffMonomial(_even_mul(m1.even, m2.even), m1.odd or m2.odd)
 
 
-def _ints_of(c: RatFunc):
-    """The integer form (d, {u-monomial: n}) of a polynomial coefficient; None
-    for one with a non-constant denominator."""
-    den = c.den.terms
-    if len(den) == 1 and () in den:  # den.is_const, without the property call
-        num = c.num
-        return num.ints or _int_form(num)
-    return None
-
-
-_ONE = (1, {(): 1})  # the integer form of 1: add_term's second factor
-
-
 class DiffSum(IntSum):
-    """A sum of DiffPoly terms and products, formed in place: ``add(a, k)``,
-    ``add_term(m, c, k)`` and ``addmul(a, b, k)`` add k*a, k*c*m and k*a*b for a
-    scalar k (int or Fraction).
-
-    Every polynomial coefficient goes into ``rational.IntSum``'s integer
-    numerators, laid out as ``{differential monomial: {u-monomial: n}}`` over
-    one common ``den`` for the whole sum.  A monomial's coefficients with a
-    non-constant denominator are one running RatFunc sum in ``rats``; a
-    rational product is added through ``add_term``, so one whose denominator
-    cancels joins the numerators.  A monomial's first contribution by
-    ``add_term`` with k == 1 is kept as given, in O(1), and moved into the
-    numerators only when a second one arrives.  ``value()`` makes each
-    monomial's coefficient once and sets ``Poly.ints``; the sum goes on from
-    that value.
+    """A sum of DiffPoly terms and products, formed in place: the ``rational.IntSum`` keyed
+    by differential monomial.  ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b for
+    a scalar k (int or Fraction); ``value()`` makes each monomial's coefficient once, and
+    the sum goes on from that value.
     """
 
-    __slots__ = ("terms", "rats")
-
-    def __init__(self):
-        self.terms = {}  # monomial -> {u-monomial: numerator}, or its lone first RatFunc
-        self.den = 1
-        self.rats = {}  # monomial -> the RatFunc sum of its non-polynomial coefficients
-
-    def _rescale(self, f: int) -> None:
-        for acc in self.terms.values():
-            if type(acc) is dict:
-                for u in acc:
-                    acc[u] *= f
-
-    def _numerators(self, m: DiffMonomial, lone) -> dict:
-        """The numerators of m, made empty, with m's lone first coefficient
-        moved in when there is one; the move may grow ``den``."""
-        acc = self.terms[m] = {}
-        if lone is not None:
-            self.add_term(m, lone)
-        return acc
-
-    def add_term(self, m: DiffMonomial, c: RatFunc, k=1) -> None:
-        kn = k.numerator
-        if not kn or not c.num.terms:
-            return
-        acc = self.terms.get(m)
-        if acc is None and kn == 1 and k.denominator == 1:
-            self.terms[m] = c
-            return
-        if type(acc) is not dict:
-            acc = self._numerators(m, acc)
-        form = _ints_of(c)
-        if form is None:
-            c = c * k if k != 1 else c
-            rest = self.rats.get(m)
-            self.rats[m] = c if rest is None else rest + c
-        else:
-            self.addmul_ints(acc, form, _ONE, k)
+    __slots__ = ()
 
     def add(self, a: "DiffPoly", k=1) -> None:
         for m, c in a.terms.items():
@@ -213,7 +152,6 @@ class DiffSum(IntSum):
     def addmul(self, a: "DiffPoly", b: "DiffPoly", k=1) -> None:
         if not k.numerator:
             return
-        terms = self.terms
         right = [(e2, o2, c2, _ints_of(c2)) for (e2, o2), c2 in b.terms.items()]
         for (e1, o1), c1 in a.terms.items():
             f1 = _ints_of(c1)
@@ -223,27 +161,16 @@ class DiffSum(IntSum):
                 m = _new_mono(DiffMonomial, (_even_mul(e1, e2), o1 or o2))
                 if f1 is None or f2 is None:
                     self.add_term(m, c1 * c2, k)
-                    continue
-                acc = terms.get(m)
-                if type(acc) is not dict:
-                    acc = self._numerators(m, acc)
-                self.addmul_ints(acc, f1, f2, k)
+                else:
+                    self.addmul_ints(m, f1, f2, k)
 
     def value(self) -> "DiffPoly":
-        den, rats, terms = self.den, self.rats, self.terms
-        out = {}
-        for m in list(terms):
-            acc = terms.pop(m)  # freed once made into a coefficient: no second copy of the sum
-            if type(acc) is dict:
-                c = RatFunc._new(poly_from_ints(den, acc), Poly.one()) if acc else RatFunc.zero()
-                rest = rats.get(m)
-                if rest is not None:
-                    c = c + rest
-                if not c:
-                    continue
-                acc = c
-            out[m] = acc
-        self.terms, self.den, self.rats = dict(out), 1, {}
+        pop, out = self.pop, {}
+        for m in list(self.terms):
+            c = pop(m)  # freed once made into a coefficient: no second copy of the sum
+            if c:
+                out[m] = c
+        self.terms, self.den = dict(out), 1
         return DiffPoly._new(out)
 
 

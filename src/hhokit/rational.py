@@ -18,19 +18,18 @@ keeps it, once, for ``Poly`` here and ``jets.DiffPoly``.  A coefficient is an
 exact rational, never a float: the constructors and every division here store
 an integral value as ``int`` and any other as ``Fraction``; ``Poly``'s
 ``+ - *`` keep the type their operands give, so a ``Fraction`` of denominator
-1 may remain in their results.  The polynomial part of a ``RatSum`` leaves
-none: ``RatSum.value()`` makes each of its coefficients once (a lone first
-``add()`` is returned as given; with further terms it joins them through the
-same integer path).  ``int`` and ``Fraction`` compare, hash and print alike,
-so no answer depends on which one is stored.  The term order is graded
+1 may remain in their results; a coefficient that ``IntSum`` makes leaves
+none.  ``int`` and ``Fraction`` compare, hash and print alike, so no answer
+depends on which one is stored.  The term order is graded
 lexicographic with field variables before parameters.
 
 Terms are summed in one place, ``add_terms``: it adds k*m0*terms into a term
 dict in place and deletes a term that cancels, so no stored coefficient is
-zero.  Every scalar sum of products is formed in place in one ``RatSum``, and
-every sum of differential polynomials in one ``jets.DiffSum``; both keep their
-polynomial products in the one integer accumulator ``IntSum``, whose
-docstring describes it.
+zero.  Every sum of RatFunc products is formed in place in one keyed
+accumulator, ``IntSum``, whose docstring describes its layout: a scalar sum is
+its one-key face ``RatSum``, a sum of differential polynomials the
+``jets.DiffSum`` keyed by differential monomial, a tensor contraction
+geometry's ``_Scatter`` keyed by output index.
 """
 
 from __future__ import annotations
@@ -852,24 +851,92 @@ def poly_from_ints(den: int, nums: dict) -> Poly:
     return poly
 
 
-class IntSum:
-    """The integer accumulator of ``RatSum`` and ``jets.DiffSum``: integer
-    numerators over one positive common denominator ``den``.
+def _ints_of(c: RatFunc):
+    """The integer form (d, {u-monomial: n}) of a polynomial RatFunc; None for one with a
+    non-constant denominator."""
+    den = c.den.terms
+    if len(den) == 1 and _EMPTY in den:  # den.is_const, without the property call
+        num = c.num
+        return num.ints or _int_form(num)
+    return None
 
-    ``addmul_ints(acc, fa, fb, k)`` adds k*a*b into the numerator dict ``acc``
-    for the integer forms fa = (d_a, {m: n}) and fb of two polynomials and a
-    scalar k (int or Fraction).  It reduces k/(d_a*d_b) once to p/r and grows
-    ``den`` to lcm(den, r) only when r does not divide it, scaling every
-    numerator the sum holds by ``_rescale(f)``, the one method each subclass
-    supplies for its own layout; ``add_terms`` then multiplies the forms, with
-    no ``Fraction`` arithmetic.  Each subclass's ``value()`` makes its
-    coefficients with ``poly_from_ints(den, numerators)`` and sets ``den``
-    back to 1.
+
+_ONE = (1, {_EMPTY: 1})  # the integer form of 1: add_term's second factor
+_ZERO = RatFunc.zero()  # never mutated: the one zero of every key and entry that nothing reached
+
+
+class IntSum:
+    """A sum of RatFunc terms and products keyed by any hashable key, formed in place: the
+    one accumulator of ``RatSum`` (one key), ``jets.DiffSum`` (keyed by differential
+    monomial) and geometry's ``_Scatter`` (keyed by tensor index).
+
+    ``add_term(key, c, k)`` and ``addmul_term(key, a, b, k)`` add k*c and k*a*b to key's
+    coefficient for RatFuncs c, a, b and a scalar k (int or Fraction); a zero operand or k
+    returns at once.  ``terms`` maps a key to its lone first RatFunc or to the integer
+    numerators {u-monomial: n} of its polynomial part, all keys over one positive common
+    denominator ``den``.  A key's first ``add_term`` with k == 1 is kept as given, in O(1),
+    and moved into the numerators only when a second contribution arrives.  A product of
+    polynomials multiplies their integer forms (``Poly.ints``) through ``add_terms`` in
+    ``addmul_ints``, with no ``Fraction`` arithmetic: k/(d_a*d_b) is reduced once to p/r and
+    ``den`` grows to lcm(den, r), scaling every numerator held, only when r does not divide
+    it.  A term with a non-constant denominator joins its key's running RatFunc sum in
+    ``rats``; a rational product is formed by RatFunc ``*`` and added by ``add_term``, so one
+    whose denominator cancels joins the numerators.  ``pop(key)`` takes key out and makes its
+    coefficient once: ``poly_from_ints(den, numerators)`` plus its rational part, zero where
+    nothing landed or everything cancelled.
     """
 
-    __slots__ = ("den",)
+    __slots__ = ("terms", "den", "rats")
 
-    def addmul_ints(self, acc: dict, fa: tuple, fb: tuple, k=1) -> None:
+    def __init__(self):
+        self.terms = {}
+        self.den = 1
+        self.rats = {}
+
+    def _rescale(self, f: int) -> None:
+        for acc in self.terms.values():
+            if type(acc) is dict:
+                for u in acc:
+                    acc[u] *= f
+
+    def _numerators(self, key, lone) -> dict:
+        """The numerators of key, made empty, with key's lone first coefficient moved in
+        when there is one; the move may grow ``den``."""
+        acc = self.terms[key] = {}
+        if lone is not None:
+            self.add_term(key, lone)
+        return acc
+
+    def add_term(self, key, c: RatFunc, k=1) -> None:
+        kn = k.numerator
+        if not kn or not c.num.terms:
+            return
+        acc = self.terms.get(key)
+        if acc is None and kn == 1 and k.denominator == 1:
+            self.terms[key] = c
+            return
+        form = _ints_of(c)
+        if form is not None:
+            return self.addmul_ints(key, form, _ONE, k)
+        if type(acc) is not dict:
+            self._numerators(key, acc)
+        c = c * k if k != 1 else c
+        rest = self.rats.get(key)
+        self.rats[key] = c if rest is None else rest + c
+
+    def addmul_term(self, key, a: RatFunc, b: RatFunc, k=1) -> None:
+        if not (k and a.num.terms and b.num.terms):
+            return
+        fa, fb = _ints_of(a), _ints_of(b)
+        if fa is None or fb is None:
+            return self.add_term(key, a * b, k)
+        self.addmul_ints(key, fa, fb, k)
+
+    def addmul_ints(self, key, fa: tuple, fb: tuple, k=1) -> None:
+        """k*a*b into key's numerators for the integer forms fa = (d_a, {m: n}) and fb."""
+        acc = self.terms.get(key)
+        if type(acc) is not dict:
+            acc = self._numerators(key, acc)
         (da, ta), (db, tb) = fa, fb
         p, r = k.numerator, k.denominator * da * db
         if r != 1:
@@ -886,62 +953,40 @@ class IntSum:
         for m1, c1 in ta.items():
             add_terms(acc, tb, c1 * p, m1)
 
+    def pop(self, key) -> RatFunc:
+        acc = self.terms.pop(key, None)
+        if type(acc) is not dict:
+            return _ZERO if acc is None else acc
+        c = RatFunc._new(poly_from_ints(self.den, acc), Poly.one()) if acc else _ZERO
+        rest = self.rats.pop(key, None)
+        return c if rest is None else c + rest
+
 
 class RatSum(IntSum):
-    """A sum of RatFunc terms and products, formed in place from ``first``.
+    """A scalar sum of RatFunc terms and products, formed in place from ``first``: the
+    one-key ``IntSum``.  ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b;
+    ``value()`` is the canonical RatFunc, equal to the chain of ``+`` and ``*`` it
+    replaces, and the sum goes on from it."""
 
-    ``add(a, k)`` and ``addmul(a, b, k)`` add k*a and k*a*b for a scalar k
-    (int or Fraction); a zero operand returns at once.  Products of operands
-    with denominator 1 go into the integer numerators ``terms`` of ``IntSum``;
-    a rational operand takes the RatFunc product and sum.  A first polynomial
-    ``add()`` with k == 1 is kept as given, in O(1).  ``value()`` is the
-    canonical RatFunc, equal to the chain of ``+`` and ``*`` it replaces; it
-    joins a polynomial first term to the integer numerators and makes their
-    coefficients once.  It takes over the polynomial part, and the sum goes on
-    from that value.
-    """
-
-    __slots__ = ("terms", "rest")
+    __slots__ = ()
 
     def __init__(self, first: RatFunc | None = None):
-        self.terms = {}  # integer numerators of the polynomial part, kept canonical by add_terms
-        self.den = 1  # their common denominator
-        self.rest = first  # the RatFunc sum of the rational terms and of a first add(), uncopied
-
-    def _rescale(self, f: int) -> None:
-        terms = self.terms
-        for m in terms:
-            terms[m] *= f
+        IntSum.__init__(self)
+        if first is not None:
+            self.add_term(_EMPTY, first)
 
     def add(self, a: RatFunc, k=1):
-        if a.den.is_const and (self.rest is not None or k != 1):
-            self.addmul(a, _UNIT, k)
-        else:
-            a = a * k if k != 1 else a
-            self.rest = a if self.rest is None else self.rest + a
+        self.add_term(_EMPTY, a, k)
 
     def addmul(self, a: RatFunc, b: RatFunc, k=1):
-        pa, pb = a.num, b.num
-        if not pa.terms or not pb.terms:
-            return
-        if not (a.den.is_const and b.den.is_const):
-            return self.add(a * b, k)
-        self.addmul_ints(self.terms, pa.ints or _int_form(pa), pb.ints or _int_form(pb), k)
+        self.addmul_term(_EMPTY, a, b, k)
 
     def value(self) -> RatFunc:
-        rest = self.rest
-        if self.terms and rest is not None and rest.den.is_const:
-            self.rest = None
-            self.addmul(rest, _UNIT)
-        if self.terms:
-            poly = RatFunc._new(poly_from_ints(self.den, self.terms), Poly.one())
-            self.terms = {}
-            self.rest = poly if self.rest is None else self.rest + poly
+        c = self.pop(_EMPTY)
         self.den = 1
-        return RatFunc.zero() if self.rest is None else self.rest
-
-
-_UNIT = RatFunc.one()  # never mutated: RatSum.add's second factor
+        if c:
+            self.terms[_EMPTY] = c
+        return c
 
 
 def rf_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:

@@ -32,7 +32,7 @@ from .geometry import (
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
 from .linsolve import LinearSystemSolution, linear_solve, substitute_solution
-from .rational import Poly, RatFunc, mono_mul
+from .rational import Poly, RatFunc, mono_mul, var_name
 
 
 @dataclass
@@ -201,6 +201,15 @@ def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
     return FluxAnsatz(n=n, degree=degree, components=tuple(comps), params=tuple(params))
 
 
+def _refuse_parameters(name, scalars):
+    """InputError naming ``name`` and its lowest formal parameter when one of the RatFuncs
+    ``scalars`` holds one: a search's own parameters c1, c2, ... would collide with it."""
+    pids = {v for c in scalars for m in c.num.terms for v, _ in m if v < 0}
+    if pids:
+        raise InputError(f"formal parameter {var_name(max(pids))} in {name}: a search names its "
+                         "own parameters c1, c2, ..., so its data must be parameter-free")
+
+
 def _free_params(sol: LinearSystemSolution, ansatz_params):
     """Free directions: solver-free columns plus params no equation mentions."""
     return [] if sol.inconsistent else sorted(
@@ -215,6 +224,8 @@ def _unit_assignments(free_all):
 
 def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
     """All members of the template whose covering residual vanishes."""
+    for i, f in enumerate(system.fluxes, 1):
+        _refuse_parameters(f"flux {i}", f.terms.values())
     residual = bivector_residual(build_cotangent(system), BivectorForm(ansatz.components))
     sol = linear_solve(extract_conditions(residual))
     free_all = _free_params(sol, ansatz.params)
@@ -263,5 +274,9 @@ def find_fluxes_second_order(d: SecondOrderData, ansatz: FluxAnsatz,
 def find_fluxes_third_order(d: ThirdOrderData, ansatz: FluxAnsatz,
                             classify: bool = True) -> SolutionFamily:
     """Fluxes compatible with the canonical third-order operator."""
+    for i, row in enumerate(d.metric.entries, 1):
+        for j, x in enumerate(row, 1):
+            _refuse_parameters(f"metric entry g[{i}][{j}]", (x,))
+    _refuse_parameters("the c symbols", (x for plane in d.c_low() for row in plane for x in row))
     return _flux_family(ansatz, third_order_compat(d, ansatz.components), classify,
                         with_square=False)

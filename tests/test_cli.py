@@ -322,3 +322,29 @@ def test_parameter_in_divisor_is_an_input_error(tmp_path, capsys, expr, col):
     assert (code, out) == (2, "")
     assert err.startswith("input error:")
     assert err.endswith(f"(line 1, column {col})\n")
+
+
+_OWN_PARAMETERS = ("a search names its own parameters c1, c2, ..., "
+                   "so its data must be parameter-free")
+
+
+def test_find_bivectors_refuses_fluxes_holding_parameters(capsys):
+    # the catalog's n=4 fluxes carry c1..c10, which the ansatz's own c1.. would meet
+    code, out, err = run(["find-bivectors", "--example", "n4-second-order"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: formal parameter c1 in flux 1: {_OWN_PARAMETERS}\n"
+
+
+@pytest.mark.parametrize("g, c, where", [
+    ([["u1", "0"], ["0", "c2*u2 + 1"]], "from-metric", "c2 in metric entry g[2][2]"),
+    ([["1", "0"], ["0", "1"]], [[["c1*u1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+     "c1 in the c symbols"),
+])
+def test_find_fluxes_refuses_third_order_data_holding_parameters(tmp_path, capsys, g, c, where):
+    # without the check the flux ansatz's c1.. multiply these and the search fails in the engine
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps({"n": 2, "operators": {"D": {"order": 3, "g": g, "c": c}},
+                                "task": {"operator": "D", "degree": 1}}))
+    code, out, err = run(["find-fluxes", "--file", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: formal parameter {where}: {_OWN_PARAMETERS}\n"

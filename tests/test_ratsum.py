@@ -19,6 +19,7 @@ from hhokit.jets import (KIND_P, DiffMonomial, DiffPoly, _bump_even, _raise_orde
                          total_x, ujet)
 from hhokit.rational import RatFunc, RatSum, mono_mul, vkey
 from hhokit.rational import Poly
+from hhokit.rational import IntSum
 
 from genutil import rand_diffpoly, rand_poly, rand_ratfunc
 
@@ -140,7 +141,7 @@ def test_ratsum_zero_operands_return_at_once():
     acc = RatSum()
     acc.addmul(RatFunc.zero(), rand_ratfunc(random.Random(904), 2))
     acc.addmul(RatFunc.var(1), RatFunc.zero(), 5)
-    assert acc.terms == {} and acc.rest is None
+    assert acc.terms == {} and acc.rats == {}
     assert acc.value() == RatFunc.zero()
 
 
@@ -436,7 +437,7 @@ def test_ratsum_cancels_to_zero_over_a_denominator():
     acc = RatSum()
     acc.addmul(a, b, Fraction(2, 7))
     acc.addmul(b, a, Fraction(-2, 7))
-    assert acc.terms == {} and acc.den > 1
+    assert not any(acc.terms.values()) and acc.rats == {} and acc.den > 1
     got = acc.value()
     assert got.is_zero and str(got) == "0"
     # and goes on from zero, over denominators of its own
@@ -475,3 +476,40 @@ def test_ratsum_mixes_rational_operands_with_the_accumulator():
         assert_same(_ratsum(ops), _chain(ops))
         first = rand_ratfunc(rng, 2)
         assert_same(_ratsum(ops, first), _chain(ops, first))
+
+
+def test_one_keyed_sum_pops_each_key_as_its_own_chain():
+    """One IntSum over several keys shares one growing denominator, yet each popped key is
+    its own RatFunc chain, in any order of adds and of pops, its integer form in lowest terms."""
+    big = 1_000_003  # prime
+    a, b = _over(3, 921), _over(2, 922)
+    ops = {
+        "half": [(_over(2, 923), _over(1, 924), 1), (_over(1, 925), None, 3)],
+        "third": [(_over(3, 926), RatFunc.var(1), Fraction(-5, 4)), (a, None, 1)],
+        "big": [(_over(big, 927), RatFunc.var(2), 1), (_over(1, 928), None, Fraction(1, 3))],
+        "rational": [(rand_ratfunc(random.Random(929), 2), _over(2, 930), 1),
+                     (_over(3, 931), None, 2), (b, a, Fraction(1, 7))],
+        "cancels": [(a, b, Fraction(2, 7)), (rand_ratfunc(random.Random(932), 2), None, 1),
+                    (b, a, Fraction(-2, 7)), (rand_ratfunc(random.Random(932), 2), None, -1)],
+        "lone": [(_over(6, 933), None, 1)],
+    }
+    rng = random.Random(934)
+    for _ in range(12):
+        steps = [(key, op) for key, key_ops in ops.items() for op in key_ops]
+        rng.shuffle(steps)
+        acc = IntSum()
+        for key, (x, y, k) in steps:
+            if y is None:
+                acc.add_term(key, x, k)
+            else:
+                acc.addmul_term(key, x, y, k)
+        assert acc.den % (6 * big) == 0
+        keys = list(ops) + ["never"]
+        rng.shuffle(keys)
+        for key in keys:
+            got = acc.pop(key)
+            ref = _chain([(x, y, k) for x, y, k in ops.get(key, [])])
+            assert_same(got, ref)
+            assert_lowest_int_form(got)
+            assert got.is_zero == (key in ("cancels", "never"))
+        assert acc.terms == {} and acc.rats == {}

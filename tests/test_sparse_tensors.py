@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from hhokit import rational
 from hhokit.errors import DegenerateMetricError
 from hhokit.geometry import (
     Connection,
@@ -179,6 +180,40 @@ def test_curvature_matches_loop():
             else:
                 flat += 1
     assert flat and curved
+
+
+def test_contract_and_curvature_build_no_ratsum(monkeypatch):
+    # each scatters into one IntSum keyed by output index, not one RatSum per entry
+    rng = random.Random(65)
+    cases = []
+    for n, kind in ((2, "dense"), (3, "diagonal")):
+        metric = _lower_metric(rng, n, kind)
+        metric.upper()  # the inverse's minor expansion is formed before counting
+        cases.append((metric, [Connection(metric, _single_entry(rng, n)),
+                               Connection(metric, _dense_tensor(rng, n))]))
+    built = []
+    init = rational.RatSum.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(rational.RatSum, "__init__", counting)
+    nonzero = 0
+    for metric, conns in cases:
+        for conn in conns:
+            for T in (_contract(metric.upper(), conn.gamma, 1), conn.christoffel(),
+                      curvature(metric, conn)):
+                nonzero += any(not x.is_zero for x in _entries(T))
+    assert nonzero and not built
+
+
+def _entries(T):
+    if isinstance(T, RatFunc):
+        yield T
+    else:
+        for x in T:
+            yield from _entries(x)
 
 
 def test_c_symbols_match_loops():
