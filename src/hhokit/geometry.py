@@ -5,21 +5,28 @@ any formal parameters riding in coefficients): a check passes iff every residual
 the zero rational function.  Matrices are tuples of tuples of RatFunc; indices in reports
 are 1-based.  Determinants, inverses (adjugate over determinant, one division per entry)
 and characteristic coefficients all come from one memoized minor expansion, ``_minors``.
-Index raises and lowers (``_contract``), the curvature, the c symbols and their closure and
-the covariant velocity derivatives scatter over nonzero entries only, each nonzero product
-into one ``rational.IntSum`` keyed by output index (``_Scatter``); each metric-derived
-tensor is formed once, from the variance it was given.  The classifiers work on polynomial
-numerators over one common denominator d of V = W / d, each entry reduced once against a
-power of d (``ratfunc_over``): the characteristic coefficients are W's principal-minor sums
-over d^k, linear degeneracy is summed by Horner's rule (no matrix powers) over d^{k+1}, and
-the Nijenhuis and Haantjes tensors are sums of n^4 products, not n^5, for lower indices
-j < k only.  A tensor is differentiated through one table, ``_grad``, each entry only by
-the field variables it holds.
+Every tensor product is one sparse contraction, ``_einsum(acc, "ab,bc->ac", A, B, k,
+keep)``: it adds k * A * B, summed over the shared letters, into one ``rational.IntSum``
+keyed by output index (``_Scatter``), forms products from nonzero entries only and none
+for an output index that ``keep`` refuses (the families taken for j < k or l <= m only).
+Index raises and lowers, matrix products, the curvature, the c symbols and their closure,
+Tsarev's covariant derivatives, the expanded first-order families, the nonlocal tail
+families, the Nijenhuis and Haantjes tensors and linear degeneracy's Horner steps all go
+through it; a factor shared by several terms is summed entrywise once, before it is
+contracted.  One routine, ``ConditionReport.add_all``, reads every residual family, in
+lexicographic index order.  Each metric-derived tensor is formed once, from the variance it
+was given.  The classifiers work on polynomial numerators over one common denominator d of
+V = W / d, each entry reduced once against a power of d (``ratfunc_over``).  A tensor is
+differentiated through one table, ``_grad``, each entry only by the field variables it
+holds; a second derivative through ``_hessian``, which forms each unordered pair once and
+mirrors it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,41 +66,87 @@ def as_matrix(rows) -> tuple:
 
 
 def identity(n) -> tuple:
-    return tuple(tuple(RatFunc.one() if i == j else RatFunc.zero() for j in range(n))
-                 for i in range(n))
+    return _table(n, 2, lambda i, j: RatFunc.one() if i == j else RatFunc.zero())
 
 
-def _dot(xs, ys) -> RatFunc:
-    """sum_s xs[s] * ys[s]."""
-    acc = RatSum()
-    for x, y in zip(xs, ys):
-        acc.addmul(x, y)
-    return acc.value()
-
-
-def mat_mul(A, B) -> tuple:
-    Bt = _swap(B)
-    return tuple(tuple(_dot(row, col) for col in Bt) for row in A)
+def _table(n, rank, entry, keep=None, index=()) -> tuple:
+    """The dense rank-``rank`` tensor over range(n) whose entry at ``index`` is entry(*index),
+    or the shared zero where ``keep(*index)`` refuses it."""
+    if len(index) == rank:
+        return entry(*index) if keep is None or keep(*index) else _ZERO
+    return tuple(_table(n, rank, entry, keep, index + (i,)) for i in range(n))
 
 
 class _Scatter(IntSum):
-    """The ``rational.IntSum`` keyed by output index, read once as a dense tensor."""
+    """The ``rational.IntSum`` keyed by output index that ``_einsum`` adds into, read once per
+    entry: ``entry(*index)`` pops it, and the entries that no term reached share one zero."""
 
     __slots__ = ()
 
-    def tensor(self, n, rank, index=()) -> tuple:
-        """The rank-``rank`` tensor over range(n), each entry popped: sums and values are never
-        all held, and the entries that no term reached share one zero."""
-        if len(index) == rank:
-            return self.pop(index)
-        return tuple(self.tensor(n, rank, index + (i,)) for i in range(n))
+    def entry(self, *index) -> RatFunc:
+        return self.pop(index)
+
+    def tensor(self, n, rank) -> tuple:
+        """The dense tensor, each entry popped: sums and values are never all held."""
+        return _table(n, rank, self.entry)
 
 
 def _nonzero(T, rank) -> list:
-    """[(index, entry)] for the nonzero entries of the rank-``rank`` tensor T, in index order."""
+    """[(index, entry)] for the nonzero entries of the rank-``rank`` tensor T, in index order
+    (a RatFunc is nonzero iff its numerator holds a term)."""
+    if rank == 0:
+        return [((), T)] if T.num.terms else []
     if rank == 1:
-        return [((i,), x) for i, x in enumerate(T) if not x.is_zero]
+        return [((i,), x) for i, x in enumerate(T) if x.num.terms]
     return [((i,) + index, x) for i, sub in enumerate(T) for index, x in _nonzero(sub, rank - 1)]
+
+
+def _getter(at):
+    """index -> the tuple of index's entries at the positions ``at``."""
+    if len(at) == 1:
+        p, = at
+        return lambda index: (index[p],)
+    return operator.itemgetter(*at) if at else lambda index: ()
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(spec) -> tuple:
+    """An ``_einsum`` spec read once (the specs are this module's literals, so the cache
+    stays small): the operand ranks, the getters of the shared letters from each operand's
+    index, and the getter of the output index from A's index + B's."""
+    ins, out = spec.split("->")
+    sa, _, sb = ins.partition(",")
+    shared = [c for c in sa if c in sb]
+    return (len(sa), len(sb), _getter([sa.index(c) for c in shared]),
+            _getter([sb.index(c) for c in shared]), _getter([(sa + sb).index(c) for c in out]))
+
+
+def _einsum(acc, spec, A, B=None, k=1, keep=None):
+    """Add k * A * B, summed over the letters both operands carry and the output omits, into
+    the ``_Scatter`` acc keyed by output index; spec names the indices, as "ab,bc->ac".
+    Without B, spec "abc->cab" adds k * A with its indices permuted.  Products are formed from
+    nonzero entries only, and an output index that ``keep(*index)`` refuses is never formed.
+    Returns acc."""
+    ra, rb, key_a, key_b, out = _plan(spec)
+    if B is None:
+        for ia, a in _nonzero(A, ra):
+            o = out(ia)
+            if keep is None or keep(*o):
+                acc.add_term(o, a, k)
+        return acc
+    groups = {}
+    for ib, b in _nonzero(B, rb):
+        groups.setdefault(key_b(ib), []).append((ib, b))
+    for ia, a in _nonzero(A, ra):
+        for ib, b in groups.get(key_a(ia), ()):
+            o = out(ia + ib)
+            if keep is None or keep(*o):
+                acc.addmul_term(o, a, b, k)
+    return acc
+
+
+def mat_mul(A, B) -> tuple:
+    return _einsum(_Scatter(), "ab,bc->ac", A, B).tensor(len(A), 2)
 
 
 def _grad(T, n) -> tuple:
@@ -108,16 +161,24 @@ def _grad(T, n) -> tuple:
     return tuple(out)
 
 
+def _hessian(dT, n) -> tuple:
+    """The gradient of a gradient table dT (``_grad``'s last index p), symmetric in its last
+    two indices: each unordered pair p <= l is differentiated once and mirrored."""
+    if type(dT[0]) is not RatFunc:
+        return tuple(_hessian(x, n) for x in dT)
+    out = [[_ZERO] * n for _ in range(n)]
+    for p, x in enumerate(dT):
+        for v in x.field_vars():
+            if p < v <= n:
+                out[p][v - 1] = out[v - 1][p] = x.diff(v)
+    return tuple(map(tuple, out))
+
+
 def _contract(M, T, slot, sign=1) -> tuple:
     """sign * M contracted into index ``slot`` of the n x n x n tensor T, the other positions
-    kept: out[..x..] = sign * sum_s M[x][s] T[..s..] (raises or lowers one index),
-    scattered from the nonzero products only."""
-    cols = [_nonzero(col, 1) for col in _swap(M)]
-    out = _Scatter()
-    for index, t in _nonzero(T, 3):
-        for (x,), m in cols[index[slot]]:
-            out.addmul_term(index[:slot] + (x,) + index[slot + 1:], m, t, sign)
-    return out.tensor(len(T), 3)
+    kept: out[..x..] = sign * sum_s M[x][s] T[..s..] (raises or lowers one index)."""
+    t = "ijk"[:slot] + "s" + "ijk"[slot + 1:]
+    return _einsum(_Scatter(), f"xs,{t}->{t.replace('s', 'x')}", M, T, sign).tensor(len(T), 3)
 
 
 def _swap(T) -> tuple:
@@ -215,6 +276,13 @@ class ConditionReport:
         if not value.is_zero:
             self.residuals.append((family, tuple(i + 1 for i in indices), value))
 
+    def add_all(self, family: str, n, rank, value, keep=None, head=()):
+        """add(family, head + index, value(*index)) for each index over range(n)^rank that
+        ``keep(*index)`` admits, in lexicographic order."""
+        for index in itertools.product(range(n), repeat=rank):
+            if keep is None or keep(*index):
+                self.add(family, head + index, value(*index))
+
     @property
     def passed(self) -> bool:
         return not self.residuals
@@ -284,9 +352,7 @@ class Connection:
         Gamma^i_{jk} = g^{is} Gamma_{sjk}, kept, then Gamma^{ab}_k = -g^{aj} Gamma^b_{jk}."""
         dg = _grad(metric.lower(), metric.n)
         g_up = metric.upper()
-        r = range(metric.n)
-        low = tuple(tuple(tuple((dg[s][j][k] + dg[s][k][j] - dg[j][k][s]) / 2
-                                for k in r) for j in r) for s in r)
+        low = _table(metric.n, 3, lambda s, j, k: (dg[s][j][k] + dg[s][k][j] - dg[j][k][s]) / 2)
         chrs = _contract(g_up, low, 0)
         conn = cls(metric, _swap(_contract(g_up, chrs, 1, -1)))
         conn._christoffel = chrs
@@ -296,19 +362,25 @@ class Connection:
 # -- first-order checkers --------------------------------------------------------
 
 
-def curvature(metric: Metric, conn: Connection) -> tuple:
+def _lt(*index) -> bool:
+    """The ``keep`` of a family taken for last two indices increasing (``_le``: or equal)."""
+    return index[-2] < index[-1]
+
+
+def _le(*index) -> bool:
+    return index[-2] <= index[-1]
+
+
+def curvature(metric: Metric, conn: Connection, keep=None) -> tuple:
     """R[g]^{ij}_{kl} = Gamma^{ij}_{l,k} - Gamma^{ij}_{k,l} + Gamma^i_{ks} Gamma^{sj}_l
-    - Gamma^j_{ks} Gamma^{si}_l of the first-order symbols (zero iff flat)."""
+    - Gamma^j_{ks} Gamma^{si}_l of the first-order symbols (zero iff flat), formed only
+    where ``keep(i, j, k, l)`` admits it."""
     metric.check_nondegenerate()
-    R = _Scatter()
-    for (i, j, l, k), dx in _nonzero(_grad(conn.gamma, metric.n), 4):
-        R.add_term((i, j, k, l), dx)
-        R.add_term((i, j, l, k), dx, -1)
-    planes = [_nonzero(plane, 2) for plane in conn.gamma]
-    for (a, k, s), c in _nonzero(conn.christoffel(), 3):
-        for (b, l), y in planes[s]:
-            R.addmul_term((a, b, k, l), c, y)
-            R.addmul_term((b, a, k, l), c, y, -1)
+    dG, chrs, gamma = _grad(conn.gamma, metric.n), conn.christoffel(), conn.gamma
+    R = _einsum(_Scatter(), "ijlk->ijkl", dG, keep=keep)
+    _einsum(R, "ijkl->ijkl", dG, k=-1, keep=keep)
+    _einsum(R, "iks,sjl->ijkl", chrs, gamma, keep=keep)
+    _einsum(R, "jks,sil->ijkl", chrs, gamma, -1, keep=keep)
     return R.tensor(metric.n, 4)
 
 
@@ -319,26 +391,15 @@ def first_order_hamiltonian_check(metric: Metric, conn: Connection) -> Condition
     g = metric.upper()
     gamma = conn.gamma
     rep = ConditionReport("first-order-hamiltonian")
-    for i in range(n):
-        for j in range(i + 1, n):
-            rep.add("metric-symmetry", (i, j), g[i][j] - g[j][i])
+    rep.add_all("metric-symmetry", n, 2, lambda i, j: g[i][j] - g[j][i], _lt)
     dg = _grad(g, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rep.add("metric-compat", (i, j, k),
-                        dg[i][j][k] - gamma[i][j][k] - gamma[j][i][k])
+    rep.add_all("metric-compat", n, 3,
+                lambda i, j, k: dg[i][j][k] - gamma[i][j][k] - gamma[j][i][k])
     gg = _contract(g, gamma, 2)  # gg[j][l][i] = g^{ik} Gamma^{jl}_k
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(n):
-                rep.add("symbol-g-symmetry", (i, j, l), gg[j][l][i] - gg[i][l][j])
-    R = curvature(metric, conn)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    rep.add("flatness", (i, j, k, l), R[i][j][k][l])
+    rep.add_all("symbol-g-symmetry", n, 3, lambda i, j, l: gg[j][l][i] - gg[i][l][j],
+                lambda i, j, l: i < j)
+    R = curvature(metric, conn, _lt)
+    rep.add_all("flatness", n, 4, lambda i, j, k, l: R[i][j][k][l], _lt)
     return rep
 
 
@@ -361,90 +422,61 @@ def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
     V = as_matrix(V)
     rep = ConditionReport("tsarev-compat")
     gv = mat_mul(g, _swap(V))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rep.add("velocity-g-symmetry", (i, j), gv[i][j] - gv[j][i])
-    nab = _Scatter()  # nab[k][j][h] = V^j_h,k + Gamma^j_{ks} V^s_h - Gamma^s_{kh} V^j_s
-    for (j, h, k), dx in _nonzero(_grad(V, n), 3):
-        nab.add_term((k, j, h), dx)
-    rows, cols = [_nonzero(row, 1) for row in V], [_nonzero(col, 1) for col in _swap(V)]
-    for (a, k, s), c in _nonzero(conn.christoffel(), 3):
-        for (h,), v in rows[s]:
-            nab.addmul_term((k, a, h), c, v)
-        for (j,), v in cols[a]:
-            nab.addmul_term((k, j, s), c, v, -1)
-    nab = nab.tensor(n, 3)
-    r = range(n)
-    curl = _contract(g, tuple(tuple(tuple(nab[k][j][h] - nab[h][j][k] for h in r)
-                                    for j in r) for k in r), 0)
-    for i, j, h in itertools.product(r, repeat=3):
-        rep.add("covariant-curl", (i, j, h), curl[i][j][h])
+    rep.add_all("velocity-g-symmetry", n, 2, lambda i, j: gv[i][j] - gv[j][i], _lt)
+    chrs = conn.christoffel()  # nab[k][j][h] = V^j_h,k + Gamma^j_{ks} V^s_h - Gamma^s_{kh} V^j_s
+    nab = _einsum(_Scatter(), "jhk->kjh", _grad(V, n))
+    _einsum(nab, "jks,sh->kjh", chrs, V)
+    nab = _einsum(nab, "skh,js->kjh", chrs, V, -1).tensor(n, 3)
+    curl = _contract(g, _table(n, 3, lambda k, j, h: nab[k][j][h] - nab[h][j][k]), 0)
+    rep.add_all("covariant-curl", n, 3, lambda i, j, h: curl[i][j][h])
     return rep
 
 
 def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> ConditionReport:
-    """The four coefficient families of the reduced first-order residual."""
+    """The four coefficient families of the reduced first-order residual.  A factor of V's
+    derivatives shared by several terms is summed entrywise, once, before it is contracted
+    (X[j][k][m] = V^j_{k,m} - V^j_{m,k}; the sums of second derivatives for l <= m only)."""
     n = metric.n
     g = metric.upper()
     gm = conn.gamma
     V = as_matrix(V)
     rep = ConditionReport("first-order-expanded")
     dg, dV, dgm = _grad(g, n), _grad(V, n), _grad(gm, n)
-    ddV = _grad(dV, n)
+    ddV = _hessian(dV, n)
+    X = _table(n, 3, lambda j, k, m: dV[j][k][m] - dV[j][m][k])
 
     # coefficient of p_{j,xx}
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = RatSum()
-            for k in range(n):
-                acc.addmul(V[i][k], g[k][j])
-                acc.addmul(V[j][k], g[k][i], -1)
-            rep.add("coeff-p-xx", (i, j), acc.value())
+    acc = _einsum(_Scatter(), "ik,kj->ij", V, g, keep=_lt)
+    _einsum(acc, "jk,ki->ij", V, g, -1, keep=_lt)
+    rep.add_all("coeff-p-xx", n, 2, acc.entry, _lt)
     # coefficient of u^m_x p_{j,x}
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                acc = RatSum()
-                for k in range(n):
-                    acc.addmul(dg[i][j][k], V[k][m])
-                    acc.addmul(g[i][k], dV[j][k][m] - dV[j][m][k])
-                    acc.addmul(g[i][k], dV[j][k][m])
-                    acc.addmul(gm[i][k][m], V[j][k])
-                    acc.addmul(dV[i][m][k], g[k][j], -1)
-                    acc.addmul(V[i][k], dg[k][j][m], -1)
-                    acc.addmul(V[i][k], gm[k][j][m], -1)
-                rep.add("coeff-ux-px", (i, j, m), acc.value())
+    acc = _einsum(_Scatter(), "ijk,km->ijm", dg, V)
+    _einsum(acc, "ik,jkm->ijm", g, _table(n, 3, lambda j, k, m: X[j][k][m] + dV[j][k][m]))
+    _einsum(acc, "ikm,jk->ijm", gm, V)
+    _einsum(acc, "imk,kj->ijm", dV, g, -1)
+    _einsum(acc, "ik,kjm->ijm", V, dg, -1)
+    _einsum(acc, "ik,kjm->ijm", V, gm, -1)
+    rep.add_all("coeff-ux-px", n, 3, acc.entry)
     # coefficient of u^h_{xx} p_j
-    for i in range(n):
-        for j in range(n):
-            for h in range(n):
-                acc = RatSum()
-                for k in range(n):
-                    acc.addmul(g[i][k], dV[j][k][h] - dV[j][h][k])
-                    acc.addmul(gm[i][j][k], V[k][h])
-                    acc.addmul(gm[k][j][h], V[i][k], -1)
-                rep.add("coeff-uxx-p", (i, j, h), acc.value())
+    acc = _einsum(_Scatter(), "ik,jkh->ijh", g, X)
+    _einsum(acc, "ijk,kh->ijh", gm, V)
+    _einsum(acc, "kjh,ik->ijh", gm, V, -1)
+    rep.add_all("coeff-uxx-p", n, 3, acc.entry)
     # coefficient of u^l_x u^m_x p_j (symmetric in l, m)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for m in range(l, n):
-                    acc = RatSum()
-                    for k in range(n):
-                        acc.addmul(g[i][k], ddV[j][k][m][l] + ddV[j][k][l][m]
-                                   - ddV[j][m][k][l] - ddV[j][l][k][m])
-                        acc.addmul(dgm[i][j][m][k], V[k][l])
-                        acc.addmul(dgm[i][j][l][k], V[k][m])
-                        acc.addmul(gm[i][j][k], dV[k][l][m] + dV[k][m][l])
-                        acc.addmul(gm[i][k][l], dV[j][k][m])
-                        acc.addmul(gm[i][k][m], dV[j][k][l])
-                        acc.addmul(gm[i][k][l], dV[j][m][k], -1)
-                        acc.addmul(gm[i][k][m], dV[j][l][k], -1)
-                        acc.addmul(gm[k][j][m], dV[i][l][k], -1)
-                        acc.addmul(gm[k][j][l], dV[i][m][k], -1)
-                        acc.addmul(dgm[k][j][m][l], V[i][k], -1)
-                        acc.addmul(dgm[k][j][l][m], V[i][k], -1)
-                    rep.add("coeff-uxux-p", (i, j, l, m), acc.value())
+    Q = _table(n, 4, lambda j, k, l, m: ddV[j][k][l][m] + ddV[j][k][m][l]
+               - ddV[j][m][k][l] - ddV[j][l][k][m], _le)
+    acc = _einsum(_Scatter(), "ik,jklm->ijlm", g, Q, keep=_le)
+    _einsum(acc, "ijmk,kl->ijlm", dgm, V, keep=_le)
+    _einsum(acc, "ijlk,km->ijlm", dgm, V, keep=_le)
+    _einsum(acc, "ijk,klm->ijlm", gm, _table(n, 3, lambda k, l, m: dV[k][l][m] + dV[k][m][l], _le),
+            keep=_le)
+    _einsum(acc, "ikl,jkm->ijlm", gm, X, keep=_le)
+    _einsum(acc, "ikm,jkl->ijlm", gm, X, keep=_le)
+    _einsum(acc, "kjm,ilk->ijlm", gm, dV, -1, keep=_le)
+    _einsum(acc, "kjl,imk->ijlm", gm, dV, -1, keep=_le)
+    _einsum(acc, "ik,kjml->ijlm", V, dgm, -1, keep=_le)
+    _einsum(acc, "ik,kjlm->ijlm", V, dgm, -1, keep=_le)
+    rep.add_all("coeff-uxux-p", n, 4, acc.entry, _le)
     return rep
 
 
@@ -470,23 +502,15 @@ def nonlocal_first_order_check(metric: Metric, conn: Connection, W, V) -> Condit
     rep.notes = ("necessary conditions for the symmetry-tail construction only; "
                  "not a complete Hamiltonianity certificate",)
     wv, vw = mat_mul(W, V), mat_mul(V, W)
-    for i in range(n):
-        for j in range(n):
-            rep.add("tail-commutation", (i, j), wv[i][j] - vw[i][j])
-    R = curvature(metric, conn)
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for m in range(l, n):
-                    acc = RatSum()
-                    for k in range(n):
-                        acc.addmul(R[i][j][k][l], V[k][m])
-                        acc.addmul(R[i][j][k][m], V[k][l])
-                        acc.addmul(W[i][l] * V[j][k], W[k][m])
-                        acc.addmul(W[i][m] * V[j][k], W[k][l])
-                        acc.addmul(V[i][k] * W[k][l], W[j][m], -1)
-                        acc.addmul(V[i][k] * W[k][m], W[j][l], -1)
-                    rep.add("curvature-tail-balance", (i, j, l, m), acc.value())
+    rep.add_all("tail-commutation", n, 2, lambda i, j: wv[i][j] - vw[i][j])
+    R = curvature(metric, conn)  # sum_k W_il V_jk W_km = W_il (V W)_jm, and so on
+    acc = _einsum(_Scatter(), "ijkl,km->ijlm", R, V, keep=_le)
+    _einsum(acc, "ijkm,kl->ijlm", R, V, keep=_le)
+    _einsum(acc, "il,jm->ijlm", W, vw, keep=_le)
+    _einsum(acc, "im,jl->ijlm", W, vw, keep=_le)
+    _einsum(acc, "il,jm->ijlm", vw, W, -1, keep=_le)
+    _einsum(acc, "im,jl->ijlm", vw, W, -1, keep=_le)
+    rep.add_all("curvature-tail-balance", n, 4, acc.entry, _le)
     return rep
 
 
@@ -523,18 +547,9 @@ class SecondOrderData:
 
     def g_low(self) -> tuple:
         """g_{ij} as RatFunc matrix linear in the field variables."""
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                p = Poly.const(self.g0[i][j])
-                for k in range(n):
-                    if self.T[i][j][k]:
-                        p = p + Poly.var(k + 1) * self.T[i][j][k]
-                row.append(RatFunc.from_poly(p))
-            out.append(tuple(row))
-        return tuple(out)
+        return _table(self.n, 2, lambda i, j: RatFunc.from_poly(sum(
+            (Poly.var(k + 1) * t for k, t in enumerate(self.T[i][j]) if t),
+            Poly.const(self.g0[i][j]))))
 
 
 def _signed_permutations(idx):
@@ -551,14 +566,10 @@ def second_order_canonical_check(d: SecondOrderData) -> ConditionReport:
     """Total skew-symmetry of the constant arrays T and g0."""
     rep = ConditionReport("second-order-canonical")
     n = d.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rep.add("t-skew-12", (i, j, k), RatFunc.const(d.T[i][j][k] + d.T[j][i][k]))
-                rep.add("t-skew-23", (i, j, k), RatFunc.const(d.T[i][j][k] + d.T[i][k][j]))
-    for i in range(n):
-        for j in range(i, n):
-            rep.add("g0-skew", (i, j), RatFunc.const(d.g0[i][j] + d.g0[j][i]))
+    for i, j, k in itertools.product(range(n), repeat=3):  # the two families interleaved
+        rep.add("t-skew-12", (i, j, k), RatFunc.const(d.T[i][j][k] + d.T[j][i][k]))
+        rep.add("t-skew-23", (i, j, k), RatFunc.const(d.T[i][j][k] + d.T[i][k][j]))
+    rep.add_all("g0-skew", n, 2, lambda i, j: RatFunc.const(d.g0[i][j] + d.g0[j][i]), _le)
     return rep
 
 
@@ -573,19 +584,12 @@ def second_order_compat(d: SecondOrderData, vflux) -> ConditionReport:
     V = flux_jacobian(vflux)
     rep = ConditionReport("second-order-compat")
     gv = mat_mul(g, V)
-    for q in range(n):
-        for p in range(q, n):
-            rep.add("gv-skew", (q, p), gv[q][p] + gv[p][q])
-    dg, dV = _grad(g, n), _grad(V, n)  # dg[i][j][k] = g_ij,k, dV[k][p][l] = V^k_p,l
-    for q in range(n):
-        for p in range(n):
-            for l in range(n):
-                acc = RatSum()
-                for k in range(n):
-                    acc.addmul(g[q][k], dV[k][p][l])
-                    acc.addmul(dg[p][q][k], V[k][l])
-                    acc.addmul(dg[q][k][l], V[k][p])
-                rep.add("flux-gradient-compat", (q, p, l), acc.value())
+    rep.add_all("gv-skew", n, 2, lambda q, p: gv[q][p] + gv[p][q], _le)
+    dg, dV = _grad(g, n), _hessian(V, n)  # dg[i][j][k] = g_ij,k, dV[k][p][l] = V^k_p,l
+    acc = _einsum(_Scatter(), "qk,kpl->qpl", g, dV)
+    _einsum(acc, "pqk,kl->qpl", dg, V)
+    _einsum(acc, "qkl,kp->qpl", dg, V)
+    rep.add_all("flux-gradient-compat", n, 3, acc.entry)
     return rep
 
 
@@ -630,29 +634,19 @@ class ThirdOrderData:
 
 def _c_from_metric(g) -> tuple:
     """c_{nkm} = (g_{mn,k} - g_{kn,m}) / 3, the c symbols of the lowered metric g."""
-    c = _Scatter()
-    for (m, nn, k), dx in _nonzero(_grad(g, len(g)), 3):
-        c.add_term((nn, k, m), dx, Fraction(1, 3))
-        c.add_term((nn, m, k), dx, Fraction(-1, 3))
-    return c.tensor(len(g), 3)
+    dg = _grad(g, len(g))
+    c = _einsum(_Scatter(), "mnk->nkm", dg, k=Fraction(1, 3))
+    return _einsum(c, "mnk->nmk", dg, k=Fraction(-1, 3)).tensor(len(g), 3)
 
 
 def _add_closure(rep, family, cl, cm, tails):
     """c_{nml,k} + c^s_{ml} c_{snk}, plus weight * w_{ml} w_{nk} for each
     lowered tail (w, weight): one residual per (n, m, l, k)."""
-    acc = _Scatter()
-    for index, dx in _nonzero(_grad(cl, len(cl)), 4):
-        acc.add_term(index, dx)
-    # each term is an outer product a_{ml} b_{nk}: (c^s, c_s) for each s, (w, weight * w) per tail
-    factors = list(zip(cm, cl)) + [(wl, tuple(tuple(x * weight for x in row) for row in wl))
-                                   for wl, weight in tails]
-    for left, right in factors:
-        right = _nonzero(right, 2)
-        for (m, l), a in _nonzero(left, 2):
-            for (nn, k), b in right:
-                acc.addmul_term((nn, m, l, k), a, b)
-    for index in sorted(acc.terms):
-        rep.add(family, index, acc.pop(index))
+    acc = _einsum(_Scatter(), "nmlk->nmlk", _grad(cl, len(cl)))
+    _einsum(acc, "sml,snk->nmlk", cm, cl)
+    for wl, weight in tails:
+        _einsum(acc, "ml,nk->nmlk", wl, wl, weight)
+    rep.add_all(family, len(cl), 4, acc.entry)
 
 
 def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
@@ -663,17 +657,12 @@ def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:
     cl = d.c_low()
     cm = d.c_mixed()
     rep = ConditionReport("third-order-hamiltonian")
-    for i in range(n):
-        for j in range(i + 1, n):
-            rep.add("metric-symmetry", (i, j), g[i][j] - g[j][i])
+    rep.add_all("metric-symmetry", n, 2, lambda i, j: g[i][j] - g[j][i], _lt)
     cg = _c_from_metric(g)
-    for nn, k, m in itertools.product(range(n), repeat=3):
-        rep.add("c-from-metric", (nn, k, m), cl[nn][k][m] - cg[nn][k][m])
+    rep.add_all("c-from-metric", n, 3, lambda nn, k, m: cl[nn][k][m] - cg[nn][k][m])
     dg = _grad(g, n)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                rep.add("metric-cyclic", (i, j, k), dg[i][j][k] + dg[j][k][i] + dg[k][i][j])
+    rep.add_all("metric-cyclic", n, 3, lambda i, j, k: dg[i][j][k] + dg[j][k][i] + dg[k][i][j],
+                lambda i, j, k: i <= j <= k)
     _add_closure(rep, "c-closure", cl, cm, ())
     return rep
 
@@ -690,18 +679,13 @@ def third_order_compat(d: ThirdOrderData, vflux) -> ConditionReport:
     Vt = _swap(V)
     rep = ConditionReport("third-order-compat")
     gv = mat_mul(g, V)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rep.add("gv-symmetry", (i, j), gv[i][j] - gv[j][i])
+    rep.add_all("gv-symmetry", n, 2, lambda i, j: gv[i][j] - gv[j][i], _lt)
     cv = _contract(Vt, cl, 0)  # cv[i][k][l] = V^m_i c_{mkl}
-    for i, k, l in itertools.product(range(n), repeat=3):
-        rep.add("c-v-cyclic", (i, k, l), cv[i][k][l] + cv[l][i][k] + cv[k][l][i])
+    rep.add_all("c-v-cyclic", n, 3, lambda i, k, l: cv[i][k][l] + cv[l][i][k] + cv[k][l][i])
     gcv = _contract(g_up, _contract(Vt, cl, 1), 0)  # gcv[k][i][j] = g^{ks} c_{smj} V^m_i
-    dV = _grad(V, n)  # the flux Hessian, dV[k][i][j] = V^k_,ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                rep.add("flux-hessian", (k, i, j), dV[k][i][j] - gcv[k][i][j] - gcv[k][j][i])
+    dV = _hessian(V, n)  # the flux Hessian, dV[k][i][j] = V^k_,ij
+    rep.add_all("flux-hessian", n, 3, lambda k, i, j: dV[k][i][j] - gcv[k][i][j] - gcv[k][j][i],
+                _le)
     return rep
 
 
@@ -713,38 +697,29 @@ def third_order_nonlocal_checks(d: ThirdOrderData, w_list, weights, vflux) -> Co
     cl = d.c_low()
     cm = d.c_mixed()
     w_list = [as_matrix(w) for w in w_list]
-    weights = [Fraction(x) if not isinstance(x, RatFunc) else x for x in weights]
+    weights = [Fraction(x) for x in weights]
     vflux = tuple(vflux)
     V = flux_jacobian(vflux)
-    dV = _grad(V, n)  # the flux Hessian, dV[k][m][h] = V^k_,mh
+    dV = _hessian(V, n)  # the flux Hessian, dV[k][m][h] = V^k_,mh
     rep = ConditionReport("third-order-nonlocal")
 
     w_low = [mat_mul(g, w) for w in w_list]
     for a, wl in enumerate(w_low):
-        for i in range(n):
-            for j in range(i, n):
-                rep.add("tail-skew", (a, i, j), wl[i][j] + wl[j][i])
+        rep.add_all("tail-skew", n, 2, lambda i, j: wl[i][j] + wl[j][i], _le, head=(a,))
         cw = _contract(_swap(wl), cm, 0)  # cw[l][i][j] = c^s_{ij} w_{sl}
         dwl = _grad(wl, n)
-        for i, j, l in itertools.product(range(n), repeat=3):
-            rep.add("tail-gradient", (a, i, j, l), dwl[i][j][l] - cw[l][i][j])
+        rep.add_all("tail-gradient", n, 3, lambda i, j, l: dwl[i][j][l] - cw[l][i][j], head=(a,))
     _add_closure(rep, "closure-with-tails", cl, cm, tuple(zip(w_low, weights)))
     for a, w in enumerate(w_list):
         vw, wv = mat_mul(V, w), mat_mul(w, V)
-        for i in range(n):
-            for h in range(n):
-                rep.add("tail-commutation", (a, i, h), vw[i][h] - wv[i][h])
+        rep.add_all("tail-commutation", n, 2, lambda i, h: vw[i][h] - wv[i][h], head=(a,))
         dw = _grad(w, n)
-        for i in range(n):
-            for h in range(n):
-                for m in range(h, n):
-                    acc = RatSum()
-                    for k in range(n):
-                        acc.addmul(dw[i][h][k], V[k][m], -1)
-                        acc.addmul(dw[i][m][k], V[k][h], -1)
-                        acc.addmul(w[i][k], dV[k][m][h], -2)
-                        acc.addmul(V[i][k], dw[k][m][h] + dw[k][h][m])
-                    rep.add("tail-derivative-exchange", (a, i, h, m), acc.value())
+        acc = _einsum(_Scatter(), "ihk,km->ihm", dw, V, -1, keep=_le)
+        _einsum(acc, "imk,kh->ihm", dw, V, -1, keep=_le)
+        _einsum(acc, "ik,kmh->ihm", w, dV, -2, keep=_le)
+        _einsum(acc, "ik,khm->ihm", V,
+                _table(n, 3, lambda k, h, m: dw[k][m][h] + dw[k][h][m], _le), keep=_le)
+        rep.add_all("tail-derivative-exchange", n, 3, acc.entry, _le, head=(a,))
 
     # the algebraic tail conditions say exactly that w(b_x) b_xx is a symmetry
     ctx = CoveringContext(EvolutionSystem.potential(vflux)) if w_list else None
@@ -813,12 +788,8 @@ def second_order_potential_bivector(d: SecondOrderData) -> BivectorForm:
 
 def _antisymmetric(entry, n) -> tuple:
     """The n x n x n tensor equal to entry(i, j, k) for j < k, antisymmetric in j, k."""
-    r = range(n)
-    T = [[[RatFunc.zero()] * n for _ in r] for _ in r]
-    for i, (j, k) in itertools.product(r, itertools.combinations(r, 2)):
-        T[i][j][k] = entry(i, j, k)
-        T[i][k][j] = -T[i][j][k]
-    return tuple(tuple(tuple(row) for row in plane) for plane in T)
+    T = _table(n, 3, entry, _lt)
+    return _table(n, 3, lambda i, j, k: T[i][j][k] if j < k else -T[i][k][j])
 
 
 def _nijenhuis_numerator(V) -> tuple:
@@ -826,20 +797,14 @@ def _nijenhuis_numerator(V) -> tuple:
     (``_over_common_denominator``), N = Nt / d^3.  With P[s][i][k] = W_ik,s d - W_ik d_,s = V^i_k,s d^2,
     Nt^i_jk = W_sj P[s][i][k] - W_sk P[s][i][j] - W_is (P[j][s][k] - P[k][s][j]), j < k."""
     W, d = _over_common_denominator(as_matrix(V))
-    r = range(len(W))
+    n = len(W)
     D = RatFunc._new(d, Poly.one())
-    dW, dD = _grad(W, len(W)), _grad(D, len(W))
-    P = [[[dW[i][k][s] * D - W[i][k] * dD[s] for k in r] for i in r] for s in r]
-
-    def entry(i, j, k):
-        acc = RatSum()
-        for s in r:
-            acc.addmul(W[s][j], P[s][i][k])
-            acc.addmul(W[s][k], P[s][i][j], -1)
-            acc.addmul(W[i][s], P[j][s][k] - P[k][s][j], -1)
-        return acc.value()
-
-    return W, d, _antisymmetric(entry, len(V))
+    dW, dD = _grad(W, n), _grad(D, n)
+    P = _table(n, 3, lambda s, i, k: dW[i][k][s] * D - W[i][k] * dD[s])
+    N = _einsum(_Scatter(), "sj,sik->ijk", W, P, keep=_lt)
+    _einsum(N, "sk,sij->ijk", W, P, -1, keep=_lt)
+    _einsum(N, "is,sjk->ijk", W, _table(n, 3, lambda s, j, k: P[j][s][k] - P[k][s][j], _lt), -1)
+    return W, d, _antisymmetric(N.entry, n)
 
 
 def nijenhuis(V) -> tuple:
@@ -856,27 +821,15 @@ def haantjes(V) -> tuple:
     common denominator d of V = W / d, A = At / d^4, D = Dt / d^4 and H = Ht / d^5
     are polynomial sums, for j < k only; each entry of H is reduced once."""
     W, d, N = _nijenhuis_numerator(V)
-    r = range(len(W))
+    n = len(W)
     A = _contract(_swap(W), N, 1)
-
-    def d_entry(p, j, k):
-        total = RatSum(A[p][k][j] - A[p][j][k])
-        for q in r:
-            total.addmul(W[p][q], N[q][j][k])
-        return total.value()
-
-    D = {(p, j, k): d_entry(p, j, k) for p in r for j, k in itertools.combinations(r, 2)}
+    D = _einsum(_Scatter(), "pkj->pjk", A, keep=_lt)
+    _einsum(D, "pjk->pjk", A, k=-1, keep=_lt)
+    D = _einsum(D, "pq,qjk->pjk", W, N, keep=_lt).tensor(n, 3)
     del N  # H needs only A and D: drop N before H is built
-
-    def entry(i, j, k):
-        total = RatSum()
-        for q in r:
-            total.addmul(A[i][j][q], W[q][k])
-        for p in r:
-            total.addmul(W[i][p], D[p, j, k])
-        return ratfunc_over(total.value().num, d, 5)
-
-    return _antisymmetric(entry, len(W))
+    H = _einsum(_Scatter(), "ijq,qk->ijk", A, W, keep=_lt)
+    _einsum(H, "ip,pjk->ijk", W, D)
+    return _antisymmetric(lambda i, j, k: ratfunc_over(H.entry(i, j, k).num, d, 5), n)
 
 
 def linear_degeneracy_check(V) -> ConditionReport:
@@ -889,28 +842,23 @@ def linear_degeneracy_check(V) -> ConditionReport:
     G_k = G_{k-1} W + d grad F_k - k F_k grad d polynomial; G_n is reduced once per column.
     """
     W, d, F = _char_numerators(as_matrix(V))
-    r = range(len(W))
-    rep = ConditionReport("linear-degeneracy")
+    n = len(W)
     D = RatFunc._new(d, Poly.one())
-    grad_d = _grad(D, len(W))
-    G = [RatFunc.zero() for _ in r]
-    Wt = _swap(W)
+    grad_d = _grad(D, n)
+    G = (_ZERO,) * n
     for k, f in enumerate(F, 1):
-        grad_f = _grad(f, len(W))
-        G = [_dot((*G, D, f), (*Wt[col], grad_f[col], grad_d[col] * -k)) for col in r]
-    for col in r:
-        rep.add("characteristic-contraction", (col,), ratfunc_over(G[col].num, d, len(W) + 1))
+        acc = _einsum(_Scatter(), "s,sc->c", G, W)
+        _einsum(acc, ",c->c", D, _grad(f, n))
+        G = _einsum(acc, ",c->c", f, grad_d, -k).tensor(n, 1)
+    rep = ConditionReport("linear-degeneracy")
+    rep.add_all("characteristic-contraction", n, 1, lambda c: ratfunc_over(G[c].num, d, n + 1))
     return rep
 
 
 def haantjes_zero_check(V) -> ConditionReport:
     rep = ConditionReport("haantjes-zero")
     H = haantjes(V)
-    n = len(H)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                rep.add("haantjes", (i, j, k), H[i][j][k])
+    rep.add_all("haantjes", len(H), 3, lambda i, j, k: H[i][j][k], _lt)
     return rep
 
 

@@ -10,7 +10,7 @@ out-of-range indices raise InputError, which the CLI reports with exit 2.
 ``compat(problem)``, ``bivector(ctx)`` and ``fluxes(ansatz, classify)``; a
 method that does not apply to the kind raises InputError.
 ``Problem.covering()`` is the system's cotangent covering with the declared
-symmetries registered.
+symmetries registered; a declared entry that is not a symmetry is an InputError naming it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .covering import (BivectorForm, EvolutionSystem, bivector_residual, build_cotangent,
                        operator_to_bivector)
-from .errors import InputError
+from .errors import InputError, NotASymmetryError
 from .geometry import (Connection, Metric, SecondOrderData, ThirdOrderData,
                        first_order_hamiltonian_check, first_order_operator,
                        nonlocal_first_order_check, second_order_canonical_check,
@@ -94,8 +94,11 @@ class Problem:
     def covering(self):
         """The system's cotangent covering with the declared symmetries registered."""
         ctx = build_cotangent(self.system)
-        for phi in self.symmetries:
-            ctx.register_symmetry(phi)
+        for a, phi in enumerate(self.symmetries, 1):
+            try:
+                ctx.register_symmetry(phi)
+            except NotASymmetryError:
+                raise InputError(f"symmetry {a} is not a symmetry of the system") from None
         return ctx
 
 

@@ -879,11 +879,13 @@ class IntSum:
     polynomials multiplies their integer forms (``Poly.ints``) through ``add_terms`` in
     ``addmul_ints``, with no ``Fraction`` arithmetic: k/(d_a*d_b) is reduced once to p/r and
     ``den`` grows to lcm(den, r), scaling every numerator held, only when r does not divide
-    it.  A term with a non-constant denominator joins its key's running RatFunc sum in
-    ``rats``; a rational product is formed by RatFunc ``*`` and added by ``add_term``, so one
-    whose denominator cancels joins the numerators.  ``pop(key)`` takes key out and makes its
-    coefficient once: ``poly_from_ints(den, numerators)`` plus its rational part, zero where
-    nothing landed or everything cancelled.
+    it.  A term with a non-constant denominator joins, in ``rats``, the numerator sum
+    [den, num, reduced] of its key's terms over the same denominator, so terms over one
+    denominator add as polynomials, with no gcd; a rational product is formed by RatFunc
+    ``*`` and added by ``add_term``, so one whose denominator cancels joins the numerators.
+    ``pop(key)`` takes key out and makes its coefficient once: ``poly_from_ints(den,
+    numerators)`` plus each denominator's sum, reduced once if it holds more than one term;
+    zero where nothing landed or everything cancelled.
     """
 
     __slots__ = ("terms", "den", "rats")
@@ -920,9 +922,14 @@ class IntSum:
             return self.addmul_ints(key, form, _ONE, k)
         if type(acc) is not dict:
             self._numerators(key, acc)
-        c = c * k if k != 1 else c
-        rest = self.rats.get(key)
-        self.rats[key] = c if rest is None else rest + c
+        num = c.num * k if k != 1 else c.num
+        groups = self.rats.setdefault(key, [])
+        for group in groups:
+            if group[0] == c.den:
+                group[1] = group[1] + num
+                group[2] = False
+                return
+        groups.append([c.den, num, True])
 
     def addmul_term(self, key, a: RatFunc, b: RatFunc, k=1) -> None:
         if not (k and a.num.terms and b.num.terms):
@@ -958,8 +965,9 @@ class IntSum:
         if type(acc) is not dict:
             return _ZERO if acc is None else acc
         c = RatFunc._new(poly_from_ints(self.den, acc), Poly.one()) if acc else _ZERO
-        rest = self.rats.pop(key, None)
-        return c if rest is None else c + rest
+        for den, num, reduced in self.rats.pop(key, ()):
+            c = c + (RatFunc._new(num, den) if reduced else RatFunc(num, den))
+        return c
 
 
 class RatSum(IntSum):

@@ -272,6 +272,18 @@ def test_reduce_tail_that_is_not_a_symmetry_fails(tmp_path, capsys):
     assert "[FAIL] nonlocal-first-order" in out
 
 
+def test_declared_symmetry_that_is_not_one_is_input_error(tmp_path, capsys):
+    # the entry is named; a W u_x tail that is not a symmetry stays a failed verdict (above)
+    path = tmp_path / "symmetry.json"
+    path.write_text(json.dumps({
+        "n": 1, "system": {"type": "fluxes", "f": ["u1_x3 + u1*u1_x"]},
+        "symmetries": [["u1_x"], ["u1_xx"]], "operators": {"A": {"bivector": ["p1_x"]}}}))
+    for command in ("reduce", "check-compat"):
+        code, out, err = run([command, "--file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: symmetry 2 is not a symmetry of the system\n"
+
+
 def test_sparse_generators_are_bounded_by_the_dense_size(tmp_path, capsys):
     for n, expected in [(21, 0), (120, 2)]:
         path = tmp_path / f"n{n}.json"

@@ -513,3 +513,32 @@ def test_one_keyed_sum_pops_each_key_as_its_own_chain():
             assert_lowest_int_form(got)
             assert got.is_zero == (key in ("cancels", "never"))
         assert acc.terms == {} and acc.rats == {}
+
+
+def test_terms_over_one_denominator_add_without_a_gcd(monkeypatch):
+    """Rational terms over one denominator add as polynomials in the sum; the gcds come
+    only when the value is made, one reduction per denominator's sum."""
+    from hhokit import rational
+    rng = random.Random(935)
+    d = Poly.var(1) * 2 + Poly.var(2) + Poly.const(3)
+    e = Poly.var(2) * Poly.var(2) + Poly.var(1) + Poly.const(1)
+    ops = [(RatFunc(rand_poly(rng, 2, 2), rng.choice((d, e))), None, rng.choice(_SCALES))
+           for _ in range(12)]
+    ops += [(_over(rng.choice((1, 2)), rng.random()), None, 1) for _ in range(3)]
+    rng.shuffle(ops)
+    assert sum(not a.is_poly for a, _, _ in ops) >= 10
+    calls = []
+    gcd = rational.poly_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    acc = RatSum()
+    monkeypatch.setattr(rational, "poly_gcd", counting)
+    for a, _, k in ops:
+        acc.add(a, k)
+    assert not calls
+    got = acc.value()
+    monkeypatch.setattr(rational, "poly_gcd", gcd)
+    assert_same(got, _chain(ops))

@@ -4,12 +4,14 @@ The inputs plant zeros the way real data does: a constant lowered metric (so c =
 the Levi-Civita symbols vanish), a diagonal metric, a connection with one nonzero symbol,
 all-zero tensors and n = 1.  Dense generic inputs ride along.  Every tensor is compared
 with its literal loop by ``==`` and by ``str``, every report by its residual list and by
-the (family, indices, str) rows of it.  The loops for ``_contract`` and ``curvature`` are
-written out here; the others are the ``reference_*`` loops of ``test_geometry_oracle``.
+the (family, indices, str) rows of it.  The loops for ``_contract``, ``curvature`` and
+``_einsum`` are written out here; the others are the ``reference_*`` loops of
+``test_geometry_oracle``.
 """
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,17 +21,34 @@ from hhokit.errors import DegenerateMetricError
 from hhokit.geometry import (
     Connection,
     Metric,
+    SecondOrderData,
     ThirdOrderData,
     _contract,
+    _einsum,
+    _Scatter,
     curvature,
+    expanded_first_order_conditions,
     first_order_hamiltonian_check,
+    haantjes,
+    linear_degeneracy_check,
+    mat_mul,
+    nijenhuis,
+    nonlocal_first_order_check,
+    second_order_compat,
     third_order_compat,
     third_order_hamiltonian_check,
+    third_order_nonlocal_checks,
     tsarev_check,
 )
 from hhokit.rational import Poly, RatFunc
 
-from genutil import rand_fraction, rand_poly, random_fluxes, random_velocity
+from genutil import (
+    constant_third_order_instance,
+    rand_fraction,
+    rand_poly,
+    random_fluxes,
+    random_velocity,
+)
 from test_geometry_oracle import (
     reference_c_low,
     reference_c_up,
@@ -208,6 +227,78 @@ def test_contract_and_curvature_build_no_ratsum(monkeypatch):
     assert nonzero and not built
 
 
+def test_converted_families_build_no_ratsum(monkeypatch):
+    # every contraction of a residual family scatters into an IntSum keyed by output index;
+    # only the scalar sums of the minor expansion and the characteristic numerators are RatSums
+    rng = random.Random(68)
+    n = 2
+    metric = _lower_metric(rng, n, "dense")
+    metric.upper()  # the inverse's minor expansion is formed before counting
+    conn = Connection(metric, _dense_tensor(rng, n))
+    V, W = random_velocity(rng, n, degree=1), random_velocity(rng, n, degree=1)
+    second = SecondOrderData.from_generators(2, {}, {(1, 2): Fraction(3)})
+    third = constant_third_order_instance(rng, n)
+    third.c_mixed()
+    fluxes = random_fluxes(rng, n)
+    built = []
+    init = rational.RatSum.__init__
+
+    def counting(self, *args):
+        if sys._getframe(1).f_code.co_name not in ("minor", "_char_numerators"):
+            built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(rational.RatSum, "__init__", counting)
+    reports = [expanded_first_order_conditions(metric, conn, V),
+               nonlocal_first_order_check(metric, conn, W, V),
+               second_order_compat(second, fluxes),
+               third_order_nonlocal_checks(third, [W], [Fraction(2)], fluxes),
+               linear_degeneracy_check(V)]
+    assert not any(rep.passed for rep in reports)
+    V3 = random_velocity(rng, 3, degree=1)  # a Haantjes tensor at n = 2 is zero
+    tensors = [mat_mul(V, W), nijenhuis(V), haantjes(V3)]
+    assert all(any(not x.is_zero for x in _entries(T)) for T in tensors)
+    assert not built
+
+
+def test_flux_hessian_forms_each_mixed_derivative_once(monkeypatch):
+    # V^k_{,pl} is one RatFunc.diff for each p <= l, mirrored to (l, p); with a non-constant
+    # denominator every one of them is a quotient rule and a gcd, so none may be formed twice
+    rng = random.Random(69)
+    calls = []
+    diff = RatFunc.diff
+
+    def counting(self, vid):
+        if not self.den.is_const:
+            calls.append(vid)
+        return diff(self, vid)
+
+    def over_every_variable(n):  # so that every derivative has a non-constant denominator
+        return RatFunc.from_poly(sum((Poly.var(i + 1) * (i + 2) for i in range(n)), Poly.const(5)))
+
+    def fluxes(n):
+        return [_poly(rng, n, degree=2) / over_every_variable(n) for _ in range(n)]
+
+    monkeypatch.setattr(RatFunc, "diff", counting)
+    third = constant_third_order_instance(rng, 3)
+    cases = [(2, lambda v: second_order_compat(
+                SecondOrderData.from_generators(2, {}, {(1, 2): Fraction(1)}), v)),
+             (3, lambda v: third_order_compat(third, v))]
+    for n, check in cases:
+        vflux = fluxes(n)
+        calls.clear()
+        check(vflux)
+        # n^2 entries of the flux Jacobian, n * n(n+1)/2 distinct entries of its gradient
+        assert len(calls) == n * n + n * n * (n + 1) // 2
+    # the velocity's own Hessian in the expanded first-order families, over a constant metric
+    n = 2
+    metric = _lower_metric(rng, n, "constant")
+    V = [[_poly(rng, n, degree=2) / over_every_variable(n) for _ in range(n)] for _ in range(n)]
+    calls.clear()
+    expanded_first_order_conditions(metric, Connection.levi_civita(metric), V)
+    assert len(calls) == n ** 3 + n ** 3 * (n + 1) // 2
+
+
 def _entries(T):
     if isinstance(T, RatFunc):
         yield T
@@ -272,3 +363,102 @@ def test_third_order_reports_match_loops():
                 _same_report(got, reference_third_order_compat(d, vflux))
                 verdicts.add(got.passed)
     assert verdicts == {True, False}
+
+
+# -- the one contraction -----------------------------------------------------------------------
+
+
+def reference_einsum(spec, A, B, k, keep, n):
+    """The dense tensor k * A * B of an _einsum spec, every product over every summed index
+    formed and added in order; zero where keep refuses the output index."""
+    ins, out = spec.split("->")
+    sa, _, sb = ins.partition(",")
+    summed = sorted(set(sa + sb) - set(out))
+
+    def at(T, letters, where):
+        for c in letters:
+            T = T[where[c]]
+        return T
+
+    def entry(*index):
+        if keep is not None and not keep(*index):
+            return RatFunc.zero()
+        acc = RatFunc.zero()
+        for values in itertools.product(range(n), repeat=len(summed)):
+            where = dict(zip(out, index), **dict(zip(summed, values)))
+            term = at(A, sa, where) * k
+            acc = acc + (term if B is None else term * at(B, sb, where))
+        return acc
+
+    def table(index):
+        if len(index) == len(out):
+            return entry(*index)
+        return tuple(table(index + (i,)) for i in range(n))
+
+    return table(())
+
+
+def _matrices(rng, n):
+    single = [[RatFunc.zero()] * n for _ in range(n)]
+    single[rng.randrange(n)][rng.randrange(n)] = _poly(rng, n)
+    return [_zero_tensor(n, 2), single, [[_poly(rng, n) for _ in range(n)] for _ in range(n)]]
+
+
+def _vectors(rng, n):
+    return [_zero_tensor(n, 1), [_poly(rng, n) if i == 0 else RatFunc.zero() for i in range(n)],
+            [_poly(rng, n) for _ in range(n)]]
+
+
+_EINSUM_SPECS = [
+    # (spec, operand kinds, k, keep)
+    ("ab,bc->ac", ("matrix", "matrix"), 1, None),
+    ("ml,nk->nmlk", ("matrix", "matrix"), 1, None),  # an outer product: no shared letter
+    ("s,sc->c", ("vector", "matrix"), 1, None),  # a rank-1 operand
+    (",c->c", ("scalar", "vector"), -3, None),  # a rank-0 operand
+    ("ik,jkm->ijm", ("matrix", "cube"), Fraction(-2, 3), None),
+    ("sml,snk->nmlk", ("cube", "cube"), 1, None),
+    ("ik,kjl->ijl", ("matrix", "cube"), 2, lambda i, j, l: j < l),
+    ("kjm,ilk->ijlm", ("cube", "cube"), -1, lambda i, j, l, m: l <= m),
+    ("ijk->kij", ("cube", None), Fraction(1, 3), None),  # one operand, indices permuted
+    ("ijk->ijk", ("cube", None), -1, lambda i, j, k: j < k),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_EINSUM_SPECS)))
+def test_einsum_matches_loop(index):
+    spec, kinds, k, keep = _EINSUM_SPECS[index]
+    rng = random.Random(70 + index)
+    rank = len(spec.split("->")[1])
+    for n in (1, 2, 3):
+        operands = {"scalar": [RatFunc.zero(), _poly(rng, n)], "vector": _vectors(rng, n),
+                    "matrix": _matrices(rng, n),
+                    "cube": [_single_entry(rng, n), _zero_tensor(n, 3), _dense_tensor(rng, n)],
+                    None: [None]}
+        for A, B in itertools.product(operands[kinds[0]], operands[kinds[1]]):
+            got = _einsum(_Scatter(), spec, A, B, k, keep).tensor(n, rank)
+            _same(got, reference_einsum(spec, A, B, k, keep, n))
+
+
+def test_einsum_adds_into_one_scatter(monkeypatch):
+    # two specs into one accumulator sum like the two loops; keep prunes before the product
+    rng = random.Random(80)
+    n = 3
+    A, B = _dense_tensor(rng, n), [[_poly(rng, n) for _ in range(n)] for _ in range(n)]
+    acc = _einsum(_Scatter(), "ijk,kl->ijl", A, B, keep=lambda i, j, l: i <= l)
+    _einsum(acc, "ijk->ijk", A, k=-1, keep=lambda i, j, l: i <= l)
+    first = reference_einsum("ijk,kl->ijl", A, B, 1, lambda i, j, l: i <= l, n)
+    second = reference_einsum("ijk->ijk", A, None, -1, lambda i, j, l: i <= l, n)
+    want = tuple(tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(p, q))
+                 for p, q in zip(first, second))
+    _same(acc.tensor(n, 3), want)
+    multiplied = []
+    mul = RatFunc.__mul__
+
+    def counting(a, b):
+        multiplied.append(1)
+        return mul(a, b)
+
+    rational_A = [[[x / (RatFunc.var(1) + 2) for x in row] for row in plane] for plane in A]
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    _einsum(_Scatter(), "ijk,kl->ijl", rational_A, B, keep=lambda i, j, l: False)
+    assert not multiplied
