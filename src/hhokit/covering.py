@@ -23,7 +23,8 @@ from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
-from .jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, dm_key, even_lowered, total_x
+from .jets import (KIND_P, KIND_R, KIND_U, DiffMonomial, DiffPoly, DiffSum, dm_key, even_lowered,
+                   total_x)
 from .rational import RatFunc
 
 _SCALAR_COEFFS = (int, bool, Fraction, RatFunc)  # matched by exact type: isinstance on an ABC is slow
@@ -276,25 +277,33 @@ class CoveringContext:
 
     def total_t(self, a: DiffPoly, into: DiffSum | None = None):
         """D_t with all t-derivatives eliminated through the covering rules, as
-        a DiffPoly; when a DiffSum is given, added into it and it is returned."""
-        res = DiffSum() if into is None else into
+        a DiffPoly; when a DiffSum is given, added into it and it is returned.
+
+        By the chain rule D_t a = sum_v (da/dv) D_t v, each D_t v one covering rule named
+        by the jet variable v (kind, index, x-order): f^i for a coefficient's u^i (order
+        0, which no even factor has), D_x^k f^i for u^i_{x^k}, D_x^k p_{i,t} for p_{i,x^k}
+        and r_t for r_alpha.  The cofactors da/dv are grouped by rule, an exponent folded
+        into the coefficient; one factor taken from distinct monomials leaves distinct
+        monomials, so each group is one term dict and each rule makes one product."""
+        groups: dict = {}
         for m, c in a.terms.items():
+            even, odd = m
             for vid in c.field_vars():
-                res.addmul(DiffPoly._new({m: c.diff(vid)}), self.system.fluxes[vid - 1])
-            for pos, (jv, e) in enumerate(m.even):
-                rest = DiffPoly._new({DiffMonomial(even_lowered(m.even, pos), m.odd): c})
-                i = jv.index - 1
-                res.addmul(rest, self._dx(self._chains, ("f", i), self.system.fluxes[i],
-                                          jv.xorder), e)
-            if m.odd is not None:
-                jv = m.odd
-                rest = DiffPoly._new({DiffMonomial(m.even, None): c})
-                if jv.kind == KIND_P:
-                    i = jv.index - 1
-                    rule = self._dx(self._chains, ("pt", i), self.pt_rules[i], jv.xorder)
-                else:
-                    rule = self.slot(jv.index).rt_rule
-                res.addmul(rest, rule)
+                groups.setdefault((KIND_U, vid, 0), {})[m] = c.diff(vid)
+            for pos, (jv, e) in enumerate(even):
+                rest = DiffMonomial(even_lowered(even, pos), odd)
+                groups.setdefault(jv, {})[rest] = c * e if e > 1 else c
+            if odd is not None:
+                groups.setdefault(odd, {})[DiffMonomial(even, None)] = c
+        res = DiffSum() if into is None else into
+        for (kind, index, k), cofactor in groups.items():
+            if kind == KIND_R:
+                rule = self.slot(index).rt_rule
+            elif kind == KIND_P:
+                rule = self._dx(self._chains, ("pt", index - 1), self.pt_rules[index - 1], k)
+            else:
+                rule = self._dx(self._chains, ("f", index - 1), self.system.fluxes[index - 1], k)
+            res.addmul(DiffPoly._new(cofactor), rule)
         return res.value() if into is None else into
 
     # -- operations --------------------------------------------------------------

@@ -646,7 +646,8 @@ def _add_closure(rep, family, cl, cm, tails):
     _einsum(acc, "sml,snk->nmlk", cm, cl)
     for wl, weight in tails:
         _einsum(acc, "ml,nk->nmlk", wl, wl, weight)
-    rep.add_all(family, len(cl), 4, acc.entry)
+    for index in sorted(acc.terms):  # an index no term reached is a zero that add drops
+        rep.add(family, index, acc.pop(index))
 
 
 def third_order_hamiltonian_check(d: ThirdOrderData) -> ConditionReport:

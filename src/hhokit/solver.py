@@ -8,7 +8,6 @@ the parameters, whose reduced row echelon solution spans the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .config import SIZE_CAP
@@ -32,7 +31,7 @@ from .geometry import (
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
 from .linsolve import LinearSystemSolution, linear_solve, substitute_solution
-from .rational import Poly, RatFunc, mono_mul, var_name
+from .rational import Poly, RatFunc, _q, affine_rows, mono_mul, var_name
 
 
 @dataclass
@@ -216,30 +215,63 @@ def _free_params(sol: LinearSystemSolution, ansatz_params):
         set(ansatz_params).union(sol.free) - set(sol.pivots), key=lambda pid: -pid)
 
 
-def _unit_assignments(free_all):
-    """One assignment per free direction: that parameter 1, the others 0."""
+def _read_off(sol: LinearSystemSolution, ansatz_params, templates) -> list:
+    """The family's basis read off the pivot rows, one member per free direction f: f is
+    1, a pivot p is its coefficient of f plus its constant, every other parameter 0.
+
+    ``templates`` lists each component as {key: parameter-affine RatFunc}, read through
+    ``affine_rows``; a member lists each as {key: coefficient}, zeros dropped, each
+    coefficient rebuilt over its template denominator by ``RatFunc(num, den)``, so
+    reduced as a substitution of the solution would leave it."""
+    free_all = _free_params(sol, ansatz_params)
+    common = {0: 1}  # the parameter-free part, and each pivot's nonzero constant
+    along = {f: {f: 1} for f in free_all}  # per direction, the pivots that hold it
+    for p, (coeffs, const) in sol.pivots.items():
+        if const:
+            common[p] = const
+        for f, a in coeffs.items():
+            along[f][p] = a + const
+    rows = [[(key, c.den, affine_rows(c.num.terms)) for key, c in t.items()] for t in templates]
+    basis = []
     for f in free_all:
-        yield {p: Fraction(int(p == f)) for p in free_all}
+        value = {**common, **along[f]}  # every parameter not here is 0
+        member = []
+        for comp in rows:
+            out = {}
+            for key, den, by_u in comp:
+                num = {}
+                for u, row in by_u.items():
+                    s = 0
+                    for p, c in row.items():
+                        v = value.get(p)
+                        if v is not None:
+                            s += c * v
+                    if s:
+                        num[u] = _q(s)
+                if num:
+                    out[key] = RatFunc(Poly._new(num), den)
+            member.append(out)
+        basis.append(member)
+    return basis
 
 
 def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
-    """All members of the template whose covering residual vanishes."""
+    """All members of the template whose covering residual vanishes: the residual's
+    conditions are solved, and the basis is read off the pivot rows (``_read_off``)."""
     for i, f in enumerate(system.fluxes, 1):
         _refuse_parameters(f"flux {i}", f.terms.values())
     residual = bivector_residual(build_cotangent(system), BivectorForm(ansatz.components))
     sol = linear_solve(extract_conditions(residual))
-    free_all = _free_params(sol, ansatz.params)
-    generic = [{m: substitute_solution(c, sol) for m, c in comp.terms.items()}
-               for comp in ansatz.components] if free_all else []
-    basis = tuple(tuple(DiffPoly({m: c.subs_params(values) for m, c in comp.items()})
-                        for comp in generic)
-                  for values in _unit_assignments(free_all))
-    return SolutionFamily(substitution=sol, basis=basis, dimension=len(free_all))
+    basis = tuple(tuple(DiffPoly._new(comp) for comp in member)
+                  for member in _read_off(sol, ansatz.params,
+                                          [comp.terms for comp in ansatz.components]))
+    return SolutionFamily(substitution=sol, basis=basis, dimension=len(basis))
 
 
-def _classify_family(generic, with_square):
-    """Classification of the generic member (free parameters kept symbolic)."""
-    V = flux_jacobian(generic)
+def _classify_family(ansatz: FluxAnsatz, sol, with_square):
+    """Classification of the generic member, the solution substituted with its free
+    parameters kept symbolic."""
+    V = flux_jacobian(tuple(substitute_solution(comp, sol) for comp in ansatz.components))
     out = {"linear-degeneracy": linear_degeneracy_check(V),
            "haantjes-zero": haantjes_zero_check(V)}
     if with_square:
@@ -249,14 +281,14 @@ def _classify_family(generic, with_square):
 
 def _flux_family(ansatz: FluxAnsatz, rep, classify: bool,
                  with_square: bool) -> SolutionFamily:
-    """Solve the residuals of ``rep`` for the ansatz parameters and span the family."""
+    """Solve the residuals of ``rep`` for the ansatz parameters and read the basis off the
+    pivot rows; only a classification forms the generic member."""
     sol = linear_solve([rf for _, _, rf in rep.residuals])
-    free_all = _free_params(sol, ansatz.params)
-    generic = tuple(substitute_solution(comp, sol) for comp in ansatz.components)
-    basis = tuple(tuple(g.subs_params(values) for g in generic)
-                  for values in _unit_assignments(free_all))
-    classification = _classify_family(generic, with_square) if classify else None
-    return SolutionFamily(substitution=sol, basis=basis, dimension=len(free_all),
+    basis = tuple(tuple(comp.get((), RatFunc.zero()) for comp in member)
+                  for member in _read_off(sol, ansatz.params,
+                                          [{(): comp} for comp in ansatz.components]))
+    classification = _classify_family(ansatz, sol, with_square) if classify else None
+    return SolutionFamily(substitution=sol, basis=basis, dimension=len(basis),
                           classification=classification)
 
 

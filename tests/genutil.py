@@ -91,9 +91,13 @@ def flat_first_order_instance(rng, n, constant_jacobian=False):
 
 def hessian_velocity(rng, n, J, Jinv, ubar, degree=3):
     """Velocity matrix satisfying the compatibility pair by construction:
-    a Hessian in the flat coordinates, pulled back as a (1,1)-tensor."""
-    h = rand_poly(rng, n, degree, terms=5)
-    hess = [[h.diff(i + 1).diff(j + 1) for j in range(n)] for i in range(n)]
+    a Hessian in the flat coordinates, pulled back as a (1,1)-tensor.  h is drawn
+    again while its Hessian is zero, so the velocity is never zero."""
+    while True:
+        h = rand_poly(rng, n, degree, terms=5)
+        hess = [[h.diff(i + 1).diff(j + 1) for j in range(n)] for i in range(n)]
+        if any(not x.is_zero for row in hess for x in row):
+            break
 
     def compose(p):
         total = RatFunc.zero()

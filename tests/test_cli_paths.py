@@ -5,7 +5,7 @@ check-compat, classify and reduce.  The cases here pin the other paths: the
 ``--full`` switch, ``find-fluxes`` on operators of the wrong kind and on the
 n=4 second-order family (its classification runs ``haantjes`` with free
 parameters in V), ``find-bivectors`` on KdV and on the cyclic n=3 system (each
-basis member is formed by ``Poly.subs_params``), check-compat refusals and
+basis member is read off the pivot rows), check-compat refusals and
 failures, ``reduce`` over two operators whose tails share one covering, a
 third-order operator with tails ``w`` (their symmetry residuals are
 linearizations on the potential covering), ``find-fluxes`` on a third-order

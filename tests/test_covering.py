@@ -21,10 +21,10 @@ from hhokit.errors import NotASymmetryError
 from hhokit.geometry import (Connection, Metric, ThirdOrderData, first_order_operator,
                              tail_characteristic, third_order_nonlocal_checks)
 from hhokit.grammar import parse, parse_scalar
-from hhokit.jets import DiffPoly, total_x
+from hhokit.jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, even_lowered, total_x
 from hhokit.rational import Poly, RatFunc
 
-from genutil import rand_diffpoly, rand_poly
+from genutil import rand_diffpoly, rand_poly, rand_ratfunc
 
 
 def kdv_system():
@@ -326,6 +326,62 @@ def test_dx_dt_commute_on_hydrodynamic_covering():
     ctx.register_symmetry((parse("u1_x + u2_x"), parse("u1_x + u2_x")))
     for _ in range(50):
         _commutation_case(ctx, rng, 2, slots=1)
+
+
+# -- D_t by rule against one product per term and factor ------------------------------------
+
+
+def _per_term_total_t(ctx, a):
+    """D_t as the covering formed it before grouping by rule: one product per term and
+    differentiated factor, an even factor's exponent given as the product's scalar."""
+    ladders = {}
+
+    def dx(key, base, k):
+        ladder = ladders.setdefault(key, [base])
+        while len(ladder) <= k:
+            ladder.append(ctx.total_x(ladder[-1]))
+        return ladder[k]
+
+    res = DiffSum()
+    for m, c in a.terms.items():
+        for vid in c.field_vars():
+            res.addmul(DiffPoly._new({m: c.diff(vid)}), ctx.system.fluxes[vid - 1])
+        for pos, (jv, e) in enumerate(m.even):
+            rest = DiffPoly._new({DiffMonomial(even_lowered(m.even, pos), m.odd): c})
+            res.addmul(rest, dx(("f", jv.index), ctx.system.fluxes[jv.index - 1], jv.xorder), e)
+        if m.odd is not None:
+            jv = m.odd
+            rest = DiffPoly._new({DiffMonomial(m.even, None): c})
+            if jv.kind == KIND_P:
+                rule = dx(("pt", jv.index), ctx.pt_rules[jv.index - 1], jv.xorder)
+            else:
+                rule = ctx.slot(jv.index).rt_rule
+            res.addmul(rest, rule)
+    return res.value()
+
+
+def test_total_t_by_rule_matches_per_term_products():
+    rng = random.Random(25)
+    kdv = build_cotangent(kdv_system())
+    kdv.register_symmetry((parse("u1_x"),))  # the x-translation, potential r1
+    V = [[parse_scalar(s) for s in row] for row in [["u1/u2", "u2"], ["1", "u1"]]]
+    hydro = build_cotangent(EvolutionSystem.hydrodynamic(V))
+    square = DiffPoly.jet(1, 1) ** 2
+    seen = {"denominator": 0, "power": 0, "r1": 0}
+    p_orders = set()
+    for ctx, nvars, slots in ((kdv, 1, 1), (hydro, 2, 0)):
+        for _ in range(30):
+            a = (rand_diffpoly(rng, nvars=nvars, max_order=3, terms=4, slots=slots)
+                 * DiffPoly.from_scalar(rand_ratfunc(rng, nvars))
+                 + rand_diffpoly(rng, nvars=nvars, max_order=3, terms=3, slots=slots) * square)
+            for m, c in a.terms.items():
+                seen["denominator"] += not c.den.is_const
+                seen["power"] += any(e >= 2 for _, e in m.even)
+                seen["r1"] += m.odd is not None and m.odd.kind != KIND_P
+                if m.odd is not None and m.odd.kind == KIND_P:
+                    p_orders.add(m.odd.xorder)
+            assert ctx.total_t(a) == _per_term_total_t(ctx, a)
+    assert min(seen.values()) >= 5 and p_orders == {0, 1, 2, 3}
 
 
 # -- operator application ---------------------------------------------------------------------

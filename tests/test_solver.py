@@ -248,41 +248,85 @@ def _assign_free(rf, sol, assignment, free):
     return out.subs_params(values) if values else out
 
 
-def _reference_operator_basis(ansatz, fam):
-    from hhokit.jets import DiffPoly
+def _reference_basis(sol, params, templates):
+    """The basis as substitution forms it: per free direction f, each template coefficient
+    {key: RatFunc} with the solution substituted and then f = 1, every other free
+    parameter 0; the zero coefficients dropped."""
     from hhokit.solver import _free_params
-    free_all = _free_params(fam.substitution, ansatz.params)
+    free_all = _free_params(sol, params)
     basis = []
     for f in free_all:
         member = []
-        for comp in ansatz.components:
-            out = DiffPoly.zero()
-            for m, c in comp.terms.items():
-                c2 = _assign_free(c, fam.substitution, {f: 1}, free_all)
-                if not c2.is_zero:
-                    out = out + DiffPoly.monomial(m, c2)
-            member.append(out)
-        basis.append(tuple(member))
-    return tuple(basis)
+        for template in templates:
+            coeffs = {key: _assign_free(c, sol, {f: 1}, free_all) for key, c in template.items()}
+            member.append({key: c for key, c in coeffs.items() if not c.is_zero})
+        basis.append(member)
+    return basis
 
 
-def _cyclic_system():
-    V = [["u1", "u2", "u3"], ["u2", "u3", "u1"], ["u3", "u1", "u2"]]
-    return EvolutionSystem.hydrodynamic([[parse_scalar(x) for x in row] for row in V])
+def _assert_same_basis(got, expected):
+    assert got == expected
+    assert [[{k: str(c) for k, c in comp.items()} for comp in m] for m in got] == \
+        [[{k: str(c) for k, c in comp.items()} for comp in m] for m in expected]
 
 
-@pytest.mark.parametrize("system, n, order, degree", [
-    (EvolutionSystem.general([parse("u1_x3 + u1*u1_x")]), 1, 5, 2),
-    (_cyclic_system(), 3, 1, 1),
-], ids=["kdv-o5", "cyclic-o1"])
-def test_operator_basis_matches_per_parameter_substitution(system, n, order, degree):
+# ladder rung -> its pinned dimension; "cyclic-o1" is the ladder's labelling class 1
+LADDER_DIMS = {"kdv-o5": 2, "kdv5-o7": 2, "cyclic-o1-L1": 4, "cyclic-o1-L2": 4, "cyclic-o1-L3": 4}
+
+
+@pytest.mark.parametrize("rung", ["kdv-o5", "kdv5-o7", pytest.param("cyclic-o1-L1", id="cyclic-o1"),
+                                  "cyclic-o1-L2", "cyclic-o1-L3"])
+def test_operator_basis_matches_per_parameter_substitution(rung):
+    from hhokit.jets import DiffPoly
+    from test_ladder_pins import RUNGS
+    system, n, order, degree, _ = RUNGS[rung]
     ansatz = make_operator_ansatz(n, order, degree)
-    fam = find_bivectors(system, ansatz)
-    expected = _reference_operator_basis(ansatz, fam)
-    assert fam.dimension == len(expected) >= 1
+    fam = find_bivectors(system(), ansatz)
+    expected = tuple(tuple(DiffPoly(comp) for comp in member) for member in _reference_basis(
+        fam.substitution, ansatz.params, [comp.terms for comp in ansatz.components]))
+    assert fam.dimension == len(expected) == LADDER_DIMS[rung]
     assert fam.basis == expected
     assert [[format_diffpoly(c) for c in m] for m in fam.basis] == \
         [[format_diffpoly(c) for c in m] for m in expected]
+
+
+def test_read_off_matches_per_parameter_substitution_on_made_solutions():
+    from hhokit.linsolve import LinearSystemSolution
+    from hhokit.solver import _read_off
+    ansatz = make_operator_ansatz(1, 1, 1)  # c1..c4: {1, u1} times p1_x and u1_x*p1
+    templates = [comp.terms for comp in ansatz.components]
+    cases = [
+        # a pivot with a constant: it enters every direction
+        (LinearSystemSolution(pivots={-1: ({-3: Fraction(2, 3)}, Fraction(-5, 2)),
+                                      -2: ({-3: Fraction(1), -4: Fraction(1, 2)}, Fraction(0))},
+                              free=[-3, -4]), 2),
+        # c3 and c4 are mentioned by no equation
+        (LinearSystemSolution(pivots={-1: ({-2: Fraction(-1)}, Fraction(0))}, free=[-2]), 3),
+        (LinearSystemSolution(inconsistent=True), 0),
+    ]
+    for sol, dim in cases:
+        expected = _reference_basis(sol, ansatz.params, templates)
+        assert len(expected) == dim
+        _assert_same_basis(_read_off(sol, ansatz.params, templates), expected)
+
+
+@pytest.mark.parametrize("residual, dim", [
+    ("c1*u1 - c2*u1", 2),  # c1 = c2, and c3 (the u1^2 coefficient) in no equation
+    ("c1 - 3/2 + c3*u1", 1),  # c1 = 3/2, a pivot constant, and c3 = 0
+    ("c1*u1 + u1^2", 0),  # the u1^2 row reads 1 = 0: inconsistent
+], ids=["unmentioned", "constant", "inconsistent"])
+def test_flux_basis_matches_per_parameter_substitution(residual, dim):
+    from hhokit.geometry import ConditionReport
+    from hhokit.solver import _flux_family
+    rep = ConditionReport("made")
+    rep.add(residual, (0,), parse_scalar(residual))
+    ansatz = make_flux_ansatz(1, 2, denominator=Poly.var(1) + 1)
+    fam = _flux_family(ansatz, rep, classify=False, with_square=False)
+    expected = _reference_basis(fam.substitution, ansatz.params,
+                                [{(): comp} for comp in ansatz.components])
+    assert fam.dimension == len(expected) == dim
+    got = [[{(): c} for c in member if not c.is_zero] for member in fam.basis]
+    _assert_same_basis(got, [[comp for comp in member if comp] for member in expected])
 
 
 def test_flux_basis_and_classification_match_per_parameter_substitution():
@@ -290,14 +334,14 @@ def test_flux_basis_and_classification_match_per_parameter_substitution():
     from hhokit.geometry import char_square_check, haantjes_zero_check, \
         linear_degeneracy_check
     from hhokit.linsolve import substitute_solution
-    from hhokit.solver import _free_params
+    # the n4-second-order example: coefficients over u3
     d = SecondOrderData.from_generators(4, {(1, 2, 3): 1}, {(3, 4): 1})
     ansatz = make_flux_ansatz(4, 2, denominator=Poly.var(3))
     fam = find_fluxes_second_order(d, ansatz, classify=True)
     sol = fam.substitution
-    free_all = _free_params(sol, ansatz.params)
-    expected = tuple(tuple(_assign_free(comp, sol, {f: 1}, free_all) for comp in ansatz.components)
-                     for f in free_all)
+    expected = tuple(tuple(comp.get((), RatFunc.zero()) for comp in member)
+                     for member in _reference_basis(sol, ansatz.params,
+                                                    [{(): comp} for comp in ansatz.components]))
     assert fam.dimension == len(expected) == 10
     assert fam.basis == expected
     assert [[str(c) for c in m] for m in fam.basis] == [[str(c) for c in m] for m in expected]
