@@ -12,7 +12,8 @@ r_t, which is how weakly nonlocal operator tails are handled.  Both p_t and
 r_t integrate a p_i by parts for each band a d^sigma of l_F, so both read one
 ladder D_x^0..sigma(a p_i) per band.  Every such chain, and that of a flux, a
 p_t rule or an argument of l_F, is kept in one kind of memo,
-``CoveringContext._dx``.
+``CoveringContext._dx``.  D_t and the bands of l_F are read off one chain-rule
+table, ``jets.jet_gradient``, as ``jets.total_x`` is.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
-from .jets import (KIND_P, KIND_R, KIND_U, DiffMonomial, DiffPoly, DiffSum, dm_key, even_lowered,
+from .jets import (KIND_P, KIND_R, KIND_U, DiffPoly, DiffSum, dm_key, gradient_entry, jet_gradient,
                    total_x)
 from .rational import RatFunc
 
@@ -114,9 +115,12 @@ def linearization(system: EvolutionSystem) -> "LocalOperator":
     if system.kind == "potential":
         jac = system.jacobian()
         return LocalOperator.build(n, [[((jac[i][j], 1),) for j in range(n)] for i in range(n)])
-    return LocalOperator.build(n, [[[(f.partial_jet(j, sigma), sigma)
-                                     for sigma in range(f.max_jet_order() + 1)]
-                                    for j in range(1, n + 1)] for f in system.fluxes])
+    rows = []
+    for f in system.fluxes:
+        grad = jet_gradient(f)
+        rows.append([[(gradient_entry(grad.get((KIND_U, j, sigma), {})), sigma)
+                      for sigma in range(f.max_jet_order() + 1)] for j in range(1, n + 1)])
+    return LocalOperator.build(n, rows)
 
 
 @dataclass(frozen=True)
@@ -279,31 +283,20 @@ class CoveringContext:
         """D_t with all t-derivatives eliminated through the covering rules, as
         a DiffPoly; when a DiffSum is given, added into it and it is returned.
 
-        By the chain rule D_t a = sum_v (da/dv) D_t v, each D_t v one covering rule named
-        by the jet variable v (kind, index, x-order): f^i for a coefficient's u^i (order
-        0, which no even factor has), D_x^k f^i for u^i_{x^k}, D_x^k p_{i,t} for p_{i,x^k}
-        and r_t for r_alpha.  The cofactors da/dv are grouped by rule, an exponent folded
-        into the coefficient; one factor taken from distinct monomials leaves distinct
-        monomials, so each group is one term dict and each rule makes one product."""
-        groups: dict = {}
-        for m, c in a.terms.items():
-            even, odd = m
-            for vid in c.field_vars():
-                groups.setdefault((KIND_U, vid, 0), {})[m] = c.diff(vid)
-            for pos, (jv, e) in enumerate(even):
-                rest = DiffMonomial(even_lowered(even, pos), odd)
-                groups.setdefault(jv, {})[rest] = c * e if e > 1 else c
-            if odd is not None:
-                groups.setdefault(odd, {})[DiffMonomial(even, None)] = c
+        By the chain rule D_t a = sum_v (da/dv) D_t v over ``jets.jet_gradient(a)``, each
+        D_t v one covering rule named by the jet variable v (kind, index, x-order): f^i for a
+        coefficient's u^i, D_x^k f^i for u^i_{x^k}, D_x^k p_{i,t} for p_{i,x^k} and r_t for
+        r_alpha.  Each da/dv is one term dict, its exponents folded into the coefficients,
+        so each rule makes one product."""
         res = DiffSum() if into is None else into
-        for (kind, index, k), cofactor in groups.items():
+        for (kind, index, k), cofactors in jet_gradient(a).items():
             if kind == KIND_R:
                 rule = self.slot(index).rt_rule
             elif kind == KIND_P:
                 rule = self._dx(self._chains, ("pt", index - 1), self.pt_rules[index - 1], k)
             else:
                 rule = self._dx(self._chains, ("f", index - 1), self.system.fluxes[index - 1], k)
-            res.addmul(DiffPoly._new(cofactor), rule)
+            res.addmul(gradient_entry(cofactors), rule)
         return res.value() if into is None else into
 
     # -- operations --------------------------------------------------------------

@@ -19,7 +19,7 @@ was given.  The classifiers work on polynomial numerators over one common denomi
 V = W / d, each entry reduced once against a power of d (``ratfunc_over``).  A tensor is
 differentiated through one table, ``_grad``, each entry only by the field variables it
 holds; a second derivative through ``_hessian``, which forms each unordered pair once and
-mirrors it.
+mirrors it.  The third-order operator's coefficients are differentiated by ``jets.total_x``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from .config import SIZE_CAP
 from .covering import BivectorForm, CoveringContext, EvolutionSystem, LocalOperator, flux_jacobian
 from .errors import DegenerateMetricError, InputError
-from .jets import DiffPoly, DiffSum, dm_mul, mono, pjet, ujet
+from .jets import DiffPoly, mono, pjet, total_x, ujet
 from .rational import _ZERO, IntSum, Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -483,7 +483,7 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
 def tail_characteristic(W) -> tuple:
     """The characteristic W u_x (component i is sum_j W[i][j] u^j_x) of the
     symmetry that generates a nonlocal tail."""
-    ux = _jet_monomials(len(W), 1)
+    ux = _ux_monomials(len(W))
     return tuple(DiffPoly(dict(zip(ux, row))) for row in as_matrix(W))
 
 
@@ -739,16 +739,16 @@ def potentialize(system: EvolutionSystem) -> EvolutionSystem:
     return EvolutionSystem.potential(system.flux_potentials)
 
 
-def _jet_monomials(n, xorder) -> list:
-    """The monomials u^1_{x^xorder}, ..., u^n_{x^xorder}."""
-    return [mono([(ujet(k + 1, xorder), 1)]) for k in range(n)]
+def _ux_monomials(n) -> list:
+    """The monomials u^1_x, ..., u^n_x."""
+    return [mono([(ujet(k + 1, 1), 1)]) for k in range(n)]
 
 
 def first_order_operator(metric: Metric, conn: Connection) -> LocalOperator:
     """g^{ij} d_x + Gamma^{ij}_k u^k_x as a LocalOperator."""
     n = metric.n
     g = metric.upper()
-    ux = _jet_monomials(n, 1)
+    ux = _ux_monomials(n)
     entries = tuple(tuple(((DiffPoly.from_scalar(g[i][j]), 1),
                            (DiffPoly(dict(zip(ux, conn.gamma[i][j]))), 0))
                           for j in range(n)) for i in range(n))
@@ -756,25 +756,17 @@ def first_order_operator(metric: Metric, conn: Connection) -> LocalOperator:
 
 
 def third_order_operator(d: ThirdOrderData) -> LocalOperator:
-    """d_x (g^{ij} d_x + c^{ij}_k u^k_x) d_x expanded as a LocalOperator."""
-    n = d.n
-    g = d.metric.upper()
-    c = d.c_up
-    ux, uxx = _jet_monomials(n, 1), _jet_monomials(n, 2)
-    dg, dc = _grad(g, n), _grad(c, n)
+    """d_x (g^{ij} d_x + c^{ij}_k u^k_x) d_x expanded as a LocalOperator: with A = g^{ij}
+    and B = c^{ij}_k u^k_x it is A d^3 + (D_x A + B) d^2 + (D_x B) d."""
+    ux = _ux_monomials(d.n)
     entries = []
-    for i in range(n):
+    for g_row, c_row in zip(d.metric.upper(), d.c_up):
         row = []
-        for j in range(n):
-            second = DiffPoly({ux[k]: dg[i][j][k] + c[i][j][k] for k in range(n)})
-            first = DiffSum()
-            for (k,), cijk in _nonzero(c[i][j], 1):
-                first.add_term(uxx[k], cijk)
-                for (l,), dcl in _nonzero(dc[i][j][k], 1):
-                    first.add_term(dm_mul(ux[l], ux[k]), dcl)
-            row.append(((DiffPoly.from_scalar(g[i][j]), 3), (second, 2), (first.value(), 1)))
+        for g, c in zip(g_row, c_row):
+            A, B = DiffPoly.from_scalar(g), DiffPoly(dict(zip(ux, c)))
+            row.append(((A, 3), (total_x(A) + B, 2), (total_x(B), 1)))
         entries.append(tuple(row))
-    return LocalOperator(n=n, entries=tuple(entries)).normalized()
+    return LocalOperator(n=d.n, entries=tuple(entries)).normalized()
 
 
 def second_order_potential_bivector(d: SecondOrderData) -> BivectorForm:

@@ -16,7 +16,10 @@ and calculus.
 
 Every sum of products here (a product, ``total_x``, the covering's ``total_t``
 and residuals) is formed in place in one ``DiffSum``, the ``rational.IntSum``
-keyed by differential monomial, whose docstring describes the layout.
+keyed by differential monomial, whose docstring describes the layout.  The chain
+rule lives in one table, ``jet_gradient``, the partials da/dv by jet variable:
+``total_x``, ``DiffPoly.partial_jet``, the covering's ``total_t`` and its
+linearization all read it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class DiffMonomial(NamedTuple):
 
 
 EMPTY_MONO = DiffMonomial((), None)
-_new_mono = tuple.__new__  # DiffMonomial's own __new__ is a Python call
+_new_mono = _new_jet = tuple.__new__  # a NamedTuple's own __new__ is a Python call
 
 
 def mono(even=(), odd=None) -> DiffMonomial:
@@ -128,12 +131,6 @@ def even_lowered(even: tuple, pos: int) -> tuple:
     if e > 1:
         return even[:pos] + ((jv, e - 1),) + even[pos + 1:]
     return even[:pos] + even[pos + 1:]
-
-
-def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
-    if m1.odd is not None and m2.odd is not None:
-        raise OddDegreeError("odd degree overflow")
-    return DiffMonomial(_even_mul(m1.even, m2.even), m1.odd or m2.odd)
 
 
 class DiffSum(IntSum):
@@ -278,21 +275,7 @@ class DiffPoly(SparsePoly):
 
     def partial_jet(self, index: int, xorder: int) -> "DiffPoly":
         """Formal partial derivative wrt u{index} (xorder 0) or its jet."""
-        # distinct monomials stay distinct under either derivative, so nothing adds up
-        res: dict = {}
-        if xorder == 0:
-            for m, c in self.terms.items():
-                dc = c.diff(index)
-                if not dc.is_zero:
-                    res[m] = dc
-            return DiffPoly._new(res)
-        target = ujet(index, xorder)
-        for m, c in self.terms.items():
-            for pos, (jv, e) in enumerate(m.even):
-                if jv == target:
-                    res[DiffMonomial(even_lowered(m.even, pos), m.odd)] = c * e
-                    break
-        return DiffPoly._new(res)
+        return gradient_entry(jet_gradient(self).get((KIND_U, index, xorder), {}))
 
     def __str__(self):
         from .grammar import format_diffpoly
@@ -307,36 +290,57 @@ def _raise_order(jv: JetVar, cap: int) -> JetVar:
     return JetVar(jv.kind, jv.index, jv.xorder + 1)
 
 
-def _bump_even(m: DiffMonomial, pos: int, cap: int) -> DiffMonomial:
-    raised = _raise_order(m.even[pos][0], cap)
-    return DiffMonomial(_even_mul(even_lowered(m.even, pos), ((raised, 1),)), m.odd)
+def jet_gradient(a: DiffPoly) -> dict:
+    """The chain-rule table of a: {jet variable v: {cofactor monomial: (coefficient,
+    exponent)}}, one entry for each variable a holds, with da/dv the sum of exponent *
+    coefficient * cofactor.  A coefficient's u^i is v = (u, i, 0), which no even factor
+    has, and holds c.diff(i) at the term's own monomial; an even factor v^e holds (c, e) at
+    the monomial with one power of v taken away, the odd factor (c, 1) at the even part.
+    One factor taken from distinct monomials leaves distinct monomials, so nothing adds up."""
+    grad: dict = {}
+    for m, c in a.terms.items():
+        even, odd = m
+        for vid in c.field_vars():
+            grad.setdefault(_new_jet(JetVar, (KIND_U, vid, 0)), {})[m] = (c.diff(vid), 1)
+        for pos, (jv, e) in enumerate(even):
+            rest = _new_mono(DiffMonomial, (even_lowered(even, pos), odd))
+            grad.setdefault(jv, {})[rest] = (c, e)
+        if odd is not None:
+            grad.setdefault(odd, {})[_new_mono(DiffMonomial, (even, None))] = (c, 1)
+    return grad
+
+
+def gradient_entry(cofactors: dict) -> DiffPoly:
+    """da/dv from jet_gradient(a)[v], each exponent folded into its coefficient."""
+    return DiffPoly._new({m: c * e if e > 1 else c for m, (c, e) in cofactors.items()})
 
 
 def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
-    """Total x-derivative.
+    """Total x-derivative D_x a = sum_v (da/dv) v_x over ``jet_gradient(a)``.
 
-    Coefficients differentiate through the chain rule u{i} -> u{i}_x, jets
-    increment their order (subject to the jet cap), and odd r variables are
-    replaced through ``rx_rules`` (a covering-owned map alpha -> DiffPoly);
-    without a rule an r derivative is an error.
+    A u or p variable v is raised one x-order (subject to the jet cap), each cofactor term
+    taking the raised variable as a new factor; an odd r variable is replaced through
+    ``rx_rules`` (a covering-owned map alpha -> DiffPoly); without a rule an r derivative
+    is an error.
     """
     if cap is None:
         cap = jet_cap()
     res = DiffSum()
-    for m, c in a.terms.items():
-        for vid in c.field_vars():
-            res.add_term(dm_mul(m, mono([(ujet(vid, 1), 1)])), c.diff(vid))
-        for pos, (jv, e) in enumerate(m.even):
-            res.add_term(_bump_even(m, pos, cap), c, e)
-        if m.odd is not None:
-            jv = m.odd
-            if jv.kind == KIND_P:
-                res.add_term(DiffMonomial(m.even, _raise_order(jv, cap)), c)
-            else:
-                if rx_rules is None or jv.index not in rx_rules:
-                    raise UnregisteredNonlocalError(
-                        f"no covering rule for the nonlocal variable r{jv.index}")
-                res.addmul(DiffPoly._new({DiffMonomial(m.even, None): c}), rx_rules[jv.index])
+    for jv, cofactors in jet_gradient(a).items():
+        if jv.kind == KIND_R:
+            if rx_rules is None or jv.index not in rx_rules:
+                raise UnregisteredNonlocalError(
+                    f"no covering rule for the nonlocal variable r{jv.index}")
+            res.addmul(gradient_entry(cofactors), rx_rules[jv.index])
+            continue
+        raised = _raise_order(jv, cap)
+        if jv.kind == KIND_P:
+            for (even, _), (c, e) in cofactors.items():
+                res.add_term(_new_mono(DiffMonomial, (even, raised)), c, e)
+        else:
+            factor = ((raised, 1),)
+            for (even, odd), (c, e) in cofactors.items():
+                res.add_term(_new_mono(DiffMonomial, (_even_mul(even, factor), odd)), c, e)
     return res.value()
 
 

@@ -8,6 +8,7 @@ the parameters, whose reduced row echelon solution spans the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, groupby
 from math import comb
 
 from .config import SIZE_CAP
@@ -122,23 +123,11 @@ def _check_size(count: int, size_cap: int):
         raise InputError(f"ansatz would need {count} parameters (cap {size_cap})")
 
 
-def _u_monomials(n: int, degree: int):
-    """All monomials in u1..un of total degree <= degree, as Poly factors."""
-    monos = [Poly.one()]
-    frontier = [Poly.one()]
-    for _ in range(degree):
-        new = []
-        seen = set()
-        for p in frontier:
-            for i in range(1, n + 1):
-                q = p * Poly.var(i)
-                key = next(iter(q.terms))
-                if key not in seen:
-                    seen.add(key)
-                    new.append(q)
-        monos.extend(new)
-        frontier = new
-    return monos
+def _u_monomials(n: int, degree: int) -> list:
+    """All monomials in u1..un of total degree <= degree, as monomial tuples, by degree and
+    then lexicographically in their sorted variables."""
+    return [tuple((v, len(list(run))) for v, run in groupby(vids)) for d in range(degree + 1)
+            for vids in combinations_with_replacement(range(1, n + 1), d)]
 
 
 def make_operator_ansatz(n: int, order: int, degree_bound: int,
@@ -156,7 +145,7 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
         raise InputError(f"ansatz would need more than {bound} parameters (cap {size_cap})")
     _check_size(n * _jet_pattern_count(n, order) * comb(n + degree_bound, n), size_cap)
     patterns = _jet_patterns(n, order)
-    coeff_monos = [next(iter(cm.terms)) for cm in _u_monomials(n, degree_bound)]
+    coeff_monos = _u_monomials(n, degree_bound)
     pid = -1
     params = []
     comps = []
@@ -187,17 +176,12 @@ def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
         raise InputError("flux denominator must not contain parameters")
     _check_size(n * comb(n + degree, n), size_cap)
     coeff_monos = _u_monomials(n, degree)
-    pid = -1
-    params = []
-    comps = []
-    for _ in range(n):
-        num = Poly.zero()
-        for cm in coeff_monos:
-            num = num + Poly.var(pid) * cm
-            params.append(pid)
-            pid -= 1
-        comps.append(RatFunc(num, den))
-    return FluxAnsatz(n=n, degree=degree, components=tuple(comps), params=tuple(params))
+    size = len(coeff_monos)
+    params = tuple(range(-1, -n * size - 1, -1))
+    comps = tuple(RatFunc(Poly._new({mono_mul(cm, ((pid, 1),)): 1
+                                     for cm, pid in zip(coeff_monos, params[i * size:])}), den)
+                  for i in range(n))
+    return FluxAnsatz(n=n, degree=degree, components=comps, params=params)
 
 
 def _refuse_parameters(name, scalars):

@@ -2,9 +2,24 @@
 
 from fractions import Fraction
 
+from hhokit.errors import OddDegreeError
 from hhokit.geometry import Connection, Metric, ThirdOrderData, as_matrix, determinant
-from hhokit.jets import DiffPoly, mono, pjet, rvar, ujet
+from hhokit.jets import (DiffMonomial, DiffPoly, _even_mul, _raise_order, even_lowered, mono, pjet,
+                         rvar, ujet)
 from hhokit.rational import Poly, RatFunc
+
+
+def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
+    """The product of two differential monomials; odd x odd raises OddDegreeError."""
+    if m1.odd is not None and m2.odd is not None:
+        raise OddDegreeError("odd degree overflow")
+    return DiffMonomial(_even_mul(m1.even, m2.even), m1.odd or m2.odd)
+
+
+def bump_even(m: DiffMonomial, pos: int, cap: int) -> DiffMonomial:
+    """m with one power of its even factor at pos raised one x-order, within the jet cap."""
+    raised = _raise_order(m.even[pos][0], cap)
+    return DiffMonomial(_even_mul(even_lowered(m.even, pos), ((raised, 1),)), m.odd)
 
 
 def rand_fraction(rng, lo=-4, hi=4, den_max=3):

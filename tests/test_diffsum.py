@@ -16,10 +16,10 @@ from hhokit import rational
 from hhokit.covering import BivectorForm, EvolutionSystem, bivector_residual, build_cotangent
 from hhokit.errors import OddDegreeError
 from hhokit.grammar import parse
-from hhokit.jets import DiffPoly, DiffSum, dm_mul
+from hhokit.jets import DiffPoly, DiffSum
 from hhokit.solver import make_operator_ansatz
 
-from genutil import rand_diffpoly
+from genutil import dm_mul, rand_diffpoly
 
 KDV5 = "u1_x5 + 5/3*u1*u1_x3 + 10/3*u1_x*u1_xx + 5/6*u1^2*u1_x"
 

@@ -7,10 +7,11 @@ import pytest
 from hhokit.config import set_jet_cap
 from hhokit.errors import JetCapError, OddDegreeError, UnregisteredNonlocalError
 from hhokit.grammar import parse
-from hhokit.jets import DiffPoly, collect, dp_mul, total_x
+from hhokit.jets import (KIND_P, KIND_R, KIND_U, DiffPoly, collect, dp_mul, jet_gradient,
+                         mono_weight, total_x)
 from hhokit.rational import RatFunc
 
-from genutil import rand_diffpoly
+from genutil import rand_diffpoly, rand_ratfunc
 
 
 def test_simple_products():
@@ -106,6 +107,49 @@ def test_partial_jet():
     assert f.partial_jet(1, 3) == DiffPoly.one()
     assert f.partial_jet(1, 2).is_zero
     assert parse("u1_x^2").partial_jet(1, 1) == parse("2*u1_x")
+
+
+def _as_poly(v) -> DiffPoly:
+    """The jet variable v as a differential polynomial."""
+    if v.kind == KIND_P:
+        return DiffPoly.odd_p(v.index, v.xorder)
+    if v.kind == KIND_R:
+        return DiffPoly.odd_r(v.index)
+    return DiffPoly.jet(v.index, v.xorder)
+
+
+def test_jet_gradient_oracle():
+    """Seeded: jet_gradient(a) holds exactly the variables of a; Euler's weight identity
+    sum_v xorder(v) v da/dv = sum_m mono_weight(m) (term m) holds, and so does its twin
+    counting the jet and odd factors; each coefficient entry (u, i, 0) is RatFunc.diff(i)."""
+    rng = random.Random(26)
+    powers = 0
+    for case in range(80):
+        a = rand_diffpoly(rng, nvars=2, max_order=3, terms=5, slots=2)
+        if case % 2:
+            a = a.scalar_mul(rand_ratfunc(rng, 2))
+        grad = jet_gradient(a)
+        held = {v for m, c in a.terms.items()
+                for v in (*(jv for jv, _ in m.even), m.odd,
+                          *((KIND_U, i, 0) for i in c.field_vars())) if v is not None}
+        assert set(grad) == held
+        weighted = counted = DiffPoly.zero()
+        for v, cofactors in grad.items():
+            if v.kind == KIND_U and v.xorder == 0:
+                continue
+            for m, (c, e) in cofactors.items():
+                powers += e > 1
+                term = DiffPoly.monomial(m, c * e) * _as_poly(v)
+                weighted += term.scalar_mul(v.xorder)
+                counted += term
+        assert weighted == DiffPoly({m: c * mono_weight(m) for m, c in a.terms.items()})
+        assert counted == DiffPoly({m: c * (sum(e for _, e in m.even) + (m.odd is not None))
+                                    for m, c in a.terms.items()})
+        for m, c in a.terms.items():
+            for i in (1, 2):
+                dc = c.diff(i)
+                assert grad.get((KIND_U, i, 0), {}).get(m) == ((dc, 1) if dc else None)
+    assert powers  # some even factor carries an exponent above 1
 
 
 def test_scalar_embedding():

@@ -15,13 +15,12 @@ from hhokit.config import jet_cap
 from hhokit.covering import EvolutionSystem, build_cotangent
 from hhokit.errors import UnregisteredNonlocalError
 from hhokit.grammar import parse, parse_scalar
-from hhokit.jets import (KIND_P, DiffMonomial, DiffPoly, _bump_even, _raise_order, dm_mul, mono,
-                         total_x, ujet)
+from hhokit.jets import KIND_P, DiffMonomial, DiffPoly, _raise_order, mono, total_x, ujet
 from hhokit.rational import RatFunc, RatSum, mono_mul, vkey
 from hhokit.rational import Poly
 from hhokit.rational import IntSum
 
-from genutil import rand_diffpoly, rand_poly, rand_ratfunc
+from genutil import bump_even, dm_mul, rand_diffpoly, rand_poly, rand_ratfunc
 
 
 def assert_exact(rf):
@@ -205,7 +204,7 @@ def ref_total_x(a, rx_rules=None, cap=None):
             if not dc.is_zero:
                 ref_add_into(res, {dm_mul(m, mono([(ujet(vid, 1), 1)])): dc})
         for pos, (jv, e) in enumerate(m.even):
-            ref_add_into(res, {_bump_even(m, pos, cap): c * e})
+            ref_add_into(res, {bump_even(m, pos, cap): c * e})
         if m.odd is not None:
             jv = m.odd
             if jv.kind == KIND_P:

@@ -1,7 +1,7 @@
 """Byte-identity guard: catalog reports, exit codes and golden output are pinned.
 
-Every catalog example runs through check-op, check-compat, classify and reduce
-with ``--json``; the sha256 of each report, the exit code and the standard
+Every catalog example runs through check-op, check-compat, classify, reduce,
+find-fluxes and find-bivectors with ``--json``; the sha256 of each report, the exit code and the standard
 error must match the values recorded here, and so must the sha256 of the
 standard output of ``examples run --all``.  A change that alters any verdict,
 report byte or error text fails this test.
@@ -14,7 +14,7 @@ import pytest
 from hhokit.catalog import examples_catalog
 from hhokit.cli import main
 
-COMMANDS = ("check-op", "check-compat", "classify", "reduce")
+COMMANDS = ("check-op", "check-compat", "classify", "reduce", "find-fluxes", "find-bivectors")
 
 # "<command> <example>" -> (exit code, report sha256 or None, standard error)
 PINNED_REPORTS = {
@@ -45,6 +45,24 @@ PINNED_REPORTS = {
     'classify third-order-flat': (1, '623820e1525ce196a5bc790af6ae1fac3a438c6cfd8521303d943b8dd3a1be83', ''),
     'classify third-order-monge': (0, '6dbbcea573dfc0eb2721405acdf38cb32894abd7d4c941a9c1df43297da40cd5', ''),
     'classify transport': (2, None, 'input error: classify needs a hydrodynamic or conservative system\n'),
+    'find-bivectors hydro2-fail': (0, '4ed75b96af3064b1e028bf39061dc7396a40b702dc3bb2819a582d1c68530b0d', ''),
+    'find-bivectors hydro2-pass': (0, '8eb35832e12e2c972fe99bdefc568fbb458684d5aa95392de9aa5feaea5e2cf5', ''),
+    'find-bivectors kdv': (0, '2b2a067d1f90c4c99001e3661529fed85a032d9202cf249336282d6260940416', ''),
+    'find-bivectors n4-second-order': (2, None, 'input error: formal parameter c1 in flux 1: a search names its own parameters c1, c2, ..., so its data must be parameter-free\n'),
+    'find-bivectors nonlocal-hydro2': (0, '1559c11755e625464cff26f19eb807a2a96de1c17c0eeeac1844438a9008dd49', ''),
+    'find-bivectors oriented-assoc': (0, '41f0122d61cba092f634d56d40e1687e0e2f43e895f2f6fd7091e572b6b9eb7a', ''),
+    'find-bivectors third-order-flat': (0, '9b51196f6dadfc51ab5a9829d529100dc9072543c5f1d4db4499c4ae5584478c', ''),
+    'find-bivectors third-order-monge': (0, '0e686be51574953a539aa0d3bc859af3c963b030579c3a5cb13f2ac0d39de8f5', ''),
+    'find-bivectors transport': (0, '6ce0b2047506077e6a269491a0f11bf1830010cce34c9265e787f25afc14ec98', ''),
+    'find-fluxes hydro2-fail': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes hydro2-pass': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes kdv': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes n4-second-order': (0, 'f4f30336594222102e625ee57ff552a91bbc2af21a3a2940efdc736d72ea4f1a', ''),
+    'find-fluxes nonlocal-hydro2': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes oriented-assoc': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes third-order-flat': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes third-order-monge': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
+    'find-fluxes transport': (2, None, 'input error: find-fluxes needs --operator NAME\n'),
     'reduce hydro2-fail': (1, '26e7c43f83af34d4d1db5c5d609c67c7bcfe95a35b286caef67ef13af6755955', ''),
     'reduce hydro2-pass': (0, 'c5a5f97c4af1803feea1049b04d4054ad705b91e230dca84842a41f3045cb5ce', ''),
     'reduce kdv': (0, 'a0ec4de0dbd6961365250893156532ebdcdc5a193a462d88f9b4220ac19d8230', ''),
