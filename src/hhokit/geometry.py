@@ -86,9 +86,11 @@ class _Scatter(IntSum):
     def entry(self, *index) -> RatFunc:
         return self.pop(index)
 
-    def tensor(self, n, rank) -> tuple:
+    def tensor(self, n, rank, index=()) -> tuple:
         """The dense tensor, each entry popped: sums and values are never all held."""
-        return _table(n, rank, self.entry)
+        if len(index) + 1 == rank:
+            return tuple(self.pop(index + (i,)) for i in range(n))
+        return tuple(self.tensor(n, rank, index + (i,)) for i in range(n))
 
 
 def _nonzero(T, rank) -> list:
@@ -127,17 +129,23 @@ def _einsum(acc, spec, A, B=None, k=1, keep=None):
     Without B, spec "abc->cab" adds k * A with its indices permuted.  Products are formed from
     nonzero entries only, and an output index that ``keep(*index)`` refuses is never formed.
     Returns acc."""
-    ra, rb, key_a, key_b, out = _plan(spec)
+    ra, rb = _plan(spec)[:2]
+    return _einsum_nz(acc, spec, _nonzero(A, ra), None if B is None else _nonzero(B, rb), k, keep)
+
+
+def _einsum_nz(acc, spec, A, B=None, k=1, keep=None):
+    """``_einsum`` on operands given as their ``_nonzero`` lists: one walk serves many terms."""
+    key_a, key_b, out = _plan(spec)[2:]
     if B is None:
-        for ia, a in _nonzero(A, ra):
+        for ia, a in A:
             o = out(ia)
             if keep is None or keep(*o):
                 acc.add_term(o, a, k)
         return acc
     groups = {}
-    for ib, b in _nonzero(B, rb):
+    for ib, b in B:
         groups.setdefault(key_b(ib), []).append((ib, b))
-    for ia, a in _nonzero(A, ra):
+    for ia, a in A:
         for ib, b in groups.get(key_a(ia), ()):
             o = out(ia + ib)
             if keep is None or keep(*o):
@@ -376,11 +384,12 @@ def curvature(metric: Metric, conn: Connection, keep=None) -> tuple:
     - Gamma^j_{ks} Gamma^{si}_l of the first-order symbols (zero iff flat), formed only
     where ``keep(i, j, k, l)`` admits it."""
     metric.check_nondegenerate()
-    dG, chrs, gamma = _grad(conn.gamma, metric.n), conn.christoffel(), conn.gamma
-    R = _einsum(_Scatter(), "ijlk->ijkl", dG, keep=keep)
-    _einsum(R, "ijkl->ijkl", dG, k=-1, keep=keep)
-    _einsum(R, "iks,sjl->ijkl", chrs, gamma, keep=keep)
-    _einsum(R, "jks,sil->ijkl", chrs, gamma, -1, keep=keep)
+    dG, chrs = _nonzero(_grad(conn.gamma, metric.n), 4), _nonzero(conn.christoffel(), 3)
+    gamma = _nonzero(conn.gamma, 3)
+    R = _einsum_nz(_Scatter(), "ijlk->ijkl", dG, keep=keep)
+    _einsum_nz(R, "ijkl->ijkl", dG, k=-1, keep=keep)
+    _einsum_nz(R, "iks,sjl->ijkl", chrs, gamma, keep=keep)
+    _einsum_nz(R, "jks,sil->ijkl", chrs, gamma, -1, keep=keep)
     return R.tensor(metric.n, 4)
 
 

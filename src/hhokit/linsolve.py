@@ -9,11 +9,14 @@ entries (its content).
 The rows are sorted once, sparsest first (a stable sort, to keep fill-in
 small), and brought to reduced row echelon form by one fraction-free
 Gauss-Jordan pass: pivot ``p`` of row ``P`` leaves row ``r`` by
-``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``, and ``r`` is
-then divided by its content; a pivot row of one entry forces ``p = 0``, so
-``p`` is simply deleted from ``r``.  A column index maps each parameter to
-the pivots whose rows hold it, so a new pivot is removed from exactly those
-rows.  Fractions appear only in the read-out.
+``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``; a pivot row
+of one entry forces ``p = 0``, so ``p`` is simply deleted from ``r``.  A new
+row is divided by its content once, after every pivot has left it and
+before it is stored as a pivot row; a stored pivot row that a new pivot
+leaves is divided by its content at once.  So every stored row is
+primitive.  A column index maps each parameter to the pivots whose rows
+hold it, so a new pivot is removed from exactly those rows.  Fractions
+appear only in the read-out.
 
 None of this changes the answer.  Scaling a row by a nonzero integer keeps
 the row space.  Every pivot row stays fully reduced (it holds no other
@@ -83,7 +86,12 @@ def _primitive(row: dict) -> dict:
 
 
 def _eliminate(row: dict, pid: int, prow: dict):
-    """Remove ``pid`` from ``row`` in place by the pivot row ``prow``."""
+    """Remove ``pid`` from ``row`` in place by the pivot row ``prow``; row stays primitive."""
+    _primitive(_subtract(row, pid, prow))
+
+
+def _subtract(row: dict, pid: int, prow: dict) -> dict:
+    """Remove ``pid`` from ``row`` in place by ``prow``, with coprime multipliers; returns row."""
     g = gcd(prow[pid], row[pid])
     a, b = prow[pid] // g, row.pop(pid) // g
     if a != 1:
@@ -96,7 +104,7 @@ def _eliminate(row: dict, pid: int, prow: dict):
                 row[q] = s
             else:
                 row.pop(q, None)
-    _primitive(row)
+    return row
 
 
 def linear_solve(eqs) -> LinearSystemSolution:
@@ -121,13 +129,13 @@ def linear_solve(eqs) -> LinearSystemSolution:
             if len(prow) == 1:  # prow forces pid = 0
                 del row[pid]
             else:
-                _eliminate(row, pid, prow)
+                _subtract(row, pid, prow)
         if not row:
             continue
         lead = min((q for q in row if q), key=_pkey, default=0)
         if not lead:  # 0 = nonzero constant
             return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
-        _primitive(row)  # a dropped entry may leave a content
+        _primitive(row)  # once, after all the pivots have left it
         rest = [q for q in row if q and q != lead]
         for q in rest:
             holders.setdefault(q, set()).add(lead)

@@ -323,7 +323,10 @@ class Poly(SparsePoly):
                     else:
                         res[m[:pos] + ((v, e - 1),) + m[pos + 1:]] = c * e
                     break
-        return Poly._new(res)
+        d = Poly._new(res)
+        if self.ints is not None and self.ints[1] is self.terms:  # all int: so is d
+            d.ints = (1, res)
+        return d
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -419,9 +422,11 @@ def affine_rows(terms: dict) -> dict:
     # distinct monomials give distinct (u-monomial, pid) pairs, so no coefficients need adding
     rows: dict = {}
     for m, c in terms.items():
-        pid = m[-1][0] if m and m[-1][0] < 0 else 0  # parameters sort last (vkey)
-        if pid:
-            if m[-1][1] > 1 or (len(m) > 1 and m[-2][0] < 0):
+        pid, e = m[-1] if m else (0, 0)  # parameters sort last (vkey)
+        if pid > 0:
+            pid = 0
+        elif pid:
+            if e > 1 or (len(m) > 1 and m[-2][0] < 0):
                 raise NonlinearAnsatzError(f"nonlinear ansatz: parameter monomial {mono_str(m)}")
             m = m[:-1]
         row = rows.get(m)
@@ -861,8 +866,8 @@ def _ints_of(c: RatFunc):
     return None
 
 
-_ONE = (1, {_EMPTY: 1})  # the integer form of 1: add_term's second factor
 _ZERO = RatFunc.zero()  # never mutated: the one zero of every key and entry that nothing reached
+_DEN1 = Poly.one()  # never mutated: the denominator of every polynomial coefficient pop makes
 
 
 class IntSum:
@@ -875,17 +880,19 @@ class IntSum:
     returns at once.  ``terms`` maps a key to its lone first RatFunc or to the integer
     numerators {u-monomial: n} of its polynomial part, all keys over one positive common
     denominator ``den``.  A key's first ``add_term`` with k == 1 is kept as given, in O(1),
-    and moved into the numerators only when a second contribution arrives.  A product of
-    polynomials multiplies their integer forms (``Poly.ints``) through ``add_terms`` in
-    ``addmul_ints``, with no ``Fraction`` arithmetic: k/(d_a*d_b) is reduced once to p/r and
-    ``den`` grows to lcm(den, r), scaling every numerator held, only when r does not divide
-    it.  A term with a non-constant denominator joins, in ``rats``, the numerator sum
-    [den, num, reduced] of its key's terms over the same denominator, so terms over one
-    denominator add as polynomials, with no gcd; a rational product is formed by RatFunc
-    ``*`` and added by ``add_term``, so one whose denominator cancels joins the numerators.
+    and moved into the numerators only when a second contribution arrives.  A polynomial
+    term adds its integer form (``Poly.ints``) to the numerators, and a product of polynomials
+    (``addmul_ints``) multiplies the two forms, both through ``add_terms`` with no ``Fraction``
+    arithmetic: ``_factor`` reduces k/d (k/(d_a*d_b) for a product) once to p/r, with no gcd
+    when r == 1, and ``den`` grows to lcm(den, r), scaling every numerator held, only when r
+    does not divide it.  A term with a non-constant denominator joins, in ``rats``, the
+    numerator sum [den, num, reduced] of its key's terms over the same denominator, so terms
+    over one denominator add as polynomials, with no gcd; a rational product is formed by
+    RatFunc ``*`` and added by ``add_term``, so one whose denominator cancels joins the
+    numerators.
     ``pop(key)`` takes key out and makes its coefficient once: ``poly_from_ints(den,
-    numerators)`` plus each denominator's sum, reduced once if it holds more than one term;
-    zero where nothing landed or everything cancelled.
+    numerators)`` over one shared denominator 1, plus each denominator's sum, reduced once if
+    it holds more than one term; zero where nothing landed or everything cancelled.
     """
 
     __slots__ = ("terms", "den", "rats")
@@ -900,6 +907,19 @@ class IntSum:
             if type(acc) is dict:
                 for u in acc:
                     acc[u] *= f
+
+    def _factor(self, p: int, r: int) -> int:
+        """The integer numerator over ``den`` of p/r, r > 0: p/r is reduced once, and ``den``
+        grows to lcm(den, r), scaling every numerator held, only when r does not divide it."""
+        if r == 1:
+            return p * self.den
+        g = gcd(p, r)
+        p, r, den = p // g, r // g, self.den
+        if den % r:
+            grown = lcm(den, r)
+            self._rescale(grown // den)
+            self.den = den = grown
+        return p * (den // r)
 
     def _numerators(self, key, lone) -> dict:
         """The numerators of key, made empty, with key's lone first coefficient moved in
@@ -917,11 +937,11 @@ class IntSum:
         if acc is None and kn == 1 and k.denominator == 1:
             self.terms[key] = c
             return
+        if type(acc) is not dict:
+            acc = self._numerators(key, acc)
         form = _ints_of(c)
         if form is not None:
-            return self.addmul_ints(key, form, _ONE, k)
-        if type(acc) is not dict:
-            self._numerators(key, acc)
+            return add_terms(acc, form[1], self._factor(kn, k.denominator * form[0]))
         num = c.num * k if k != 1 else c.num
         groups = self.rats.setdefault(key, [])
         for group in groups:
@@ -945,16 +965,7 @@ class IntSum:
         if type(acc) is not dict:
             acc = self._numerators(key, acc)
         (da, ta), (db, tb) = fa, fb
-        p, r = k.numerator, k.denominator * da * db
-        if r != 1:
-            g = gcd(p, r)
-            p, r = p // g, r // g
-            den = self.den
-            if den % r:
-                grown = lcm(den, r)
-                self._rescale(grown // den)
-                self.den = grown
-        p *= self.den // r
+        p = self._factor(k.numerator, k.denominator * da * db)
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for m1, c1 in ta.items():
@@ -964,7 +975,7 @@ class IntSum:
         acc = self.terms.pop(key, None)
         if type(acc) is not dict:
             return _ZERO if acc is None else acc
-        c = RatFunc._new(poly_from_ints(self.den, acc), Poly.one()) if acc else _ZERO
+        c = RatFunc._new(poly_from_ints(self.den, acc), _DEN1) if acc else _ZERO
         for den, num, reduced in self.rats.pop(key, ()):
             c = c + (RatFunc._new(num, den) if reduced else RatFunc(num, den))
         return c

@@ -123,6 +123,15 @@ def test_lone_first_add_then_product_with_a_growing_denominator():
     lone = parse("u1*u1_x/6 + u2_xx")
     steps = [("add", (lone,)), ("addmul", (parse("u1_x/35"), parse("u1 + 1/11")))]
     assert_same(*run_both(steps))
+    # polynomial coefficients with Fraction coefficients and Fraction scalars, added as terms
+    stored = {m: rational.Poly({u: Fraction(n) for u, n in c.num.terms.items()})
+              for m, c in parse("3*u1*u1_x + u2_xx - 2*u2*u1_x").terms.items()}
+    whole = DiffPoly({m: rational.RatFunc.from_poly(p) for m, p in stored.items()})
+    assert {type(n) for p in stored.values() for n in p.terms.values()} == {Fraction}
+    steps = [("add", (lone,)), ("add", (parse("u1_x/35 + 2/9*u2*u1_x"), Fraction(3, 4))),
+             ("add", (whole, Fraction(-5, 3))), ("add", (parse("u2_xx/1000003"), Fraction(1, 1))),
+             ("add", (parse("u1*u1_x/4 + u1_xx"), 2)), ("add", (whole, Fraction(7, 2)))]
+    assert_same(*run_both(steps))
     acc = DiffSum()
     acc.add(lone)
     assert acc.value() == lone  # one contribution: returned as given

@@ -15,7 +15,7 @@ import pytest
 from hhokit.covering import BivectorForm, EvolutionSystem, bivector_residual, build_cotangent
 from hhokit.grammar import parse, parse_scalar
 from hhokit.jets import DiffPoly
-from hhokit.rational import Poly, RatFunc, exact_div, poly_gcd
+from hhokit.rational import Poly, RatFunc, _int_form, exact_div, poly_from_ints, poly_gcd
 from hhokit.rational import RatSum
 from hhokit.solver import make_operator_ansatz
 
@@ -91,6 +91,29 @@ def test_subs_params_matches_fraction_copies():
         a = _poly(rng)
         values = {-1: rand_fraction(rng), -2: rng.randint(-3, 3)}
         assert_same(a.subs_params(values), as_fractions(a).subs_params(values))
+
+
+def test_derivative_integer_form_equals_a_fresh_one():
+    """Whenever a derivative carries ``ints``, it is the integer form a fresh copy gets:
+    ``int`` numerators over the lcm of the denominators.  Sources with ``ints`` unset, set by
+    ``_int_form`` and set by ``poly_from_ints``, and ones whose terms hold Fraction(n, 1)."""
+    rng = random.Random(15)
+    polys = [Poly({((1, 2),): Fraction(3, 1), ((1, 1), (2, 1)): 2, (): 5}),
+             Poly({((1, 3),): Fraction(3, 1)}), Poly({((2, 2),): 4, ((1, 1),): Fraction(1, 2)})]
+    for _ in range(40):
+        p = _poly(rng)
+        polys += [p, as_fractions(p), Poly({m: Fraction(c.numerator) for m, c in
+                                            as_fractions(p).terms.items()})]
+    for p in filter(None, polys):
+        sources = [Poly(dict(p.terms)), p, poly_from_ints(*_int_form(Poly(dict(p.terms))))]
+        _int_form(p)
+        for source in sources:
+            for vid in (1, 2, 3, -1):
+                d = source.diff(vid)
+                if d.ints is not None:
+                    assert all(type(n) is int for n in d.ints[1].values()), (p, vid)
+                    assert d.ints == _int_form(Poly(dict(d.terms)))
+                assert_same(d, as_fractions(p).diff(vid))
 
 
 def test_ratfunc_operations_match_fraction_copies():

@@ -10,6 +10,7 @@ into every scalar row.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,12 +261,46 @@ def test_one_inconsistent_block_makes_the_system_inconsistent():
         assert check_against_reference(mixed).inconsistent
 
 
+def stored_pivot_rows(eqs):
+    """linear_solve's result and its pivot rows as stored when it returns (read from its frame)."""
+    stored = []
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code is linear_solve.__code__:
+            stored.append(frame.f_locals["pivot_rows"])
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        sol = linear_solve(eqs)
+    finally:
+        sys.setprofile(outer)
+    return sol, stored[-1]
+
+
 def test_large_rational_block_matches_reference():
     rng = random.Random(13)
     big = (Fraction(1, 2 ** 40), Fraction(3 ** 25, 7), Fraction(5, 3 ** 25), Fraction(2 ** 40, 11))
     for _ in range(30):
         eqs = block_system(rng, 4, lambda b: big[b] if b < 3 else rng.choice(big))
         check_against_reference(eqs)
+    # each parameter's coefficients scaled by its own 2^a 3^b: pivot entries far from +-1, so
+    # a row grows while the pivots leave it; every stored pivot row is still primitive
+    for _ in range(30):
+        eqs = []
+        for _ in range(rng.randint(4, 9)):
+            eq = RatFunc.from_poly(rand_poly(rng, 2, 1, terms=2)) if rng.random() < 0.2 else 0
+            for k in rng.sample(range(1, 9), rng.randint(2, 6)):
+                scale = 2 ** rng.randint(0, 30) * 3 ** rng.randint(0, 20)
+                eq = eq + c(k) * RatFunc.from_poly(rand_poly(rng, 2, 2, terms=2) * scale)
+            eqs.append(eq)
+        eqs.append(eqs[0] * 6 + eqs[1] * Fraction(rng.randint(-9, 9), 4))
+        rng.shuffle(eqs)
+        check_against_reference(eqs)
+        sol, rows = stored_pivot_rows([eq for eq in eqs if not eq.is_zero])
+        assert sol.inconsistent or set(rows) == set(sol.pivots)
+        for row in rows.values():
+            assert math.gcd(*row.values()) == 1
 
 
 def test_zero_equations_are_ignored():

@@ -424,6 +424,19 @@ def test_ratsum_fraction_scalars_and_fraction_one_coefficients():
             got = acc.value()
             assert_same(got, ref)
             assert_lowest_int_form(got)
+    # the same coefficients and scalars added as terms, after a lone first term, while den grows
+    terms = [(_over(d, 940 + d), None, k) for d, k in
+             ((3, Fraction(2, 5)), (1, Fraction(-7, 2)), (8, 1), (9, Fraction(4, 2)), (4, -3))]
+    terms.append((whole, None, Fraction(1, 6)))
+    for first in (whole, _over(4, 946), RatFunc.var(2)):
+        acc, dens = RatSum(first), []
+        for a, _, k in terms:
+            acc.add(a, k)
+            dens.append(acc.den)
+        assert dens == sorted(dens) and dens[-1] % 72 == 0
+        got = acc.value()
+        assert_same(got, _chain(terms, first))
+        assert_lowest_int_form(got)
     # k/(d_a*d_b) = (4/3)/2 is reduced to 2/3 before the denominator grows
     acc = RatSum()
     acc.addmul(RatFunc.var(1) * Fraction(1, 2), RatFunc.var(1), Fraction(4, 3))
