@@ -11,7 +11,6 @@ from .covering import (
     bivector_residual,
     build_cotangent,
     extract_conditions,
-    formal_adjoint,
     linearize,
     operator_to_bivector,
 )
@@ -28,7 +27,6 @@ from .geometry import (
     haantjes,
     haantjes_zero_check,
     linear_degeneracy_check,
-    nijenhuis,
     nonlocal_first_order_check,
     potentialize,
     second_order_canonical_check,

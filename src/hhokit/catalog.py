@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from .covering import bivector_residual, build_cotangent
 from .errors import InputError
 from .geometry import (
-    SecondOrderData,
-    ThirdOrderData,
     char_square_check,
     expanded_first_order_conditions,
     haantjes_zero_check,
@@ -184,10 +182,6 @@ _N4_PROBLEM = {
 }
 
 
-def n4_second_order_data() -> SecondOrderData:
-    return load_operator(Problem(_N4_PROBLEM), "C").data
-
-
 def _n4_goldens():
     problem = Problem(_N4_PROBLEM)
     d = load_operator(problem, "C").data
@@ -271,10 +265,6 @@ _THIRD_MONGE_PROBLEM = {
               "c": "from-metric"},
     },
 }
-
-
-def monge_third_order_data() -> ThirdOrderData:
-    return load_operator(Problem(_THIRD_MONGE_PROBLEM), "D").data
 
 
 def _third_monge_goldens():

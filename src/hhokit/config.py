@@ -1,4 +1,5 @@
-"""Engine-wide tunables."""
+"""Engine-wide tunables.  The jet cap has one setting, the environment variable
+HHOKIT_JET_CAP, read by ``jet_cap``; DEFAULT_JET_CAP holds when it is unset."""
 
 import os
 
@@ -11,13 +12,9 @@ POWER_PRODUCTS_CAP = 250_000
 POWER_BITS_CAP = 2048
 _ENV_VAR = "HHOKIT_JET_CAP"
 
-_jet_cap_override = None
-
 
 def jet_cap() -> int:
     """Highest jet order a reduction may produce before erroring out."""
-    if _jet_cap_override is not None:
-        return _jet_cap_override
     raw = os.environ.get(_ENV_VAR)
     if raw is not None:
         try:
@@ -28,11 +25,3 @@ def jet_cap() -> int:
             raise InputError(f"{_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_JET_CAP
-
-
-def set_jet_cap(value):
-    """Override the cap in-process (None restores env/default behaviour)."""
-    global _jet_cap_override
-    if value is not None and value < 1:
-        raise ValueError("jet cap must be positive")
-    _jet_cap_override = value

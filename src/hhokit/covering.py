@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
@@ -147,51 +146,32 @@ class BivectorForm:
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Matrix differential operator: entries are lists of (coefficient, k)."""
+    """Matrix differential operator, canonical when built: entries[i][j] holds one
+    (odd-free DiffPoly coefficient, k) pair per k, k ascending, no coefficient zero.
+    ``build`` is the constructor that yields this form, so ``==`` is normal-form equality."""
 
     n: int
     entries: tuple  # entries[i][j] = ((DiffPoly, int), ...)
 
     @classmethod
     def build(cls, n, entries) -> "LocalOperator":
+        """The operator of raw entries[i][j] = [(coefficient, k), ...]: scalar coefficients
+        become DiffPolys, odd ones are refused, coefficients of equal k are summed, zero sums
+        dropped and k sorted ascending."""
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                terms = []
+                by_k = {}
                 for coeff, k in entries[i][j]:
                     if type(coeff) in _SCALAR_COEFFS:
                         coeff = DiffPoly.from_scalar(coeff)
                     if coeff.odd_degree():
                         raise InputError("operator coefficients must be odd-free")
-                    if not coeff.is_zero:
-                        terms.append((coeff, k))
-                row.append(tuple(terms))
+                    by_k[k] = by_k[k] + coeff if k in by_k else coeff
+                row.append(tuple((by_k[k], k) for k in sorted(by_k) if not by_k[k].is_zero))
             rows.append(tuple(row))
         return cls(n=n, entries=tuple(rows))
-
-    def normalized(self) -> "LocalOperator":
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                by_k = {}
-                for coeff, k in self.entries[i][j]:
-                    by_k[k] = by_k.get(k, DiffPoly.zero()) + coeff
-                row.append(tuple((by_k[k], k) for k in sorted(by_k)
-                                 if not by_k[k].is_zero))
-            rows.append(tuple(row))
-        return LocalOperator(n=self.n, entries=tuple(rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalOperator):
-            return NotImplemented
-        return self.n == other.n and self.normalized().entries == other.normalized().entries
-
-    def neg(self) -> "LocalOperator":
-        rows = tuple(tuple(tuple((-c, k) for c, k in entry) for entry in row)
-                     for row in self.entries)
-        return LocalOperator(n=self.n, entries=rows)
 
     def apply(self, dx, sign=1):
         """Yield one DiffSum per row i, sign * sum_j sum_(a, k) a * dx(j, k), where
@@ -202,27 +182,6 @@ class LocalOperator:
                 for coeff, k in entry:
                     total.addmul(coeff, dx(j, k), sign)
             yield total
-
-
-def formal_adjoint(A: LocalOperator) -> LocalOperator:
-    """(a d^k)* = (-1)^k d^k a, expanded to normal form entrywise."""
-    cap = jet_cap()
-    rows = []
-    for i in range(A.n):
-        row = []
-        for j in range(A.n):
-            by_m: dict = {}
-            for coeff, k in A.entries[j][i]:
-                # (-1)^k d^k (a .) = sum_m C(k,m) (d^{k-m} a) d^m
-                ladder = [coeff]
-                for _ in range(k):
-                    ladder.append(total_x(ladder[-1], cap=cap))
-                for m in range(k + 1):
-                    by_m.setdefault(m, DiffSum()).add(ladder[k - m], (-1) ** k * comb(k, m))
-            sums = ((by_m[m].value(), m) for m in sorted(by_m))
-            row.append(tuple((c, m) for c, m in sums if not c.is_zero))
-        rows.append(tuple(row))
-    return LocalOperator(n=A.n, entries=tuple(rows))
 
 
 def operator_to_bivector(A: LocalOperator, ctx: "CoveringContext" = None,

@@ -412,17 +412,6 @@ def first_order_hamiltonian_check(metric: Metric, conn: Connection) -> Condition
     return rep
 
 
-def _covariant_velocity_derivative(conn: Connection, V, k, j, h):
-    """nabla_k V^j_h, the per-entry reference for the table that ``tsarev_check`` scatters."""
-    n = conn.n
-    chrs = conn.christoffel()
-    acc = RatSum(V[j][h].diff(k + 1))
-    for s in range(n):
-        acc.addmul(chrs[j][k][s], V[s][h])
-        acc.addmul(chrs[s][k][h], V[j][s], -1)
-    return acc.value()
-
-
 def tsarev_check(metric: Metric, conn: Connection, V) -> ConditionReport:
     """Compatibility of a flat first-order operator with u_t = V u_x."""
     metric.check_nondegenerate()
@@ -758,10 +747,8 @@ def first_order_operator(metric: Metric, conn: Connection) -> LocalOperator:
     n = metric.n
     g = metric.upper()
     ux = _ux_monomials(n)
-    entries = tuple(tuple(((DiffPoly.from_scalar(g[i][j]), 1),
-                           (DiffPoly(dict(zip(ux, conn.gamma[i][j]))), 0))
-                          for j in range(n)) for i in range(n))
-    return LocalOperator(n=n, entries=entries).normalized()
+    return LocalOperator.build(n, [[((g[i][j], 1), (DiffPoly(dict(zip(ux, conn.gamma[i][j]))), 0))
+                                    for j in range(n)] for i in range(n)])
 
 
 def third_order_operator(d: ThirdOrderData) -> LocalOperator:
@@ -774,8 +761,8 @@ def third_order_operator(d: ThirdOrderData) -> LocalOperator:
         for g, c in zip(g_row, c_row):
             A, B = DiffPoly.from_scalar(g), DiffPoly(dict(zip(ux, c)))
             row.append(((A, 3), (total_x(A) + B, 2), (total_x(B), 1)))
-        entries.append(tuple(row))
-    return LocalOperator(n=d.n, entries=tuple(entries)).normalized()
+        entries.append(row)
+    return LocalOperator.build(d.n, entries)
 
 
 def second_order_potential_bivector(d: SecondOrderData) -> BivectorForm:
@@ -807,13 +794,6 @@ def _nijenhuis_numerator(V) -> tuple:
     _einsum(N, "sk,sij->ijk", W, P, -1, keep=_lt)
     _einsum(N, "is,sjk->ijk", W, _table(n, 3, lambda s, j, k: P[j][s][k] - P[k][s][j], _lt), -1)
     return W, d, _antisymmetric(N.entry, n)
-
-
-def nijenhuis(V) -> tuple:
-    """N^i_jk = V^s_j V^i_k,s - V^s_k V^i_j,s - V^i_s (V^s_k,j - V^s_j,k), each
-    entry j < k reduced once from its numerator over the common denominator."""
-    _, d, N = _nijenhuis_numerator(V)
-    return _antisymmetric(lambda i, j, k: ratfunc_over(N[i][j][k].num, d, 3), len(N))
 
 
 def haantjes(V) -> tuple:

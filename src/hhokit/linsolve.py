@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .rational import Poly, RatFunc, _int_form, affine_rows
+from .rational import Poly, RatFunc, _int_form, add_terms, affine_rows
 
 
 @dataclass
@@ -54,13 +54,6 @@ class LinearSystemSolution:
     @property
     def dimension(self) -> int:
         return 0 if self.inconsistent else len(self.free)
-
-    def value_of(self, pid: int, assignment: dict) -> Fraction:
-        """Evaluate a parameter under an assignment of the free parameters."""
-        if pid not in self.pivots:
-            return assignment.get(pid, Fraction(0))
-        coeffs, const = self.pivots[pid]
-        return const + sum(a * assignment.get(f, Fraction(0)) for f, a in coeffs.items())
 
 
 def _pkey(pid: int) -> int:
@@ -116,8 +109,6 @@ def linear_solve(eqs) -> LinearSystemSolution:
     params: set = set()
     rows = []
     for eq in eqs:
-        if isinstance(eq, Poly):
-            eq = RatFunc.from_poly(eq)
         rows.extend(_scalar_rows(eq, params))
 
     rows.sort(key=len)
@@ -159,16 +150,18 @@ def linear_solve(eqs) -> LinearSystemSolution:
 
 
 def substitute_solution(rf: RatFunc, sol: LinearSystemSolution) -> RatFunc:
-    """Replace pivot parameters in a RatFunc by their free-parameter combos."""
+    """rf with each pivot parameter replaced by its free-parameter combination plus its
+    constant, read through ``rational.affine_rows``; any other parameter stays a symbol."""
     if not sol.pivots:
         return rf
-    linear, absolute = rf.num.split_affine_params()
-    num = absolute
-    for pid, poly in linear.items():
-        if pid in sol.pivots:
+    terms: dict = {}
+    for m, row in affine_rows(rf.num.terms).items():  # parameters sort last: m + ((f, 1),)
+        for pid, c in row.items():
+            if pid not in sol.pivots:
+                add_terms(terms, {m + ((pid, 1),) if pid else m: c})
+                continue
             coeffs, const = sol.pivots[pid]
-            repl = Poly({(): const, **{((f, 1),): a for f, a in coeffs.items()}})
-            num = num + poly * repl
-        else:
-            num = num + poly * Poly.var(pid)
-    return RatFunc(num, rf.den)
+            add_terms(terms, {m + ((f, 1),): a for f, a in coeffs.items()}, c)
+            if const:
+                add_terms(terms, {m: const}, c)
+    return RatFunc(Poly._new(terms), rf.den)

@@ -370,32 +370,6 @@ class Poly(SparsePoly):
             total += v
         return total
 
-    def subs_params(self, values: dict) -> "Poly":
-        """Substitute rational values for parameters, keeping field variables."""
-        res = {}
-        for m, c in self.terms.items():
-            rest = []
-            for vid, e in m:
-                if vid < 0:
-                    c = c * values[vid] ** e
-                else:
-                    rest.append((vid, e))
-            add_terms(res, {tuple(rest): 1}, _q(c))
-        return Poly._new(res)
-
-    def split_affine_params(self):
-        """Decompose sum_k ck*rho_k(u) + rho_0(u) -> ({param_vid: rho_k}, rho_0).
-
-        Raises NonlinearAnsatzError when a parameter occurs with degree >= 2
-        or two parameters share a monomial.
-        """
-        parts: dict[int, dict] = {}
-        for m, row in affine_rows(self.terms).items():
-            for pid, c in row.items():
-                parts.setdefault(pid, {})[m] = c
-        absolute = Poly._new(parts.pop(0, {}))
-        return {pid: Poly._new(terms) for pid, terms in parts.items()}, absolute
-
     def __str__(self):
         chunks = []
         for m in sorted(self.terms, key=mono_key):
@@ -767,9 +741,6 @@ class RatFunc:
         if not d:
             raise ZeroDivisionError("denominator vanishes at the sample point")
         return self.num.evaluate(point) / d
-
-    def subs_params(self, values: dict) -> "RatFunc":
-        return RatFunc(self.num.subs_params(values), self.den)
 
     def leading_sign(self) -> int:
         if self.num.is_zero:

@@ -1,12 +1,21 @@
-"""Seeded random generators shared by the unit and acceptance suites."""
+"""Seeded random generators shared by the unit and acceptance suites, and the
+references that only the tests call: per-parameter substitution, the operator
+normal form, the formal adjoint, the Nijenhuis tensor and the catalog's
+operator data."""
 
 from fractions import Fraction
+from math import comb
 
+from hhokit.catalog import get_entry
+from hhokit.config import jet_cap
+from hhokit.covering import LocalOperator
 from hhokit.errors import OddDegreeError
-from hhokit.geometry import Connection, Metric, ThirdOrderData, as_matrix, determinant
-from hhokit.jets import (DiffMonomial, DiffPoly, _even_mul, _raise_order, even_lowered, mono, pjet,
-                         rvar, ujet)
-from hhokit.rational import Poly, RatFunc
+from hhokit.geometry import (Connection, Metric, ThirdOrderData, _antisymmetric,
+                             _nijenhuis_numerator, as_matrix, determinant)
+from hhokit.jets import (DiffMonomial, DiffPoly, DiffSum, _even_mul, _raise_order, even_lowered,
+                         mono, pjet, rvar, total_x, ujet)
+from hhokit.problem import Problem, load_operator
+from hhokit.rational import Poly, RatFunc, _q, add_terms, ratfunc_over
 
 
 def dm_mul(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
@@ -171,3 +180,87 @@ def symmetric_affine_fluxes(rng, n, data):
 
 def random_fluxes(rng, n, degree=2):
     return [RatFunc.from_poly(rand_poly(rng, n, degree, terms=3)) for _ in range(n)]
+
+
+# -- references that only the tests call ------------------------------------------------------
+
+
+def subs_params(x, values: dict):
+    """x, a Poly or RatFunc, with the rational values[pid] substituted for each parameter;
+    field variables are kept."""
+    if isinstance(x, RatFunc):
+        return RatFunc(subs_params(x.num, values), x.den)
+    res = {}
+    for m, c in x.terms.items():
+        rest = []
+        for vid, e in m:
+            if vid < 0:
+                c = c * values[vid] ** e
+            else:
+                rest.append((vid, e))
+        add_terms(res, {tuple(rest): 1}, _q(c))
+    return Poly._new(res)
+
+
+def value_of(sol, pid: int, assignment: dict) -> Fraction:
+    """A parameter's value in a LinearSystemSolution under an assignment of the free
+    parameters (0 when absent)."""
+    if pid not in sol.pivots:
+        return assignment.get(pid, Fraction(0))
+    coeffs, const = sol.pivots[pid]
+    return const + sum(a * assignment.get(f, Fraction(0)) for f, a in coeffs.items())
+
+
+def operator_normal_form(n, entries) -> LocalOperator:
+    """The operator of raw odd-free DiffPoly entries[i][j] = [(coefficient, k), ...] in normal
+    form: coefficients of equal k summed, zero sums dropped, k ascending."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            by_k = {}
+            for coeff, k in entries[i][j]:
+                by_k[k] = by_k.get(k, DiffPoly.zero()) + coeff
+            row.append(tuple((by_k[k], k) for k in sorted(by_k) if not by_k[k].is_zero))
+        rows.append(tuple(row))
+    return LocalOperator(n=n, entries=tuple(rows))
+
+
+def neg(A: LocalOperator) -> LocalOperator:
+    """-A, entrywise."""
+    rows = tuple(tuple(tuple((-c, k) for c, k in entry) for entry in row) for row in A.entries)
+    return LocalOperator(n=A.n, entries=rows)
+
+
+def formal_adjoint(A: LocalOperator) -> LocalOperator:
+    """(a d^k)* = (-1)^k d^k a, expanded to normal form entrywise: the definition that the
+    covering's p_t rules, -formal_adjoint(l_F) applied to p, are held to."""
+    cap = jet_cap()
+    rows = []
+    for i in range(A.n):
+        row = []
+        for j in range(A.n):
+            by_m: dict = {}
+            for coeff, k in A.entries[j][i]:
+                # (-1)^k d^k (a .) = sum_m C(k,m) (d^{k-m} a) d^m
+                ladder = [coeff]
+                for _ in range(k):
+                    ladder.append(total_x(ladder[-1], cap=cap))
+                for m in range(k + 1):
+                    by_m.setdefault(m, DiffSum()).add(ladder[k - m], (-1) ** k * comb(k, m))
+            sums = ((by_m[m].value(), m) for m in sorted(by_m))
+            row.append(tuple((c, m) for c, m in sums if not c.is_zero))
+        rows.append(tuple(row))
+    return LocalOperator(n=A.n, entries=tuple(rows))
+
+
+def nijenhuis(V) -> tuple:
+    """N^i_jk = V^s_j V^i_k,s - V^s_k V^i_j,s - V^i_s (V^s_k,j - V^s_j,k), each
+    entry j < k reduced once from its numerator over the common denominator."""
+    _, d, N = _nijenhuis_numerator(V)
+    return _antisymmetric(lambda i, j, k: ratfunc_over(N[i][j][k].num, d, 3), len(N))
+
+
+def catalog_data(name: str, op: str):
+    """The data of operator ``op`` in the built-in example ``name``."""
+    return load_operator(Problem(get_entry(name).problem), op).data

@@ -14,10 +14,9 @@ from hhokit.covering import (
     LocalOperator,
     bivector_residual,
     build_cotangent,
-    formal_adjoint,
     operator_to_bivector,
 )
-from hhokit.catalog import N4_FLUXES, SIX_FLUXES, n4_second_order_data
+from hhokit.catalog import N4_FLUXES, SIX_FLUXES
 from hhokit.geometry import (
     char_square_check,
     expanded_first_order_conditions,
@@ -42,8 +41,10 @@ from hhokit.solver import (
 )
 
 from genutil import (
+    catalog_data,
     constant_third_order_instance,
     flat_first_order_instance,
+    formal_adjoint,
     hessian_velocity,
     rand_diffpoly,
     rand_poly,
@@ -158,7 +159,7 @@ def test_criterion_05_second_order_n2():
 
 def test_criterion_06_n4_example():
     t0 = time.time()
-    d = n4_second_order_data()
+    d = catalog_data("n4-second-order", "C")
     vflux = [parse_scalar(s) for s in N4_FLUXES]
     compat = second_order_compat(d, vflux).passed
     J = [[vflux[i].diff(j + 1) for j in range(4)] for i in range(4)]
@@ -174,7 +175,6 @@ def test_criterion_06_n4_example():
 def test_criterion_07_third_order_cross_oracle():
     t0 = time.time()
     rng = random.Random(71)
-    from hhokit.catalog import monge_third_order_data
     instances = []
     while len(instances) < 10:
         n = rng.choice([1, 2, 3])
@@ -186,7 +186,7 @@ def test_criterion_07_third_order_cross_oracle():
         instances.append((d, vflux))
     # nonconstant-metric instances exercise the same equivalence, with a
     # genuinely rational compatible flux and a failing polynomial one
-    dm = monge_third_order_data()
+    dm = catalog_data("third-order-monge", "D")
     instances.append((dm, [RatFunc.var(2), RatFunc.var(2) ** 2 / RatFunc.var(1)]))
     instances.append((dm, [RatFunc.var(1) ** 2, RatFunc.var(2)]))
     agree = True
@@ -278,7 +278,7 @@ def test_criterion_10_kernel_property_suites():
                     terms.append((coeff, rng.randint(0, 4)))
                 row.append(tuple(terms))
             entries.append(tuple(row))
-        op = LocalOperator(n=n, entries=tuple(entries))
+        op = LocalOperator.build(n, entries)
         ok = ok and formal_adjoint(formal_adjoint(op)) == op
     # D_x / D_t commutation on coverings
     kdv = build_cotangent(EvolutionSystem.general([parse("u1_x3 + u1*u1_x")]))

@@ -21,8 +21,10 @@ import json
 
 import pytest
 
-from hhokit.catalog import examples_catalog, n4_second_order_data
+from hhokit.catalog import examples_catalog
 from hhokit.cli import main
+
+from genutil import catalog_data
 
 _PROBLEMS = {entry.name: entry.problem for entry in examples_catalog()}
 
@@ -33,7 +35,7 @@ def _variant(example, **changes):
     return doc
 
 
-_N4 = n4_second_order_data()
+_N4 = catalog_data("n4-second-order", "C")
 
 _FLAT = {"order": 1, "g": [["1", "0"], ["0", "1"]],
          "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}

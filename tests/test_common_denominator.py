@@ -11,9 +11,9 @@ literal sums (n^5 products for Haantjes) that uses no ``RatFunc`` reduction.
 import itertools
 import random
 import pytest
-from genutil import rand_fraction, rand_poly, rand_ratfunc
+from genutil import nijenhuis, rand_fraction, rand_poly, rand_ratfunc
 
-from hhokit.geometry import as_matrix, haantjes, nijenhuis
+from hhokit.geometry import as_matrix, haantjes
 from hhokit.rational import Poly, RatFunc, ratfunc_over
 
 u1, u2, u3 = Poly.var(1), Poly.var(2), Poly.var(3)

@@ -13,7 +13,6 @@ from hhokit.covering import (
     bivector_residual,
     build_cotangent,
     extract_conditions,
-    formal_adjoint,
     linearize,
     operator_to_bivector,
 )
@@ -24,7 +23,8 @@ from hhokit.grammar import parse, parse_scalar
 from hhokit.jets import KIND_P, DiffMonomial, DiffPoly, DiffSum, even_lowered, total_x
 from hhokit.rational import Poly, RatFunc
 
-from genutil import rand_diffpoly, rand_poly, rand_ratfunc
+from genutil import (formal_adjoint, neg, operator_normal_form, rand_diffpoly, rand_poly,
+                     rand_ratfunc)
 
 
 def kdv_system():
@@ -270,7 +270,7 @@ def test_expanded_families_match_residual_coefficients():
 
 def test_adjoint_basic():
     dx = LocalOperator.build(1, [[[(1, 1)]]])
-    assert formal_adjoint(dx) == dx.neg()
+    assert formal_adjoint(dx) == neg(dx)
     u_dx = LocalOperator.build(1, [[[(RatFunc.var(1), 1)]]])
     expected = LocalOperator.build(
         1, [[[(-RatFunc.var(1), 1), (parse("-u1_x"), 0)]]])
@@ -280,11 +280,19 @@ def test_adjoint_basic():
 def test_kdv_second_operator_is_skew_adjoint():
     A2 = LocalOperator.build(1, [[[(1, 3), (RatFunc.var(1) * Fraction(2, 3), 1),
                                    (parse("1/3*u1_x"), 0)]]])
-    assert formal_adjoint(A2) == A2.neg()
+    assert formal_adjoint(A2) == neg(A2)
+
+
+def _bands(entries) -> set:
+    return {(i, j, k) for i, row in enumerate(entries) for j, entry in enumerate(row)
+            for _, k in entry}
 
 
 def test_adjoint_involution_randomized():
+    """The raw entries repeat k, cancel and come out of order; ``LocalOperator.build``
+    brings them to the reference's normal form, and the adjoint is an involution on it."""
     rng = random.Random(23)
+    merged = cancelled = unordered = 0
     for _ in range(100):
         n = rng.choice([1, 2])
         entries = []
@@ -295,10 +303,19 @@ def test_adjoint_involution_randomized():
                 for _ in range(rng.randint(0, 2)):
                     coeff = rand_diffpoly(rng, nvars=n, max_order=2, terms=2, odd=False)
                     terms.append((coeff, rng.randint(0, 4)))
+                if terms and rng.random() < 0.2:  # a term and its negative at one k
+                    terms.insert(rng.randint(0, len(terms)), (-terms[0][0], terms[0][1]))
+                ks = [k for _, k in terms]
+                merged += len(set(ks)) < len(ks)
+                unordered += ks != sorted(ks)
                 row.append(tuple(terms))
             entries.append(tuple(row))
-        op = LocalOperator(n=n, entries=tuple(entries))
+        op = LocalOperator.build(n, entries)
+        reference = operator_normal_form(n, entries)
+        assert op == reference
+        cancelled += _bands(reference.entries) != _bands(entries)
         assert formal_adjoint(formal_adjoint(op)) == op
+    assert merged and cancelled and unordered
 
 
 # -- mixed-derivative commutation -----------------------------------------------------------
@@ -402,7 +419,6 @@ def test_bivector_form_rejects_even_terms():
 
 
 def test_covering_reads_the_jet_cap_when_built(monkeypatch):
-    from hhokit.config import set_jet_cap
     from hhokit.errors import JetCapError
     system = EvolutionSystem.general([parse("u1*u1_x")])
     monkeypatch.setenv("HHOKIT_JET_CAP", "3")
@@ -411,13 +427,10 @@ def test_covering_reads_the_jet_cap_when_built(monkeypatch):
     default = build_cotangent(system)
     with pytest.raises(JetCapError, match="HHOKIT_JET_CAP"):
         capped.total_x(parse("u1_x3"))
-    set_jet_cap(3)
-    try:
-        assert default.total_x(parse("u1_x3")) == parse("u1_x4")
-        with pytest.raises(JetCapError):
-            build_cotangent(system).total_x(parse("u1_x3"))
-    finally:
-        set_jet_cap(None)
+    monkeypatch.setenv("HHOKIT_JET_CAP", "3")
+    assert default.total_x(parse("u1_x3")) == parse("u1_x4")
+    with pytest.raises(JetCapError):
+        build_cotangent(system).total_x(parse("u1_x3"))
 
 
 def test_third_order_tails_share_one_covering(monkeypatch):

@@ -9,14 +9,13 @@ from hhokit.catalog import examples_catalog
 from hhokit.covering import (
     EvolutionSystem,
     build_cotangent,
-    formal_adjoint,
     operator_to_bivector,
 )
 from hhokit.geometry import potentialize
 from hhokit.grammar import parse
 from hhokit.problem import Problem
 
-from genutil import rand_diffpoly
+from genutil import formal_adjoint, neg, rand_diffpoly
 
 KDV5 = "u1_x5 + 5/3*u1*u1_x3 + 10/3*u1_x*u1_xx + 5/6*u1^2*u1_x"
 
@@ -44,7 +43,7 @@ def test_random_systems_reach_order_five():
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_pt_rules_are_minus_the_adjoint_on_p(name):
     ctx = build_cotangent(SYSTEMS[name])
-    expected = operator_to_bivector(formal_adjoint(ctx.linearization).neg())
+    expected = operator_to_bivector(neg(formal_adjoint(ctx.linearization)))
     assert ctx.pt_rules == expected.components
 
 

@@ -23,7 +23,6 @@ from hhokit.geometry import (
     haantjes_zero_check,
     inverse,
     linear_degeneracy_check,
-    nijenhuis,
     nonlocal_first_order_check,
     potentialize,
     second_order_canonical_check,
@@ -42,6 +41,7 @@ from genutil import (
     constant_third_order_instance,
     flat_first_order_instance,
     hessian_velocity,
+    nijenhuis,
     random_fluxes,
     symmetric_affine_fluxes,
 )

@@ -29,7 +29,6 @@ from hhokit.geometry import (
     Metric,
     SecondOrderData,
     ThirdOrderData,
-    _covariant_velocity_derivative,
     as_matrix,
     char_poly_coeffs,
     curvature,
@@ -40,7 +39,6 @@ from hhokit.geometry import (
     inverse,
     linear_degeneracy_check,
     mat_mul,
-    nijenhuis,
     nonlocal_first_order_check,
     second_order_compat,
     tail_characteristic,
@@ -50,12 +48,13 @@ from hhokit.geometry import (
     tsarev_check,
 )
 from hhokit.problem import Problem
-from hhokit.rational import Poly, RatFunc
+from hhokit.rational import Poly, RatFunc, RatSum
 
 from genutil import (
     constant_third_order_instance,
     flat_first_order_instance,
     hessian_velocity,
+    nijenhuis,
     rand_fraction,
     rand_poly,
     random_fluxes,
@@ -94,6 +93,17 @@ def reference_inverse(A):
     return tuple(tuple(row) for row in inv)
 
 
+def covariant_velocity_derivative(conn: Connection, V, k, j, h):
+    """nabla_k V^j_h, the per-entry reference for the table that ``tsarev_check`` scatters."""
+    n = conn.n
+    chrs = conn.christoffel()
+    acc = RatSum(V[j][h].diff(k + 1))
+    for s in range(n):
+        acc.addmul(chrs[j][k][s], V[s][h])
+        acc.addmul(chrs[s][k][h], V[j][s], -1)
+    return acc.value()
+
+
 def reference_tsarev_check(metric, conn, V):
     metric.check_nondegenerate()
     n = metric.n
@@ -112,8 +122,8 @@ def reference_tsarev_check(metric, conn, V):
                 acc = RatFunc.zero()
                 for k in range(n):
                     acc = acc + g[i][k] * (
-                        _covariant_velocity_derivative(conn, V, k, j, h)
-                        - _covariant_velocity_derivative(conn, V, h, j, k))
+                        covariant_velocity_derivative(conn, V, k, j, h)
+                        - covariant_velocity_derivative(conn, V, h, j, k))
                 rep.add("covariant-curl", (i, j, h), acc)
     return rep
 

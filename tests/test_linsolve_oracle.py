@@ -25,7 +25,7 @@ from hhokit.covering import (
 from hhokit.errors import NonlinearAnsatzError
 from hhokit.grammar import parse, parse_scalar
 from hhokit.linsolve import _eliminate, _scalar_rows, linear_solve
-from hhokit.rational import Poly, RatFunc
+from hhokit.rational import Poly, RatFunc, affine_rows
 from hhokit.solver import make_operator_ansatz
 
 from genutil import rand_poly
@@ -308,7 +308,8 @@ def test_zero_equations_are_ignored():
     for _ in range(20):
         eqs = [eq for eq in block_system(rng, 4) if not eq.is_zero]
         sol = linear_solve(eqs)
-        padded = linear_solve([RatFunc.zero()] + eqs + [Poly.zero(), RatFunc.zero()])
+        padded = linear_solve([RatFunc.zero()] + eqs
+                              + [RatFunc.from_poly(Poly.zero()), RatFunc.zero()])
         assert (padded.pivots, padded.free, padded.inconsistent) == \
             (sol.pivots, sol.free, sol.inconsistent)
     # 0 = 0 after elimination: a consistent parameter-free part
@@ -439,7 +440,7 @@ def test_eliminate_gives_a_primitive_multiple_of_the_exact_row():
                          ids=["square", "product"])
 def test_nonlinear_parameter_monomials_are_rejected(eq):
     with pytest.raises(NonlinearAnsatzError) as expected:
-        eq.num.split_affine_params()
+        affine_rows(eq.num.terms)
     with pytest.raises(NonlinearAnsatzError) as raised:
         _scalar_rows(eq, set())
     assert str(raised.value) == str(expected.value)

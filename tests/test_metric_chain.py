@@ -15,7 +15,6 @@ import random
 import pytest
 
 from hhokit import geometry
-from hhokit.catalog import monge_third_order_data
 from hhokit.errors import DegenerateMetricError
 from hhokit.geometry import (
     Connection,
@@ -26,7 +25,7 @@ from hhokit.geometry import (
 )
 from hhokit.rational import RatFunc
 
-from genutil import flat_first_order_instance, rand_poly
+from genutil import catalog_data, flat_first_order_instance, rand_poly
 
 
 def _generic_metric(rng, n):
@@ -89,7 +88,7 @@ def contractions(monkeypatch):
 
 
 def test_third_order_route_contracts_once_per_form(contractions):
-    d = monge_third_order_data()
+    d = catalog_data("third-order-monge", "D")
     third_order_hamiltonian_check(d)
     assert len(contractions) == 1
     third_order_operator(d)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hhokit.errors import NonlinearAnsatzError, ParameterInDenominatorError
-from hhokit.rational import Poly, RatFunc, exact_div, poly_gcd, rf_arith, rf_partial
+from hhokit.rational import Poly, RatFunc, affine_rows, exact_div, poly_gcd, rf_arith, rf_partial
 
 from genutil import rand_poly, rand_ratfunc
 
@@ -109,15 +109,14 @@ def test_quotient_rule_matches_expanded():
         assert lhs == rhs
 
 
-def test_split_affine_params():
+def test_affine_rows():
     expr = c(1) * u(1) + c(2) * (u(2) ** 2) + u(1) * u(2)
-    linear, absolute = expr.num.split_affine_params()
-    assert set(linear) == {-1, -2}
-    assert absolute == (u(1) * u(2)).num
+    assert affine_rows(expr.num.terms) == {((1, 1),): {-1: 1}, ((2, 2),): {-2: 1},
+                                           ((1, 1), (2, 1)): {0: 1}}
     with pytest.raises(NonlinearAnsatzError):
-        (c(1) * c(2)).num.split_affine_params()
+        affine_rows((c(1) * c(2)).num.terms)
     with pytest.raises(NonlinearAnsatzError):
-        (c(1) ** 2).num.split_affine_params()
+        affine_rows((c(1) ** 2).num.terms)
 
 
 def test_denominator_is_monic():

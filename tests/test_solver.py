@@ -21,7 +21,7 @@ from hhokit.solver import (
     make_operator_ansatz,
 )
 
-from genutil import constant_third_order_instance
+from genutil import catalog_data, constant_third_order_instance, subs_params
 
 
 def test_ansatz_counts():
@@ -162,11 +162,10 @@ def test_third_order_round_trip():
 def test_third_order_rational_family_on_nonconstant_metric():
     # the nonconstant metric admits rational fluxes over the declared
     # denominator; every member re-verifies through the covering engine
-    from hhokit.catalog import monge_third_order_data
     from hhokit.geometry import third_order_operator
     from hhokit.covering import bivector_residual, build_cotangent, \
         operator_to_bivector
-    d = monge_third_order_data()
+    d = catalog_data("third-order-monge", "D")
     fam = find_fluxes_third_order(
         d, make_flux_ansatz(2, 2, denominator=Poly.var(1)), classify=False)
     assert fam.dimension == 5
@@ -245,7 +244,7 @@ def _assign_free(rf, sol, assignment, free):
     from hhokit.linsolve import substitute_solution
     out = substitute_solution(rf, sol)
     values = {pid: Fraction(assignment.get(pid, 0)) for pid in free}
-    return out.subs_params(values) if values else out
+    return subs_params(out, values) if values else out
 
 
 def _reference_basis(sol, params, templates):

@@ -32,7 +32,6 @@ from hhokit.geometry import (
     haantjes,
     linear_degeneracy_check,
     mat_mul,
-    nijenhuis,
     nonlocal_first_order_check,
     second_order_compat,
     third_order_compat,
@@ -44,6 +43,7 @@ from hhokit.rational import Poly, RatFunc
 
 from genutil import (
     constant_third_order_instance,
+    nijenhuis,
     rand_fraction,
     rand_poly,
     random_fluxes,
