@@ -24,7 +24,7 @@ from fractions import Fraction
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
 from .jets import (KIND_P, KIND_R, KIND_U, DiffPoly, DiffSum, dm_key, gradient_entry, jet_gradient,
-                   total_x)
+                   total_x, ux_sums)
 from .rational import RatFunc
 
 _SCALAR_COEFFS = (int, bool, Fraction, RatFunc)  # matched by exact type: isinstance on an ABC is slow
@@ -68,12 +68,12 @@ class EvolutionSystem:
         vel = tuple(tuple(row) for row in velocity)
         if any(len(row) != n for row in vel):
             raise InputError("velocity matrix must be square")
-        return cls(n=n, fluxes=_first_order(vel), kind="hydrodynamic", velocity=vel)
+        return cls(n=n, fluxes=ux_sums(vel), kind="hydrodynamic", velocity=vel)
 
     @classmethod
     def conservative(cls, flux_potentials) -> "EvolutionSystem":
         pots = tuple(flux_potentials)
-        return cls(n=len(pots), fluxes=_first_order(flux_jacobian(pots)), kind="conservative",
+        return cls(n=len(pots), fluxes=ux_sums(flux_jacobian(pots)), kind="conservative",
                    flux_potentials=pots)
 
     @classmethod
@@ -89,12 +89,6 @@ class EvolutionSystem:
         if self.flux_potentials is not None:
             return flux_jacobian(self.flux_potentials)
         raise InputError(f"a {self.kind} system carries no velocity matrix")
-
-
-def _first_order(matrix) -> tuple:
-    """The fluxes f^i = sum_j matrix[i][j] u^j_x."""
-    return tuple(sum((DiffPoly.jet(j + 1, 1).scalar_mul(c) for j, c in enumerate(row)),
-                     DiffPoly.zero()) for row in matrix)
 
 
 def flux_jacobian(flux_potentials) -> tuple:

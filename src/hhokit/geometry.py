@@ -34,7 +34,7 @@ from fractions import Fraction
 from .config import SIZE_CAP
 from .covering import BivectorForm, CoveringContext, EvolutionSystem, LocalOperator, flux_jacobian
 from .errors import DegenerateMetricError, InputError
-from .jets import DiffPoly, mono, pjet, total_x, ujet
+from .jets import DiffPoly, mono, pjet, total_x, ux_sums
 from .rational import _ZERO, IntSum, Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
 
 # -- exact matrix helpers ------------------------------------------------------
@@ -481,8 +481,7 @@ def expanded_first_order_conditions(metric: Metric, conn: Connection, V) -> Cond
 def tail_characteristic(W) -> tuple:
     """The characteristic W u_x (component i is sum_j W[i][j] u^j_x) of the
     symmetry that generates a nonlocal tail."""
-    ux = _ux_monomials(len(W))
-    return tuple(DiffPoly(dict(zip(ux, row))) for row in as_matrix(W))
+    return ux_sums(as_matrix(W))
 
 
 def nonlocal_first_order_check(metric: Metric, conn: Connection, W, V) -> ConditionReport:
@@ -737,29 +736,19 @@ def potentialize(system: EvolutionSystem) -> EvolutionSystem:
     return EvolutionSystem.potential(system.flux_potentials)
 
 
-def _ux_monomials(n) -> list:
-    """The monomials u^1_x, ..., u^n_x."""
-    return [mono([(ujet(k + 1, 1), 1)]) for k in range(n)]
-
-
 def first_order_operator(metric: Metric, conn: Connection) -> LocalOperator:
     """g^{ij} d_x + Gamma^{ij}_k u^k_x as a LocalOperator."""
-    n = metric.n
-    g = metric.upper()
-    ux = _ux_monomials(n)
-    return LocalOperator.build(n, [[((g[i][j], 1), (DiffPoly(dict(zip(ux, conn.gamma[i][j]))), 0))
-                                    for j in range(n)] for i in range(n)])
+    return LocalOperator.build(metric.n, [[((g, 1), (B, 0)) for g, B in zip(g_row, ux_sums(gamma))]
+                                          for g_row, gamma in zip(metric.upper(), conn.gamma)])
 
 
 def third_order_operator(d: ThirdOrderData) -> LocalOperator:
     """d_x (g^{ij} d_x + c^{ij}_k u^k_x) d_x expanded as a LocalOperator: with A = g^{ij}
     and B = c^{ij}_k u^k_x it is A d^3 + (D_x A + B) d^2 + (D_x B) d."""
-    ux = _ux_monomials(d.n)
     entries = []
     for g_row, c_row in zip(d.metric.upper(), d.c_up):
         row = []
-        for g, c in zip(g_row, c_row):
-            A, B = DiffPoly.from_scalar(g), DiffPoly(dict(zip(ux, c)))
+        for A, B in zip(map(DiffPoly.from_scalar, g_row), ux_sums(c_row)):
             row.append(((A, 3), (total_x(A) + B, 2), (total_x(B), 1)))
         entries.append(row)
     return LocalOperator.build(d.n, entries)

@@ -344,6 +344,14 @@ def total_x(a: DiffPoly, rx_rules=None, cap=None) -> DiffPoly:
     return res.value()
 
 
+def ux_sums(matrix) -> tuple:
+    """Per row of the square ``matrix``, the sum of row[j - 1] u^j_x over j, each scalar
+    coefficient made a RatFunc."""
+    ux = [mono([(ujet(j, 1), 1)]) for j in range(1, len(matrix) + 1)]
+    return tuple(DiffPoly({m: c if type(c) is RatFunc else RatFunc.const(c)
+                           for m, c in zip(ux, row)}) for row in matrix)
+
+
 def collect(a: DiffPoly) -> dict:
     """Exact partition of a by differential monomial (summing back rebuilds a)."""
     return dict(a.terms)

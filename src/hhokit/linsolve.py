@@ -27,6 +27,9 @@ leading 1, are thus the reduced row echelon form of the whole system for
 that column order, which is unique.  ``pivots``, ``free`` and
 ``inconsistent`` are therefore those of any plain elimination, and
 ``pivots`` is returned in ``_pkey`` order.
+
+``substituted_terms`` is the one substitution of a solution: the solver's basis read-off
+and ``substitute_solution``, the generic member, both go through it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def _pkey(pid: int) -> int:
 
 def _scalar_rows(eq: RatFunc, params: set):
     """Expand one affine equation's integer form into primitive rows, one per u-monomial."""
-    rows = affine_rows((eq.num.ints or _int_form(eq.num))[1]).values()
+    rows = affine_rows(_int_form(eq.num)[1]).values()
     params.update(*rows)
     params.discard(0)
     return [_primitive(row) for row in rows]
@@ -149,19 +152,23 @@ def linear_solve(eqs) -> LinearSystemSolution:
     return LinearSystemSolution(pivots=pivots, free=free, inconsistent=False)
 
 
-def substitute_solution(rf: RatFunc, sol: LinearSystemSolution) -> RatFunc:
-    """rf with each pivot parameter replaced by its free-parameter combination plus its
-    constant, read through ``rational.affine_rows``; any other parameter stays a symbol."""
-    if not sol.pivots:
-        return rf
-    terms: dict = {}
-    for m, row in affine_rows(rf.num.terms).items():  # parameters sort last: m + ((f, 1),)
+def substituted_terms(terms: dict, sol: LinearSystemSolution) -> dict:
+    """A parameter-affine term dict, read through ``rational.affine_rows``, with each pivot
+    replaced by its free-parameter combination plus its constant; any other parameter stays
+    a symbol.  The one substitution of a solution: no term dropped, no zero stored."""
+    out: dict = {}
+    for m, row in affine_rows(terms).items():  # parameters sort last: m + ((f, 1),)
         for pid, c in row.items():
             if pid not in sol.pivots:
-                add_terms(terms, {m + ((pid, 1),) if pid else m: c})
+                add_terms(out, {m + ((pid, 1),) if pid else m: c})
                 continue
             coeffs, const = sol.pivots[pid]
-            add_terms(terms, {m + ((f, 1),): a for f, a in coeffs.items()}, c)
+            add_terms(out, {m + ((f, 1),): a for f, a in coeffs.items()}, c)
             if const:
-                add_terms(terms, {m: const}, c)
-    return RatFunc(Poly._new(terms), rf.den)
+                add_terms(out, {m: const}, c)
+    return out
+
+
+def substitute_solution(rf: RatFunc, sol: LinearSystemSolution) -> RatFunc:
+    """rf with the solution substituted (``substituted_terms``): the generic member."""
+    return RatFunc(Poly._new(substituted_terms(rf.num.terms, sol)), rf.den) if sol.pivots else rf

@@ -39,6 +39,8 @@ class Problem:
                            if source_bytes is not None else None)
         self.n = _int(data.get("n") if isinstance(data, dict) else None,
                       "problem needs an integer field 'n'")
+        if self.n < 1:
+            raise InputError("problem field 'n' must be at least 1")
         names = data.get("variables")
         if names is not None and (not isinstance(names, list) or len(names) != self.n):
             raise InputError("the 'variables' naming list must have n entries")
@@ -142,7 +144,11 @@ def _scalar(n):
 
 
 def _number(x):
+    """Fraction(x) for a JSON number or a rational string; a bool, which Fraction()
+    would take as 0 or 1, is rejected like any other non-number."""
     try:
+        if isinstance(x, bool):
+            raise TypeError
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError):
         raise InputError(f"expected a rational number, got {x!r}")
@@ -294,7 +300,7 @@ def load_operator(problem: Problem, name: str):
     if "bivector" in spec:
         return BivectorOperator(name, tuple(_array(spec["bivector"], (n,), _expr(n),
                                                    "bivector needs n components")))
-    order = spec.get("order")
+    order = spec.get("order") if type(spec.get("order")) is int else None  # no bool or float
     if order == 1:
         g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
                           f"g must be {n} x {n}"),

@@ -799,8 +799,10 @@ def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
 
 def _int_form(p: Poly) -> tuple:
     """p's integer form (d, {m: n}), every coefficient n/d with d the lcm of
-    their denominators, computed once and kept in ``p.ints``; an all-``int``
-    p shares its term dict."""
+    their denominators: ``p.ints`` once set, else computed and kept there; an
+    all-``int`` p shares its term dict."""
+    if p.ints is not None:
+        return p.ints
     terms = p.terms
     dens = [c.denominator for c in terms.values() if type(c) is not int]
     if not dens:
@@ -832,8 +834,7 @@ def _ints_of(c: RatFunc):
     non-constant denominator."""
     den = c.den.terms
     if len(den) == 1 and _EMPTY in den:  # den.is_const, without the property call
-        num = c.num
-        return num.ints or _int_form(num)
+        return _int_form(c.num)
     return None
 
 

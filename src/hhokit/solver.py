@@ -2,7 +2,9 @@
 
 Templates carry fresh formal parameters linearly; the covering residual or
 the closed-form compatibility conditions reduce to an exact linear system in
-the parameters, whose reduced row echelon solution spans the answer.
+the parameters, whose reduced row echelon solution spans the answer.  The
+basis is read off the substituted template, through the one substitution of a
+solution, ``linsolve.substituted_terms``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .geometry import (
     third_order_compat,
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
-from .linsolve import LinearSystemSolution, linear_solve, substitute_solution
+from .linsolve import LinearSystemSolution, linear_solve, substitute_solution, substituted_terms
 from .rational import Poly, RatFunc, _q, affine_rows, mono_mul, var_name
 
 
@@ -200,38 +202,24 @@ def _free_params(sol: LinearSystemSolution, ansatz_params):
 
 
 def _read_off(sol: LinearSystemSolution, ansatz_params, templates) -> list:
-    """The family's basis read off the pivot rows, one member per free direction f: f is
-    1, a pivot p is its coefficient of f plus its constant, every other parameter 0.
+    """The family's basis read off the substituted template, one member per free direction
+    f: the generic member at f = 1 and every other free parameter 0.
 
-    ``templates`` lists each component as {key: parameter-affine RatFunc}, read through
-    ``affine_rows``; a member lists each as {key: coefficient}, zeros dropped, each
-    coefficient rebuilt over its template denominator by ``RatFunc(num, den)``, so
-    reduced as a substitution of the solution would leave it."""
-    free_all = _free_params(sol, ansatz_params)
-    common = {0: 1}  # the parameter-free part, and each pivot's nonzero constant
-    along = {f: {f: 1} for f in free_all}  # per direction, the pivots that hold it
-    for p, (coeffs, const) in sol.pivots.items():
-        if const:
-            common[p] = const
-        for f, a in coeffs.items():
-            along[f][p] = a + const
-    rows = [[(key, c.den, affine_rows(c.num.terms)) for key, c in t.items()] for t in templates]
+    ``templates`` lists each component as {key: parameter-affine RatFunc}.  Each numerator is
+    substituted once (``linsolve.substituted_terms``) and read through ``affine_rows``; at
+    each u-monomial, member f takes the parameter-free entry plus entry f.  A member lists
+    each component as {key: coefficient}, zeros dropped, each coefficient rebuilt over its
+    template denominator by ``RatFunc(num, den)``, so reduced as ``substitute_solution``
+    would leave it."""
+    rows = [[(key, c.den, affine_rows(substituted_terms(c.num.terms, sol)))
+             for key, c in t.items()] for t in templates]
     basis = []
-    for f in free_all:
-        value = {**common, **along[f]}  # every parameter not here is 0
+    for f in _free_params(sol, ansatz_params):
         member = []
         for comp in rows:
             out = {}
             for key, den, by_u in comp:
-                num = {}
-                for u, row in by_u.items():
-                    s = 0
-                    for p, c in row.items():
-                        v = value.get(p)
-                        if v is not None:
-                            s += c * v
-                    if s:
-                        num[u] = _q(s)
+                num = {u: _q(s) for u, row in by_u.items() if (s := row.get(0, 0) + row.get(f, 0))}
                 if num:
                     out[key] = RatFunc(Poly._new(num), den)
             member.append(out)

@@ -360,3 +360,28 @@ def test_find_fluxes_refuses_third_order_data_holding_parameters(tmp_path, capsy
     code, out, err = run(["find-fluxes", "--file", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"input error: formal parameter {where}: {_OWN_PARAMETERS}\n"
+
+
+_N_BELOW_ONE = "problem field 'n' must be at least 1"
+_NO_ORDER = "operator 'A' needs 'order' in 1..3 or a 'bivector' field"
+_NOT_A_NUMBER = "expected a rational number, got True"
+
+
+@pytest.mark.parametrize("n, operator, message", [
+    (0, {"order": 1, "g": [], "Gamma": []}, _N_BELOW_ONE),
+    (-1, {"order": 1, "g": [], "Gamma": []}, _N_BELOW_ONE),
+    (1, {"order": True, "g": [["1"]], "Gamma": [[["0"]]]}, _NO_ORDER),
+    (1, {"order": 1.0, "g": [["1"]], "Gamma": [[["0"]]]}, _NO_ORDER),
+    (1, {"order": 3.0, "g": [["1"]]}, _NO_ORDER),
+    (1, {"order": 2, "T": [[[True]]], "g0": [[1]]}, _NOT_A_NUMBER),
+    (1, {"order": 2, "T": [[[0]]], "g0": [[True]]}, _NOT_A_NUMBER),
+    (2, {"order": 2, "T": {}, "g0": {"1,2": True}}, _NOT_A_NUMBER),
+    (1, {"order": 3, "g": [["1"]], "w": [[["0"]]], "weights": [True]}, _NOT_A_NUMBER),
+], ids=["n-0", "n-minus-1", "order-true", "order-1.0", "order-3.0", "T-true", "g0-true",
+        "sparse-g0-true", "weight-true"])
+def test_n_below_one_json_booleans_and_floats_are_input_errors(tmp_path, capsys, n, operator,
+                                                               message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"n": n, "operators": {"A": operator}}))
+    code, out, err = run(["check-op", "--file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")

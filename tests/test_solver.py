@@ -307,6 +307,20 @@ def test_read_off_matches_per_parameter_substitution_on_made_solutions():
         expected = _reference_basis(sol, ansatz.params, templates)
         assert len(expected) == dim
         _assert_same_basis(_read_off(sol, ansatz.params, templates), expected)
+    # Fraction coefficients over non-constant denominators, pivots with constants, c5 in no
+    # equation: members c3 and c5 of "b" reduce to constants over u1^2 + 1
+    templates = [{"a": parse_scalar("(1/2*c1*u1 - 2/3*c2 + c3*u1^2 + c3 + 1/5*u1)/(u1^2 + 1)"),
+                  "b": parse_scalar("(c1*u1^2 + c1 + 7/4*c4*u1 + 2/3*c5*u1^2 + 2/3*c5)"
+                                    "/(u1^2 + 1)")},
+                 {"a": parse_scalar("(c2*u1 + 2/7*c4 - 1/3)/(u1 + 2)")}]
+    sol = LinearSystemSolution(pivots={-1: ({-3: Fraction(3, 4)}, Fraction(7, 2)),
+                                       -2: ({-3: Fraction(-1), -4: Fraction(2, 5)},
+                                            Fraction(-1, 3))}, free=[-3, -4])
+    expected = _reference_basis(sol, (-1, -2, -3, -4, -5), templates)
+    assert len(expected) == 3
+    assert [str(member[0]["b"]) for member in expected] == [
+        "17/4", "(7/2*u1^2 + 7/4*u1 + 7/2)/(u1^2 + 1)", "25/6"]
+    _assert_same_basis(_read_off(sol, (-1, -2, -3, -4, -5), templates), expected)
 
 
 @pytest.mark.parametrize("residual, dim", [
