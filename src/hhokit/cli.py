@@ -277,17 +277,24 @@ def cmd_classify(args):
 
 
 def cmd_examples(args):
+    if args.all and args.action != "run":
+        raise InputError(f"examples {args.action} takes no --all (only examples run does)")
     if args.action == "list":
+        if args.name is not None:
+            raise InputError(f"examples list takes no NAME, got {args.name!r}")
         for entry in examples_catalog():
             print(f"{entry.name:20s} {entry.title}")
         return 0
     if args.action == "show":
+        if args.name is None:
+            raise InputError("examples show needs a NAME (see examples list)")
         entry = get_entry(args.name)
         print(json.dumps(entry.problem, indent=2, sort_keys=True))
         return 0
     if args.action == "run":
-        entries = (examples_catalog() if args.all or args.name is None
-                   else [get_entry(args.name)])
+        if args.all and args.name is not None:
+            raise InputError(f"examples run takes a NAME or --all, not both (got {args.name!r})")
+        entries = examples_catalog() if args.name is None else [get_entry(args.name)]
         failed = False
         for entry in entries:
             results = entry.run_goldens()

@@ -256,15 +256,23 @@ class CoveringContext:
 
     def linearize(self, phi) -> tuple:
         """D_t phi - l_F(phi) reduced on the covering; phi is a symmetry
-        characteristic (odd-free) or the image A(p) of an operator (odd-linear)."""
-        return self._linearize(tuple(phi), {})
+        characteristic (odd-free) or the image A(p) of an operator (odd-linear).
+        The D_x ladders of phi are dropped once the l_F rows have read them."""
+        return self._linearize(tuple(phi), {}, keep=False)
 
-    def _linearize(self, phi: tuple, memo: dict) -> tuple:
-        """linearize(phi), keeping the ladders D_x^k phi^j in memo[j]."""
+    def _linearize(self, phi: tuple, memo: dict, keep: bool = True) -> tuple:
+        """linearize(phi), row by row (l_F row i, then D_t phi^i), with the ladders
+        D_x^k phi^j in memo[j]; unless ``keep``, memo is emptied before the last D_t,
+        when the last l_F row has read them."""
         if len(phi) != self.system.n:
             raise InputError("characteristic has the wrong number of components")
         rows = self.linearization.apply(lambda j, k: self._dx(memo, j, phi[j], k), -1)
-        return tuple(self.total_t(f, total).value() for f, total in zip(phi, rows))
+        out = []
+        for i, (f, total) in enumerate(zip(phi, rows), 1):
+            if i == len(phi) and not keep:
+                memo.clear()
+            out.append(self.total_t(f, total).value())
+        return tuple(out)
 
     def register_symmetry(self, phi) -> int:
         """Register a symmetry characteristic; returns the slot index alpha.

@@ -6,17 +6,20 @@ primitive integer vector: a ``{pid: int}`` dict with the constant under key
 0, read from the numerator's integer form and divided by the gcd of its
 entries (its content).
 
-The rows are sorted once, sparsest first (a stable sort, to keep fill-in
-small), and brought to reduced row echelon form by one fraction-free
-Gauss-Jordan pass: pivot ``p`` of row ``P`` leaves row ``r`` by
-``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``; a pivot row
-of one entry forces ``p = 0``, so ``p`` is simply deleted from ``r``.  A new
-row is divided by its content once, after every pivot has left it and
-before it is stored as a pivot row; a stored pivot row that a new pivot
-leaves is divided by its content at once.  So every stored row is
-primitive.  A column index maps each parameter to the pivots whose rows
-hold it, so a new pivot is removed from exactly those rows.  Fractions
-appear only in the read-out.
+``linear_solve`` pops each equation off its own copy of the list as its rows
+are read, so the caller's list is left as it was and an equation that no one
+else holds is freed at once.  The rows are sorted once, sparsest first (a
+stable sort, to keep fill-in small), and popped in that order, so a row
+that reduces to zero is freed at once too.  They are brought to reduced row
+echelon form by one fraction-free Gauss-Jordan pass: pivot ``p`` of row
+``P`` leaves row ``r`` by ``r <- (P[p]/g) r - (r[p]/g) P`` with
+``g = gcd(P[p], r[p])``; a pivot row of one entry forces ``p = 0``, so
+``p`` is simply deleted from ``r``.  A new row is divided by its content
+once, after every pivot has left it and before it is stored as a pivot
+row; a stored pivot row that a new pivot leaves is divided by its content
+at once.  So every stored row is primitive.  A column index maps each
+parameter to the pivots whose rows hold it, so a new pivot is removed from
+exactly those rows.  Fractions appear only in the read-out.
 
 None of this changes the answer.  Scaling a row by a nonzero integer keeps
 the row space.  Every pivot row stays fully reduced (it holds no other
@@ -106,18 +109,23 @@ def _subtract(row: dict, pid: int, prow: dict) -> dict:
 def linear_solve(eqs) -> LinearSystemSolution:
     """Solve a list of parameter-affine RatFunc equations (= 0) exactly.
 
-    Raises NonlinearAnsatzError (from ``rational.affine_rows``) when a
-    parameter occurs nonlinearly.
+    The list is copied, each equation is released from the copy once its scalar rows are
+    read and each row that reduces to zero at once; ``eqs`` itself is not changed.  Raises
+    NonlinearAnsatzError (from ``rational.affine_rows``) when a parameter occurs
+    nonlinearly.
     """
     params: set = set()
     rows = []
-    for eq in eqs:
-        rows.extend(_scalar_rows(eq, params))
+    eqs = list(eqs)[::-1]  # popped from the end: in the given order
+    while eqs:
+        rows.extend(_scalar_rows(eqs.pop(), params))
 
     rows.sort(key=len)
+    rows.reverse()
     pivot_rows: dict = {}  # pid -> primitive integer row holding pid, fully reduced
     holders: dict = {}  # non-pivot parameter -> the pivots whose rows hold it
-    for row in rows:
+    while rows:
+        row = rows.pop()
         for pid in row.keys() & pivot_rows.keys():
             prow = pivot_rows[pid]
             if len(prow) == 1:  # prow forces pid = 0

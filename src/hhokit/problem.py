@@ -144,12 +144,13 @@ def _scalar(n):
 
 
 def _number(x):
-    """Fraction(x) for a JSON number or a rational string; a bool, which Fraction()
+    """Fraction(x) for a JSON number or a rational string; a float is read as the decimal
+    it spells (``0.1`` as 1/10, not as its binary double), and a bool, which Fraction()
     would take as 0 or 1, is rejected like any other non-number."""
     try:
         if isinstance(x, bool):
             raise TypeError
-        return Fraction(x)
+        return Fraction(repr(x) if isinstance(x, float) else x)
     except (TypeError, ValueError, ArithmeticError):
         raise InputError(f"expected a rational number, got {x!r}")
 

@@ -229,11 +229,12 @@ def _read_off(sol: LinearSystemSolution, ansatz_params, templates) -> list:
 
 def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
     """All members of the template whose covering residual vanishes: the residual's
-    conditions are solved, and the basis is read off the pivot rows (``_read_off``)."""
+    conditions are solved, and the basis is read off the pivot rows (``_read_off``).
+    The residual is not kept, so ``linear_solve`` holds the only copy of its equations."""
     for i, f in enumerate(system.fluxes, 1):
         _refuse_parameters(f"flux {i}", f.terms.values())
-    residual = bivector_residual(build_cotangent(system), BivectorForm(ansatz.components))
-    sol = linear_solve(extract_conditions(residual))
+    sol = linear_solve(extract_conditions(
+        bivector_residual(build_cotangent(system), BivectorForm(ansatz.components))))
     basis = tuple(tuple(DiffPoly._new(comp) for comp in member)
                   for member in _read_off(sol, ansatz.params,
                                           [comp.terms for comp in ansatz.components]))

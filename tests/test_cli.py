@@ -385,3 +385,47 @@ def test_n_below_one_json_booleans_and_floats_are_input_errors(tmp_path, capsys,
     path.write_text(json.dumps({"n": n, "operators": {"A": operator}}))
     code, out, err = run(["check-op", "--file", str(path)], capsys)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("operator, spelled", [
+    ({"order": 2, "T": [[[0]]], "g0": [[0.1]]}, {"order": 2, "T": [[[0]]], "g0": [["1/10"]]}),
+    ({"order": 2, "T": [[[0]]], "g0": [[2.5e-3]]}, {"order": 2, "T": [[[0]]], "g0": [["0.0025"]]}),
+    ({"order": 2, "T": [[[0.3]]], "g0": [[0]]}, {"order": 2, "T": [[["3/10"]]], "g0": [[0]]}),
+], ids=["g0-0.1", "g0-2.5e-3", "T-0.3"])
+def test_json_float_loads_as_the_decimal_it_spells(tmp_path, capsys, operator, spelled):
+    results = []
+    for op in (operator, spelled):
+        path = tmp_path / "decimal.json"
+        path.write_text(json.dumps({"n": 1, "operators": {"C": op}}))
+        results.append(run(["check-op", "--file", str(path)], capsys))
+    assert results[0] == results[1]
+    assert results[0][0] == 1  # the check fails, with the decimal's exact residual
+
+
+@pytest.mark.parametrize("value, shown", [
+    (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"), (True, "True"),
+])
+def test_json_non_finite_and_boolean_numbers_stay_input_errors(tmp_path, capsys, value, shown):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"n": 1, "operators": {"C": {"order": 2, "T": [[[0]]],
+                                                            "g0": [[value]]}}}))
+    code, out, err = run(["check-op", "--file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"input error: expected a rational number, got {shown}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["show"], "examples show needs a NAME (see examples list)"),
+    (["list", "kdv"], "examples list takes no NAME, got 'kdv'"),
+    (["run", "kdv", "--all"], "examples run takes a NAME or --all, not both (got 'kdv')"),
+    (["show", "kdv", "--all"], "examples show takes no --all (only examples run does)"),
+    (["list", "--all"], "examples list takes no --all (only examples run does)"),
+], ids=["show-no-name", "list-name", "run-name-and-all", "show-all", "list-all"])
+def test_examples_misuse_is_an_input_error(capsys, argv, message):
+    code, out, err = run(["examples", *argv], capsys)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_plain_examples_run_runs_every_example(capsys):
+    code, out, _ = run(["examples", "run"], capsys)
+    assert code == 0
+    assert out == run(["examples", "run", "--all"], capsys)[1]

@@ -1,7 +1,9 @@
 """Ansatz generation and undetermined-coefficients searches."""
 
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -367,3 +369,43 @@ def test_flux_basis_and_classification_match_per_parameter_substitution():
         got = fam.classification[name]
         assert (got.passed, str(got)) == (report.passed, str(report))
         assert got == report
+
+
+def _traced_peak(run):
+    """The peak of traced allocations, in bytes, while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller's "
+                    "stack holds a call's arguments, so the residual's equations stay alive "
+                    "while linear_solve reads them")
+def test_search_peak_is_the_residual_peak():
+    # the residual and its scalar rows never coexist: each equation is released once read
+    from test_ladder_pins import _cyclic
+    ansatz = make_operator_ansatz(3, 2, 1)
+    assert find_bivectors(_cyclic((1, 2, 3)), ansatz).dimension == 4  # warms every cache
+    system = _cyclic((1, 2, 3))
+    residual = _traced_peak(lambda: bivector_residual(build_cotangent(system),
+                                                      BivectorForm(ansatz.components)))
+    search = _traced_peak(lambda: find_bivectors(system, ansatz))
+    assert search <= 1.15 * residual
+
+
+def test_linear_solve_leaves_the_callers_list_unchanged():
+    from hhokit.covering import extract_conditions
+    from hhokit.linsolve import linear_solve
+    ansatz = make_operator_ansatz(1, 3, 1)
+    eqs = extract_conditions(bivector_residual(
+        build_cotangent(EvolutionSystem.general([parse("u1_x3 + u1*u1_x")])),
+        BivectorForm(ansatz.components)))
+    held = list(eqs)
+    sol = linear_solve(eqs)
+    assert len(eqs) == len(held) and all(a is b for a, b in zip(eqs, held))
+    again = linear_solve(tuple(eqs))
+    assert (again.pivots, again.free, again.dimension) == (sol.pivots, sol.free, sol.dimension)
+    assert sol.pivots and sol.free
