@@ -26,7 +26,7 @@ from .errors import (
 from .geometry import char_square_check, haantjes_zero_check, linear_degeneracy_check
 from .grammar import format_diffpoly, format_ratfunc, parse_scalar
 from .jets import DiffPoly
-from .problem import CoveringCheck, Problem, load_operator
+from .problem import CoveringCheck, JsonDecimal, Problem, load_operator
 from .rational import Poly
 from .solver import find_bivectors, make_flux_ansatz, make_operator_ansatz
 
@@ -155,7 +155,7 @@ def _load_problem_arg(args, needs_system=False) -> Problem:
         with open(args.file, "rb") as fh:
             blob = fh.read()
         try:
-            data = json.loads(blob)
+            data = json.loads(blob, parse_float=JsonDecimal)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise InputError(f"not valid JSON: {exc}")
     else:
@@ -217,11 +217,7 @@ def cmd_reduce(args):
 def _setting(args, problem, key, fallback):
     """CLI flag wins; then the problem's task block; then the fallback."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in problem.task:
-        return problem.task[key]
-    return fallback
+    return problem.task.get(key, fallback) if value is None else value
 
 
 def cmd_find_bivectors(args):

@@ -10,6 +10,7 @@ SIZE_CAP = 10_000  # most ansatz parameters, and most dense T entries from spars
 # a parsed power's cost: its last squaring's term products and its coefficients' bits
 POWER_PRODUCTS_CAP = 250_000
 POWER_BITS_CAP = 2048
+DECIMAL_EXPONENT_CAP = 1000  # of a JSON number: 1e-400 loads exactly, 1e999999999 is refused
 _ENV_VAR = "HHOKIT_JET_CAP"
 
 

@@ -254,25 +254,25 @@ class CoveringContext:
 
     # -- operations --------------------------------------------------------------
 
-    def linearize(self, phi) -> tuple:
-        """D_t phi - l_F(phi) reduced on the covering; phi is a symmetry
-        characteristic (odd-free) or the image A(p) of an operator (odd-linear).
-        The D_x ladders of phi are dropped once the l_F rows have read them."""
-        return self._linearize(tuple(phi), {}, keep=False)
+    def linearize(self, phi, memo=None) -> tuple:
+        """The values of ``residual_sums(phi, memo)``, one DiffPoly per component."""
+        return tuple(total.value() for total in self.residual_sums(phi, memo))
 
-    def _linearize(self, phi: tuple, memo: dict, keep: bool = True) -> tuple:
-        """linearize(phi), row by row (l_F row i, then D_t phi^i), with the ladders
-        D_x^k phi^j in memo[j]; unless ``keep``, memo is emptied before the last D_t,
-        when the last l_F row has read them."""
+    def residual_sums(self, phi, memo=None):
+        """Yield D_t phi - l_F(phi) reduced on the covering, phi a symmetry characteristic
+        (odd-free) or the image A(p) of an operator (odd-linear), as one unvalued DiffSum per
+        component, row by row (l_F row i, then D_t phi^i), each formed when asked for.  The
+        ladders D_x^k phi^j are kept in ``memo`` when one is given; otherwise they are
+        dropped before the last D_t, when the last l_F row has read them."""
+        phi, keep = tuple(phi), memo is not None
         if len(phi) != self.system.n:
             raise InputError("characteristic has the wrong number of components")
+        memo = {} if memo is None else memo
         rows = self.linearization.apply(lambda j, k: self._dx(memo, j, phi[j], k), -1)
-        out = []
         for i, (f, total) in enumerate(zip(phi, rows), 1):
             if i == len(phi) and not keep:
                 memo.clear()
-            out.append(self.total_t(f, total).value())
-        return tuple(out)
+            yield self.total_t(f, total)
 
     def register_symmetry(self, phi) -> int:
         """Register a symmetry characteristic; returns the slot index alpha.
@@ -282,7 +282,7 @@ class CoveringContext:
         of <l_F(phi), p>.
         """
         phi, dphi = tuple(phi), {}
-        residual = self._linearize(phi, dphi)
+        residual = self.linearize(phi, dphi)
         if any(not comp.is_zero for comp in residual):
             raise NotASymmetryError("characteristic is not a symmetry", residual=residual)
         rx = DiffSum()
@@ -321,7 +321,4 @@ def bivector_residual(ctx: CoveringContext, A: BivectorForm) -> tuple:
 
 def extract_conditions(residual) -> list:
     """Coefficient functions whose joint vanishing is residual = 0."""
-    eqs = []
-    for comp in residual:
-        eqs.extend(comp.terms[m] for m in sorted(comp.terms, key=dm_key))
-    return eqs
+    return [comp.terms[m] for comp in residual for m in sorted(comp.terms, key=dm_key)]

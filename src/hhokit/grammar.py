@@ -81,13 +81,8 @@ def _name_to_value(tok: _Token) -> DiffPoly:
     if m is None:
         raise ExpressionError(f"unknown name {tok.value!r}", tok.line, tok.col)
     letter, index, suffix = m.group(1), int(m.group(2)), m.group(3)
-    if suffix is None:
-        xorder = 0
-    elif suffix == "x":
-        xorder = 1
-    elif suffix == "xx":
-        xorder = 2
-    else:
+    xorder = {None: 0, "x": 1, "xx": 2}.get(suffix)
+    if xorder is None:
         xorder = int(suffix[1:])
         if xorder < 3:
             hint = {0: "no suffix", 1: "_x", 2: "_xx"}[xorder]
@@ -285,10 +280,8 @@ def _coeff_factor(r: RatFunc) -> str:
         if len(p.terms) > 1:
             return f"({p})"
         ((m, c),) = p.terms.items()
-        if c < 0 or (c.denominator != 1 and m):
-            # keep e.g. (2/3*u1) unambiguous as one factor
-            return str(p) if not m else f"({p})"
-        return str(p)
+        # keep e.g. (2/3*u1) unambiguous as one factor
+        return f"({p})" if m and (c < 0 or c.denominator != 1) else str(p)
     return f"({_poly_body(r.num)}/{_poly_body(r.den)})"
 
 

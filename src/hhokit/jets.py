@@ -43,14 +43,8 @@ class JetVar(NamedTuple):
     xorder: int
 
     def name(self) -> str:
-        base = f"{_KIND_LETTER[self.kind]}{self.index}"
-        if self.xorder == 0:
-            return base
-        if self.xorder == 1:
-            return base + "_x"
-        if self.xorder == 2:
-            return base + "_xx"
-        return f"{base}_x{self.xorder}"
+        base, k = f"{_KIND_LETTER[self.kind]}{self.index}", self.xorder
+        return base + ("", "_x", "_xx")[k] if k < 3 else f"{base}_x{k}"
 
 
 def ujet(index: int, xorder: int) -> JetVar:

@@ -1,35 +1,31 @@
 """Exact linear solving for parameter-affine systems of scalar equations.
 
-Each equation is a RatFunc affine in the formal parameters.  Its numerator
-gives one scalar row per u-monomial (``rational.affine_rows``), kept as a
-primitive integer vector: a ``{pid: int}`` dict with the constant under key
-0, read from the numerator's integer form and divided by the gcd of its
-entries (its content).
+An equation is a RatFunc affine in the formal parameters, or the tuple of its rows as
+``sum_equations`` reads them straight off a finished ``rational.IntSum``, the way a search
+takes its covering residual: each key's integer numerators give its rows, with no
+coefficient made.  A row is one u-monomial's ``{pid: int}`` (``rational.affine_rows``), the
+constant under key 0, divided by the gcd of its entries (its content).
 
-``linear_solve`` pops each equation off its own copy of the list as its rows
-are read, so the caller's list is left as it was and an equation that no one
-else holds is freed at once.  The rows are sorted once, sparsest first (a
-stable sort, to keep fill-in small), and popped in that order, so a row
-that reduces to zero is freed at once too.  They are brought to reduced row
-echelon form by one fraction-free Gauss-Jordan pass: pivot ``p`` of row
-``P`` leaves row ``r`` by ``r <- (P[p]/g) r - (r[p]/g) P`` with
-``g = gcd(P[p], r[p])``; a pivot row of one entry forces ``p = 0``, so
-``p`` is simply deleted from ``r``.  A new row is divided by its content
-once, after every pivot has left it and before it is stored as a pivot
-row; a stored pivot row that a new pivot leaves is divided by its content
-at once.  So every stored row is primitive.  A column index maps each
-parameter to the pivots whose rows hold it, so a new pivot is removed from
-exactly those rows.  Fractions appear only in the read-out.
+``linear_solve`` pops each equation off its own copy of the list as its rows are read, so
+the caller's list is left as it was and an equation that no one else holds is freed at
+once.  The rows are sorted once, sparsest first (a stable sort, to keep fill-in small), and
+popped in that order, so a row that reduces to zero is freed at once too.  They are brought
+to reduced row echelon form by one fraction-free Gauss-Jordan pass: pivot ``p`` of row
+``P`` leaves row ``r`` by ``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``; a
+pivot row of one entry forces ``p = 0``, so ``p`` is simply deleted from ``r``.  A new row
+is divided by its content once, after every pivot has left it; a stored pivot row that a
+new pivot leaves is divided by its content at once.  So every stored row is primitive.  A
+column index maps each parameter to the pivots whose rows hold it, so a new pivot is
+removed from exactly those rows.  Fractions appear only in the read-out.
 
-None of this changes the answer.  Scaling a row by a nonzero integer keeps
-the row space.  Every pivot row stays fully reduced (it holds no other
-pivot), so the pivots leave a new row in any order with the same result;
-and each pivot is its row's lowest-``_pkey`` parameter, since a later
-pivot only adds parameters above itself.  The pivot rows, scaled to a
-leading 1, are thus the reduced row echelon form of the whole system for
-that column order, which is unique.  ``pivots``, ``free`` and
-``inconsistent`` are therefore those of any plain elimination, and
-``pivots`` is returned in ``_pkey`` order.
+None of this changes the answer, nor does the order of the equations or rows.  Scaling a
+row by a nonzero integer keeps the row space.  Every pivot row stays fully reduced (it
+holds no other pivot), so the pivots leave a new row in any order with the same result; and
+each pivot is its row's lowest-``_pkey`` parameter, since a later pivot only adds
+parameters above itself.  The pivot rows, scaled to a leading 1, are thus the reduced row
+echelon form of the whole system for that column order, which is unique.  ``pivots``,
+``free`` and ``inconsistent`` are therefore those of any plain elimination, and ``pivots``
+is returned in ``_pkey`` order.
 
 ``substituted_terms`` is the one substitution of a solution: the solver's basis read-off
 and ``substitute_solution``, the generic member, both go through it.
@@ -67,9 +63,27 @@ def _pkey(pid: int) -> int:
     return -pid
 
 
-def _scalar_rows(eq: RatFunc, params: set):
-    """Expand one affine equation's integer form into primitive rows, one per u-monomial."""
-    rows = affine_rows(_int_form(eq.num)[1]).values()
+def sum_equations(total) -> list:
+    """The equations of a finished ``rational.IntSum`` = 0, one per key whose sum is not
+    zero, each key popped as read.  Integer numerators give the tuple of their rows
+    (``affine_rows``): the positive common denominator cannot change a row.  A lone first
+    RatFunc, or terms over a non-constant denominator, are made by ``IntSum.pop``."""
+    eqs, terms = [], total.terms
+    for key in list(terms):
+        if key in total.rats or type(terms[key]) is not dict:
+            eq = total.pop(key)
+        else:
+            eq = tuple(affine_rows(terms.pop(key)).values())
+        if eq:
+            eqs.append(eq)
+    return eqs
+
+
+def _scalar_rows(eq, params: set):
+    """One equation's primitive rows, one per u-monomial: a RatFunc's numerator read through
+    its integer form (``rational.affine_rows``), or the tuple of rows of ``sum_equations``,
+    whose rows are taken over and divided in place."""
+    rows = eq if type(eq) is tuple else affine_rows(_int_form(eq.num)[1]).values()
     params.update(*rows)
     params.discard(0)
     return [_primitive(row) for row in rows]
@@ -107,12 +121,12 @@ def _subtract(row: dict, pid: int, prow: dict) -> dict:
 
 
 def linear_solve(eqs) -> LinearSystemSolution:
-    """Solve a list of parameter-affine RatFunc equations (= 0) exactly.
+    """Solve a list of parameter-affine equations (= 0) exactly, each a RatFunc or the tuple
+    of its rows from ``sum_equations`` (those rows are reduced in place).
 
     The list is copied, each equation is released from the copy once its scalar rows are
     read and each row that reduces to zero at once; ``eqs`` itself is not changed.  Raises
-    NonlinearAnsatzError (from ``rational.affine_rows``) when a parameter occurs
-    nonlinearly.
+    NonlinearAnsatzError (from ``rational.affine_rows``) when a parameter occurs nonlinearly.
     """
     params: set = set()
     rows = []

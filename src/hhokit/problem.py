@@ -19,6 +19,7 @@ import hashlib
 from collections import namedtuple
 from fractions import Fraction
 
+from .config import DECIMAL_EXPONENT_CAP
 from .covering import (BivectorForm, EvolutionSystem, bivector_residual, build_cotangent,
                        operator_to_bivector)
 from .errors import InputError, NotASymmetryError
@@ -143,10 +144,27 @@ def _scalar(n):
     return leaf
 
 
+class JsonDecimal(Fraction):
+    """A JSON number with a fraction or an exponent (``json.loads`` ``parse_float``), read
+    exactly from its text and shown as that text; an exponent past DECIMAL_EXPONENT_CAP in size
+    is an input error, found before the number is built."""
+
+    def __new__(cls, text: str):
+        digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+        if len(digits) > 9 or int(digits or 0) > DECIMAL_EXPONENT_CAP:  # no int() of a long text
+            raise InputError(f"number {text} has an exponent beyond ±{DECIMAL_EXPONENT_CAP}")
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+    def __repr__(self):
+        return self.text
+
+
 def _number(x):
-    """Fraction(x) for a JSON number or a rational string; a float is read as the decimal
-    it spells (``0.1`` as 1/10, not as its binary double), and a bool, which Fraction()
-    would take as 0 or 1, is rejected like any other non-number."""
+    """Fraction(x) for a JSON number (a float read exactly, as a ``JsonDecimal``) or a rational
+    string; a Python float is read as the decimal it spells (``0.1`` as 1/10, not as its binary
+    double), and a bool, which Fraction() would take as 0 or 1, is rejected like any other."""
     try:
         if isinstance(x, bool):
             raise TypeError
@@ -156,9 +174,9 @@ def _number(x):
 
 
 def _int(x, message):
-    """int(x) for an int or an integer-valued string; a bool or a float, which
-    int() would truncate, is rejected like any other non-integer."""
-    if isinstance(x, (bool, float)):
+    """int(x) for an int or an integer-valued string; a bool or a float (a JSON one is a
+    ``JsonDecimal``), which int() would truncate, is rejected like any other non-integer."""
+    if isinstance(x, (bool, float)) or type(x) is JsonDecimal:  # no ABC instance check
         raise InputError(message)
     try:
         return int(x)
@@ -302,10 +320,11 @@ def load_operator(problem: Problem, name: str):
         return BivectorOperator(name, tuple(_array(spec["bivector"], (n,), _expr(n),
                                                    "bivector needs n components")))
     order = spec.get("order") if type(spec.get("order")) is int else None  # no bool or float
-    if order == 1:
+    if order in (1, 3):
         g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
                           f"g must be {n} x {n}"),
-                   variance=spec.get("variance", "upper"))
+                   variance=spec.get("variance", "upper" if order == 1 else "lower"))
+    if order == 1:
         gamma = _array(_require(spec, "Gamma", "operator"), (n, n, n), _scalar(n),
                        f"Gamma must be {n} x {n} x {n}")
         W = None
@@ -325,9 +344,6 @@ def load_operator(problem: Problem, name: str):
         g0 = _array(g0_raw, (n, n), _number, "g0 must be n x n")
         return SecondOrderOperator(SecondOrderData(T, g0))
     if order == 3:
-        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
-                          f"g must be {n} x {n}"),
-                   variance=spec.get("variance", "lower"))
         c_raw = spec.get("c", "from-metric")
         if c_raw == "from-metric":
             data = ThirdOrderData.from_lower_metric(g.lower())

@@ -330,9 +330,7 @@ class Poly(SparsePoly):
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_deg(m) for m in self.terms)
+        return max(map(mono_deg, self.terms), default=-1)
 
     def degree_in(self, vid: int) -> int:
         best = 0
@@ -343,11 +341,7 @@ class Poly(SparsePoly):
         return best
 
     def vars_used(self):
-        seen = set()
-        for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return sorted(seen, key=vkey)
+        return sorted({v for m in self.terms for v, _ in m}, key=vkey)
 
     @property
     def has_params(self) -> bool:
@@ -729,8 +723,7 @@ class RatFunc:
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
 
     def vars_used(self):
-        seen = set(self.num.vars_used()) | set(self.den.vars_used())
-        return sorted(seen, key=vkey)
+        return sorted(set(self.num.vars_used()) | set(self.den.vars_used()), key=vkey)
 
     def field_vars(self):
         """The field variables' vids, ascending."""

@@ -14,13 +14,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb
 
 from .config import SIZE_CAP
-from .covering import (
-    BivectorForm,
-    bivector_residual,
-    build_cotangent,
-    extract_conditions,
-    flux_jacobian,
-)
+from .covering import BivectorForm, build_cotangent, flux_jacobian
 from .errors import InputError
 from .geometry import (
     SecondOrderData,
@@ -33,7 +27,8 @@ from .geometry import (
     third_order_compat,
 )
 from .jets import DiffMonomial, DiffPoly, pjet, ujet
-from .linsolve import LinearSystemSolution, linear_solve, substitute_solution, substituted_terms
+from .linsolve import (LinearSystemSolution, linear_solve, substitute_solution, substituted_terms,
+                       sum_equations)
 from .rational import Poly, RatFunc, _q, affine_rows, mono_mul, var_name
 
 
@@ -228,13 +223,13 @@ def _read_off(sol: LinearSystemSolution, ansatz_params, templates) -> list:
 
 
 def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
-    """All members of the template whose covering residual vanishes: the residual's
-    conditions are solved, and the basis is read off the pivot rows (``_read_off``).
-    The residual is not kept, so ``linear_solve`` holds the only copy of its equations."""
+    """All members of the template whose covering residual vanishes.  The linear system is
+    read off the residual's unvalued sums (``CoveringContext.residual_sums``) one component
+    at a time (``linsolve.sum_equations``); the basis is read off the pivot rows."""
     for i, f in enumerate(system.fluxes, 1):
         _refuse_parameters(f"flux {i}", f.terms.values())
-    sol = linear_solve(extract_conditions(
-        bivector_residual(build_cotangent(system), BivectorForm(ansatz.components))))
+    sums = build_cotangent(system).residual_sums(BivectorForm(ansatz.components).components)
+    sol = linear_solve([eq for total in sums for eq in sum_equations(total)])
     basis = tuple(tuple(DiffPoly._new(comp) for comp in member)
                   for member in _read_off(sol, ansatz.params,
                                           [comp.terms for comp in ansatz.components]))

@@ -429,3 +429,45 @@ def test_plain_examples_run_runs_every_example(capsys):
     code, out, _ = run(["examples", "run"], capsys)
     assert code == 0
     assert out == run(["examples", "run", "--all"], capsys)[1]
+
+
+@pytest.mark.parametrize("written, spelled", [
+    ("1e-400", "1/1" + "0" * 400),
+    ("0.10000000000000000001", "10000000000000000001/100000000000000000000"),
+    ("1E+1000", "1" + "0" * 1000),
+], ids=["below-double", "past-17-digits", "at-the-exponent-bound"])
+def test_json_number_loads_exactly_from_its_text(tmp_path, capsys, written, spelled):
+    # a double would read 1e-400 as 0 (a wrong pass), the long decimal as 1/10, 1e1000 as inf
+    results = []
+    for g0 in (written, json.dumps(spelled)):
+        path = tmp_path / "exact.json"
+        path.write_text('{"n": 1, "operators": {"C": {"order": 2, "T": [[[0]]], "g0": [[%s]]}}}'
+                        % g0)
+        results.append(run(["check-op", "--file", str(path)], capsys))
+    assert results[0] == results[1]
+    assert results[0][0] == 1 and results[0][1].startswith("[FAIL] second-order-canonical")
+
+
+@pytest.mark.parametrize("written", ["1e1001", "-2.5E-1001", "1e999999999", "1e" + "9" * 5000],
+                         ids=["past-the-bound", "negative-past-the-bound", "billion", "long"])
+def test_json_number_exponent_past_the_bound_is_an_input_error(tmp_path, capsys, written):
+    # refused from the exponent's text: the number itself is never built
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "operators": {"C": {"order": 2, "T": [[[0]]], "g0": [[%s]]}}}'
+                    % written)
+    code, out, err = run(["check-op", "--file", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"input error: number {written} has an exponent beyond "
+                                       "±1000\n")
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("abc", "input error: HHOKIT_JET_CAP must be an integer, got 'abc'"),
+    ("0", "input error: HHOKIT_JET_CAP must be positive, got 0"),
+    ("3", "engine error: jet order 4 exceeds cap 3 (set HHOKIT_JET_CAP to raise it)"),
+], ids=["not-an-integer", "not-positive", "below-the-search"])
+def test_jet_cap_faults_in_a_search_exit_2_without_a_traceback(monkeypatch, capsys, cap,
+                                                                message):
+    monkeypatch.setenv("HHOKIT_JET_CAP", cap)
+    code, out, err = run(["find-bivectors", "--example", "kdv", "--order", "3", "--degree", "1"],
+                         capsys)
+    assert (code, out, err) == (2, "", message + "\n")

@@ -1,5 +1,6 @@
 """Ansatz generation and undetermined-coefficients searches."""
 
+import gc
 import random
 import sys
 import time
@@ -409,3 +410,54 @@ def test_linear_solve_leaves_the_callers_list_unchanged():
     again = linear_solve(tuple(eqs))
     assert (again.pivots, again.free, again.dimension) == (sol.pivots, sol.free, sol.dimension)
     assert sol.pivots and sol.free
+
+
+def _cold_traced_peak(run):
+    """``_traced_peak`` after a full collection, which empties the interpreter's free lists:
+    a tuple or dict reused from them was allocated before tracing began and is not counted, so
+    without it the peak depends on what ran before."""
+    gc.collect()
+    return _traced_peak(run)
+
+
+def test_search_peak_is_below_the_residual_peak():
+    # the search never forms the residual: each key's rows are read off its integer sum, and
+    # a component's sum is emptied before the next one is built
+    from test_ladder_pins import _cyclic
+    ansatz = make_operator_ansatz(3, 2, 1)
+    assert find_bivectors(_cyclic((1, 2, 3)), ansatz).dimension == 4  # warms every cache
+    system = _cyclic((1, 2, 3))
+    residual = _cold_traced_peak(lambda: bivector_residual(build_cotangent(system),
+                                                           BivectorForm(ansatz.components)))
+    search = _cold_traced_peak(lambda: find_bivectors(system, ansatz))
+    # before CPython 3.11 the caller's stack holds a call's arguments, so every equation's
+    # tuple of rows stays alive while linear_solve reads them
+    assert search <= (0.9 if sys.version_info >= (3, 11) else 1.0) * residual
+
+
+def _rational_flux():
+    return EvolutionSystem.hydrodynamic([[parse_scalar("1/u1")]])
+
+
+@pytest.mark.parametrize("rung, system, n, order, degree", [
+    ("kdv-o5", None, 1, 5, 2),
+    ("kdv5-o7", None, 1, 7, 2),  # its residual sums hold a common denominator above 1
+    ("cyclic-o2-L1", None, 3, 2, 1),
+    ("hydrodynamic-1/u1", _rational_flux, 1, 3, 2),  # keys made by IntSum.pop
+], ids=["kdv-o5", "kdv5-o7", "cyclic-o2", "rational-flux"])
+def test_search_rows_agree_with_the_residual_conditions(rung, system, n, order, degree):
+    from hhokit.covering import extract_conditions
+    from hhokit.linsolve import linear_solve, sum_equations
+    from test_ladder_pins import RUNGS
+    system = system or RUNGS[rung][0]
+    ansatz = make_operator_ansatz(n, order, degree)
+    sol = find_bivectors(system(), ansatz).substitution
+    ref = linear_solve(extract_conditions(bivector_residual(build_cotangent(system()),
+                                                            BivectorForm(ansatz.components))))
+    assert (sol.pivots, sol.free, sol.inconsistent) == (ref.pivots, ref.free, ref.inconsistent)
+    assert sol.free or sol.pivots
+    sums = list(build_cotangent(system()).residual_sums(ansatz.components))
+    dens = {total.den for total in sums}
+    kinds = {type(eq) for total in sums for eq in sum_equations(total)}
+    assert max(dens) > 1 if rung == "kdv5-o7" else dens == {1}
+    assert RatFunc in kinds if system is _rational_flux else kinds == {tuple}
