@@ -3,7 +3,7 @@
 An evolutionary system u^i_t = f^i(x-jets) is augmented with odd variables
 p_i obeying the adjoint linearized equations p_t = -l_F*(p), where the
 linearization l_F is a ``LocalOperator``.  A differential operator applied to
-p (``LocalOperator.apply``, the one routine that applies an operator, l_F
+p (``LocalOperator.apply_row``, the one routine that applies an operator, l_F
 included) becomes a vector function linear in the odd variables, and it is a
 variational bivector exactly when D_t A(p) - l_F(A(p)) reduces to zero on the
 covering.  Symmetries generate conservation laws linear in the odd variables;
@@ -167,15 +167,14 @@ class LocalOperator:
             rows.append(tuple(row))
         return cls(n=n, entries=tuple(rows))
 
-    def apply(self, dx, sign=1):
-        """Yield one DiffSum per row i, sign * sum_j sum_(a, k) a * dx(j, k), where
-        dx(j, k) is D_x^k of the j-th argument; row i is formed when asked for."""
-        for row in self.entries:
-            total = DiffSum()
-            for j, entry in enumerate(row):
-                for coeff, k in entry:
-                    total.addmul(coeff, dx(j, k), sign)
-            yield total
+    def apply_row(self, i, dx, sign=1) -> DiffSum:
+        """Row i of the operator applied, sign * sum_j sum_(a, k) a * dx(j, k) as one DiffSum,
+        where dx(j, k) is D_x^k of the j-th argument."""
+        total = DiffSum()
+        for j, entry in enumerate(self.entries[i]):
+            for coeff, k in entry:
+                total.addmul(coeff, dx(j, k), sign)
+        return total
 
 
 def operator_to_bivector(A: LocalOperator, ctx: "CoveringContext" = None,
@@ -183,7 +182,7 @@ def operator_to_bivector(A: LocalOperator, ctx: "CoveringContext" = None,
     """Evaluate the operator on p, adding weight * phi^i * r_alpha tails."""
     if tail and ctx is None:
         raise InputError("nonlocal tails need a covering context")
-    rows = list(A.apply(lambda j, k: DiffPoly.odd_p(j + 1, k)))
+    rows = [A.apply_row(i, lambda j, k: DiffPoly.odd_p(j + 1, k)) for i in range(A.n)]
     for weight, alpha in tail:
         slot = ctx.slot(alpha)
         for phi, total in zip(slot.phi, rows):
@@ -258,21 +257,21 @@ class CoveringContext:
         """The values of ``residual_sums(phi, memo)``, one DiffPoly per component."""
         return tuple(total.value() for total in self.residual_sums(phi, memo))
 
-    def residual_sums(self, phi, memo=None):
+    def residual_sums(self, phi, memo=None, rows=None):
         """Yield D_t phi - l_F(phi) reduced on the covering, phi a symmetry characteristic
         (odd-free) or the image A(p) of an operator (odd-linear), as one unvalued DiffSum per
-        component, row by row (l_F row i, then D_t phi^i), each formed when asked for.  The
-        ladders D_x^k phi^j are kept in ``memo`` when one is given; otherwise they are
-        dropped before the last D_t, when the last l_F row has read them."""
+        component i in ``rows`` (a range, all by default), each formed when asked for (l_F row
+        i, then D_t phi^i).  The ladders D_x^k phi^j are kept in ``memo`` when one is given;
+        otherwise they are dropped before the last D_t, when the last l_F row has read them."""
         phi, keep = tuple(phi), memo is not None
         if len(phi) != self.system.n:
             raise InputError("characteristic has the wrong number of components")
-        memo = {} if memo is None else memo
-        rows = self.linearization.apply(lambda j, k: self._dx(memo, j, phi[j], k), -1)
-        for i, (f, total) in enumerate(zip(phi, rows), 1):
-            if i == len(phi) and not keep:
+        memo, rows = {} if memo is None else memo, range(len(phi)) if rows is None else rows
+        for i in rows:
+            total = self.linearization.apply_row(i, lambda j, k: self._dx(memo, j, phi[j], k), -1)
+            if i == rows[-1] and not keep:
                 memo.clear()
-            yield self.total_t(f, total)
+            yield self.total_t(phi[i], total)
 
     def register_symmetry(self, phi) -> int:
         """Register a symmetry characteristic; returns the slot index alpha.

@@ -9,21 +9,23 @@ constant under key 0, divided by the gcd of its entries (its content).
 ``linear_solve`` pops each equation off its own copy of the list as its rows are read, so
 the caller's list is left as it was and an equation that no one else holds is freed at
 once.  The rows are sorted once, sparsest first (a stable sort, to keep fill-in small), and
-popped in that order, so a row that reduces to zero is freed at once too.  They are brought
-to reduced row echelon form by one fraction-free Gauss-Jordan pass: pivot ``p`` of row
-``P`` leaves row ``r`` by ``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``; a
-pivot row of one entry forces ``p = 0``, so ``p`` is simply deleted from ``r``.  A new row
-is divided by its content once, after every pivot has left it; a stored pivot row that a
-new pivot leaves is divided by its content at once.  So every stored row is primitive.  A
-column index maps each parameter to the pivots whose rows hold it, so a new pivot is
-removed from exactly those rows.  Fractions appear only in the read-out.
+popped in that order, so a row that reduces to zero is freed at once too.  A further batch
+(``more``, a search's last residual component) is formed once these are eliminated, and its
+rows are read into the same elimination.  All rows are brought to reduced row echelon form
+by one fraction-free Gauss-Jordan elimination: pivot ``p`` of row ``P`` leaves row ``r`` by
+``r <- (P[p]/g) r - (r[p]/g) P`` with ``g = gcd(P[p], r[p])``; a pivot row of one entry
+forces ``p = 0``, so ``p`` is simply deleted from ``r``.  A new row is divided by its
+content once, after every pivot has left it; a stored pivot row that a new pivot leaves is
+divided by its content at once.  So every stored row is primitive.  A column index maps
+each parameter to the pivots whose rows hold it, so a new pivot is removed from exactly
+those rows.  Fractions appear only in the read-out.
 
-None of this changes the answer, nor does the order of the equations or rows.  Scaling a
-row by a nonzero integer keeps the row space.  Every pivot row stays fully reduced (it
-holds no other pivot), so the pivots leave a new row in any order with the same result; and
-each pivot is its row's lowest-``_pkey`` parameter, since a later pivot only adds
-parameters above itself.  The pivot rows, scaled to a leading 1, are thus the reduced row
-echelon form of the whole system for that column order, which is unique.  ``pivots``,
+None of this changes the answer, nor does the order of the equations, rows or batches.
+Scaling a row by a nonzero integer keeps the row space.  Every pivot row stays fully
+reduced (it holds no other pivot), so the pivots leave a new row in any order with the same
+result; and each pivot is its row's lowest-``_pkey`` parameter, since a later pivot only
+adds parameters above itself.  The pivot rows, scaled to a leading 1, are thus the reduced
+row echelon form of the whole system for that column order, which is unique.  ``pivots``,
 ``free`` and ``inconsistent`` are therefore those of any plain elimination, and ``pivots``
 is returned in ``_pkey`` order.
 
@@ -120,50 +122,55 @@ def _subtract(row: dict, pid: int, prow: dict) -> dict:
     return row
 
 
-def linear_solve(eqs) -> LinearSystemSolution:
+def linear_solve(eqs, more=None) -> LinearSystemSolution:
     """Solve a list of parameter-affine equations (= 0) exactly, each a RatFunc or the tuple
-    of its rows from ``sum_equations`` (those rows are reduced in place).
+    of its rows from ``sum_equations`` (those rows are reduced in place); ``more``, if given,
+    maps the set of parameters they force to zero, once eliminated, to a further batch.
 
     The list is copied, each equation is released from the copy once its scalar rows are
     read and each row that reduces to zero at once; ``eqs`` itself is not changed.  Raises
     NonlinearAnsatzError (from ``rational.affine_rows``) when a parameter occurs nonlinearly.
     """
     params: set = set()
-    rows = []
-    eqs = list(eqs)[::-1]  # popped from the end: in the given order
-    while eqs:
-        rows.extend(_scalar_rows(eqs.pop(), params))
-
-    rows.sort(key=len)
-    rows.reverse()
     pivot_rows: dict = {}  # pid -> primitive integer row holding pid, fully reduced
     holders: dict = {}  # non-pivot parameter -> the pivots whose rows hold it
-    while rows:
-        row = rows.pop()
-        for pid in row.keys() & pivot_rows.keys():
-            prow = pivot_rows[pid]
-            if len(prow) == 1:  # prow forces pid = 0
-                del row[pid]
-            else:
-                _subtract(row, pid, prow)
-        if not row:
-            continue
-        lead = min((q for q in row if q), key=_pkey, default=0)
-        if not lead:  # 0 = nonzero constant
-            return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
-        _primitive(row)  # once, after all the pivots have left it
-        rest = [q for q in row if q and q != lead]
-        for q in rest:
-            holders.setdefault(q, set()).add(lead)
-        for pid in holders.pop(lead, ()):
-            prow = pivot_rows[pid]
-            _eliminate(prow, lead, row)
-            for q in rest:
-                if q in prow:
-                    holders[q].add(pid)
+    eqs = list(eqs)[::-1]  # popped from the end: in the given order
+    while True:
+        rows = []
+        while eqs:
+            rows.extend(_scalar_rows(eqs.pop(), params))
+        rows.sort(key=len)
+        rows.reverse()
+        while rows:
+            row = rows.pop()
+            for pid in row.keys() & pivot_rows.keys():
+                prow = pivot_rows[pid]
+                if len(prow) == 1:  # prow forces pid = 0
+                    del row[pid]
                 else:
-                    holders[q].discard(pid)
-        pivot_rows[lead] = row
+                    _subtract(row, pid, prow)
+            if not row:
+                continue
+            lead = min((q for q in row if q), key=_pkey, default=0)
+            if not lead:  # 0 = nonzero constant
+                return LinearSystemSolution(pivots={}, free=[], inconsistent=True)
+            _primitive(row)  # once, after all the pivots have left it
+            rest = [q for q in row if q and q != lead]
+            for q in rest:
+                holders.setdefault(q, set()).add(lead)
+            for pid in holders.pop(lead, ()):
+                prow = pivot_rows[pid]
+                _eliminate(prow, lead, row)
+                for q in rest:
+                    if q in prow:
+                        holders[q].add(pid)
+                    else:
+                        holders[q].discard(pid)
+            pivot_rows[lead] = row
+        if more is None:
+            break
+        zero = {pid for pid, row in pivot_rows.items() if len(row) == 1}  # each forced to 0
+        eqs, more = list(more(zero))[::-1], None
 
     free = sorted((p for p in params if p not in pivot_rows), key=_pkey)
     pivots = {}

@@ -2,9 +2,10 @@
 
 Templates carry fresh formal parameters linearly; the covering residual or
 the closed-form compatibility conditions reduce to an exact linear system in
-the parameters, whose reduced row echelon solution spans the answer.  The
-basis is read off the substituted template, through the one substitution of a
-solution, ``linsolve.substituted_terms``.
+the parameters, whose reduced row echelon solution spans the answer.  A
+search forms its last residual component only over the parameters the others
+leave open.  The basis is read off the substituted template, through the one
+substitution of a solution, ``linsolve.substituted_terms``.
 """
 
 from __future__ import annotations
@@ -222,14 +223,34 @@ def _read_off(sol: LinearSystemSolution, ansatz_params, templates) -> list:
     return basis
 
 
+def _without(components, zero) -> tuple:
+    """The template's components with every parameter in ``zero`` set to 0.  A coefficient
+    that loses no term is kept as it is, with its cached integer form."""
+    def kept(c):
+        num = {m: x for m, x in c.num.terms.items() if m[-1][0] not in zero}
+        return c if len(num) == len(c.num.terms) else RatFunc(Poly._new(num), c.den)
+    return tuple(DiffPoly._new({key: k for key, c in comp.terms.items() if (k := kept(c))})
+                 for comp in components)
+
+
 def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
     """All members of the template whose covering residual vanishes.  The linear system is
     read off the residual's unvalued sums (``CoveringContext.residual_sums``) one component
-    at a time (``linsolve.sum_equations``); the basis is read off the pivot rows."""
+    at a time (``linsolve.sum_equations``); the basis is read off the pivot rows.  The last
+    component is formed once the others are eliminated, without the parameters they force to
+    zero (``linear_solve``'s ``more``), which vanish on every solution.  That pays when the
+    others force most parameters to zero and their elimination alone fills in little (cyclic
+    n = 3, orders 2-5); it is slower where they force few (none at cyclic order 1, about half
+    in the n = 2 searches measured) or fill in more than the last saves (cyclic order 6)."""
     for i, f in enumerate(system.fluxes, 1):
         _refuse_parameters(f"flux {i}", f.terms.values())
-    sums = build_cotangent(system).residual_sums(BivectorForm(ansatz.components).components)
-    sol = linear_solve([eq for total in sums for eq in sum_equations(total)])
+    ctx, phi = build_cotangent(system), BivectorForm(ansatz.components).components
+    n = len(phi)
+
+    def last(zero):
+        return sum_equations(next(ctx.residual_sums(_without(phi, zero), rows=range(n - 1, n))))
+    sol = linear_solve([eq for total in ctx.residual_sums(phi, rows=range(n - 1))
+                        for eq in sum_equations(total)], last)
     basis = tuple(tuple(DiffPoly._new(comp) for comp in member)
                   for member in _read_off(sol, ansatz.params,
                                           [comp.terms for comp in ansatz.components]))

@@ -316,6 +316,13 @@ def test_find_fluxes_rejects_bad_degree_and_denominator(capsys, extra, message):
     assert err == f"input error: {message}\n"
 
 
+def test_find_fluxes_rejects_a_rational_denominator(capsys):
+    code, out, err = run(["find-fluxes", "--example", "n4-second-order", "--degree", "1",
+                          "--denominator", "1/u1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "input error: --denominator must be polynomial\n"
+
+
 @pytest.mark.parametrize("den", ["c1", "u1+c1"])
 def test_find_fluxes_rejects_parameter_in_denominator(capsys, den):
     # bad input, not an engine error: exit 2 with the input-error prefix

@@ -16,7 +16,7 @@ from hhokit.covering import (
     linearize,
     operator_to_bivector,
 )
-from hhokit.errors import NotASymmetryError
+from hhokit.errors import InputError, NotASymmetryError
 from hhokit.geometry import (Connection, Metric, ThirdOrderData, first_order_operator,
                              tail_characteristic, third_order_nonlocal_checks)
 from hhokit.grammar import parse, parse_scalar
@@ -458,3 +458,17 @@ def test_third_order_tails_share_one_covering(monkeypatch):
     built.clear()
     third_order_nonlocal_checks(d, [], [], vflux)
     assert built == []
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvolutionSystem(n=0, fluxes=()), "system needs at least one dependent variable"),
+    (lambda: EvolutionSystem(n=2, fluxes=(parse("u1_x"),)), "expected 2 fluxes, got 1"),
+    (lambda: EvolutionSystem.general([parse("u1_x"), parse("p1")]),
+     "flux 2 contains odd variables"),
+    (lambda: EvolutionSystem.hydrodynamic([[parse_scalar("u1"), parse_scalar("u2")]]),
+     "velocity matrix must be square"),
+], ids=["n-below-one", "flux-count", "odd-flux", "non-square-velocity"])
+def test_evolution_system_shape_checks(make, message):
+    with pytest.raises(InputError) as err:
+        make()
+    assert str(err.value) == message

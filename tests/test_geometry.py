@@ -372,6 +372,13 @@ def test_char_square():
     assert not char_square_check(V2).passed
 
 
+def test_char_square_fails_at_odd_dimension():
+    # a characteristic polynomial of odd degree is never a square
+    rep = char_square_check(mat([["u1", 0, 0], [0, "u1", 0], [0, 0, "u2"]]))
+    assert not rep.passed
+    assert rep.families_failing() == ["even-dimension"]
+
+
 def test_matrix_helpers():
     M = mat([["u1", 1], [1, "u2"]])
     Minv = inverse(M)

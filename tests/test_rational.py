@@ -129,3 +129,10 @@ def test_denominator_is_monic():
 def test_evaluate():
     q = (u(1) + u(2)) / u(2)
     assert q.evaluate({1: Fraction(3), 2: Fraction(2)}) == Fraction(5, 2)
+
+
+def test_rf_arith_subtracts_and_refuses_an_unknown_operation():
+    assert rf_arith(u(1) + u(2), u(2), "sub") == u(1)
+    assert rf_arith(u(1), u(1), "sub").is_zero
+    with pytest.raises(ValueError, match="unknown operation 'pow'"):
+        rf_arith(u(1), u(2), "pow")

@@ -25,6 +25,7 @@ from hhokit.solver import (
 )
 
 from genutil import catalog_data, constant_third_order_instance, subs_params
+from test_ladder_pins import _cyclic
 
 
 def test_ansatz_counts():
@@ -387,13 +388,12 @@ def _traced_peak(run):
                     "while linear_solve reads them")
 def test_search_peak_is_the_residual_peak():
     # the residual and its scalar rows never coexist: each equation is released once read
-    from test_ladder_pins import _cyclic
     ansatz = make_operator_ansatz(3, 2, 1)
     assert find_bivectors(_cyclic((1, 2, 3)), ansatz).dimension == 4  # warms every cache
     system = _cyclic((1, 2, 3))
-    residual = _traced_peak(lambda: bivector_residual(build_cotangent(system),
-                                                      BivectorForm(ansatz.components)))
-    search = _traced_peak(lambda: find_bivectors(system, ansatz))
+    residual = _cold_traced_peak(lambda: bivector_residual(build_cotangent(system),
+                                                           BivectorForm(ansatz.components)))
+    search = _cold_traced_peak(lambda: find_bivectors(system, ansatz))
     assert search <= 1.15 * residual
 
 
@@ -423,7 +423,6 @@ def _cold_traced_peak(run):
 def test_search_peak_is_below_the_residual_peak():
     # the search never forms the residual: each key's rows are read off its integer sum, and
     # a component's sum is emptied before the next one is built
-    from test_ladder_pins import _cyclic
     ansatz = make_operator_ansatz(3, 2, 1)
     assert find_bivectors(_cyclic((1, 2, 3)), ansatz).dimension == 4  # warms every cache
     system = _cyclic((1, 2, 3))
@@ -439,12 +438,31 @@ def _rational_flux():
     return EvolutionSystem.hydrodynamic([[parse_scalar("1/u1")]])
 
 
+def _hydrodynamic(*diagonal):
+    """The hydrodynamic system whose velocity matrix is diagonal with the given entries."""
+    n = len(diagonal)
+    return EvolutionSystem.hydrodynamic([[parse_scalar(diagonal[i] if i == j else "0")
+                                          for j in range(n)] for i in range(n)])
+
+
+def _constant_diagonal():
+    # components 1-2 force 384 parameters to zero; the full answer has 576 pivots
+    return _hydrodynamic("1", "2", "3")
+
+
 @pytest.mark.parametrize("rung, system, n, order, degree", [
     ("kdv-o5", None, 1, 5, 2),
     ("kdv5-o7", None, 1, 7, 2),  # its residual sums hold a common denominator above 1
     ("cyclic-o2-L1", None, 3, 2, 1),
     ("hydrodynamic-1/u1", _rational_flux, 1, 3, 2),  # keys made by IntSum.pop
-], ids=["kdv-o5", "kdv5-o7", "cyclic-o2", "rational-flux"])
+    ("cyclic-o3-L1", None, 3, 3, 1),  # the last component adds no condition
+    ("hydrodynamic-n4", lambda: _hydrodynamic("u1", "u2", "u3", "u4"), 4, 2, 1),
+    ("diag(1,2,3)", _constant_diagonal, 3, 2, 1),  # the last component adds conditions
+    ("hydrodynamic-n2", lambda: EvolutionSystem.hydrodynamic(
+        [[parse_scalar("u1"), parse_scalar("u2")], [parse_scalar("u2"), parse_scalar("u1")]]),
+     2, 2, 1),
+], ids=["kdv-o5", "kdv5-o7", "cyclic-o2", "rational-flux", "cyclic-o3", "hydrodynamic-n4",
+        "constant-diagonal", "hydrodynamic-n2"])
 def test_search_rows_agree_with_the_residual_conditions(rung, system, n, order, degree):
     from hhokit.covering import extract_conditions
     from hhokit.linsolve import linear_solve, sum_equations
@@ -461,3 +479,48 @@ def test_search_rows_agree_with_the_residual_conditions(rung, system, n, order, 
     kinds = {type(eq) for total in sums for eq in sum_equations(total)}
     assert max(dens) > 1 if rung == "kdv5-o7" else dens == {1}
     assert RatFunc in kinds if system is _rational_flux else kinds == {tuple}
+
+
+def _spy_on_the_last_component(monkeypatch):
+    """Record what ``find_bivectors`` hands ``linear_solve`` as ``more``: the parameters it is
+    called with and copies of the rows it returns (which ``linear_solve`` then reduces in
+    place)."""
+    from hhokit import solver
+    from hhokit.linsolve import linear_solve
+    seen = {}
+
+    def spy(eqs, more):
+        def read(zero):
+            batch = list(more(zero))
+            seen["zero"], seen["rows"] = set(zero), [dict(row) for eq in batch for row in eq]
+            return batch
+        return linear_solve(eqs, read)
+    monkeypatch.setattr(solver, "linear_solve", spy)
+    return seen
+
+
+@pytest.mark.parametrize("system, forced, pivots", [
+    (_constant_diagonal, 384, 576),  # the last component adds conditions
+    (lambda: _cyclic((1, 2, 3)), 468, 608),  # its whole rows hold forced columns
+], ids=["constant-diagonal", "cyclic-o2"])
+def test_last_component_is_read_over_the_parameters_left_open(monkeypatch, system, forced,
+                                                               pivots):
+    # at order 2, the last component's rows are its rows over the whole template without the
+    # columns that components 1..n-1 force to zero: none dropped, and no other column pruned
+    from hhokit.linsolve import linear_solve, sum_equations
+    seen = _spy_on_the_last_component(monkeypatch)
+    ansatz = make_operator_ansatz(3, 2, 1)
+    sol = find_bivectors(system(), ansatz).substitution
+    sums = list(build_cotangent(system()).residual_sums(ansatz.components))
+    head = linear_solve([eq for total in sums[:2] for eq in sum_equations(total)])
+    zero = {pid for pid, (coeffs, const) in head.pivots.items() if not coeffs and not const}
+    assert seen["zero"] == zero
+    assert (len(zero), len(sol.pivots)) == (forced, pivots)
+
+    def rows(eqs):
+        return sorted(sorted(row.items()) for row in eqs if row)
+    whole = [row for eq in sum_equations(sums[2]) for row in eq]
+    pruned = [{q: c for q, c in row.items() if q not in zero} for row in whole]
+    assert seen["rows"] and rows(seen["rows"]) == rows(pruned)
+    assert (rows(pruned) != rows(whole)) == (system is not _constant_diagonal)
+

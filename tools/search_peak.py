@@ -10,11 +10,11 @@ process runs nothing else, so its ``ru_maxrss`` is the peak resident set of
 the search, the interpreter, the imports and the template included.  One line
 is printed, as
 
-    order 5: 11952 parameters, dimension 4, 1.54 s, peak RSS 56.2 MB
+    order 5: 11952 parameters, dimension 4, 1.50 s, peak RSS 52.4 MB
 
 and the exit code is 1 unless the dimension is 4, the answer at every order.
 Sizes grow about 2.2x per order: order 4 has 4,968 parameters (about 0.5 s and
-32 MB on a 2-vCPU machine with Python 3.11), order 6 26,892 (about 5 s and 112 MB)
+30 MB on a 2-vCPU machine with Python 3.11), order 6 26,892 (about 7 s and 108 MB)
 and order 7 57,276.  An ORDER
 below 1 is a usage error (exit 2).  ``ru_maxrss`` is read as kilobytes, as
 Linux reports it.
