@@ -24,10 +24,9 @@ from .errors import (
     NotASymmetryError,
 )
 from .geometry import char_square_check, haantjes_zero_check, linear_degeneracy_check
-from .grammar import format_diffpoly, format_ratfunc, parse_scalar
+from .grammar import format_diffpoly, format_ratfunc
 from .jets import DiffPoly
-from .problem import CoveringCheck, JsonDecimal, Problem, load_operator
-from .rational import Poly
+from .problem import CoveringCheck, JsonDecimal, Problem, expression, load_operator
 from .solver import find_bivectors, make_flux_ansatz, make_operator_ansatz
 
 SCHEMA_VERSION = 1
@@ -243,14 +242,10 @@ def cmd_find_fluxes(args):
         raise InputError("find-fluxes needs --operator NAME")
     op = load_operator(problem, name)
     degree = int(_setting(args, problem, "degree", 2))
-    den_text = _setting(args, problem, "denominator", None)
-    den = Poly.one()
-    if den_text:
-        den_rf = parse_scalar(den_text)
-        if not den_rf.is_poly:
-            raise InputError("--denominator must be polynomial")
-        den = den_rf.num
-    ansatz = make_flux_ansatz(problem.n, degree, denominator=den)
+    den = expression(problem.n, scalar=True)(_setting(args, problem, "denominator", None) or "1")
+    if not den.is_poly:
+        raise InputError("--denominator must be polynomial")
+    ansatz = make_flux_ansatz(problem.n, degree, denominator=den.num)
     family = op.fluxes(ansatz, not args.no_classify)
     report.add_family(family, format_ratfunc)
     report.add_verdict(f"search(degree<={degree})", True,
@@ -287,22 +282,20 @@ def cmd_examples(args):
         entry = get_entry(args.name)
         print(json.dumps(entry.problem, indent=2, sort_keys=True))
         return 0
-    if args.action == "run":
-        if args.all and args.name is not None:
-            raise InputError(f"examples run takes a NAME or --all, not both (got {args.name!r})")
-        entries = examples_catalog() if args.name is None else [get_entry(args.name)]
-        failed = False
-        for entry in entries:
-            results = entry.run_goldens()
-            ok = all(r.ok for r in results)
-            failed = failed or not ok
-            print(f"[{'pass' if ok else 'FAIL'}] {entry.name}")
-            for r in results:
-                mark = "ok" if r.ok else "XX"
-                detail = f"  {r.detail}" if r.detail else ""
-                print(f"    [{mark}] {r.name}{detail}")
-        return 1 if failed else 0
-    raise InputError(f"unknown examples action {args.action!r}")
+    if args.all and args.name is not None:
+        raise InputError(f"examples run takes a NAME or --all, not both (got {args.name!r})")
+    entries = examples_catalog() if args.name is None else [get_entry(args.name)]
+    failed = False
+    for entry in entries:
+        results = entry.run_goldens()
+        ok = all(r.ok for r in results)
+        failed = failed or not ok
+        print(f"[{'pass' if ok else 'FAIL'}] {entry.name}")
+        for r in results:
+            mark = "ok" if r.ok else "XX"
+            detail = f"  {r.detail}" if r.detail else ""
+            print(f"    [{mark}] {r.name}{detail}")
+    return 1 if failed else 0
 
 
 # -- entry point -------------------------------------------------------------------------

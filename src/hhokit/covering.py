@@ -265,7 +265,7 @@ class CoveringContext:
         otherwise they are dropped before the last D_t, when the last l_F row has read them."""
         phi, keep = tuple(phi), memo is not None
         if len(phi) != self.system.n:
-            raise InputError("characteristic has the wrong number of components")
+            raise InputError(f"expected {self.system.n} components, one per field, got {len(phi)}")
         memo, rows = {} if memo is None else memo, range(len(phi)) if rows is None else rows
         for i in rows:
             total = self.linearization.apply_row(i, lambda j, k: self._dx(memo, j, phi[j], k), -1)
@@ -313,8 +313,6 @@ def linearize(system: EvolutionSystem, phi) -> tuple:
 
 def bivector_residual(ctx: CoveringContext, A: BivectorForm) -> tuple:
     """l_F(A(p)) reduced on the covering; zero iff A is a variational bivector."""
-    if len(A.components) != ctx.system.n:
-        raise InputError("bivector has the wrong number of components")
     return ctx.linearize(A.components)
 
 

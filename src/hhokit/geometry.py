@@ -49,20 +49,20 @@ def _scalar(x) -> RatFunc:
     return RatFunc.const(x)
 
 
-def _tensor(x, n, rank, message, leaf) -> tuple:
-    """x as nested tuples of leaf(entry); InputError(message) unless every
-    index runs over range(n).  Each level is converted before its length is checked."""
-    if rank == 0:
+def _tensor(x, shape, leaf, message) -> tuple:
+    """x as nested tuples of leaf(entry), shape[k] entries at depth k (None: any length);
+    InputError(message) unless each level is a list or tuple of its length, checked before
+    that level's entries are converted.  Every array from outside is read through it."""
+    if not shape:
         return leaf(x)
-    out = tuple(_tensor(y, n, rank - 1, message, leaf) for y in x)
-    if len(out) != n:
+    if not isinstance(x, (list, tuple)) or shape[0] not in (None, len(x)):
         raise InputError(message)
-    return out
+    return tuple(_tensor(y, shape[1:], leaf, message) for y in x)
 
 
 def as_matrix(rows) -> tuple:
-    rows = tuple(rows)
-    return _tensor(rows, len(rows), 2, "matrix must be square", _scalar)
+    n = len(rows) if isinstance(rows, (list, tuple)) else None
+    return _tensor(rows, (n, n), _scalar, "matrix must be square")
 
 
 def identity(n) -> tuple:
@@ -344,8 +344,8 @@ class Connection:
     def __init__(self, metric: Metric, gamma_upper):
         self.metric = metric
         self.n = metric.n
-        self.gamma = _tensor(gamma_upper, self.n, 3, "connection symbols must be n x n x n",
-                             _scalar)
+        self.gamma = _tensor(gamma_upper, (self.n,) * 3, _scalar,
+                             "connection symbols must be n x n x n")
         self._christoffel = None
 
     def christoffel(self) -> tuple:
@@ -518,9 +518,9 @@ class SecondOrderData:
     """Canonical-form second-order data: g_{ij}(u) = T_{ijk} u^k + g0_{ij}."""
 
     def __init__(self, T, g0):
-        self.n = len(g0)
-        self.T = _tensor(T, self.n, 3, "T must be n x n x n", Fraction)
-        self.g0 = _tensor(g0, self.n, 2, "g0 must be n x n", Fraction)
+        self.n = len(g0) if isinstance(g0, (list, tuple)) else None  # else _tensor refuses g0
+        self.T = _tensor(T, (self.n,) * 3, Fraction, "T must be n x n x n")
+        self.g0 = _tensor(g0, (self.n,) * 2, Fraction, "g0 must be n x n")
 
     @classmethod
     def from_generators(cls, n, t_entries, g0_entries):
@@ -601,7 +601,7 @@ class ThirdOrderData:
 
     def __init__(self, metric: Metric, c_upper):
         self.metric, self.n = metric, metric.n
-        self._c = {"up": _tensor(c_upper, self.n, 3, "c must be n x n x n", _scalar)}
+        self._c = {"up": _tensor(c_upper, (self.n,) * 3, _scalar, "c must be n x n x n")}
 
     @classmethod
     def from_lower_metric(cls, g_low_entries) -> "ThirdOrderData":

@@ -11,7 +11,8 @@ Names: field variables ``u1..`` (order-0), jets ``u1_x``, ``u1_xx``,
 ``u1_x3`` (k >= 3 written ``_x{k}``), odd cotangent variables ``p1``,
 ``p1_x``, ..., nonlocal potentials ``r1`` (never differentiated in the
 text form), parameters ``c1..``.  Exponents are non-negative integers.
-Division is only by jet-, odd- and parameter-free subexpressions.  Parentheses
+Division is only by jet-, odd- and parameter-free subexpressions, and a product
+of two odd variables is an ExpressionError at its ``*`` or ``^``.  Parentheses
 nest at most 100 deep; deeper input is an ExpressionError.  So is a power
 whose expansion could exceed ``config.SIZE_CAP`` terms: a base of T terms
 (numerator terms summed over its jet terms; non-constant denominators' terms
@@ -179,6 +180,8 @@ class _Parser:
                 self.next()
                 rhs = self.parse_factor()
                 if tok.value == "*":
+                    if value.odd_degree() and rhs.odd_degree():
+                        raise ExpressionError("product of two odd variables", tok.line, tok.col)
                     value = value * rhs
                 else:
                     if not rhs.is_scalar:
@@ -214,6 +217,8 @@ class _Parser:
                 raise ExpressionError("exponent must be a non-negative integer",
                                       etok.line, etok.col)
             _check_power_size(value, etok)
+            if etok.value > 1 and value.odd_degree():
+                raise ExpressionError("product of two odd variables", tok.line, tok.col)
             value = value ** etok.value
         return -value if sign < 0 else value
 

@@ -23,14 +23,14 @@ from .config import DECIMAL_EXPONENT_CAP
 from .covering import (BivectorForm, EvolutionSystem, bivector_residual, build_cotangent,
                        operator_to_bivector)
 from .errors import InputError, NotASymmetryError
-from .geometry import (Connection, Metric, SecondOrderData, ThirdOrderData,
+from .geometry import (Connection, Metric, SecondOrderData, ThirdOrderData, _tensor,
                        first_order_hamiltonian_check, first_order_operator,
                        nonlocal_first_order_check, second_order_canonical_check,
                        second_order_compat, tail_characteristic, third_order_compat,
                        third_order_hamiltonian_check, third_order_nonlocal_checks,
                        third_order_operator, tsarev_check)
 from .grammar import parse, parse_scalar
-from .jets import KIND_R
+from .jets import KIND_R, DiffPoly
 from .solver import find_fluxes_second_order, find_fluxes_third_order
 
 
@@ -51,10 +51,11 @@ class Problem:
             raise InputError("'task' must be an object of default settings")
         self._check_task()
         self.system = self._load_system(data.get("system"))
-        self.symmetries = [
-            tuple(_array(phi, (self.n,), _expr(self.n), "each symmetry needs n components"))
-            for phi in _array(data.get("symmetries", []), (None,), None,
-                              "'symmetries' must be a list")]
+        self.symmetries = _tensor(
+            data.get("symmetries", []), (None,),
+            lambda phi: _tensor(phi, (self.n,), expression(self.n),
+                                "each symmetry needs n components"),
+            "'symmetries' must be a list")
         self.operators = data.get("operators", {})
         if not isinstance(self.operators, dict) or not all(
                 isinstance(spec, dict) for spec in self.operators.values()):
@@ -76,14 +77,14 @@ class Problem:
         n = self.n
         if kind == "fluxes":
             return EvolutionSystem.general(
-                _array(_require(spec, "f", kind), (n,), _expr(n), f"expected {n} fluxes"))
+                _tensor(_require(spec, "f", kind), (n,), expression(n), f"expected {n} fluxes"))
         if kind == "hydrodynamic":
             return EvolutionSystem.hydrodynamic(
-                _array(_require(spec, "V", kind), (n, n), _scalar(n),
-                       "velocity matrix must be n x n"))
+                _tensor(_require(spec, "V", kind), (n, n), expression(n, scalar=True),
+                        "velocity matrix must be n x n"))
         if kind in ("conservative", "potential"):
-            V = _array(_require(spec, "V", kind), (n,), _scalar(n),
-                       f"expected {n} flux potentials")
+            V = _tensor(_require(spec, "V", kind), (n,), expression(n, scalar=True),
+                        f"expected {n} flux potentials")
             maker = (EvolutionSystem.conservative if kind == "conservative"
                      else EvolutionSystem.potential)
             return maker(V)
@@ -111,35 +112,21 @@ def _require(spec, key, where):
     return spec[key]
 
 
-def _in_range(text: str, indices, n: int):
-    if any(not 1 <= i <= n for i in indices):
-        raise InputError(f"expression {text!r} uses a variable index outside 1..{n}")
-
-
-def _expr(n):
-    """Leaf converter for expressions in u1..un and p1..pn (and r's)."""
+def expression(n, scalar=False):
+    """Leaf converter for an expression string in u1..un: jet-free (a RatFunc) if ``scalar``,
+    else a DiffPoly that may hold jets, p1..pn and r's."""
     def leaf(x):
         if not isinstance(x, str):
             raise InputError(f"expected an expression string, got {x!r}")
-        value = parse(x)
+        value = parse_scalar(x) if scalar else parse(x)
         indices = set()
-        for m, c in value.terms.items():
+        for m, c in (DiffPoly.from_scalar(value) if scalar else value).terms.items():
             indices.update(c.field_vars())
             indices.update(jv.index for jv, _ in m.even)
             if m.odd is not None and m.odd.kind != KIND_R:
                 indices.add(m.odd.index)
-        _in_range(x, indices, n)
-        return value
-    return leaf
-
-
-def _scalar(n):
-    """Leaf converter for jet-free expressions in u1..un."""
-    def leaf(x):
-        if not isinstance(x, str):
-            raise InputError(f"expected an expression string, got {x!r}")
-        value = parse_scalar(x)
-        _in_range(x, value.field_vars(), n)
+        if any(not 1 <= i <= n for i in indices):
+            raise InputError(f"expression {x!r} uses a variable index outside 1..{n}")
         return value
     return leaf
 
@@ -182,16 +169,6 @@ def _int(x, message):
         return int(x)
     except (TypeError, ValueError):
         raise InputError(message)
-
-
-def _array(value, shape, leaf, message):
-    """Nested JSON lists of the given shape (None: any length), each entry
-    converted by ``leaf`` (None: kept as is); ``message`` names a wrong shape."""
-    if not shape:
-        return value if leaf is None else leaf(value)
-    if not isinstance(value, list) or shape[0] not in (None, len(value)):
-        raise InputError(message)
-    return [_array(v, shape[1:], leaf, message) for v in value]
 
 
 def _sparse_or_full_skew(data, n, rank):
@@ -317,19 +294,19 @@ def load_operator(problem: Problem, name: str):
         raise InputError(f"no operator named {name!r} in the problem")
     n = problem.n
     if "bivector" in spec:
-        return BivectorOperator(name, tuple(_array(spec["bivector"], (n,), _expr(n),
-                                                   "bivector needs n components")))
+        return BivectorOperator(name, _tensor(spec["bivector"], (n,), expression(n),
+                                              "bivector needs n components"))
     order = spec.get("order") if type(spec.get("order")) is int else None  # no bool or float
+    scalar = expression(n, scalar=True)
     if order in (1, 3):
-        g = Metric(_array(_require(spec, "g", "operator"), (n, n), _scalar(n),
-                          f"g must be {n} x {n}"),
+        g = Metric(_tensor(_require(spec, "g", "operator"), (n, n), scalar, f"g must be {n} x {n}"),
                    variance=spec.get("variance", "upper" if order == 1 else "lower"))
     if order == 1:
-        gamma = _array(_require(spec, "Gamma", "operator"), (n, n, n), _scalar(n),
-                       f"Gamma must be {n} x {n} x {n}")
+        gamma = _tensor(_require(spec, "Gamma", "operator"), (n, n, n), scalar,
+                        f"Gamma must be {n} x {n} x {n}")
         W = None
         if "W" in spec:
-            W = _array(spec["W"], (n, n), _scalar(n), f"W must be {n} x {n}")
+            W = _tensor(spec["W"], (n, n), scalar, f"W must be {n} x {n}")
         return FirstOrderOperator(g, Connection(g, gamma), W)
     if order == 2:
         t_raw = _require(spec, "T", "operator")
@@ -340,20 +317,20 @@ def load_operator(problem: Problem, name: str):
             if t_gens is None or g0_gens is None:
                 raise InputError("T and g0 must both be sparse or both full arrays")
             return SecondOrderOperator(SecondOrderData.from_generators(n, t_gens, g0_gens))
-        T = _array(t_raw, (n, n, n), _number, "T must be n x n x n")
-        g0 = _array(g0_raw, (n, n), _number, "g0 must be n x n")
+        T = _tensor(t_raw, (n, n, n), _number, "T must be n x n x n")
+        g0 = _tensor(g0_raw, (n, n), _number, "g0 must be n x n")
         return SecondOrderOperator(SecondOrderData(T, g0))
     if order == 3:
         c_raw = spec.get("c", "from-metric")
         if c_raw == "from-metric":
             data = ThirdOrderData.from_lower_metric(g.lower())
         else:
-            data = ThirdOrderData(g, _array(c_raw, (n, n, n), _scalar(n),
-                                            f"c must be {n} x {n} x {n}"))
-        w_list = [_array(w, (n, n), _scalar(n), f"w must be {n} x {n}")
-                  for w in _array(spec.get("w", []), (None,), None,
-                                  "'w' must be a list of tails")]
-        weights = _array(spec.get("weights", ["1"] * len(w_list)), (len(w_list),),
-                         _number, "weights must match the number of tails")
+            data = ThirdOrderData(g, _tensor(c_raw, (n, n, n), scalar,
+                                             f"c must be {n} x {n} x {n}"))
+        w_list = _tensor(spec.get("w", []), (None,),
+                         lambda w: _tensor(w, (n, n), scalar, f"w must be {n} x {n}"),
+                         "'w' must be a list of tails")
+        weights = _tensor(spec.get("weights", ["1"] * len(w_list)), (len(w_list),),
+                          _number, "weights must match the number of tails")
         return ThirdOrderOperator(data, w_list, weights)
     raise InputError(f"operator {name!r} needs 'order' in 1..3 or a 'bivector' field")

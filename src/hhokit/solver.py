@@ -11,7 +11,7 @@ substitution of a solution, ``linsolve.substituted_terms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, count, groupby
 from math import comb
 
 from .config import SIZE_CAP
@@ -128,6 +128,16 @@ def _u_monomials(n: int, degree: int) -> list:
             for vids in combinations_with_replacement(range(1, n + 1), d)]
 
 
+def _templates(copies: int, degree: int, n: int):
+    """``copies`` polynomials, each the sum of c*m over the monomials m in u1..un of degree
+    <= ``degree``, with one fresh parameter c per term drawn from one counter c1, c2, ...;
+    returns an iterator over them, in order, and the tuple of the parameters drawn."""
+    monos, pids = _u_monomials(n, degree), count(-1, -1)
+    polys = [Poly._new({mono_mul(m, ((next(pids), 1),)): 1 for m in monos})
+             for _ in range(copies)]
+    return iter(polys), tuple(range(-1, -copies * len(monos) - 1, -1))
+
+
 def make_operator_ansatz(n: int, order: int, degree_bound: int,
                          size_cap: int = SIZE_CAP) -> OperatorAnsatz:
     """Template spanning all odd-linear monomials of weight up to ``order``
@@ -143,22 +153,11 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
         raise InputError(f"ansatz would need more than {bound} parameters (cap {size_cap})")
     _check_size(n * _jet_pattern_count(n, order) * comb(n + degree_bound, n), size_cap)
     patterns = _jet_patterns(n, order)
-    coeff_monos = _u_monomials(n, degree_bound)
-    pid = -1
-    params = []
-    comps = []
-    for _ in range(n):
-        terms = {}
-        for pat in patterns:
-            coeff = {}
-            for cm in coeff_monos:
-                coeff[mono_mul(cm, ((pid, 1),))] = 1
-                params.append(pid)
-                pid -= 1
-            terms[pat] = RatFunc._new(Poly._new(coeff), Poly.one())
-        comps.append(DiffPoly(terms))
-    return OperatorAnsatz(n=n, order=order, degree=degree_bound,
-                          components=tuple(comps), params=tuple(params))
+    polys, params = _templates(n * len(patterns), degree_bound, n)
+    comps = tuple(DiffPoly({pat: RatFunc._new(next(polys), Poly.one()) for pat in patterns})
+                  for _ in range(n))
+    return OperatorAnsatz(n=n, order=order, degree=degree_bound, components=comps,
+                          params=params)
 
 
 def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
@@ -173,13 +172,9 @@ def make_flux_ansatz(n: int, degree: int, denominator: Poly | None = None,
     if den.has_params:
         raise InputError("flux denominator must not contain parameters")
     _check_size(n * comb(n + degree, n), size_cap)
-    coeff_monos = _u_monomials(n, degree)
-    size = len(coeff_monos)
-    params = tuple(range(-1, -n * size - 1, -1))
-    comps = tuple(RatFunc(Poly._new({mono_mul(cm, ((pid, 1),)): 1
-                                     for cm, pid in zip(coeff_monos, params[i * size:])}), den)
-                  for i in range(n))
-    return FluxAnsatz(n=n, degree=degree, components=comps, params=params)
+    polys, params = _templates(n, degree, n)
+    return FluxAnsatz(n=n, degree=degree, components=tuple(RatFunc(p, den) for p in polys),
+                      params=params)
 
 
 def _refuse_parameters(name, scalars):

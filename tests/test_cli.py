@@ -190,6 +190,16 @@ _N2_SYSTEM = {"type": "conservative", "V": ["u1", "u2"]}
                                               "w": [[["1", "0"], ["0", "1"]]],
                                               "weights": [[1]]}}}),
     ("find-bivectors", {"n": 1, "system": _KDV_SYSTEM, "task": {"order": "x"}}),
+    ("check-op", {"n": 1, "task": 5}),
+    ("check-op", {"n": 1, "task": {"operator": 5}}),
+    ("check-op", {"n": 3, "operators": {"C": {"order": 2, "T": {"1,2": "1"}, "g0": {}}}}),
+    ("reduce", {"n": 1, "system": {"type": "fluxes", "f": ["u1_x2"]}}),
+    ("reduce", {"n": 1, "system": {"type": "fluxes", "f": ["c1_x"]}}),
+    ("reduce", {"n": 1, "system": {"type": "fluxes", "f": ["(1"]}}),
+    ("reduce", {"n": 1, "system": {"type": "fluxes", "f": ["1/0"]}}),
+    ("reduce", {"n": 1, "system": _KDV_SYSTEM, "operators": {"A": {"bivector": ["p1_x*p1"]}}}),
+    ("find-fluxes", {"n": 2, "system": _N2_SYSTEM, "task": {"operator": "C", "denominator": "u9"},
+                     "operators": {"C": {"order": 2, "T": {}, "g0": {"1,2": "1"}}}}),
 ])
 def test_malformed_problem_is_input_error(tmp_path, capsys, command, problem):
     path = tmp_path / "malformed.json"
@@ -309,6 +319,7 @@ def test_huge_order_is_rejected_before_counting(capsys):
 @pytest.mark.parametrize("extra, message", [
     (["--degree", "1", "--denominator", "0"], "flux denominator must be nonzero"),
     (["--degree", "-1"], "degree bound must be >= 0"),
+    (["--denominator", "u9"], "expression 'u9' uses a variable index outside 1..4"),
 ])
 def test_find_fluxes_rejects_bad_degree_and_denominator(capsys, extra, message):
     code, out, err = run(["find-fluxes", "--example", "n4-second-order", *extra], capsys)
