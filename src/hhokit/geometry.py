@@ -52,7 +52,8 @@ def _scalar(x) -> RatFunc:
 def _tensor(x, shape, leaf, message) -> tuple:
     """x as nested tuples of leaf(entry), shape[k] entries at depth k (None: any length);
     InputError(message) unless each level is a list or tuple of its length, checked before
-    that level's entries are converted.  Every array from outside is read through it."""
+    that level's entries are converted.  The problem loader and the geometry constructors
+    read their arrays through it."""
     if not shape:
         return leaf(x)
     if not isinstance(x, (list, tuple)) or shape[0] not in (None, len(x)):

@@ -33,13 +33,14 @@ from fractions import Fraction
 from math import isqrt, log2
 
 from .config import POWER_BITS_CAP, POWER_PRODUCTS_CAP, SIZE_CAP
-from .errors import ExpressionError
+from .errors import ExpressionError, OddDegreeError
 from .jets import DiffPoly
 from .rational import Poly, RatFunc, join_signed
 
 _TOKEN_RE = re.compile(r"(\d+)|([a-z][a-zA-Z0-9_]*)|(\*|/|\+|-|\^|\(|\))")
 _NAME_RE = re.compile(r"^([uprc])([1-9]\d*)(?:_(xx?|x\d+))?$")
 _MAX_DEPTH = 100  # parenthesis nesting; each level costs four stack frames
+_ODD_PRODUCT = "product of two odd variables"
 
 
 class _Token:
@@ -180,9 +181,10 @@ class _Parser:
                 self.next()
                 rhs = self.parse_factor()
                 if tok.value == "*":
-                    if value.odd_degree() and rhs.odd_degree():
-                        raise ExpressionError("product of two odd variables", tok.line, tok.col)
-                    value = value * rhs
+                    try:
+                        value = value * rhs
+                    except OddDegreeError:
+                        raise ExpressionError(_ODD_PRODUCT, tok.line, tok.col) from None
                 else:
                     if not rhs.is_scalar:
                         raise ExpressionError(
@@ -217,9 +219,10 @@ class _Parser:
                 raise ExpressionError("exponent must be a non-negative integer",
                                       etok.line, etok.col)
             _check_power_size(value, etok)
-            if etok.value > 1 and value.odd_degree():
-                raise ExpressionError("product of two odd variables", tok.line, tok.col)
-            value = value ** etok.value
+            try:
+                value = value ** etok.value
+            except OddDegreeError:
+                raise ExpressionError(_ODD_PRODUCT, tok.line, tok.col) from None
         return -value if sign < 0 else value
 
     def parse_atom(self) -> DiffPoly:

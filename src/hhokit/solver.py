@@ -11,7 +11,7 @@ substitution of a solution, ``linsolve.substituted_terms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, count, groupby
+from itertools import combinations_with_replacement, groupby
 from math import comb
 
 from .config import SIZE_CAP
@@ -130,12 +130,13 @@ def _u_monomials(n: int, degree: int) -> list:
 
 def _templates(copies: int, degree: int, n: int):
     """``copies`` polynomials, each the sum of c*m over the monomials m in u1..un of degree
-    <= ``degree``, with one fresh parameter c per term drawn from one counter c1, c2, ...;
-    returns an iterator over them, in order, and the tuple of the parameters drawn."""
-    monos, pids = _u_monomials(n, degree), count(-1, -1)
+    <= ``degree`` with one fresh c per term, and the tuple c1, c2, ... the c's are drawn from."""
+    monos = _u_monomials(n, degree)
+    params = tuple(range(-1, -copies * len(monos) - 1, -1))
+    pids = iter(params)
     polys = [Poly._new({mono_mul(m, ((next(pids), 1),)): 1 for m in monos})
              for _ in range(copies)]
-    return iter(polys), tuple(range(-1, -copies * len(monos) - 1, -1))
+    return polys, params
 
 
 def make_operator_ansatz(n: int, order: int, degree_bound: int,
@@ -153,9 +154,10 @@ def make_operator_ansatz(n: int, order: int, degree_bound: int,
         raise InputError(f"ansatz would need more than {bound} parameters (cap {size_cap})")
     _check_size(n * _jet_pattern_count(n, order) * comb(n + degree_bound, n), size_cap)
     patterns = _jet_patterns(n, order)
-    polys, params = _templates(n * len(patterns), degree_bound, n)
-    comps = tuple(DiffPoly({pat: RatFunc._new(next(polys), Poly.one()) for pat in patterns})
-                  for _ in range(n))
+    k = len(patterns)
+    polys, params = _templates(n * k, degree_bound, n)
+    ratfuncs = [RatFunc._new(p, Poly.one()) for p in polys]
+    comps = tuple(DiffPoly(dict(zip(patterns, ratfuncs[j * k:(j + 1) * k]))) for j in range(n))
     return OperatorAnsatz(n=n, order=order, degree=degree_bound, components=comps,
                           params=params)
 

@@ -3,14 +3,14 @@
     python3 tools/src_cover.py [PYTEST_ARGS...]
 
 Runs the tier-1 tests (``tests/``, with ``src`` first on the path) in this process under a
-line tracer: ``sys.monitoring`` on Python 3.12 and later, ``sys.settrace`` on 3.10 and 3.11
-(which takes minutes: every traced line calls back into Python).  A statement is an ast
-statement of a module, less the docstrings and the ``def`` and ``class`` statements, whose
-lines run at import whatever the tests do.  Its own lines are its whole extent, or for a
-compound statement the lines before its first nested statement; it is executed when one of
-them runs.  A statement that compiles to no line of its own (``global``, ``nonlocal``) is not
-counted.  Code run in a child process is not seen.  One ``module:line`` row per unexecuted
-statement, with its first source line, then the count; exits with pytest's status.
+``sys.settrace`` line tracer, which takes minutes: every traced line calls back into Python.
+A statement is an ast statement of a module, less the docstrings and the ``def`` and
+``class`` statements, whose lines run at import whatever the tests do.  Its own lines are
+its whole extent, or for a compound statement the lines before its first nested statement;
+it is executed when one of them runs.  A statement that compiles to no line of its own
+(``global``, ``nonlocal``) is not counted.  Code run in a child process is not seen.  One
+``module:line`` row per unexecuted statement, with its first source line, then the count;
+exits with pytest's status.
 """
 
 from __future__ import annotations
@@ -57,19 +57,6 @@ def code_lines(source: str, path: str) -> set:
 
 def _trace(paths: set, seen: set):
     """Start recording (path, line) into ``seen`` for every line run in one of ``paths``."""
-    if sys.version_info >= (3, 12):
-        mon = sys.monitoring
-        mon.use_tool_id(mon.COVERAGE_ID, "src_cover")
-
-        def on_line(code, line):
-            if code.co_filename in paths:
-                seen.add((code.co_filename, line))
-            return mon.DISABLE  # each location reports once
-
-        mon.register_callback(mon.COVERAGE_ID, mon.events.LINE, on_line)
-        mon.set_events(mon.COVERAGE_ID, mon.events.LINE)
-        return
-
     def local(frame, event, arg):
         if event == "line":
             seen.add((frame.f_code.co_filename, frame.f_lineno))
