@@ -12,6 +12,7 @@ from .covering import bivector_residual, build_cotangent
 from .errors import InputError
 from .geometry import (
     char_square_check,
+    characteristic_form,
     expanded_first_order_conditions,
     haantjes_zero_check,
     linear_degeneracy_check,
@@ -188,11 +189,10 @@ def _n4_goldens():
     out = []
     rep = second_order_compat(d, problem.vflux())
     out.append(GoldenResult("flux-family-compatible", rep.passed, str(rep)))
-    jac = problem.system.jacobian()
-    out.append(GoldenResult("linearly-degenerate",
-                            linear_degeneracy_check(jac).passed))
-    out.append(GoldenResult("haantjes-zero", haantjes_zero_check(jac).passed))
-    cs = char_square_check(jac)
+    form = characteristic_form(problem.system.jacobian())
+    out.append(GoldenResult("linearly-degenerate", linear_degeneracy_check(form).passed))
+    out.append(GoldenResult("haantjes-zero", haantjes_zero_check(form).passed))
+    cs = char_square_check(form)
     out.append(GoldenResult("char-poly-square", cs.passed,
                             "; ".join(cs.notes)))
     # independent route: the order-0 operator image on the potential covering
@@ -222,10 +222,10 @@ _SIX_PROBLEM = {
 
 
 def _six_goldens():
-    jac = Problem(_SIX_PROBLEM).system.jacobian()
+    form = characteristic_form(Problem(_SIX_PROBLEM).system.jacobian())
     out = [
-        GoldenResult("linearly-degenerate", linear_degeneracy_check(jac).passed),
-        GoldenResult("haantjes-nonzero", not haantjes_zero_check(jac).passed,
+        GoldenResult("linearly-degenerate", linear_degeneracy_check(form).passed),
+        GoldenResult("haantjes-nonzero", not haantjes_zero_check(form).passed,
                      "non-diagonalizable"),
     ]
     return out

@@ -23,7 +23,8 @@ from .errors import (
     InputError,
     NotASymmetryError,
 )
-from .geometry import char_square_check, haantjes_zero_check, linear_degeneracy_check
+from .geometry import (char_square_check, characteristic_form, haantjes_zero_check,
+                       linear_degeneracy_check)
 from .grammar import format_diffpoly, format_ratfunc
 from .jets import DiffPoly
 from .problem import CoveringCheck, JsonDecimal, Problem, expression, load_operator
@@ -260,10 +261,11 @@ def cmd_classify(args):
     except InputError:
         raise InputError("classify needs a hydrodynamic or conservative system")
     report = Report("classify", problem, args.full)
-    report.add_condition(linear_degeneracy_check(J))
-    report.add_condition(haantjes_zero_check(J))
+    form = characteristic_form(J)
+    report.add_condition(linear_degeneracy_check(form))
+    report.add_condition(haantjes_zero_check(form))
     if problem.n % 2 == 0:
-        report.add_condition(char_square_check(J))
+        report.add_condition(char_square_check(form))
     return report.finish(args.json)
 
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .config import jet_cap
 from .errors import InputError, NotASymmetryError
+from .grammar import as_matrix
 from .jets import (KIND_P, KIND_R, KIND_U, DiffPoly, DiffSum, dm_key, gradient_entry, jet_gradient,
                    total_x, ux_sums)
 from .rational import RatFunc
@@ -64,11 +65,8 @@ class EvolutionSystem:
 
     @classmethod
     def hydrodynamic(cls, velocity) -> "EvolutionSystem":
-        n = len(velocity)
-        vel = tuple(tuple(row) for row in velocity)
-        if any(len(row) != n for row in vel):
-            raise InputError("velocity matrix must be square")
-        return cls(n=n, fluxes=ux_sums(vel), kind="hydrodynamic", velocity=vel)
+        vel = as_matrix(velocity, "velocity matrix must be square")
+        return cls(n=len(vel), fluxes=ux_sums(vel), kind="hydrodynamic", velocity=vel)
 
     @classmethod
     def conservative(cls, flux_potentials) -> "EvolutionSystem":

@@ -15,11 +15,13 @@ families, the Nijenhuis and Haantjes tensors and linear degeneracy's Horner step
 through it; a factor shared by several terms is summed entrywise once, before it is
 contracted.  One routine, ``ConditionReport.add_all``, reads every residual family, in
 lexicographic index order.  Each metric-derived tensor is formed once, from the variance it
-was given.  The classifiers work on polynomial numerators over one common denominator d of
-V = W / d, each entry reduced once against a power of d (``ratfunc_over``).  A tensor is
-differentiated through one table, ``_grad``, each entry only by the field variables it
-holds; a second derivative through ``_hessian``, which forms each unordered pair once and
-mirrors it.  The third-order operator's coefficients are differentiated by ``jets.total_x``.
+was given.  The three classifiers share one ``characteristic_form`` of V: polynomial
+numerators over one common denominator d of V = W / d and the characteristic numerators F,
+expanded once; each residual is reduced once against a power of d (``ratfunc_over``, with no
+gcd for a monomial d).  A tensor is differentiated through one table, ``_grad``, each entry
+only by the field variables it holds; a second derivative through ``_hessian``, which forms
+each unordered pair once and mirrors it.  The third-order operator's coefficients are
+differentiated by ``jets.total_x``.
 """
 
 from __future__ import annotations
@@ -34,36 +36,11 @@ from fractions import Fraction
 from .config import SIZE_CAP
 from .covering import BivectorForm, CoveringContext, EvolutionSystem, LocalOperator, flux_jacobian
 from .errors import DegenerateMetricError, InputError
+from .grammar import _scalar, _tensor, as_matrix
 from .jets import DiffPoly, mono, pjet, total_x, ux_sums
 from .rational import _ZERO, IntSum, Poly, RatFunc, RatSum, exact_div, poly_gcd, ratfunc_over
 
 # -- exact matrix helpers ------------------------------------------------------
-
-
-def _scalar(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, str):
-        from .grammar import parse_scalar
-        return parse_scalar(x)
-    return RatFunc.const(x)
-
-
-def _tensor(x, shape, leaf, message) -> tuple:
-    """x as nested tuples of leaf(entry), shape[k] entries at depth k (None: any length);
-    InputError(message) unless each level is a list or tuple of its length, checked before
-    that level's entries are converted.  The problem loader and the geometry constructors
-    read their arrays through it."""
-    if not shape:
-        return leaf(x)
-    if not isinstance(x, (list, tuple)) or shape[0] not in (None, len(x)):
-        raise InputError(message)
-    return tuple(_tensor(y, shape[1:], leaf, message) for y in x)
-
-
-def as_matrix(rows) -> tuple:
-    n = len(rows) if isinstance(rows, (list, tuple)) else None
-    return _tensor(rows, (n, n), _scalar, "matrix must be square")
 
 
 def identity(n) -> tuple:
@@ -239,20 +216,8 @@ def inverse(A) -> tuple:
     return tuple(tuple(entry(i, j) for j in idx) for i in idx)
 
 
-def _over_common_denominator(V) -> tuple:
-    """(W, d) with V = W / d: d the monic lcm of the entry denominators, W polynomial."""
-    d = Poly.one()
-    for x in itertools.chain.from_iterable(V):
-        if not x.den.is_const and exact_div(d, x.den) is None:
-            d = d * exact_div(x.den, poly_gcd(d, x.den))
-    return tuple(tuple(RatFunc._new(x.num * exact_div(d, x.den), Poly.one()) for x in row)
-                 for row in V), d
-
-
-def _char_numerators(V) -> tuple:
-    """(W, d, F), V = W / d: F[k-1] = (-1)^k (sum of W's principal k x k minors),
-    polynomial, so that f_k = F_k / d^k."""
-    W, d = _over_common_denominator(V)
+def _char_numerators(W) -> list:
+    """F, F[k-1] = (-1)^k (sum of the polynomial W's principal k x k minors)."""
     minor, r = _minors(W), range(len(W))
     F = []
     for k in range(1, len(W) + 1):
@@ -260,14 +225,37 @@ def _char_numerators(V) -> tuple:
         for subset in itertools.combinations(r, k):
             fk.add(minor(subset, subset), -1 if k % 2 else 1)
         F.append(fk.value())
-    return W, d, F
+    return F
+
+
+class CharacteristicForm:
+    """What the three classifiers read of a square matrix V: V = W / d, d the monic lcm of
+    the entry denominators and W polynomial, and F, formed on first use, f_k = F_k / d^k."""
+
+    def __init__(self, V):
+        V, d = as_matrix(V), Poly.one()
+        for x in itertools.chain.from_iterable(V):
+            if not x.den.is_const and exact_div(d, x.den) is None:
+                d = d * exact_div(x.den, poly_gcd(d, x.den))
+        self.W = tuple(tuple(RatFunc._new(x.num * exact_div(d, x.den), Poly.one()) for x in row)
+                       for row in V)
+        self.d = d
+
+    @functools.cached_property
+    def F(self) -> list:
+        return _char_numerators(self.W)
+
+
+def characteristic_form(V) -> CharacteristicForm:
+    """V's characteristic form; a form is returned as it is."""
+    return V if isinstance(V, CharacteristicForm) else CharacteristicForm(V)
 
 
 def char_poly_coeffs(V) -> list:
     """[f_1..f_n] with det(lam I - V) = lam^n + f_1 lam^{n-1} + ... + f_n:
     f_k = (-1)^k * (sum of principal k x k minors) = F_k / d^k, reduced once."""
-    _, d, F = _char_numerators(V)
-    return [ratfunc_over(f.num, d, k) for k, f in enumerate(F, 1)]
+    form = characteristic_form(V)
+    return [ratfunc_over(f.num, form.d, k) for k, f in enumerate(form.F, 1)]
 
 
 # -- reports -------------------------------------------------------------------
@@ -772,11 +760,11 @@ def _antisymmetric(entry, n) -> tuple:
 
 
 def _nijenhuis_numerator(V) -> tuple:
-    """(W, d, Nt), all polynomial: V = W / d over the common denominator
-    (``_over_common_denominator``), N = Nt / d^3.  With P[s][i][k] = W_ik,s d - W_ik d_,s = V^i_k,s d^2,
+    """(W, d, Nt), all polynomial: V = W / d (``characteristic_form``), N = Nt / d^3.
+    With P[s][i][k] = W_ik,s d - W_ik d_,s = V^i_k,s d^2,
     Nt^i_jk = W_sj P[s][i][k] - W_sk P[s][i][j] - W_is (P[j][s][k] - P[k][s][j]), j < k."""
-    W, d = _over_common_denominator(as_matrix(V))
-    n = len(W)
+    form = characteristic_form(V)
+    W, d, n = form.W, form.d, len(form.W)
     D = RatFunc._new(d, Poly.one())
     dW, dD = _grad(W, n), _grad(D, n)
     P = _table(n, 3, lambda s, i, k: dW[i][k][s] * D - W[i][k] * dD[s])
@@ -786,12 +774,12 @@ def _nijenhuis_numerator(V) -> tuple:
     return W, d, _antisymmetric(N.entry, n)
 
 
-def haantjes(V) -> tuple:
-    """H^i_jk = N^i_pq V^p_j V^q_k - N^p_jq V^i_p V^q_k - N^p_qk V^i_p V^q_j
-    + N^p_jk V^i_q V^q_p = A^i_jq V^q_k + V^i_p D^p_jk, with A^i_jk = N^i_pk V^p_j
-    and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj).  Over the
-    common denominator d of V = W / d, A = At / d^4, D = Dt / d^4 and H = Ht / d^5
-    are polynomial sums, for j < k only; each entry of H is reduced once."""
+def _haantjes_entries(V) -> tuple:
+    """(entry, n), entry(i, j, k) = H^i_jk for j < k: H^i_jk = N^i_pq V^p_j V^q_k
+    - N^p_jq V^i_p V^q_k - N^p_qk V^i_p V^q_j + N^p_jk V^i_q V^q_p = A^i_jq V^q_k + V^i_p D^p_jk,
+    with A^i_jk = N^i_pk V^p_j and D^p_jk = V^p_q N^q_jk - A^p_jk + A^p_kj (N^i_jk = -N^i_kj).
+    Over the common denominator d of V = W / d, A = At / d^4, D = Dt / d^4 and H = Ht / d^5
+    are polynomial sums, for j < k only; each entry of H is reduced once, when read."""
     W, d, N = _nijenhuis_numerator(V)
     n = len(W)
     A = _contract(_swap(W), N, 1)
@@ -801,7 +789,12 @@ def haantjes(V) -> tuple:
     del N  # H needs only A and D: drop N before H is built
     H = _einsum(_Scatter(), "ijq,qk->ijk", A, W, keep=_lt)
     _einsum(H, "ip,pjk->ijk", W, D)
-    return _antisymmetric(lambda i, j, k: ratfunc_over(H.entry(i, j, k).num, d, 5), n)
+    return lambda i, j, k: ratfunc_over(H.entry(i, j, k).num, d, 5), n
+
+
+def haantjes(V) -> tuple:
+    """The Haantjes tensor H^i_jk of V (``_haantjes_entries``), antisymmetric in j, k."""
+    return _antisymmetric(*_haantjes_entries(V))
 
 
 def linear_degeneracy_check(V) -> ConditionReport:
@@ -813,8 +806,8 @@ def linear_degeneracy_check(V) -> ConditionReport:
     matrix products.  With V = W / d and f_k = F_k / d^k the k-th sum is G_k / d^{k+1},
     G_k = G_{k-1} W + d grad F_k - k F_k grad d polynomial; G_n is reduced once per column.
     """
-    W, d, F = _char_numerators(as_matrix(V))
-    n = len(W)
+    form = characteristic_form(V)
+    W, d, F, n = form.W, form.d, form.F, len(form.W)
     D = RatFunc._new(d, Poly.one())
     grad_d = _grad(D, n)
     G = (_ZERO,) * n
@@ -829,8 +822,8 @@ def linear_degeneracy_check(V) -> ConditionReport:
 
 def haantjes_zero_check(V) -> ConditionReport:
     rep = ConditionReport("haantjes-zero")
-    H = haantjes(V)
-    rep.add_all("haantjes", len(H), 3, lambda i, j, k: H[i][j][k], _lt)
+    entry, n = _haantjes_entries(V)
+    rep.add_all("haantjes", n, 3, entry, _lt)
     return rep
 
 
@@ -842,36 +835,33 @@ def char_square_check(V) -> ConditionReport:
     """Is the characteristic polynomial a perfect square q(lam)^2?
 
     The square structure is exact; the reality of q's roots is certified at
-    sampled rational points only, and the report says so.
+    sampled rational points only, and the report says so.  q_k = Q_k / d^k is matched on
+    the numerators F_k: F_k - sum Q_i Q_{k-i} (Q_0 = 1) is 2 Q_k for k <= n/2, else a residual.
     """
-    V = as_matrix(V)
-    n = len(V)
+    form = characteristic_form(V)
+    n = len(form.W)
     rep = ConditionReport("char-poly-square")
     if n % 2:
         rep.add("even-dimension", (0,), RatFunc.one())
         return rep
-    f = char_poly_coeffs(V)
     m = n // 2
-    # match q = lam^m + q1 lam^{m-1} + ... + qm from the top coefficients
-    q = [RatFunc.one()] + [RatFunc.zero()] * m
-    for k in range(1, n + 1):
-        acc = RatSum(f[k - 1])  # f_k - sum of q_i q_{k-i} over 0 < i, k - i <= m
+    Q = [Poly.one()]
+    for k, f in enumerate(form.F, 1):
+        acc = f.num
         for i in range(max(1, k - m), min(k, m + 1)):
-            acc.addmul(q[i], q[k - i], -1)
+            acc = acc - Q[i] * Q[k - i]
         if k <= m:
-            q[k] = acc.value() / 2
+            Q.append(acc * Fraction(1, 2))
         else:
-            rep.add("square-match", (k,), acc.value())
+            rep.add("square-match", (k,), ratfunc_over(acc, form.d, k))
     if rep.passed and n == 4:
         # sampled evidence that q has real roots (discriminant >= 0); reality
         # can depend on the region of field/parameter space, so this never
         # flips the verdict and is reported as sample-only certification
         rng = random.Random(_ROOT_SEED)
-        disc = q[1] * q[1] - q[2] * 4
+        disc = ratfunc_over(Q[1] * Q[1] - Q[2] * 4, form.d, 2)
         vars_needed = disc.vars_used()
-        nonneg = 0
-        checked = 0
-        tries = 0
+        nonneg = checked = tries = 0
         while checked < _ROOT_SAMPLES and tries < 200:
             tries += 1
             point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for v in vars_needed}
@@ -880,8 +870,7 @@ def char_square_check(V) -> ConditionReport:
             except ZeroDivisionError:
                 continue
             checked += 1
-            if value >= 0:
-                nonneg += 1
+            nonneg += value >= 0
         rep.notes = rep.notes + (
             f"real roots certified at {nonneg}/{checked} sampled rational points only",)
     return rep

@@ -23,7 +23,7 @@ bounded too, below that cap: its last squaring may take at most
 ``config.POWER_BITS_CAP`` bits.
 
 ``parse`` returns a DiffPoly; printing is the exact inverse, so
-``parse(format_diffpoly(e)) == e``.
+``parse(format_diffpoly(e)) == e``.  Arrays from outside are read by ``_tensor``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import isqrt, log2
 
 from .config import POWER_BITS_CAP, POWER_PRODUCTS_CAP, SIZE_CAP
-from .errors import ExpressionError, OddDegreeError
+from .errors import ExpressionError, InputError, OddDegreeError
 from .jets import DiffPoly
 from .rational import Poly, RatFunc, join_signed
 
@@ -260,6 +260,31 @@ def parse_scalar(text: str) -> RatFunc:
     if not value.is_scalar:
         raise ExpressionError("expected a scalar (no jets or odd variables)", 1, 1)
     return value.scalar_value()
+
+
+def _scalar(x) -> RatFunc:
+    if isinstance(x, RatFunc):
+        return x
+    if isinstance(x, str):
+        return parse_scalar(x)
+    return RatFunc.const(x)
+
+
+def _tensor(x, shape, leaf, message) -> tuple:
+    """x as nested tuples of leaf(entry), shape[k] entries at depth k (None: any length);
+    InputError(message) unless each level is a list or tuple of its length, checked before
+    that level's entries are converted.  The problem loader, the geometry constructors and
+    ``covering.EvolutionSystem.hydrodynamic`` read their arrays through it."""
+    if not shape:
+        return leaf(x)
+    if not isinstance(x, (list, tuple)) or shape[0] not in (None, len(x)):
+        raise InputError(message)
+    return tuple(_tensor(y, shape[1:], leaf, message) for y in x)
+
+
+def as_matrix(rows, message="matrix must be square") -> tuple:
+    n = len(rows) if isinstance(rows, (list, tuple)) else None
+    return _tensor(rows, (n, n), _scalar, message)
 
 
 # -- printing ------------------------------------------------------------------

@@ -23,13 +23,13 @@ from .config import DECIMAL_EXPONENT_CAP
 from .covering import (BivectorForm, EvolutionSystem, bivector_residual, build_cotangent,
                        operator_to_bivector)
 from .errors import InputError, NotASymmetryError
-from .geometry import (Connection, Metric, SecondOrderData, ThirdOrderData, _tensor,
+from .geometry import (Connection, Metric, SecondOrderData, ThirdOrderData,
                        first_order_hamiltonian_check, first_order_operator,
                        nonlocal_first_order_check, second_order_canonical_check,
                        second_order_compat, tail_characteristic, third_order_compat,
                        third_order_hamiltonian_check, third_order_nonlocal_checks,
                        third_order_operator, tsarev_check)
-from .grammar import parse, parse_scalar
+from .grammar import _tensor, parse, parse_scalar
 from .jets import KIND_R, DiffPoly
 from .solver import find_fluxes_second_order, find_fluxes_third_order
 

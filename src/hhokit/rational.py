@@ -773,13 +773,16 @@ def _reduce(num: Poly, den: Poly):
 
 
 def ratfunc_over(num: Poly, d: Poly, e: int) -> RatFunc:
-    """The canonical RatFunc(num, d**e), d monic and parameter-free: one monomial gcd if d is
-    a monomial, else no gcd against d**e: num and den lose g = gcd(num, gcd(den, d)) until
+    """The canonical RatFunc(num, d**e), d monic and parameter-free: for a monomial d, no
+    ``poly_gcd``; else none against d**e: num and den lose g = gcd(num, gcd(den, d)) until
     g is constant, exact for reducible d (a factor of num and den divides gcd(den, d))."""
     if not num:
         return RatFunc.zero()
-    if d.is_monomial:
-        return RatFunc(num, d ** e)
+    if d.is_monomial:  # the gcd is the monomial that d**e and every term of num share
+        de = tuple((v, x * e) for v, x in next(iter(d.terms)))
+        g = _mono_common(itertools.chain((de,), num.terms))
+        return RatFunc._new(exact_div(num, Poly._new({g: 1})) if g else num,
+                            Poly._new({mono_div(de, g): 1}))
     den, r = d ** e, d  # gcd(d**e, d) = d
     while not den.is_const:
         g = poly_gcd(num, r)

@@ -21,6 +21,7 @@ from .geometry import (
     SecondOrderData,
     ThirdOrderData,
     char_square_check,
+    characteristic_form,
     haantjes_zero_check,
     linear_degeneracy_check,
     second_order_canonical_check,
@@ -257,11 +258,12 @@ def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
 def _classify_family(ansatz: FluxAnsatz, sol, with_square):
     """Classification of the generic member, the solution substituted with its free
     parameters kept symbolic."""
-    V = flux_jacobian(tuple(substitute_solution(comp, sol) for comp in ansatz.components))
-    out = {"linear-degeneracy": linear_degeneracy_check(V),
-           "haantjes-zero": haantjes_zero_check(V)}
+    form = characteristic_form(flux_jacobian(tuple(substitute_solution(comp, sol)
+                                                   for comp in ansatz.components)))
+    out = {"linear-degeneracy": linear_degeneracy_check(form),
+           "haantjes-zero": haantjes_zero_check(form)}
     if with_square:
-        out["char-poly-square"] = char_square_check(V)
+        out["char-poly-square"] = char_square_check(form)
     return out
 
 
