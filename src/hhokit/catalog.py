@@ -11,11 +11,8 @@ from dataclasses import dataclass
 from .covering import bivector_residual, build_cotangent
 from .errors import InputError
 from .geometry import (
-    char_square_check,
-    characteristic_form,
+    classify,
     expanded_first_order_conditions,
-    haantjes_zero_check,
-    linear_degeneracy_check,
     potentialize,
     second_order_compat,
     second_order_potential_bivector,
@@ -189,12 +186,10 @@ def _n4_goldens():
     out = []
     rep = second_order_compat(d, problem.vflux())
     out.append(GoldenResult("flux-family-compatible", rep.passed, str(rep)))
-    form = characteristic_form(problem.system.jacobian())
-    out.append(GoldenResult("linearly-degenerate", linear_degeneracy_check(form).passed))
-    out.append(GoldenResult("haantjes-zero", haantjes_zero_check(form).passed))
-    cs = char_square_check(form)
-    out.append(GoldenResult("char-poly-square", cs.passed,
-                            "; ".join(cs.notes)))
+    ld, hz, cs = classify(problem.system.jacobian())
+    out.append(GoldenResult("linearly-degenerate", ld.passed))
+    out.append(GoldenResult("haantjes-zero", hz.passed))
+    out.append(GoldenResult("char-poly-square", cs.passed, "; ".join(cs.notes)))
     # independent route: the order-0 operator image on the potential covering
     C = second_order_potential_bivector(d)
     ctx = build_cotangent(potentialize(problem.system))
@@ -222,13 +217,9 @@ _SIX_PROBLEM = {
 
 
 def _six_goldens():
-    form = characteristic_form(Problem(_SIX_PROBLEM).system.jacobian())
-    out = [
-        GoldenResult("linearly-degenerate", linear_degeneracy_check(form).passed),
-        GoldenResult("haantjes-nonzero", not haantjes_zero_check(form).passed,
-                     "non-diagonalizable"),
-    ]
-    return out
+    ld, hz = classify(Problem(_SIX_PROBLEM).system.jacobian(), square=False)
+    return [GoldenResult("linearly-degenerate", ld.passed),
+            GoldenResult("haantjes-nonzero", not hz.passed, "non-diagonalizable")]
 
 
 # -- third-order instances ----------------------------------------------------------------

@@ -23,8 +23,7 @@ from .errors import (
     InputError,
     NotASymmetryError,
 )
-from .geometry import (char_square_check, characteristic_form, haantjes_zero_check,
-                       linear_degeneracy_check)
+from .geometry import classify
 from .grammar import format_diffpoly, format_ratfunc
 from .jets import DiffPoly
 from .problem import CoveringCheck, JsonDecimal, Problem, expression, load_operator
@@ -63,27 +62,21 @@ class Report:
             self.add_residual_dump(check.label, check.residual)
 
     def add_condition(self, rep):
-        entry = {
-            "name": rep.name,
-            "pass": rep.passed,
-            "notes": list(rep.notes),
-            "residuals": [],
-        }
+        entry = self.add_verdict(rep.name, rep.passed, rep.notes)
         shown = rep.residuals if self.full else rep.residuals[:RESIDUAL_LIMIT]
         for fam, idx, rf in shown:
             entry["residuals"].append(
                 {"family": fam, "at": list(idx), "expr": format_ratfunc(rf)})
         if not self.full and len(rep.residuals) > RESIDUAL_LIMIT:
             entry["residuals_truncated"] = len(rep.residuals) - RESIDUAL_LIMIT
-        self.payload["verdicts"].append(entry)
-        if not rep.passed:
-            self.failed = True
 
     def add_verdict(self, name: str, passed: bool, notes=()):
-        self.payload["verdicts"].append(
-            {"name": name, "pass": passed, "notes": list(notes), "residuals": []})
+        """Append a verdict entry with no residuals yet, and return it."""
+        entry = {"name": name, "pass": passed, "notes": list(notes), "residuals": []}
+        self.payload["verdicts"].append(entry)
         if not passed:
             self.failed = True
+        return entry
 
     def add_residual_dump(self, label: str, components):
         dump = []
@@ -261,11 +254,8 @@ def cmd_classify(args):
     except InputError:
         raise InputError("classify needs a hydrodynamic or conservative system")
     report = Report("classify", problem, args.full)
-    form = characteristic_form(J)
-    report.add_condition(linear_degeneracy_check(form))
-    report.add_condition(haantjes_zero_check(form))
-    if problem.n % 2 == 0:
-        report.add_condition(char_square_check(form))
+    for rep in classify(J, square=problem.n % 2 == 0):
+        report.add_condition(rep)
     return report.finish(args.json)
 
 

@@ -17,11 +17,12 @@ contracted.  One routine, ``ConditionReport.add_all``, reads every residual fami
 lexicographic index order.  Each metric-derived tensor is formed once, from the variance it
 was given.  The three classifiers share one ``characteristic_form`` of V: polynomial
 numerators over one common denominator d of V = W / d and the characteristic numerators F,
-expanded once; each residual is reduced once against a power of d (``ratfunc_over``, with no
-gcd for a monomial d).  A tensor is differentiated through one table, ``_grad``, each entry
-only by the field variables it holds; a second derivative through ``_hessian``, which forms
-each unordered pair once and mirrors it.  The third-order operator's coefficients are
-differentiated by ``jets.total_x``.
+expanded once; ``classify`` owns that form, building it once for the three reports.  Each
+residual is reduced once against a power of d (``ratfunc_over``, with no gcd for a monomial
+d).  A tensor is differentiated through one table, ``_grad``, each entry only by the field
+variables it holds; a second derivative through ``_hessian``, which forms each unordered pair
+once and mirrors it.  The third-order operator's coefficients are differentiated by
+``jets.total_x``.
 """
 
 from __future__ import annotations
@@ -874,3 +875,13 @@ def char_square_check(V) -> ConditionReport:
         rep.notes = rep.notes + (
             f"real roots certified at {nonneg}/{checked} sampled rational points only",)
     return rep
+
+
+def classify(V, square=True) -> list:
+    """The linear-degeneracy, Haantjes-zero and, when ``square``, char-square reports of V,
+    in that order, all read from one ``characteristic_form``."""
+    form = characteristic_form(V)
+    reports = [linear_degeneracy_check(form), haantjes_zero_check(form)]
+    if square:
+        reports.append(char_square_check(form))
+    return reports

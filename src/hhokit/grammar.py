@@ -29,6 +29,7 @@ bounded too, below that cap: its last squaring may take at most
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, log2
 
@@ -41,16 +42,7 @@ _TOKEN_RE = re.compile(r"(\d+)|([a-z][a-zA-Z0-9_]*)|(\*|/|\+|-|\^|\(|\))")
 _NAME_RE = re.compile(r"^([uprc])([1-9]\d*)(?:_(xx?|x\d+))?$")
 _MAX_DEPTH = 100  # parenthesis nesting; each level costs four stack frames
 _ODD_PRODUCT = "product of two odd variables"
-
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _tokenize(text: str):

@@ -45,7 +45,6 @@ class Problem:
         names = data.get("variables")
         if names is not None and (not isinstance(names, list) or len(names) != self.n):
             raise InputError("the 'variables' naming list must have n entries")
-        self.variable_names = names
         self.task = data.get("task", {})
         if not isinstance(self.task, dict):
             raise InputError("'task' must be an object of default settings")
@@ -56,6 +55,9 @@ class Problem:
             lambda phi: _tensor(phi, (self.n,), expression(self.n),
                                 "each symmetry needs n components"),
             "'symmetries' must be a list")
+        for a, phi in enumerate(self.symmetries, 1):
+            if any(c.odd_degree() for c in phi):
+                raise InputError(f"symmetry {a} contains odd variables")
         self.operators = data.get("operators", {})
         if not isinstance(self.operators, dict) or not all(
                 isinstance(spec, dict) for spec in self.operators.values()):

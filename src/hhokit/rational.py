@@ -488,18 +488,14 @@ def _content_x(coeffs: dict) -> Poly:
     return acc
 
 
-def _uv_deg(coeffs: dict) -> int:
-    return max(coeffs)
-
-
 def _uv_pseudo_rem(a: dict, b: dict) -> dict:
     """Pseudo-remainder prem(a, b): lc(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = _uv_deg(a), _uv_deg(b)
+    da, db = max(a), max(b)
     lb = b[db]
     rem = dict(a)
     e = da - db + 1
-    while rem and _uv_deg(rem) >= db:
-        dr = _uv_deg(rem)
+    while rem and max(rem) >= db:
+        dr = max(rem)
         lr = rem[dr]
         rem = {d: p * lb for d, p in rem.items() if d != dr}
         add_terms(rem, {d + dr - db: p * lr for d, p in b.items() if d != db}, -1)
@@ -550,23 +546,23 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     pb = {d: exact_div(p, cb) for d, p in ub.items()}
     cont = poly_gcd(ca, cb)
 
-    if _uv_deg(pa) < _uv_deg(pb):
+    if max(pa) < max(pb):
         pa, pb = pb, pa
     g = Poly.one()
     h = Poly.one()
     while True:
-        delta = _uv_deg(pa) - _uv_deg(pb)
+        delta = max(pa) - max(pb)
         rem = _uv_pseudo_rem(pa, pb)
         if not rem:
             cb2 = _content_x(pb)
             prim = {d: exact_div(p, cb2) for d, p in pb.items()}
             return _with_shared(_from_univar(prim, x) * cont)
-        if _uv_deg(rem) == 0:
+        if max(rem) == 0:
             return _with_shared(cont)
         divisor = g * h ** delta
         pa = pb
         pb = {d: exact_div(p, divisor) for d, p in rem.items()}
-        g = pa[_uv_deg(pa)]
+        g = pa[max(pa)]
         if delta >= 1:
             h = exact_div(g ** delta, h ** (delta - 1))
         # delta == 0 keeps h unchanged

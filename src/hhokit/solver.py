@@ -20,10 +20,7 @@ from .errors import InputError
 from .geometry import (
     SecondOrderData,
     ThirdOrderData,
-    char_square_check,
-    characteristic_form,
-    haantjes_zero_check,
-    linear_degeneracy_check,
+    classify,
     second_order_canonical_check,
     second_order_compat,
     third_order_compat,
@@ -258,13 +255,8 @@ def find_bivectors(system, ansatz: OperatorAnsatz) -> SolutionFamily:
 def _classify_family(ansatz: FluxAnsatz, sol, with_square):
     """Classification of the generic member, the solution substituted with its free
     parameters kept symbolic."""
-    form = characteristic_form(flux_jacobian(tuple(substitute_solution(comp, sol)
-                                                   for comp in ansatz.components)))
-    out = {"linear-degeneracy": linear_degeneracy_check(form),
-           "haantjes-zero": haantjes_zero_check(form)}
-    if with_square:
-        out["char-poly-square"] = char_square_check(form)
-    return out
+    V = flux_jacobian(tuple(substitute_solution(comp, sol) for comp in ansatz.components))
+    return {rep.name: rep for rep in classify(V, with_square)}
 
 
 def _flux_family(ansatz: FluxAnsatz, rep, classify: bool,

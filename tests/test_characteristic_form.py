@@ -2,8 +2,9 @@
 
 ``characteristic_form(V)`` holds V = W / d over the common denominator and, once a
 classifier asks for them, the numerators F of the characteristic coefficients
-(f_k = F_k / d^k).  Each classifier called on the form must give the report it gives on
-the matrix, ``==`` and ``str``-identical, whichever classifier ran on the form first.
+(f_k = F_k / d^k).  Each classifier called on the form, and ``classify`` for all three,
+must give the report it gives on the matrix, ``==`` and ``str``-identical, whichever
+classifier ran on the form first.
 ``char_square_check`` matches q on numerators; ``reference_char_square`` is the matching
 in ``RatFunc`` arithmetic that it replaced.  One classification expands the principal
 minors once, and ``ratfunc_over`` reduces over a monomial d with no ``poly_gcd``.
@@ -21,6 +22,7 @@ from hhokit.geometry import (
     characteristic_form,
     char_poly_coeffs,
     char_square_check,
+    classify,
     haantjes,
     haantjes_zero_check,
     linear_degeneracy_check,
@@ -121,6 +123,11 @@ def test_classifiers_on_the_form_match_the_matrix(n, kind, params):
         if n % 2:
             assert want[2].families_failing() == ["even-dimension"]
         assert haantjes(characteristic_form(V)) == haantjes(V)
+        for square, count in ((True, 3), (False, 2)):  # classify: the same reports, one form
+            got = classify(V, square)
+            assert len(got) == count
+            for rep, expected in zip(got, want):
+                _assert_same(rep, expected)
 
 
 @pytest.mark.parametrize("kind", list(DENOMINATORS))

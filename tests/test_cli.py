@@ -200,6 +200,9 @@ _N2_SYSTEM = {"type": "conservative", "V": ["u1", "u2"]}
     ("reduce", {"n": 1, "system": _KDV_SYSTEM, "operators": {"A": {"bivector": ["p1_x*p1"]}}}),
     ("find-fluxes", {"n": 2, "system": _N2_SYSTEM, "task": {"operator": "C", "denominator": "u9"},
                      "operators": {"C": {"order": 2, "T": {}, "g0": {"1,2": "1"}}}}),
+    ("reduce", {"n": 1, "system": _KDV_SYSTEM, "symmetries": [["p1_x"]]}),
+    ("reduce", {"n": 1, "system": _KDV_SYSTEM, "symmetries": [["r1"]]}),
+    ("reduce", {"n": 1, "system": _KDV_SYSTEM, "symmetries": [["u1_x"], ["u1_x + r1"]]}),
 ])
 def test_malformed_problem_is_input_error(tmp_path, capsys, command, problem):
     path = tmp_path / "malformed.json"
@@ -292,6 +295,19 @@ def test_declared_symmetry_that_is_not_one_is_input_error(tmp_path, capsys):
         code, out, err = run([command, "--file", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == "input error: symmetry 2 is not a symmetry of the system\n"
+
+
+@pytest.mark.parametrize("odd", ["p1", "p1_x", "r1"])
+def test_declared_symmetry_with_odd_variables_is_input_error(tmp_path, capsys, odd):
+    # refused at load, whichever odd variable it is, before any covering is built
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({
+        "n": 1, "system": {"type": "fluxes", "f": ["u1_x3 + u1*u1_x"]},
+        "symmetries": [["u1_x"], [f"u1*{odd}"]], "operators": {"A": {"bivector": ["p1_x"]}}}))
+    for command in ("reduce", "classify"):
+        code, out, err = run([command, "--file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "input error: symmetry 2 contains odd variables\n"
 
 
 def test_sparse_generators_are_bounded_by_the_dense_size(tmp_path, capsys):
