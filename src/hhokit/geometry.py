@@ -514,39 +514,32 @@ class SecondOrderData:
 
     @classmethod
     def from_generators(cls, n, t_entries, g0_entries):
-        """Skew-extend sparse generators {(i,j,k): value} and {(i,j): value}."""
+        """Skew-extend sparse generators {(i,j,k): value} and {(i,j): value}.  InputError
+        unless each names distinct indices and no two name one entry up to order."""
         if n ** 3 > SIZE_CAP:
             raise InputError(f"sparse generators at n = {n} need a dense T of "
                              f"{n ** 3} entries (cap {SIZE_CAP})")
-        T = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), val in t_entries.items():
-            if len({i, j, k}) != 3:
-                raise InputError("skew generators need three distinct indices")
-            val = Fraction(val)
-            for (a, b, c), sign in _signed_permutations((i, j, k)):
-                T[a - 1][b - 1][c - 1] = sign * val
-        g0 = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), val in g0_entries.items():
-            val = Fraction(val)
-            g0[i - 1][j - 1] = val
-            g0[j - 1][i - 1] = -val
-        return cls(T, g0)
+        dense, seen = {}, {}
+        for entries, rank, count in ((t_entries, 3, "three"), (g0_entries, 2, "two")):
+            for idx, val in entries.items():
+                if len(idx) != rank or len(set(idx)) != rank:
+                    raise InputError(f"skew generators need {count} distinct indices")
+                if not all(1 <= i <= n for i in idx):
+                    raise InputError(f"generator {idx} has an index outside 1..{n}")
+                first = seen.setdefault(frozenset(idx), idx)
+                if first != idx:
+                    raise InputError(f"skew generators {first} and {idx} name one entry")
+                for perm in itertools.permutations(range(rank)):  # signed by its parity
+                    sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                    dense[tuple(idx[p] - 1 for p in perm)] = sign * Fraction(val)
+        return cls(_table(n, 3, lambda *ix: dense.get(ix, 0)),
+                   _table(n, 2, lambda *ix: dense.get(ix, 0)))
 
     def g_low(self) -> tuple:
         """g_{ij} as RatFunc matrix linear in the field variables."""
         return _table(self.n, 2, lambda i, j: RatFunc.from_poly(sum(
             (Poly.var(k + 1) * t for k, t in enumerate(self.T[i][j]) if t),
             Poly.const(self.g0[i][j]))))
-
-
-def _signed_permutations(idx):
-    a, b, c = idx
-    yield (a, b, c), Fraction(1)
-    yield (b, c, a), Fraction(1)
-    yield (c, a, b), Fraction(1)
-    yield (b, a, c), Fraction(-1)
-    yield (a, c, b), Fraction(-1)
-    yield (c, b, a), Fraction(-1)
 
 
 def second_order_canonical_check(d: SecondOrderData) -> ConditionReport:

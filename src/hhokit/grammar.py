@@ -7,6 +7,11 @@ Grammar shared by the CLI and the report writer::
     factor := ('-' | '+')* atom ('^' INT)?
     atom   := INT | NAME | '(' expr ')'
 
+``_tokenize`` gives ``(kind, value, column)`` tuples; one function per rule
+(``_expr``, ``_term``, ``_factor``, ``_atom``) reads them from the reversed list,
+peeking at ``tokens[-1]`` and taking with ``tokens.pop()``.  Expressions are one
+line, so every error names line 1 and its column.
+
 Names: field variables ``u1..`` (order-0), jets ``u1_x``, ``u1_xx``,
 ``u1_x3`` (k >= 3 written ``_x{k}``), odd cotangent variables ``p1``,
 ``p1_x``, ..., nonlocal potentials ``r1`` (never differentiated in the
@@ -29,7 +34,6 @@ bounded too, below that cap: its last squaring may take at most
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, log2
 
@@ -38,42 +42,30 @@ from .errors import ExpressionError, InputError, OddDegreeError
 from .jets import DiffPoly
 from .rational import Poly, RatFunc, join_signed
 
-_TOKEN_RE = re.compile(r"(\d+)|([a-z][a-zA-Z0-9_]*)|(\*|/|\+|-|\^|\(|\))")
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[a-z][a-zA-Z0-9_]*)|(?P<op>[-+*/^()])"
+                       r"|(?P<space>\s+)|(?P<bad>\S)")
 _NAME_RE = re.compile(r"^([uprc])([1-9]\d*)(?:_(xx?|x\d+))?$")
 _MAX_DEPTH = 100  # parenthesis nesting; each level costs four stack frames
-_ODD_PRODUCT = "product of two odd variables"
-_Token = namedtuple("_Token", "kind value line col")
 
 
-def _tokenize(text: str):
-    line = 1  # expressions are single-line; errors still name the line
+def _tokenize(text: str) -> list:
+    """(kind, value, column) tuples, the last ("end", None, len(text) + 1)."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        col = pos + 1
-        if m.group(1):
-            tokens.append(_Token("int", int(m.group(1)), line, col))
-        elif m.group(2):
-            tokens.append(_Token("name", m.group(2), line, col))
-        else:
-            tokens.append(_Token("op", m.group(3), line, col))
-        pos = m.end()
-    tokens.append(_Token("end", None, line, n + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {m[kind]!r}", 1, m.start() + 1)
+        tokens.append((kind, int(m[kind]) if kind == "int" else m[kind], m.start() + 1))
+    tokens.append(("end", None, len(text) + 1))
     return tokens
 
 
-def _name_to_value(tok: _Token) -> DiffPoly:
-    m = _NAME_RE.match(tok.value)
+def _name_to_value(name: str, col: int) -> DiffPoly:
+    m = _NAME_RE.match(name)
     if m is None:
-        raise ExpressionError(f"unknown name {tok.value!r}", tok.line, tok.col)
+        raise ExpressionError(f"unknown name {name!r}", 1, col)
     letter, index, suffix = m.group(1), int(m.group(2)), m.group(3)
     xorder = {None: 0, "x": 1, "xx": 2}.get(suffix)
     if xorder is None:
@@ -81,19 +73,17 @@ def _name_to_value(tok: _Token) -> DiffPoly:
         if xorder < 3:
             hint = {0: "no suffix", 1: "_x", 2: "_xx"}[xorder]
             raise ExpressionError(
-                f"order-{xorder} uses {hint}, the _x{{k}} form starts at k = 3",
-                tok.line, tok.col)
+                f"order-{xorder} uses {hint}, the _x{{k}} form starts at k = 3", 1, col)
     if letter == "u":
         return DiffPoly.jet(index, xorder)
     if letter == "p":
         return DiffPoly.odd_p(index, xorder)
     if letter == "r":
         if xorder:
-            raise ExpressionError("nonlocal variables r{a} carry no explicit jets",
-                                  tok.line, tok.col)
+            raise ExpressionError("nonlocal variables r{a} carry no explicit jets", 1, col)
         return DiffPoly.odd_r(index)
     if xorder:
-        raise ExpressionError("parameters carry no jets", tok.line, tok.col)
+        raise ExpressionError("parameters carry no jets", 1, col)
     return DiffPoly.from_scalar(RatFunc.var(-index))
 
 
@@ -109,14 +99,13 @@ def _capped_binomial(t: int, e: int, cap: int) -> int:
     return size
 
 
-def _check_power_size(base: DiffPoly, etok: _Token) -> None:
+def _check_power_size(base: DiffPoly, e: int, col: int) -> None:
     """Reject ``base ^ e`` when its expansion may hold more than SIZE_CAP terms,
     when its last squaring may take more than POWER_PRODUCTS_CAP term products
     (C(T+h-1, h)**2 for h = e // 2), or when its coefficients may pass
     POWER_BITS_CAP bits (e * log2(T * H), H the largest numerator or denominator
     of the base's coefficients).  T is the numerator terms summed over the jet
     terms and, apart, the terms of the non-constant denominators."""
-    e = etok.value
     coeffs = base.terms.values()
     nums = [c.num for c in coeffs]
     dens = [c.den for c in coeffs if not c.den.is_const]
@@ -132,117 +121,88 @@ def _check_power_size(base: DiffPoly, etok: _Token) -> None:
             message = f"power would have coefficients of more than {POWER_BITS_CAP} bits"
         else:
             continue
-        raise ExpressionError(message, etok.line, etok.col)
+        raise ExpressionError(message, 1, col)
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
+def _product(op: str, a: DiffPoly, b, col: int) -> DiffPoly:
+    """a * b or a ** b, a product of two odd variables an error at the operator."""
+    try:
+        return a * b if op == "*" else a ** b
+    except OddDegreeError:
+        raise ExpressionError("product of two odd variables", 1, col) from None
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+# only operators have a punctuation value, so a value alone names an operator
 
-    def expect_op(self, op):
-        tok = self.next()
-        if tok.kind != "op" or tok.value != op:
-            raise ExpressionError(f"expected {op!r}", tok.line, tok.col)
 
-    def parse_expr(self) -> DiffPoly:
-        value = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in "+-":
-                self.next()
-                rhs = self.parse_term()
-                value = value + rhs if tok.value == "+" else value - rhs
-            else:
-                return value
+def _expr(tokens: list, depth: int) -> DiffPoly:
+    value = _term(tokens, depth)
+    while tokens[-1][1] in ("+", "-"):
+        op = tokens.pop()[1]
+        rhs = _term(tokens, depth)
+        value = value + rhs if op == "+" else value - rhs
+    return value
 
-    def parse_term(self) -> DiffPoly:
-        value = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in "*/":
-                self.next()
-                rhs = self.parse_factor()
-                if tok.value == "*":
-                    try:
-                        value = value * rhs
-                    except OddDegreeError:
-                        raise ExpressionError(_ODD_PRODUCT, tok.line, tok.col) from None
-                else:
-                    if not rhs.is_scalar:
-                        raise ExpressionError(
-                            "division only by jet- and odd-free expressions",
-                            tok.line, tok.col)
-                    divisor = rhs.scalar_value()
-                    if divisor.is_zero:
-                        raise ExpressionError("division by zero", tok.line, tok.col)
-                    if divisor.num.has_params:
-                        raise ExpressionError("division by an expression with formal "
-                                              "parameters", tok.line, tok.col)
-                    value = value.scalar_mul(RatFunc.one() / divisor)
-            else:
-                return value
 
-    def parse_factor(self) -> DiffPoly:
-        sign = 1
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in "+-":
-                self.next()
-                if tok.value == "-":
-                    sign = -sign
-            else:
-                break
-        value = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            self.next()
-            etok = self.next()
-            if etok.kind != "int":
-                raise ExpressionError("exponent must be a non-negative integer",
-                                      etok.line, etok.col)
-            _check_power_size(value, etok)
-            try:
-                value = value ** etok.value
-            except OddDegreeError:
-                raise ExpressionError(_ODD_PRODUCT, tok.line, tok.col) from None
-        return -value if sign < 0 else value
+def _term(tokens: list, depth: int) -> DiffPoly:
+    value = _factor(tokens, depth)
+    while tokens[-1][1] in ("*", "/"):
+        _, op, col = tokens.pop()
+        rhs = _factor(tokens, depth)
+        if op == "*":
+            value = _product(op, value, rhs, col)
+            continue
+        if not rhs.is_scalar:
+            raise ExpressionError("division only by jet- and odd-free expressions", 1, col)
+        divisor = rhs.scalar_value()
+        if divisor.is_zero:
+            raise ExpressionError("division by zero", 1, col)
+        if divisor.num.has_params:
+            raise ExpressionError("division by an expression with formal parameters", 1, col)
+        value = value.scalar_mul(RatFunc.one() / divisor)
+    return value
 
-    def parse_atom(self) -> DiffPoly:
-        tok = self.next()
-        if tok.kind == "int":
-            return DiffPoly.from_scalar(Fraction(tok.value))
-        if tok.kind == "name":
-            return _name_to_value(tok)
-        if tok.kind == "op" and tok.value == "(":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise ExpressionError(f"parentheses nested deeper than {_MAX_DEPTH}",
-                                      tok.line, tok.col)
-            value = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return value
-        raise ExpressionError("expected a number, name or parenthesis",
-                              tok.line, tok.col)
+
+def _factor(tokens: list, depth: int) -> DiffPoly:
+    sign = 1
+    while tokens[-1][1] in ("+", "-"):
+        if tokens.pop()[1] == "-":
+            sign = -sign
+    value = _atom(tokens, depth)
+    if tokens[-1][1] == "^":
+        col = tokens.pop()[2]
+        kind, e, ecol = tokens.pop()
+        if kind != "int":
+            raise ExpressionError("exponent must be a non-negative integer", 1, ecol)
+        _check_power_size(value, e, ecol)
+        value = _product("^", value, e, col)
+    return -value if sign < 0 else value
+
+
+def _atom(tokens: list, depth: int) -> DiffPoly:
+    kind, value, col = tokens.pop()
+    if kind == "int":
+        return DiffPoly.from_scalar(Fraction(value))
+    if kind == "name":
+        return _name_to_value(value, col)
+    if value == "(":
+        if depth >= _MAX_DEPTH:
+            raise ExpressionError(f"parentheses nested deeper than {_MAX_DEPTH}", 1, col)
+        inner = _expr(tokens, depth + 1)
+        _, value, col = tokens.pop()
+        if value != ")":
+            raise ExpressionError("expected ')'", 1, col)
+        return inner
+    raise ExpressionError("expected a number, name or parenthesis", 1, col)
 
 
 def parse(text: str) -> DiffPoly:
     """Parse an expression into a DiffPoly."""
-    parser = _Parser(_tokenize(text))
-    value = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ExpressionError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    tokens = _tokenize(text)[::-1]
+    value = _expr(tokens, 0)
+    kind, rest, col = tokens[-1]
+    if kind != "end":
+        raise ExpressionError(f"trailing input {rest!r}", 1, col)
     return value
 
 

@@ -186,6 +186,8 @@ def _sparse_or_full_skew(data, n, rank):
                 raise InputError(f"generator key {key!r} needs {rank} indices")
             if not all(1 <= i <= n for i in idx):
                 raise InputError(f"generator key {key!r} has an index outside 1..{n}")
+            if idx in gens:
+                raise InputError(f"generator key {key!r} repeats the indices of an earlier key")
             gens[idx] = _number(val)
         return gens
     return None
@@ -236,9 +238,11 @@ class FirstOrderOperator(_Operator):
         return [first_order_hamiltonian_check(self.metric, self.conn)]
 
     def compat(self, problem):
-        V = problem.system.velocity
-        if V is None:
-            raise InputError("first-order compatibility needs a hydrodynamic system")
+        system = problem.system
+        if system is None or system.kind not in ("hydrodynamic", "conservative"):
+            raise InputError("first-order compatibility needs a hydrodynamic or "
+                             "conservative system")
+        V = system.jacobian()
         if self.W is None:
             return [tsarev_check(self.metric, self.conn, V)]
         return [nonlocal_first_order_check(self.metric, self.conn, self.W, V)]

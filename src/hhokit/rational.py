@@ -540,6 +540,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     # shortest pseudo-remainder chain: smallest main-variable degree wins
     x = min(common, key=lambda v: (min(a.degree_in(v), b.degree_in(v)), vkey(v)))
 
+    a, b = (Poly._new(_int_form(p)[1]) for p in (a, b))
     ua, ub = _univar(a, x), _univar(b, x)
     ca, cb = _content_x(ua), _content_x(ub)
     pa = {d: exact_div(p, ca) for d, p in ua.items()}

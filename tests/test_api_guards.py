@@ -17,6 +17,7 @@ from hhokit.errors import InputError
 from hhokit.geometry import char_square_check
 from hhokit.grammar import parse_scalar
 from hhokit.jets import DiffPoly, DiffSum, mono, pjet, ujet
+from hhokit.problem import Problem, load_operator
 from hhokit.rational import Poly, RatFunc, exact_div, mono_str, poly_gcd, rf_partial
 
 u1, u2 = Poly.var(1), Poly.var(2)
@@ -102,3 +103,10 @@ def test_cli_module_runs_as_a_script(monkeypatch, capsys):
         with pytest.raises(SystemExit) as info:
             runpy.run_module("hhokit.cli", run_name="__main__")
     assert info.value.code == 0 and "kdv" in capsys.readouterr().out
+
+
+def test_first_order_compat_without_a_system_is_input_error():
+    problem = Problem({"n": 1, "operators": {"A": {"order": 1, "g": [["1"]],
+                                                   "Gamma": [[["0"]]]}}})
+    _raises(InputError, "first-order compatibility needs a hydrodynamic or conservative system",
+            load_operator(problem, "A").compat, problem)

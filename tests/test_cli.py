@@ -203,6 +203,14 @@ _N2_SYSTEM = {"type": "conservative", "V": ["u1", "u2"]}
     ("reduce", {"n": 1, "system": _KDV_SYSTEM, "symmetries": [["p1_x"]]}),
     ("reduce", {"n": 1, "system": _KDV_SYSTEM, "symmetries": [["r1"]]}),
     ("reduce", {"n": 1, "system": _KDV_SYSTEM, "symmetries": [["u1_x"], ["u1_x + r1"]]}),
+    ("check-op", {"n": 3, "operators": {"C": {"order": 2, "T": {"1,2,3": "1", "2,1,3": "1"},
+                                              "g0": {"2,3": "1"}}}}),
+    ("check-op", {"n": 3, "operators": {"C": {"order": 2, "T": {"1,2,3": "1"},
+                                              "g0": {"2,3": "1", "3,2": "5"}}}}),
+    ("check-op", {"n": 3, "operators": {"C": {"order": 2, "T": {"1,2,3": "1"},
+                                              "g0": {"2,2": "1"}}}}),
+    ("check-op", {"n": 3, "operators": {"C": {"order": 2, "T": {"1,2,3": "1"},
+                                              "g0": {"2,3": "1", "2, 3": "1"}}}}),
 ])
 def test_malformed_problem_is_input_error(tmp_path, capsys, command, problem):
     path = tmp_path / "malformed.json"
@@ -505,3 +513,28 @@ def test_jet_cap_faults_in_a_search_exit_2_without_a_traceback(monkeypatch, caps
     code, out, err = run(["find-bivectors", "--example", "kdv", "--order", "3", "--degree", "1"],
                          capsys)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+_FLAT_FIRST = {"order": 1, "g": [["1", "0"], ["0", "1"]],
+               "Gamma": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}
+
+
+@pytest.mark.parametrize("V, W, expected", [
+    (["u1^2/2 + u2^2/2", "u1*u2"], None, (0, "[pass] tsarev-compat")),
+    (["u1^2", "u2^2 + u1*u2"], None, (1, "[FAIL] tsarev-compat")),
+    (["u1^2/2 + u2^2/2", "u1*u2"], [["1", "1"], ["1", "1"]], (0, "[pass] nonlocal-first-order")),
+], ids=["passes", "fails", "with-tail"])
+def test_first_order_check_compat_takes_a_conservative_system(tmp_path, capsys, V, W, expected):
+    # the closed-form route reads the flux Jacobian and agrees with the covering route
+    operator = dict(_FLAT_FIRST, **({"W": W} if W else {}))
+    path = tmp_path / "conservative.json"
+    path.write_text(json.dumps({"n": 2, "system": {"type": "conservative", "V": V},
+                                "operators": {"A": operator}}))
+    code, out, _ = run(["check-compat", "--file", str(path)], capsys)
+    assert (code, out.splitlines()[0]) == expected
+    assert run(["reduce", "--file", str(path)], capsys)[0] == expected[0]
+    path.write_text(json.dumps({"n": 2, "system": {"type": "potential", "V": V},
+                                "operators": {"A": operator}}))
+    assert run(["check-compat", "--file", str(path)], capsys) == (
+        2, "", "input error: first-order compatibility needs a hydrodynamic or conservative "
+               "system\n")

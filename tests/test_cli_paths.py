@@ -44,6 +44,9 @@ FILES = {
     # a first-order operator on a conservative (not hydrodynamic) system
     "first-on-conservative": _variant(
         "hydro2-pass", system={"type": "conservative", "V": ["u1*u2", "u1^2/2"]}),
+    # the same flux potentials read as a potential system: its covering is in potential coordinates
+    "first-on-potential": _variant(
+        "hydro2-pass", system={"type": "potential", "V": ["u1*u2", "u1^2/2"]}),
     # the n=4 second-order operator on a hydrodynamic system: no flux potentials
     "second-on-hydrodynamic": _variant(
         "n4-second-order", system={"type": "hydrodynamic", "V": [
@@ -96,8 +99,9 @@ FILES = {
 # "<command> <flags>" (a --file name is a key of FILES) -> (exit code, report
 # sha256 or None, standard error)
 PINNED = {
-    "check-compat --file first-on-conservative": (2, None,
-        "input error: first-order compatibility needs a hydrodynamic system\n"),
+    "check-compat --file first-on-conservative": (0, "2d92085e829a074682cabbeb57f0cd40578bc705cf2fb760ec138dac71cefcda", ""),
+    "check-compat --file first-on-potential": (2, None,
+        "input error: first-order compatibility needs a hydrodynamic or conservative system\n"),
     "check-compat --file kdv-failing-bivector": (1, "80a02441d3b943bb9c447a2b1c3d52c63c137d897c1a3a878ec8ced26efa233c", ""),
     "check-compat --file monge-explicit-c": (0, "6ea5e236297d8eed8cdb8a468509b9075ad6e43fe10f758a4285548fcdd11a58", ""),
     "check-compat --file n4-full": (0, "6004d53bf8233a4447b889aece43efc38ce78ef61624dfc64a017f5596ed9832", ""),

@@ -396,3 +396,17 @@ def test_input_shape_validation():
         Connection(Metric([[1, 0], [0, 1]]), [[[0]]])
     with pytest.raises(InputError):
         SecondOrderData.from_generators(3, {(1, 1, 2): 1}, {})
+
+
+@pytest.mark.parametrize("t_entries, g0_entries, message", [
+    ({(1, 2, 3): 1}, {(2, 2): 1}, "skew generators need two distinct indices"),
+    ({(1, 1, 3): 1}, {}, "skew generators need three distinct indices"),
+    ({(1, 2, 3): 1, (2, 1, 3): 1}, {}, "skew generators (1, 2, 3) and (2, 1, 3) name one entry"),
+    ({(1, 2, 3): 1}, {(2, 3): 1, (3, 2): 5}, "skew generators (2, 3) and (3, 2) name one entry"),
+    ({(1, 2, 4): 1}, {}, "generator (1, 2, 4) has an index outside 1..3"),
+], ids=["g0-diagonal", "T-repeated-index", "T-twice", "g0-twice", "outside-n"])
+def test_sparse_generators_refuse_data_that_is_not_skew(t_entries, g0_entries, message):
+    with pytest.raises(InputError) as err:
+        SecondOrderData.from_generators(3, t_entries, g0_entries)
+    assert str(err.value) == message
+

@@ -136,3 +136,21 @@ def test_rf_arith_subtracts_and_refuses_an_unknown_operation():
     assert rf_arith(u(1), u(1), "sub").is_zero
     with pytest.raises(ValueError, match="unknown operation 'pow'"):
         rf_arith(u(1), u(2), "pow")
+
+
+def test_poly_gcd_of_fraction_products_is_monic_and_keeps_the_common_factor():
+    # the subresultant chain runs on integer forms of a and b; the gcd comes back monic
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(20):
+        f, g = rand_poly(rng, 3, 2, terms=3), rand_poly(rng, 3, 2, terms=3)
+        h = rand_poly(rng, 3, 1, terms=3) * Fraction(2, 3) + Poly.const(Fraction(1, 5))
+        if f.is_const or g.is_const or h.is_const:
+            continue
+        a, b = f * h, g * h
+        gcd = poly_gcd(a, b)
+        assert gcd.leading()[1] == 1
+        assert exact_div(a, gcd) is not None and exact_div(b, gcd) is not None
+        assert exact_div(gcd, h) is not None
+        checked += 1
+    assert checked >= 10
